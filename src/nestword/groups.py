@@ -101,19 +101,6 @@ def free_reduce(word) -> tuple:
     return tuple(stack)
 
 
-def _cancellation_edges(positions) -> list | None:
-    """Stack pass over (position, letter) pairs; None when non-trivial."""
-    stack: list = []
-    edges = []
-    for pos, c in positions:
-        if stack and stack[-1][1] == invert_letter(c):
-            i, _ = stack.pop()
-            edges.append((i, pos))
-        else:
-            stack.append((pos, c))
-    return edges if not stack else None
-
-
 def canonical_matching(word) -> MatchingRelation | None:
     """The matching traced by stack cancellation; None if w is not trivial.
 
@@ -121,10 +108,17 @@ def canonical_matching(word) -> MatchingRelation | None:
     the edge (i, j) -- the pairing that follows the word's path through the
     Cayley graph rather than any other valid cancellation pattern.
     """
-    edges = _cancellation_edges(enumerate(word, start=1))
-    if edges is None:
+    word = tuple(word)
+    stack: list = []  # (position, letter) awaiting cancellation
+    edges = []
+    for pos, c in enumerate(word, start=1):
+        if stack and stack[-1][1] == invert_letter(c):
+            edges.append((stack.pop()[0], pos))
+        else:
+            stack.append((pos, c))
+    if stack:
         return None
-    return MatchingRelation(len(tuple(word)), edges)
+    return MatchingRelation(len(word), edges)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +290,8 @@ GroupSpec = FreeGroupSpec | FiniteGroupSpec | DirectProductSpec | SemidirectProd
 
 def group_spec_from_doc(doc: dict) -> GroupSpec:
     """Parse the JSON group-spec format (kind: free|finite|direct|semidirect)."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"group spec must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
     if kind == "free":
         return FreeGroupSpec(int(doc["n"]))
@@ -375,8 +371,9 @@ def is_identity(spec: GroupSpec, word) -> bool:
                 raise ValueError(f"letter {c!r} outside the alphabet")
         return not free_reduce(word)
     if isinstance(spec, FiniteGroupSpec):
+        elements = set(spec.elements)
         for c in word:
-            if c not in set(spec.elements):
+            if c not in elements:
                 raise ValueError(f"letter {c!r} outside the alphabet")
         return spec.product(word) == spec.identity
     if isinstance(spec, DirectProductSpec):
@@ -583,34 +580,43 @@ def annotate_word(spec: GroupSpec, word) -> TaggedWord | None:
 
     Free-group letters get the canonical cancellation matching (computed on
     the twisted letters for semidirect products); finite-group letters stay
-    internal.
+    internal.  One pass decides triviality and pairs the cancellations.
     """
     word = tuple(word)
-    if not is_identity(spec, word):
-        return None
     if isinstance(spec, FiniteGroupSpec):
+        if not is_identity(spec, word):
+            return None
         return tuple(TaggedSymbol(c, Tag.INTERNAL) for c in word)
-    if isinstance(spec, FreeGroupSpec):
-        matching = canonical_matching(word)
-    else:
-        a_letters = set(free_letters(spec.n))
-        if isinstance(spec, SemidirectProductSpec):
-            perms = perm_by_name(spec.m)
-            sigma = tuple(range(1, spec.m + 1))
-            positioned = []
-            for pos, c in enumerate(word, start=1):
-                if c in perms:
-                    sigma = perm_compose(sigma, perms[c])
-                else:
-                    positioned.append((pos, psi_action(sigma, c)))
+    direct = isinstance(spec, DirectProductSpec)
+    semidirect = isinstance(spec, SemidirectProductSpec)
+    if semidirect and spec.m > spec.n:
+        raise ValueError(f"permutation degree {spec.m} exceeds generator count {spec.n}")
+    outside = "the combined alphabet" if direct or semidirect else "the alphabet"
+    inverse = {a: invert_letter(a) for a in free_letters(spec.n)}
+    perms = perm_by_name(spec.m) if semidirect else {}
+    elements = set(spec.finite.elements) if direct else set()
+    unit = tuple(range(1, spec.m + 1)) if semidirect else ()
+    sigma = unit
+    g = spec.finite.identity if direct else None
+    stack: list = []  # (position, twisted letter) awaiting cancellation
+    edges = []
+    for pos, c in enumerate(word, start=1):
+        if c in inverse:
+            if semidirect:
+                c = psi_action(sigma, c)
+            if stack and stack[-1][1] == inverse[c]:
+                edges.append((stack.pop()[0], pos))
+            else:
+                stack.append((pos, c))
+        elif c in perms:
+            sigma = perm_compose(sigma, perms[c])
+        elif c in elements:
+            g = spec.finite.table[(g, c)]
         else:
-            positioned = [(pos, c) for pos, c in enumerate(word, start=1) if c in a_letters]
-        edges = _cancellation_edges(positioned)
-        assert edges is not None  # is_identity passed
-        matching = MatchingRelation(len(word), edges)
-    if matching is None:
+            raise ValueError(f"letter {c!r} outside {outside}")
+    if stack or sigma != unit or (direct and g != spec.finite.identity):
         return None
-    return encode(NestedWord(word, matching))
+    return encode(NestedWord._trusted(word, MatchingRelation(len(word), edges)))
 
 
 def enumerate_taggings(word, bound: int = 12):

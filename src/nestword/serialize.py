@@ -121,6 +121,64 @@ def to_doc(m) -> dict:
     raise SerializationError(f"cannot serialize {type(m).__name__}")
 
 
+def _label(value: Any) -> Any:
+    """For a label that parsing puts into no set or key: hashing it here
+    turns a JSON object into an error on its field, not a later one."""
+    label = _unjsonable(value)
+    hash(label)
+    return label
+
+
+def _labels(values) -> frozenset:
+    return frozenset(_unjsonable(v) for v in values)
+
+
+def _field(doc: dict, name: str, convert=_label) -> Any:
+    """doc[name] through convert; a missing or malformed field raises a
+    SerializationError that names it."""
+    try:
+        value = doc[name]
+    except KeyError:
+        raise SerializationError(f"{doc['kind']} document has no {name!r} field") from None
+    try:
+        return convert(value)
+    except (LookupError, TypeError, ValueError) as exc:
+        raise SerializationError(f"bad {name!r} field in {doc['kind']} document: {exc}") from None
+
+
+def _fsa_delta(rows) -> dict:
+    return {(_unjsonable(q), _unjsonable(sym)): _label(dst) for q, sym, dst in rows}
+
+
+def _pda_delta(rows) -> dict:
+    return {
+        (_unjsonable(q), sym, _unjsonable(g)): (_label(dst), tuple(_label(p) for p in push))
+        for q, sym, g, dst, push in rows
+    }
+
+
+def _vpa_deltas(rows) -> tuple:
+    """Call, internal and return tables, each mapping to a set of targets."""
+    delta_c: dict = {}
+    delta_i: dict = {}
+    delta_r: dict = {}
+    for row in rows:
+        src = _unjsonable(row[0])
+        if not isinstance(row[1], str):
+            raise TypeError(f"token {row[1]!r} is not a string")
+        sym = parse_token(row[1])
+        if sym.tag is Tag.CALL:
+            _, _, dst, g = row
+            delta_c.setdefault((src, sym.base), set()).add((_unjsonable(dst), _unjsonable(g)))
+        elif sym.tag is Tag.INTERNAL:
+            _, _, dst = row
+            delta_i.setdefault((src, sym.base), set()).add(_unjsonable(dst))
+        else:
+            _, _, g, dst = row
+            delta_r.setdefault((src, sym.base, _unjsonable(g)), set()).add(_unjsonable(dst))
+    return delta_c, delta_i, delta_r
+
+
 def from_doc(doc: dict):
     try:
         kind = doc["kind"]
@@ -128,55 +186,35 @@ def from_doc(doc: dict):
         raise SerializationError("document has no 'kind' field")
     if kind == "fsa":
         return Fsa(
-            alphabet=tuple(_unjsonable(a) for a in doc["alphabet"]),
-            states=frozenset(_unjsonable(s) for s in doc["states"]),
-            initial=_unjsonable(doc["initial"]),
-            accepts=frozenset(_unjsonable(s) for s in doc["accepts"]),
-            delta={
-                (_unjsonable(q), _unjsonable(sym)): _unjsonable(dst)
-                for q, sym, dst in doc["transitions"]
-            },
+            alphabet=_field(doc, "alphabet", lambda v: tuple(map(_label, v))),
+            states=_field(doc, "states", _labels),
+            initial=_field(doc, "initial"),
+            accepts=_field(doc, "accepts", _labels),
+            delta=_field(doc, "transitions", _fsa_delta),
         )
     if kind == "pda":
         return Pda(
-            alphabet=tuple(doc["alphabet"]),
-            states=frozenset(_unjsonable(s) for s in doc["states"]),
-            stack_alphabet=frozenset(_unjsonable(s) for s in doc["stack_alphabet"]),
-            initial=_unjsonable(doc["initial"]),
-            bottom=_unjsonable(doc["bottom"]),
-            accepts=frozenset(_unjsonable(s) for s in doc["accepts"]),
-            delta={
-                (_unjsonable(q), sym, _unjsonable(g)): (_unjsonable(dst), tuple(_unjsonable(p) for p in push))
-                for q, sym, g, dst, push in doc["transitions"]
-            },
+            alphabet=_field(doc, "alphabet", tuple),
+            states=_field(doc, "states", _labels),
+            stack_alphabet=_field(doc, "stack_alphabet", _labels),
+            initial=_field(doc, "initial"),
+            bottom=_field(doc, "bottom"),
+            accepts=_field(doc, "accepts", _labels),
+            delta=_field(doc, "transitions", _pda_delta),
         )
     if kind in ("vpa", "nvpa"):
-        delta_c: dict = {}
-        delta_i: dict = {}
-        delta_r: dict = {}
-        for row in doc["transitions"]:
-            src = _unjsonable(row[0])
-            sym = parse_token(row[1])
-            if sym.tag is Tag.CALL:
-                _, _, dst, g = row
-                delta_c.setdefault((src, sym.base), set()).add((_unjsonable(dst), _unjsonable(g)))
-            elif sym.tag is Tag.INTERNAL:
-                _, _, dst = row
-                delta_i.setdefault((src, sym.base), set()).add(_unjsonable(dst))
-            else:
-                _, _, g, dst = row
-                delta_r.setdefault((src, sym.base, _unjsonable(g)), set()).add(_unjsonable(dst))
+        delta_c, delta_i, delta_r = _field(doc, "transitions", _vpa_deltas)
         common = dict(
-            alphabet=tuple(doc["alphabet"]),
-            states=frozenset(_unjsonable(s) for s in doc["states"]),
-            stack_alphabet=frozenset(_unjsonable(s) for s in doc["stack_alphabet"]),
-            bottom=_unjsonable(doc["bottom"]),
-            accepts=frozenset(_unjsonable(s) for s in doc["accepts"]),
-            accept_stack=frozenset(_unjsonable(s) for s in doc["accept_stack"]),
+            alphabet=_field(doc, "alphabet", tuple),
+            states=_field(doc, "states", _labels),
+            stack_alphabet=_field(doc, "stack_alphabet", _labels),
+            bottom=_field(doc, "bottom"),
+            accepts=_field(doc, "accepts", _labels),
+            accept_stack=_field(doc, "accept_stack", _labels),
         )
         if kind == "nvpa":
             return Nvpa(
-                initials=frozenset(_unjsonable(s) for s in doc["initials"]),
+                initials=_field(doc, "initials", _labels),
                 delta_c=delta_c,
                 delta_i=delta_i,
                 delta_r=delta_r,
@@ -187,7 +225,7 @@ def from_doc(doc: dict):
                 if len(targets) > 1:
                     raise SerializationError(f"vpa document is nondeterministic at {key!r}")
         return Vpa(
-            initial=_unjsonable(doc["initial"]),
+            initial=_field(doc, "initial"),
             delta_c={k: next(iter(v)) for k, v in delta_c.items()},
             delta_i={k: next(iter(v)) for k, v in delta_i.items()},
             delta_r={k: next(iter(v)) for k, v in delta_r.items()},

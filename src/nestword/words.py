@@ -51,9 +51,8 @@ class MatchingIndexError(ValueError):
 
 
 def check_letter(name: str) -> str:
-    if not isinstance(name, str) or not name or name != name.strip():
-        raise TokenError(f"bad letter name: {name!r}")
-    if any(c in name for c in "<>") or any(c.isspace() for c in name):
+    # split() drops empty names and any whitespace, inside or around
+    if not isinstance(name, str) or name.split() != [name] or "<" in name or ">" in name:
         raise TokenError(f"bad letter name: {name!r}")
     if name == EMPTY_WORD_TOKEN:
         raise TokenError(f"letter name {name!r} is reserved for the empty word")
@@ -154,10 +153,21 @@ def _check_endpoint(value, n: int, lo_pending, hi_pending) -> None:
 def validate_matching(word: PlainWord, matching: MatchingRelation) -> MatchingViolation | None:
     """Check the three nested-word conditions; None means valid.
 
-    Pending endpoints are ordered as NEG_INF < k < POS_INF.  The crossing
-    check between edges (i1,j1), (i2,j2) with i1 < i2 is `i2 <= j1 < j2`;
-    the strict second comparison lets several pending calls (or several
-    pending returns) coexist.
+    Pending endpoints are ordered as NEG_INF < k < POS_INF.  Two edges
+    (i1,j1), (i2,j2) with i1 < i2 cross when `i2 <= j1 < j2`; the strict
+    second comparison lets several pending calls (or several pending
+    returns) coexist.
+
+    The crossing check is one O(n) stack sweep over positions 1..n rather
+    than a test of every pair.  The sweep pushes each call edge at its
+    source and, at each return, demands that the return closes the call on
+    top of the stack (a pending return: that the stack is empty); a
+    position that is both a source and a destination fails at once.  Each
+    failure names a genuinely crossing pair: the open call on top of the
+    stack starts after the return's source and ends after the return.
+    Conversely, a crossing pair with j1 finite fails at j1 at the latest,
+    because i2 is still open there, above i1 when i1 is finite.  So the
+    sweep reports `nesting` exactly when some pair crosses.
     """
     n = len(word)
     if matching.length != n:
@@ -181,13 +191,21 @@ def validate_matching(word: PlainWord, matching: MatchingRelation) -> MatchingVi
             if j in dests:
                 return MatchingViolation("uniqueness", (dests[j], (i, j)))
             dests[j] = (i, j)
-    for (i1, j1), (i2, j2) in itertools.combinations(edges, 2):
-        if i1 == i2:
-            continue
-        if i2 < i1:
-            (i1, j1), (i2, j2) = (i2, j2), (i1, j1)
-        if i2 <= j1 < j2:
-            return MatchingViolation("nesting", ((i1, j1), (i2, j2)))
+    open_calls: list = []
+    for pos in range(1, n + 1):
+        closing = dests.get(pos)
+        opening = sources.get(pos)
+        if closing is None:
+            if opening is not None:
+                open_calls.append(opening)
+        elif opening is not None:
+            return MatchingViolation("nesting", (closing, opening))
+        elif open_calls:
+            # a finite return's call is on the stack, so it is empty only
+            # under a pending return, which needs just that
+            if open_calls[-1] != closing:
+                return MatchingViolation("nesting", (closing, open_calls[-1]))
+            open_calls.pop()
     return None
 
 
@@ -202,6 +220,15 @@ class NestedWord:
         violation = validate_matching(self.word, matching)
         if violation is not None:
             raise ValueError(str(violation))
+
+    @classmethod
+    def _trusted(cls, word: tuple, matching: MatchingRelation) -> "NestedWord":
+        """Skip validation: for matchings paired by stack discipline, which
+        cannot cross."""
+        nw = object.__new__(cls)
+        object.__setattr__(nw, "word", word)
+        object.__setattr__(nw, "matching", matching)
+        return nw
 
     def __len__(self) -> int:
         return len(self.word)
@@ -236,7 +263,7 @@ def decode(tw: TaggedWord) -> NestedWord:
                 edges.append((NEG_INF, pos))
     edges.extend((i, POS_INF) for i in open_calls)
     word = tuple(sym.base for sym in tw)
-    return NestedWord(word, MatchingRelation(len(word), edges))
+    return NestedWord._trusted(word, MatchingRelation(len(word), edges))
 
 
 def forget(tw: TaggedWord) -> PlainWord:

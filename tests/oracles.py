@@ -12,7 +12,15 @@ import random
 from collections import deque
 
 from nestword.machines import Fsa, Vpa, fsa_run, vpa_run
-from nestword.words import Tag, TaggedSymbol, all_tagged_words, reverse as reverse_word
+from nestword.words import (
+    NEG_INF,
+    POS_INF,
+    MatchingViolation,
+    Tag,
+    TaggedSymbol,
+    all_tagged_words,
+    reverse as reverse_word,
+)
 
 
 def random_vpa(rng: random.Random, n_states=4, alphabet=("a", "b"), n_stack=2, density=0.8) -> Vpa:
@@ -199,3 +207,37 @@ class ExtensionOracle:
 
 def internal_word(letters) -> tuple:
     return tuple(TaggedSymbol(c, Tag.INTERNAL) for c in letters)
+
+
+# -- nested-word conditions by definition
+
+
+def crosses(e1, e2) -> bool:
+    """Edges (i1,j1), (i2,j2) with i1 < i2 cross when i2 <= j1 < j2."""
+    (i1, j1), (i2, j2) = sorted((e1, e2))
+    return i1 != i2 and i2 <= j1 < j2
+
+
+def pairwise_validate_matching(word, matching) -> MatchingViolation | None:
+    """validate_matching as the definition states it: the forward and
+    uniqueness conditions, then every pair of edges tested for a crossing.
+    Endpoints must lie in 1..n or be pending; that check is not repeated."""
+    edges = sorted(matching.edges)
+    for i, j in edges:
+        if not i < j:
+            return MatchingViolation("forward", ((i, j),))
+    sources: dict = {}
+    dests: dict = {}
+    for i, j in edges:
+        if i != NEG_INF:
+            if i in sources:
+                return MatchingViolation("uniqueness", (sources[i], (i, j)))
+            sources[i] = (i, j)
+        if j != POS_INF:
+            if j in dests:
+                return MatchingViolation("uniqueness", (dests[j], (i, j)))
+            dests[j] = (i, j)
+    for e1, e2 in itertools.combinations(edges, 2):
+        if crosses(e1, e2):
+            return MatchingViolation("nesting", tuple(sorted((e1, e2))))
+    return None

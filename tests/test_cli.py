@@ -272,6 +272,60 @@ def test_oracle_matches_tagging_search_through_cli(tmp_path):
                 assert (oracle_code == 0) == found, w
 
 
+def assert_one_error_line(result):
+    code, _, err = result
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+def test_build_group_spec_not_an_object_exits_2(tmp_path):
+    spec = write_spec(tmp_path, "list.json", [1, 2])
+    assert_one_error_line(run_cli("build", "--group", spec, "--out", tmp_path / "x.json"))
+
+
+def test_oracle_group_spec_not_an_object_exits_2(tmp_path):
+    spec = write_spec(tmp_path, "list.json", [1, 2])
+    assert_one_error_line(run_cli("oracle", "--group", spec, "x1"))
+
+
+def test_annotate_group_spec_not_an_object_exits_2(tmp_path):
+    spec = write_spec(tmp_path, "list.json", [1, 2])
+    assert_one_error_line(run_cli("annotate", "--group", spec, "x1"))
+
+
+def test_check_machine_missing_field_exits_2(tmp_path):
+    aut = write_spec(tmp_path, "bare.json", {"kind": "vpa"})
+    result = run_cli("check", "--automaton", aut, "<a", "a>")
+    assert_one_error_line(result)
+    assert "'transitions'" in result[2]
+
+
+def test_enum_machine_missing_field_exits_2(tmp_path):
+    aut = write_spec(tmp_path, "bare.json", {"kind": "vpa"})
+    assert_one_error_line(run_cli("enum", "--automaton", aut, "--max-len", "2"))
+
+
+def test_closure_machine_missing_field_exits_2(tmp_path):
+    aut = write_spec(tmp_path, "bare.json", {"kind": "vpa"})
+    assert_one_error_line(run_cli("closure", "--op", "reverse", "--inputs", aut))
+
+
+def test_machine_malformed_field_names_it(tmp_path):
+    good, _ = build(tmp_path, FREE1, "free1")
+    doc = json.loads(good.read_text())
+    bad = [
+        ("accepts", 3),
+        ("initial", {"q": 1}),
+        ("transitions", [[1]]),
+        ("transitions", [["e", 5, "e"]]),
+    ]
+    for k, (field, value) in enumerate(bad):
+        aut = write_spec(tmp_path, f"bad{k}.json", {**doc, field: value})
+        result = run_cli("check", "--automaton", aut, "<x1", "x1'>")
+        assert_one_error_line(result)
+        assert f"'{field}'" in result[2]
+
+
 def test_unknown_flag_exits_2(tmp_path):
     assert run_cli("check", "--bogus")[0] == 2
     assert run_cli("frobnicate")[0] == 2

@@ -33,6 +33,7 @@ from nestword.groups import (
     is_identity,
     perm_compose,
     perm_inverse,
+    perm_name,
     psi_action,
     symmetric_group,
 )
@@ -40,6 +41,8 @@ from nestword.machines import vpa_run
 from nestword.words import (
     POS_INF,
     NEG_INF,
+    NestedWord,
+    decode,
     format_word,
     parse_word,
     validate_matching,
@@ -379,3 +382,70 @@ def test_annotate_word_accepted_by_recognizer():
                 hits += 1
                 assert rec.accepts(tagged)
         assert hits > 0
+
+
+SPEC_KINDS = [
+    FreeGroupSpec(2),
+    symmetric_group(3),
+    DirectProductSpec(3, cyclic_group(6)),
+    SemidirectProductSpec(3, 3),
+]
+
+
+def group_inverse(spec, c):
+    finite = spec if isinstance(spec, FiniteGroupSpec) else getattr(spec, "finite", None)
+    if finite is not None and c in finite.elements:
+        return next(b for b in finite.elements if finite.table[(c, b)] == finite.identity)
+    if c.startswith("p"):
+        return perm_name(perm_inverse(tuple(int(d) for d in c[1:])))
+    return invert_letter(c)
+
+
+def trivial_word(rng, spec, n):
+    """A random product of nested g . g^-1 blocks, n letters long."""
+    letters = group_letters(spec)
+    out, owed = [], []
+    while len(out) + len(owed) < n:
+        if owed and rng.random() < 0.45:
+            out.append(owed.pop())
+        else:
+            c = rng.choice(letters)
+            out.append(c)
+            owed.append(group_inverse(spec, c))
+    return tuple(out + owed[::-1])
+
+
+@pytest.mark.parametrize("spec", SPEC_KINDS, ids=lambda s: type(s).__name__)
+def test_annotate_and_decode_long_words_pass_public_validation(spec):
+    # annotate_word and decode skip re-validating their stack-built matchings
+    rng = random.Random(8192)
+    for _ in range(2):
+        word = trivial_word(rng, spec, 4096)
+        assert len(word) == 4096 and is_identity(spec, word)
+        tagged = annotate_word(spec, word)
+        nw = decode(tagged)
+        assert nw.word == word
+        assert validate_matching(nw.word, nw.matching) is None
+        assert NestedWord(nw.word, nw.matching) == nw
+        if isinstance(spec, FreeGroupSpec):
+            assert nw.matching == canonical_matching(word)
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(SPEC_KINDS),
+    st.lists(st.integers(min_value=0), max_size=16),
+    st.booleans(),
+)
+def test_annotate_word_none_iff_not_identity(spec, picks, close):
+    letters = group_letters(spec)
+    word = [letters[i % len(letters)] for i in picks]
+    if close:  # w . w^-1 is trivial
+        word += [group_inverse(spec, c) for c in reversed(word)]
+    assert (annotate_word(spec, word) is None) == (not is_identity(spec, word))
+
+
+@pytest.mark.parametrize("spec", SPEC_KINDS, ids=lambda s: type(s).__name__)
+def test_annotate_word_rejects_unknown_letters(spec):
+    with pytest.raises(ValueError, match="outside"):
+        annotate_word(spec, [group_letters(spec)[0], "y1"])

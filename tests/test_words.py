@@ -1,9 +1,11 @@
 """Nested words, matching relations, and the tagged encoding."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import crosses, pairwise_validate_matching
 
 from nestword.words import (
     NEG_INF,
@@ -15,6 +17,7 @@ from nestword.words import (
     TaggedSymbol,
     TokenError,
     all_tagged_words,
+    check_letter,
     concat,
     decode,
     encode,
@@ -81,6 +84,64 @@ def test_validate_index_errors():
         validate_matching(word, matching)
     with pytest.raises(MatchingIndexError):
         validate_matching(("a",), MatchingRelation(2, []))
+
+
+def candidate_edges(n):
+    """Every edge with endpoints in 1..n or pending, backward ones included."""
+    sources = [NEG_INF, *range(1, n + 1)]
+    dests = [*range(1, n + 1), POS_INF]
+    return [(i, j) for i in sources for j in dests if (i, j) != (NEG_INF, POS_INF)]
+
+
+def assert_agrees_with_pairwise(word, matching):
+    violation = validate_matching(word, matching)
+    reference = pairwise_validate_matching(word, matching)
+    assert (violation and violation.condition) == (reference and reference.condition)
+    if violation is not None and violation.condition == "nesting":
+        first, second = violation.witness
+        assert first in matching.edges and second in matching.edges
+        assert first[0] < second[0] and crosses(first, second)
+
+
+def test_validate_agrees_with_pairwise_exhaustive():
+    checked = 0
+    for n in range(5):
+        word = tuple("a" * n)
+        candidates = candidate_edges(n)
+        for k in range(5):
+            for combo in itertools.combinations(candidates, k):
+                assert_agrees_with_pairwise(word, MatchingRelation(n, combo))
+                checked += 1
+    assert checked == 15064
+
+
+@st.composite
+def edge_sets(draw):
+    n = draw(st.integers(min_value=0, max_value=12))
+    candidates = candidate_edges(n)
+    edges = draw(st.lists(st.sampled_from(candidates), max_size=2 * n)) if candidates else []
+    return tuple("a" * n), MatchingRelation(n, edges)
+
+
+@given(edge_sets())
+def test_validate_agrees_with_pairwise_property(case):
+    assert_agrees_with_pairwise(*case)
+
+
+def test_validate_crossing_witness_in_source_order():
+    word, matching = mk("a b a b", [(2, 4), (1, 3)])
+    assert validate_matching(word, matching).witness == ((1, 3), (2, 4))
+
+
+def test_decode_long_words_pass_public_validation():
+    rng = random.Random(4096)
+    symbols = [TaggedSymbol(b, t) for b in ("a", "b") for t in Tag]
+    # call-heavy, balanced and return-heavy words of 4096 symbols
+    for weights in ((3, 1, 1), (1, 1, 1), (1, 1, 3)):
+        tw = tuple(rng.choices(symbols, weights=weights * 2, k=4096))
+        nw = decode(tw)
+        assert validate_matching(nw.word, nw.matching) is None
+        assert encode(nw) == tw
 
 
 def test_encode_empty():
@@ -191,6 +252,19 @@ def test_token_syntax():
     with pytest.raises(TokenError):
         parse_plain("<a b")
     assert parse_plain("a b") == ("a", "b")
+
+
+@pytest.mark.parametrize(
+    "name", ["", " a", "a ", "a b", "a\u00a0b", "\u2028", "a\x1fb", "a<b", "a>", "ε", None, 3]
+)
+def test_check_letter_rejects(name):
+    with pytest.raises(TokenError):
+        check_letter(name)
+
+
+def test_check_letter_accepts():
+    for name in ("a", "x1'", "p21", "εε", "a-b"):
+        assert check_letter(name) == name
 
 
 def test_token_roundtrip_all_symbols():
