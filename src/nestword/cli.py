@@ -26,7 +26,8 @@ from .machines import (
     Vpa,
     canonicalize,
     fsa_run,
-    nvpa_run,
+    machine_accepts,
+    vpa_from_fsa,
     vpa_run,
 )
 from .words import (
@@ -48,8 +49,14 @@ def _fail(message: str, code: int) -> int:
 
 
 def _max_configs() -> int:
+    """NESTWORD_MAX_CONFIGS, or the default when unset; a value that is not
+    a positive integer raises ValueError naming the variable."""
     value = os.environ.get("NESTWORD_MAX_CONFIGS")
-    return int(value) if value else DEFAULT_MAX_CONFIGS
+    if not value:
+        return DEFAULT_MAX_CONFIGS
+    if not value.strip().isdecimal() or int(value) < 1:
+        raise ValueError(f"NESTWORD_MAX_CONFIGS must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _load_machine(path: str):
@@ -63,18 +70,6 @@ def _load_group_spec(path: str):
     return groups.group_spec_from_doc(doc)
 
 
-def _machine_accepts(machine, tw) -> bool:
-    if isinstance(machine, Fsa):
-        if any(s.tag is not Tag.INTERNAL for s in tw):
-            return False
-        return fsa_run(machine, [s.base for s in tw])
-    if isinstance(machine, Vpa):
-        return vpa_run(machine, tw).accepted
-    if isinstance(machine, Nvpa):
-        return nvpa_run(machine, tw, max_configs=_max_configs())
-    raise TypeError(f"cannot run words on a {type(machine).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -84,7 +79,7 @@ def cmd_build(args) -> int:
         spec = _load_group_spec(args.group)
     except OSError as exc:
         return _fail(f"cannot read group spec: {exc}", 1)
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         return _fail(f"invalid group spec: {exc}", 2)
     recognizer = groups.build_recognizer(spec)
     machine = recognizer.automaton
@@ -100,6 +95,10 @@ def cmd_build(args) -> int:
 
 
 def cmd_check(args) -> int:
+    try:
+        max_configs = _max_configs()
+    except ValueError as exc:
+        return _fail(str(exc), 2)
     try:
         machine = _load_machine(args.automaton)
     except (OSError, ValueError) as exc:
@@ -122,8 +121,9 @@ def cmd_check(args) -> int:
             2,
         )
     try:
-        if args.trace and isinstance(machine, Vpa):
-            result = vpa_run(machine, word, record_trace=True)
+        if args.trace and not isinstance(machine, Nvpa):
+            vpa = machine if isinstance(machine, Vpa) else vpa_from_fsa(machine)
+            result = vpa_run(vpa, word, record_trace=True)
             for config in result.trace:
                 stack = " ".join(str(s) for s in config.stack)
                 rest = format_word(config.remaining)
@@ -131,27 +131,10 @@ def cmd_check(args) -> int:
             if result.reason:
                 print(f"note: {result.reason}")
             accepted = result.accepted
-        elif args.trace and isinstance(machine, Fsa):
-            for sym in word:
-                if sym.base not in machine._alpha:
-                    raise ValueError(f"symbol {sym.base!r} not in alphabet")
-            state = machine.initial
-            print(f"state={state!r} remaining={format_word(word)}")
-            accepted = all(s.tag is Tag.INTERNAL for s in word)
-            for pos, sym in enumerate(word):
-                if not accepted:
-                    break
-                state = machine.delta.get((state, sym.base))
-                if state is None:
-                    print("note: no transition")
-                    accepted = False
-                    break
-                print(f"state={state!r} remaining={format_word(word[pos + 1:])}")
-            accepted = accepted and state in machine.accepts
         else:
             if args.trace:
                 print("note: --trace is not available for nondeterministic machines")
-            accepted = _machine_accepts(machine, word)
+            accepted = machine_accepts(machine, word, max_configs)
     except (ValueError, ConfigurationSetOverflow) as exc:
         return _fail(str(exc), 2)
     print("accept" if accepted else "reject")
@@ -161,7 +144,7 @@ def cmd_check(args) -> int:
 def cmd_annotate(args) -> int:
     try:
         spec = _load_group_spec(args.group)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(f"cannot load group spec: {exc}", 2)
     try:
         word = parse_plain(" ".join(args.tokens))
@@ -179,6 +162,10 @@ def cmd_enum(args) -> int:
     if args.max_len > args.cap:
         return _fail(f"--max-len {args.max_len} exceeds cap {args.cap}", 2)
     try:
+        max_configs = _max_configs()
+    except ValueError as exc:
+        return _fail(str(exc), 2)
+    try:
         machine = _load_machine(args.automaton)
     except (OSError, ValueError) as exc:
         return _fail(f"cannot load automaton: {exc}", 2)
@@ -190,7 +177,7 @@ def cmd_enum(args) -> int:
                     print(" ".join(word) if word else "ε")
         elif isinstance(machine, (Vpa, Nvpa)):
             for tw in all_tagged_words(machine.alphabet, args.max_len):
-                if _machine_accepts(machine, tw):
+                if machine_accepts(machine, tw, max_configs):
                     print(format_word(tw))
         else:
             return _fail("enum runs FSA/VPA/NVPA automata, not PDAs", 2)
@@ -279,7 +266,7 @@ def cmd_closure(args) -> int:
 def cmd_oracle(args) -> int:
     try:
         spec = _load_group_spec(args.group)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(f"cannot load group spec: {exc}", 2)
     try:
         word = parse_plain(" ".join(args.tokens))

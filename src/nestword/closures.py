@@ -22,11 +22,13 @@ from .machines import (
     Nfa,
     Nvpa,
     Vpa,
+    add_move,
     canonicalize,
     fsa_complete,
     fsa_determinize,
     vpa_complete,
     vpa_normalize_acceptance,
+    vpa_run,
 )
 from .words import Tag, TaggedSymbol, TaggedWord, all_plain_words
 
@@ -43,6 +45,23 @@ def _require_same_alphabet(m1, m2) -> tuple:
     if set(m1.alphabet) != set(m2.alphabet):
         raise AlphabetMismatch(f"{m1.alphabet!r} vs {m2.alphabet!r}")
     return m1.alphabet
+
+
+def _reaching(targets, edges) -> frozenset:
+    """`targets` and every state with a path into them along `edges`,
+    given as (src, dst) pairs."""
+    backward: dict = {}
+    for src, dst in edges:
+        backward.setdefault(dst, set()).add(src)
+    reach = set(targets)
+    todo = deque(reach)
+    while todo:
+        q = todo.popleft()
+        for p in backward.get(q, ()):
+            if p not in reach:
+                reach.add(p)
+                todo.append(p)
+    return frozenset(reach)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +106,7 @@ def reg_concat(m1: Fsa, m2: Fsa) -> Fsa:
     for (q, a), dst in m2.delta.items():
         delta[(("2", q), a)] = {("2", dst)}
     for y in m1.accepts:
-        delta.setdefault((("1", y), None), set()).add(("2", m2.initial))
+        add_move(delta, (("1", y), None), ("2", m2.initial))
     nfa = Nfa(
         alphabet,
         frozenset(states),
@@ -104,7 +123,7 @@ def reg_star(m: Fsa) -> Fsa:
     delta: dict = {((("m", q)), a): {("m", dst)} for (q, a), dst in m.delta.items()}
     delta[(start, None)] = {("m", m.initial)}
     for y in m.accepts:
-        delta.setdefault((("m", y), None), set()).add(("m", m.initial))
+        add_move(delta, (("m", y), None), ("m", m.initial))
     nfa = Nfa(
         m.alphabet,
         frozenset(states),
@@ -118,25 +137,15 @@ def reg_star(m: Fsa) -> Fsa:
 def reg_reverse(m: Fsa) -> Fsa:
     delta: dict = {}
     for (q, a), dst in m.delta.items():
-        delta.setdefault((dst, a), set()).add(q)
+        add_move(delta, (dst, a), q)
     nfa = Nfa(m.alphabet, m.states, m.accepts, frozenset({m.initial}), delta)
     return fsa_determinize(nfa)
 
 
 def reg_prefix(m: Fsa) -> Fsa:
     """Every state that can reach an accept state becomes accepting."""
-    backward: dict = {}
-    for (q, _), dst in m.delta.items():
-        backward.setdefault(dst, set()).add(q)
-    reach = set(m.accepts)
-    todo = deque(reach)
-    while todo:
-        q = todo.popleft()
-        for p in backward.get(q, ()):
-            if p not in reach:
-                reach.add(p)
-                todo.append(p)
-    return canonicalize(Fsa(m.alphabet, m.states, m.initial, frozenset(reach), m.delta))
+    reach = _reaching(m.accepts, ((q, dst) for (q, _), dst in m.delta.items()))
+    return canonicalize(Fsa(m.alphabet, m.states, m.initial, reach, m.delta))
 
 
 # ---------------------------------------------------------------------------
@@ -231,29 +240,26 @@ def vpl_concat(m1: Vpa, m2: Vpa) -> Nvpa:
     delta_i: dict = {}
     delta_r: dict = {}
 
-    def add(table, key, value):
-        table.setdefault(key, set()).add(value)
-
     for (q, a), (dst, g) in n1.delta_c.items():
-        add(delta_c, (("1", q), a), (("1", dst), ("1", g)))
+        add_move(delta_c, (("1", q), a), (("1", dst), ("1", g)))
     for (q, a), dst in n1.delta_i.items():
-        add(delta_i, (("1", q), a), ("1", dst))
+        add_move(delta_i, (("1", q), a), ("1", dst))
     for (q, a, g), dst in n1.delta_r.items():
         top = bottom if g == n1.bottom else ("1", g)
-        add(delta_r, (("1", q), a, top), ("1", dst))
+        add_move(delta_r, (("1", q), a, top), ("1", dst))
 
     for (q, a), (dst, g) in n2.delta_c.items():
-        add(delta_c, (("2", q), a), (("2", dst), ("2", g)))
+        add_move(delta_c, (("2", q), a), (("2", dst), ("2", g)))
     for (q, a), dst in n2.delta_i.items():
-        add(delta_i, (("2", q), a), ("2", dst))
+        add_move(delta_i, (("2", q), a), ("2", dst))
     for (q, a, g), dst in n2.delta_r.items():
         if g == n2.bottom:
             # m2 at its virtual bottom: the true bottom or any dead phase-1 symbol.
-            add(delta_r, (("2", q), a, bottom), ("2", dst))
+            add_move(delta_r, (("2", q), a, bottom), ("2", dst))
             for g1 in n1.stack_alphabet:
-                add(delta_r, (("2", q), a, ("1", g1)), ("2", dst))
+                add_move(delta_r, (("2", q), a, ("1", g1)), ("2", dst))
         else:
-            add(delta_r, (("2", q), a, ("2", g)), ("2", dst))
+            add_move(delta_r, (("2", q), a, ("2", g)), ("2", dst))
 
     # Split folded into the next symbol: from an accepting phase-1 state,
     # also move as m2 would from its initial state.
@@ -261,15 +267,15 @@ def vpl_concat(m1: Vpa, m2: Vpa) -> Nvpa:
         for a in alphabet:
             move = n2.delta_c.get((n2.initial, a))
             if move is not None:
-                add(delta_c, (("1", y), a), (("2", move[0]), ("2", move[1])))
+                add_move(delta_c, (("1", y), a), (("2", move[0]), ("2", move[1])))
             dst = n2.delta_i.get((n2.initial, a))
             if dst is not None:
-                add(delta_i, (("1", y), a), ("2", dst))
+                add_move(delta_i, (("1", y), a), ("2", dst))
             dst = n2.delta_r.get((n2.initial, a, n2.bottom))
             if dst is not None:
-                add(delta_r, (("1", y), a, bottom), ("2", dst))
+                add_move(delta_r, (("1", y), a, bottom), ("2", dst))
                 for g1 in n1.stack_alphabet:
-                    add(delta_r, (("1", y), a, ("1", g1)), ("2", dst))
+                    add_move(delta_r, (("1", y), a, ("1", g1)), ("2", dst))
 
     states = {("1", q) for q in n1.states} | {("2", q) for q in n2.states}
     stack = {("1", g) for g in n1.stack_alphabet} | {("2", g) for g in n2.stack_alphabet}
@@ -311,31 +317,28 @@ def vpl_star(m: Vpa) -> Nvpa:
     delta_i: dict = {}
     delta_r: dict = {}
 
-    def add(table, key, value):
-        table.setdefault(key, set()).add(value)
-
     def add_moves(src, q, b):
         """Moves of simulated state q with restart bit b, installed under src."""
         for a in n.alphabet:
             move = n.delta_c.get((q, a))
             if move is not None:
-                add(delta_c, (src, a), ((move[0], 0), (move[1], b)))
+                add_move(delta_c, (src, a), ((move[0], 0), (move[1], b)))
             dst = n.delta_i.get((q, a))
             if dst is not None:
-                add(delta_i, (src, a), (dst, b))
+                add_move(delta_i, (src, a), (dst, b))
             bottom_dst = n.delta_r.get((q, a, n.bottom))
             if bottom_dst is not None:
-                add(delta_r, (src, a, bottom), (bottom_dst, b))
+                add_move(delta_r, (src, a, bottom), (bottom_dst, b))
             for g in n.stack_alphabet:
                 for saved in (0, 1):
                     if b == 0:
                         dst = n.delta_r.get((q, a, g))
                         if dst is not None:
-                            add(delta_r, (src, a, (g, saved)), (dst, saved))
+                            add_move(delta_r, (src, a, (g, saved)), (dst, saved))
                     else:
                         # dead symbol: the current iteration sees its bottom
                         if bottom_dst is not None:
-                            add(delta_r, (src, a, (g, saved)), (bottom_dst, 1))
+                            add_move(delta_r, (src, a, (g, saved)), (bottom_dst, 1))
 
     for q in n.states:
         for b in (0, 1):
@@ -384,20 +387,17 @@ def vpl_reverse(m: Vpa) -> Nvpa:
     delta_i: dict = {}
     delta_r: dict = {}
 
-    def add(table, key, value):
-        table.setdefault(key, set()).add(value)
-
     for (q, a, g), dst in m.delta_r.items():
         if g == m.bottom:
-            add(delta_c, (dst, a), (q, mark))
+            add_move(delta_c, (dst, a), (q, mark))
         else:
-            add(delta_c, (dst, a), (q, ("sym", g)))
+            add_move(delta_c, (dst, a), (q, ("sym", g)))
     for (q, a), dst in m.delta_i.items():
-        add(delta_i, (dst, a), q)
+        add_move(delta_i, (dst, a), q)
     for (q, a), (dst, g) in m.delta_c.items():
-        add(delta_r, (dst, a, ("sym", g)), q)
+        add_move(delta_r, (dst, a, ("sym", g)), q)
         if g in m.accept_stack:
-            add(delta_r, (dst, a, bottom), q)
+            add_move(delta_r, (dst, a, bottom), q)
 
     stack = {("sym", g) for g in m.stack_alphabet} | {mark}
     return canonicalize(
@@ -434,8 +434,13 @@ class PrefixDecider:
     def __init__(self, m: Vpa):
         self.m = m
         self.summaries = self._well_matched_pairs()
-        self.tail = self._tail_states()
-        self.tail_bottom = self._bottom_states()
+        summary_edges = [(q, dst) for q, targets in self.summaries.items() for dst in targets]
+        # acceptance via summaries and never-popped pushes of acceptable symbols
+        pushes = [(q, dst) for (q, _), (dst, g) in m.delta_c.items() if g in m.accept_stack]
+        self.tail = _reaching(m.accepts, summary_edges + pushes)
+        # `tail` via summaries and bottom reads
+        bottom_reads = [(q, dst) for (q, _, g), dst in m.delta_r.items() if g == m.bottom]
+        self.tail_bottom = _reaching(self.tail, summary_edges + bottom_reads)
 
     def _well_matched_pairs(self) -> dict:
         m = self.m
@@ -462,77 +467,11 @@ class PrefixDecider:
                                     changed = True
         return reach
 
-    def _tail_states(self) -> frozenset:
-        """States reaching acceptance via summaries and never-popped pushes
-        of acceptable symbols."""
-        m = self.m
-        backward: dict = {}
-        for q, targets in self.summaries.items():
-            for dst in targets:
-                backward.setdefault(dst, set()).add(q)
-        for (q, a), (dst, g) in m.delta_c.items():
-            if g in m.accept_stack:
-                backward.setdefault(dst, set()).add(q)
-        reach = set(m.accepts)
-        todo = deque(reach)
-        while todo:
-            q = todo.popleft()
-            for p in backward.get(q, ()):
-                if p not in reach:
-                    reach.add(p)
-                    todo.append(p)
-        return frozenset(reach)
-
-    def _bottom_states(self) -> frozenset:
-        """States reaching `tail` via summaries and bottom reads."""
-        m = self.m
-        backward: dict = {}
-        for q, targets in self.summaries.items():
-            for dst in targets:
-                backward.setdefault(dst, set()).add(q)
-        for (q, a, g), dst in m.delta_r.items():
-            if g == m.bottom:
-                backward.setdefault(dst, set()).add(q)
-        reach = set(self.tail)
-        todo = deque(reach)
-        while todo:
-            q = todo.popleft()
-            for p in backward.get(q, ()):
-                if p not in reach:
-                    reach.add(p)
-                    todo.append(p)
-        return frozenset(reach)
-
-    def _final_config(self, tw: TaggedWord):
-        m = self.m
-        state = m.initial
-        stack = [m.bottom]
-        for base, tag in tw:
-            if base not in m._alpha:
-                raise ValueError(f"letter {base!r} not in alphabet")
-            if tag is Tag.CALL:
-                move = m.delta_c.get((state, base))
-                if move is None:
-                    return None
-                state, g = move
-                stack.append(g)
-            elif tag is Tag.INTERNAL:
-                state = m.delta_i.get((state, base))
-                if state is None:
-                    return None
-            else:
-                state = m.delta_r.get((state, base, stack[-1]))
-                if state is None:
-                    return None
-                if len(stack) > 1:
-                    stack.pop()
-        return state, stack
-
     def member(self, tw: TaggedWord) -> bool:
-        config = self._final_config(tw)
-        if config is None:
+        run = vpa_run(self.m, tw)
+        if run.stack is None:
             return False
-        state, stack = config
+        state, stack = run.state, run.stack
         m = self.m
         current = set(self.summaries[state])
         acceptable_below = [True]
@@ -687,21 +626,18 @@ def relabel_image(m: Vpa, phi: Relabeling) -> Nvpa:
     delta_i: dict = {}
     delta_r: dict = {}
 
-    def add(table, key, value):
-        table.setdefault(key, set()).add(value)
-
     for (q, a), (dst, g) in m.delta_c.items():
         for p in pfsa.states:
             for b_out, pdst in pair_moves.get((p, a), ()):
-                add(delta_c, ((q, p), b_out), ((dst, pdst), g))
+                add_move(delta_c, ((q, p), b_out), ((dst, pdst), g))
     for (q, a), dst in m.delta_i.items():
         for p in pfsa.states:
             for b_out, pdst in pair_moves.get((p, a), ()):
-                add(delta_i, ((q, p), b_out), (dst, pdst))
+                add_move(delta_i, ((q, p), b_out), (dst, pdst))
     for (q, a, g), dst in m.delta_r.items():
         for p in pfsa.states:
             for b_out, pdst in pair_moves.get((p, a), ()):
-                add(delta_r, ((q, p), b_out, g), (dst, pdst))
+                add_move(delta_r, ((q, p), b_out, g), (dst, pdst))
 
     states = {(q, p) for q in m.states for p in pfsa.states}
     return Nvpa(

@@ -15,11 +15,14 @@ digits (p21 is the transposition of S_2).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from .closures import NonDisjointAlphabets, Relabeling, relabel_image, shuffle
-from .machines import Fsa, Nvpa, Vpa, fsa_run, nvpa_run, vpa_run
+from .machines import DEFAULT_MAX_CONFIGS, Fsa, Nvpa, Vpa, machine_accepts, rename_machine
 from .words import (
     MatchingRelation,
     NestedWord,
@@ -231,8 +234,11 @@ def symmetric_group(m: int) -> FiniteGroupSpec:
     )
 
 
-def perm_by_name(m: int) -> dict:
-    return {perm_name(s): s for s in itertools.permutations(range(1, m + 1))}
+@functools.lru_cache(maxsize=8)
+def perm_by_name(m: int) -> Mapping:
+    """Name -> permutation over all of S_m; built once per m and read-only,
+    since every caller shares it."""
+    return MappingProxyType({perm_name(s): s for s in itertools.permutations(range(1, m + 1))})
 
 
 def psi_action(sigma: tuple, a: str) -> str:
@@ -288,22 +294,53 @@ class SemidirectProductSpec:
 GroupSpec = FreeGroupSpec | FiniteGroupSpec | DirectProductSpec | SemidirectProductSpec
 
 
+def _strings(value) -> tuple:
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+        raise TypeError("expected a list of strings")
+    return tuple(value)
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value
+
+
+def _spec_field(doc: dict, name: str, convert):
+    """doc[name] through convert; a missing or mistyped field raises a
+    ValueError that names it."""
+    if name not in doc:
+        raise ValueError(f"{doc['kind']} group spec has no {name!r} field")
+    try:
+        return convert(doc[name])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"bad {name!r} field in {doc['kind']} group spec: {exc}") from None
+
+
+def _finite_from_doc(doc: dict) -> FiniteGroupSpec:
+    return FiniteGroupSpec.from_rows(
+        _spec_field(doc, "elements", _strings),
+        _spec_field(doc, "identity", _string),
+        _spec_field(doc, "table", lambda rows: [_strings(row) for row in rows]),
+    )
+
+
 def group_spec_from_doc(doc: dict) -> GroupSpec:
-    """Parse the JSON group-spec format (kind: free|finite|direct|semidirect)."""
+    """Parse the JSON group-spec format (kind: free|finite|direct|semidirect).
+
+    Any malformed document raises ValueError.
+    """
     if not isinstance(doc, dict):
         raise ValueError(f"group spec must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
     if kind == "free":
-        return FreeGroupSpec(int(doc["n"]))
+        return FreeGroupSpec(_spec_field(doc, "n", int))
     if kind == "finite":
-        return FiniteGroupSpec.from_rows(doc["elements"], doc["identity"], doc["table"])
+        return _finite_from_doc(doc)
     if kind == "direct":
-        return DirectProductSpec(
-            int(doc["n"]),
-            FiniteGroupSpec.from_rows(doc["elements"], doc["identity"], doc["table"]),
-        )
+        return DirectProductSpec(_spec_field(doc, "n", int), _finite_from_doc(doc))
     if kind == "semidirect":
-        return SemidirectProductSpec(int(doc["n"]), int(doc["m"]))
+        return SemidirectProductSpec(_spec_field(doc, "n", int), _spec_field(doc, "m", int))
     raise ValueError(f"unknown group kind {kind!r}")
 
 
@@ -396,16 +433,9 @@ class Recognizer:
     def accepts(self, tw: TaggedWord, max_configs: int | None = None) -> bool:
         """Membership of a tagged word; an FSA recognizer is read as the
         all-internal image of its plain language."""
-        m = self.automaton
-        if isinstance(m, Fsa):
-            if any(s.tag is not Tag.INTERNAL for s in tw):
-                return False
-            return fsa_run(m, [s.base for s in tw])
-        if isinstance(m, Vpa):
-            return vpa_run(m, tw).accepted
         if max_configs is None:
-            return nvpa_run(m, tw)
-        return nvpa_run(m, tw, max_configs=max_configs)
+            max_configs = DEFAULT_MAX_CONFIGS
+        return machine_accepts(self.automaton, tw, max_configs)
 
 
 def build_free_vpa(n: int) -> Recognizer:
@@ -468,49 +498,12 @@ def _flat_name(state) -> str:
     return str(state)
 
 
-def _rename_vpa(m: Vpa) -> Vpa:
+def _flatten_states(m):
+    """m (a Vpa or Nvpa) with every structured state renamed to its flat name."""
     names = {q: _flat_name(q) for q in m.states}
     if len(set(names.values())) != len(names):
         raise ValueError("state renaming collided")
-    return Vpa(
-        alphabet=m.alphabet,
-        states=frozenset(names.values()),
-        stack_alphabet=m.stack_alphabet,
-        bottom=m.bottom,
-        initial=names[m.initial],
-        accepts=frozenset(names[q] for q in m.accepts),
-        accept_stack=m.accept_stack,
-        delta_c={(names[q], a): (names[d], g) for (q, a), (d, g) in m.delta_c.items()},
-        delta_i={(names[q], a): names[d] for (q, a), d in m.delta_i.items()},
-        delta_r={(names[q], a, g): names[d] for (q, a, g), d in m.delta_r.items()},
-    )
-
-
-def _rename_nvpa(m: Nvpa) -> Nvpa:
-    names = {q: _flat_name(q) for q in m.states}
-    if len(set(names.values())) != len(names):
-        raise ValueError("state renaming collided")
-    return Nvpa(
-        alphabet=m.alphabet,
-        states=frozenset(names.values()),
-        stack_alphabet=m.stack_alphabet,
-        bottom=m.bottom,
-        initials=frozenset(names[q] for q in m.initials),
-        accepts=frozenset(names[q] for q in m.accepts),
-        accept_stack=m.accept_stack,
-        delta_c={
-            (names[q], a): frozenset((names[d], g) for d, g in moves)
-            for (q, a), moves in m.delta_c.items()
-        },
-        delta_i={
-            (names[q], a): frozenset(names[d] for d in dsts)
-            for (q, a), dsts in m.delta_i.items()
-        },
-        delta_r={
-            (names[q], a, g): frozenset(names[d] for d in dsts)
-            for (q, a, g), dsts in m.delta_r.items()
-        },
-    )
+    return rename_machine(m, names, {g: g for g in m.stack_alphabet | {m.bottom}})
 
 
 def build_direct_product(n: int, g: FiniteGroupSpec) -> Recognizer:
@@ -518,7 +511,7 @@ def build_direct_product(n: int, g: FiniteGroupSpec) -> Recognizer:
     spec = DirectProductSpec(n, g)  # validates name disjointness
     free = build_free_vpa(n).automaton
     cayley = build_finite_fsa(g).automaton
-    product = _rename_vpa(shuffle(free, cayley))
+    product = _flatten_states(shuffle(free, cayley))
     return Recognizer(product, group_letters(spec), "bijection")
 
 
@@ -558,7 +551,7 @@ def build_semidirect(n: int, m: int) -> Recognizer:
     cayley = build_finite_fsa(symmetric_group(m)).automaton
     shuffled = shuffle(free, cayley)
     image = relabel_image(shuffled, semidirect_relabeling(n, m))
-    return Recognizer(_rename_nvpa(image), group_letters(spec), "bijection")
+    return Recognizer(_flatten_states(image), group_letters(spec), "bijection")
 
 
 def build_recognizer(spec: GroupSpec) -> Recognizer:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Hashable, Iterable, NamedTuple
 
 from .words import Tag, TaggedWord, check_alphabet
@@ -306,8 +307,56 @@ def pda_run(m: Pda, word: Iterable[str], eps_budget: int | None = None) -> bool:
 # visibly pushdown machines
 
 
+class _VisiblyPushdown:
+    """What Vpa and Nvpa share: field normalization, validation and repr."""
+
+    def _check(self, initials) -> None:
+        """Normalize and validate the shared fields; a Vpa table entry is
+        the only choice for its key."""
+        self.alphabet = check_alphabet(self.alphabet)
+        self.states = states = _freeze_states(self.states)
+        self.stack_alphabet = stack = frozenset(self.stack_alphabet)
+        self.accepts = _freeze_states(self.accepts)
+        self.accept_stack = frozenset(self.accept_stack)
+        if self.bottom in stack:
+            raise ValueError("bottom symbol must not be a pushable stack symbol")
+        if not initials <= states or not self.accepts <= states:
+            raise ValueError("initial/accept states not a subset of states")
+        if not self.accept_stack <= stack:
+            raise ValueError("accept_stack must be a subset of the stack alphabet")
+        alpha = frozenset(self.alphabet)
+        for kind, table in (("call", self.delta_c), ("internal", self.delta_i), ("return", self.delta_r)):
+            for key in table:
+                if key[0] not in states or key[1] not in alpha:
+                    raise ValueError(f"bad {kind} transition {key!r}")
+        readable = stack | {self.bottom}
+        for src, base, sym in self.delta_r:
+            if sym not in readable:
+                raise ValueError(f"return on ({src!r},{base!r}) reads unknown symbol {sym!r}")
+        single = isinstance(self, Vpa)
+        calls, internals, returns = (
+            table.values() if single else chain.from_iterable(table.values())
+            for table in (self.delta_c, self.delta_i, self.delta_r)
+        )
+        for dst, sym in calls:
+            if dst not in states:
+                raise ValueError(f"call transition into unknown state {dst!r}")
+            if sym not in stack:
+                raise ValueError(f"call pushes unknown symbol {sym!r}")
+        unknown = set(chain(internals, returns)) - states
+        if unknown:
+            raise ValueError(f"transition into unknown state {min(unknown, key=repr)!r}")
+        self._alpha = alpha
+
+    def __repr__(self):
+        return (
+            f"{type(self).__name__}(states={len(self.states)}, alphabet={self.alphabet!r}, "
+            f"stack={len(self.stack_alphabet)})"
+        )
+
+
 @dataclass(repr=False)
-class Vpa:
+class Vpa(_VisiblyPushdown):
     """Deterministic visibly pushdown automaton.
 
     The tag of each input symbol selects the transition family: calls push
@@ -334,46 +383,14 @@ class Vpa:
     delta_r: dict  # (state, base, stack symbol or bottom) -> state
 
     def __post_init__(self):
-        self.alphabet = check_alphabet(self.alphabet)
-        self.states = _freeze_states(self.states)
-        self.stack_alphabet = frozenset(self.stack_alphabet)
-        self.accepts = _freeze_states(self.accepts)
-        self.accept_stack = frozenset(self.accept_stack)
         self.delta_c = {k: (t, g) for k, (t, g) in self.delta_c.items()}
         self.delta_i = dict(self.delta_i)
         self.delta_r = dict(self.delta_r)
-        alpha = set(self.alphabet)
-        if self.bottom in self.stack_alphabet:
-            raise ValueError("bottom symbol must not be a pushable stack symbol")
-        if self.initial not in self.states or not self.accepts <= self.states:
-            raise ValueError("initial/accept states not a subset of states")
-        if not self.accept_stack <= self.stack_alphabet:
-            raise ValueError("accept_stack must be a subset of the stack alphabet")
-        for (src, base), (dst, sym) in self.delta_c.items():
-            if src not in self.states or dst not in self.states or base not in alpha:
-                raise ValueError(f"bad call transition ({src!r},{base!r})")
-            if sym not in self.stack_alphabet:
-                raise ValueError(f"call on ({src!r},{base!r}) pushes unknown symbol {sym!r}")
-        for (src, base), dst in self.delta_i.items():
-            if src not in self.states or dst not in self.states or base not in alpha:
-                raise ValueError(f"bad internal transition ({src!r},{base!r})")
-        readable = self.stack_alphabet | {self.bottom}
-        for (src, base, sym), dst in self.delta_r.items():
-            if src not in self.states or dst not in self.states or base not in alpha:
-                raise ValueError(f"bad return transition ({src!r},{base!r},{sym!r})")
-            if sym not in readable:
-                raise ValueError(f"return on ({src!r},{base!r}) reads unknown symbol {sym!r}")
-        self._alpha = frozenset(alpha)
-
-    def __repr__(self):
-        return (
-            f"Vpa(states={len(self.states)}, alphabet={self.alphabet!r}, "
-            f"stack={len(self.stack_alphabet)})"
-        )
+        self._check({self.initial})
 
 
 @dataclass(repr=False)
-class Nvpa:
+class Nvpa(_VisiblyPushdown):
     """Nondeterministic VPA: set-valued transition families, several initials."""
 
     kind = "nvpa"
@@ -390,51 +407,27 @@ class Nvpa:
     delta_r: dict  # (state, base, stack symbol or bottom) -> frozenset of states
 
     def __post_init__(self):
-        self.alphabet = check_alphabet(self.alphabet)
-        self.states = _freeze_states(self.states)
-        self.stack_alphabet = frozenset(self.stack_alphabet)
         self.initials = _freeze_states(self.initials)
-        self.accepts = _freeze_states(self.accepts)
-        self.accept_stack = frozenset(self.accept_stack)
         self.delta_c = {k: frozenset(v) for k, v in self.delta_c.items()}
         self.delta_i = {k: frozenset(v) for k, v in self.delta_i.items()}
         self.delta_r = {k: frozenset(v) for k, v in self.delta_r.items()}
-        if self.bottom in self.stack_alphabet:
-            raise ValueError("bottom symbol must not be a pushable stack symbol")
-        if not self.initials <= self.states or not self.accepts <= self.states:
-            raise ValueError("initial/accept states not a subset of states")
-        if not self.accept_stack <= self.stack_alphabet:
-            raise ValueError("accept_stack must be a subset of the stack alphabet")
-        alpha = set(self.alphabet)
-        readable = self.stack_alphabet | {self.bottom}
-        for (src, base), moves in self.delta_c.items():
-            for dst, sym in moves:
-                if src not in self.states or dst not in self.states or base not in alpha:
-                    raise ValueError(f"bad call transition ({src!r},{base!r})")
-                if sym not in self.stack_alphabet:
-                    raise ValueError(f"call on ({src!r},{base!r}) pushes unknown symbol")
-        for (src, base), dsts in self.delta_i.items():
-            if src not in self.states or not dsts <= self.states or base not in alpha:
-                raise ValueError(f"bad internal transition ({src!r},{base!r})")
-        for (src, base, sym), dsts in self.delta_r.items():
-            if src not in self.states or not dsts <= self.states or base not in alpha:
-                raise ValueError(f"bad return transition ({src!r},{base!r},{sym!r})")
-            if sym not in readable:
-                raise ValueError(f"return on ({src!r},{base!r}) reads unknown symbol")
-        self._alpha = frozenset(alpha)
-
-    def __repr__(self):
-        return (
-            f"Nvpa(states={len(self.states)}, alphabet={self.alphabet!r}, "
-            f"stack={len(self.stack_alphabet)})"
-        )
+        self._check(self.initials)
 
 
 @dataclass
 class VpaRun:
+    """Outcome of a deterministic run.
+
+    `state` is the last state reached (where the run died, if it did);
+    `stack` is the final stack, bottom first, or None when the run died
+    on a missing transition.
+    """
+
     accepted: bool
     reason: str | None = None
     trace: tuple = field(default=())
+    state: State = None
+    stack: tuple | None = None
 
 
 def _stack_ok(stack: tuple, accept_stack: frozenset) -> bool:
@@ -461,27 +454,28 @@ def vpa_run(m: Vpa, tw: TaggedWord, record_trace: bool = False) -> VpaRun:
         if tag is Tag.CALL:
             move = delta_c.get((state, base))
             if move is None:
-                return VpaRun(False, f"no call transition from {state!r} on {base!r}", tuple(trace))
+                return VpaRun(False, f"no call transition from {state!r} on {base!r}", tuple(trace), state)
             state, pushed = move
             stack.append(pushed)
         elif tag is Tag.INTERNAL:
             nxt = delta_i.get((state, base))
             if nxt is None:
-                return VpaRun(False, f"no internal transition from {state!r} on {base!r}", tuple(trace))
+                return VpaRun(False, f"no internal transition from {state!r} on {base!r}", tuple(trace), state)
             state = nxt
         else:
             top = stack[-1]
             nxt = delta_r.get((state, base, top))
             if nxt is None:
-                return VpaRun(False, f"no return transition from {state!r} on {base!r}/{top!r}", tuple(trace))
+                return VpaRun(False, f"no return transition from {state!r} on {base!r}/{top!r}", tuple(trace), state)
             state = nxt
             if len(stack) > 1:
                 stack.pop()
         if record_trace:
             trace.append(Configuration(state, tuple(tw[pos + 1:]), tuple(stack)))
-    if state in m.accepts and _stack_ok(tuple(stack), m.accept_stack):
-        return VpaRun(True, None, tuple(trace))
-    return VpaRun(False, "final configuration not accepting", tuple(trace))
+    stack = tuple(stack)
+    if state in m.accepts and _stack_ok(stack, m.accept_stack):
+        return VpaRun(True, None, tuple(trace), state, stack)
+    return VpaRun(False, "final configuration not accepting", tuple(trace), state, stack)
 
 
 def nvpa_run(m: Nvpa, tw: TaggedWord, max_configs: int = DEFAULT_MAX_CONFIGS) -> bool:
@@ -536,6 +530,95 @@ def nvpa_from_vpa(m: Vpa) -> Nvpa:
         delta_c={k: {v} for k, v in m.delta_c.items()},
         delta_i={k: {v} for k, v in m.delta_i.items()},
         delta_r={k: {v} for k, v in m.delta_r.items()},
+    )
+
+
+def vpa_from_fsa(m: Fsa) -> Vpa:
+    """The all-internal reading of an FSA: its moves on internal letters,
+    no call or return moves, and nothing to push."""
+    return Vpa(m.alphabet, m.states, frozenset(), "$", m.initial, m.accepts, frozenset(), {}, m.delta, {})
+
+
+def machine_accepts(m, tw: TaggedWord, max_configs: int = DEFAULT_MAX_CONFIGS) -> bool:
+    """Membership of a tagged word in L(m) for an Fsa, Vpa or Nvpa; an FSA
+    is read as the all-internal image of its plain language."""
+    if isinstance(m, Fsa):
+        if any(s.tag is not Tag.INTERNAL for s in tw):
+            return False
+        return fsa_run(m, [s.base for s in tw])
+    if isinstance(m, Vpa):
+        return vpa_run(m, tw).accepted
+    if isinstance(m, Nvpa):
+        return nvpa_run(m, tw, max_configs=max_configs)
+    raise TypeError(f"cannot run words on a {type(m).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# transition rows and renaming, shared by Vpa and Nvpa
+
+
+def add_move(table: dict, key, value) -> None:
+    """Add one choice to a set-valued (Nvpa-shaped) transition table."""
+    table.setdefault(key, set()).add(value)
+
+
+def transition_rows(m) -> tuple:
+    """The transitions of a Vpa or Nvpa as (calls, internals, returns), one
+    row per choice: calls (src, base, dst, pushed), internals (src, base,
+    dst), returns (src, base, top, dst)."""
+    if isinstance(m, Vpa):
+        return (
+            ((q, b, dst, g) for (q, b), (dst, g) in m.delta_c.items()),
+            ((q, b, dst) for (q, b), dst in m.delta_i.items()),
+            ((q, b, g, dst) for (q, b, g), dst in m.delta_r.items()),
+        )
+    return (
+        ((q, b, dst, g) for (q, b), moves in m.delta_c.items() for dst, g in moves),
+        ((q, b, dst) for (q, b), dsts in m.delta_i.items() for dst in dsts),
+        ((q, b, g, dst) for (q, b, g), dsts in m.delta_r.items() for dst in dsts),
+    )
+
+
+def rename_machine(m, names: dict, syms: dict):
+    """m (a Vpa or Nvpa) with its states renamed through `names` and its
+    stack symbols, bottom included, through `syms`.
+
+    Transitions out of states missing from `names`, and returns reading
+    symbols missing from `syms`, are dropped, as are missing accept states
+    and stack symbols.  The targets of every kept transition must be named.
+    """
+    if isinstance(m, Vpa):
+        state = names.__getitem__
+
+        def call(move):
+            return names[move[0]], syms[move[1]]
+
+        start = {"initial": names[m.initial]}
+    else:
+        rename = names.__getitem__
+
+        def state(dsts):
+            return frozenset(map(rename, dsts))
+
+        def call(moves):
+            return frozenset([(names[d], syms[g]) for d, g in moves])
+
+        start = {"initials": frozenset(map(rename, m.initials))}
+    return type(m)(
+        alphabet=m.alphabet,
+        states=frozenset(names.values()),
+        stack_alphabet=frozenset(syms[g] for g in m.stack_alphabet if g in syms),
+        bottom=syms[m.bottom],
+        accepts=frozenset(names[q] for q in m.accepts if q in names),
+        accept_stack=frozenset(syms[g] for g in m.accept_stack if g in syms),
+        delta_c={(names[q], b): call(v) for (q, b), v in m.delta_c.items() if q in names},
+        delta_i={(names[q], b): state(v) for (q, b), v in m.delta_i.items() if q in names},
+        delta_r={
+            (names[q], b, syms[g]): state(v)
+            for (q, b, g), v in m.delta_r.items()
+            if q in names and g in syms
+        },
+        **start,
     )
 
 
@@ -630,11 +713,11 @@ def canonicalize(m):
     """
     if isinstance(m, Fsa):
         return _canonicalize_fsa(m)
-    if isinstance(m, Vpa):
-        return _canonicalize_vpa(m)
-    if isinstance(m, Nvpa):
-        return _canonicalize_nvpa(m)
-    raise TypeError(f"cannot canonicalize {type(m).__name__}")
+    if not isinstance(m, (Vpa, Nvpa)):
+        raise TypeError(f"cannot canonicalize {type(m).__name__}")
+    names, syms = _bfs_names(m)
+    syms[m.bottom] = "$"
+    return rename_machine(m, names, syms)
 
 
 def _canonicalize_fsa(m: Fsa) -> Fsa:
@@ -664,30 +747,29 @@ def _canonicalize_fsa(m: Fsa) -> Fsa:
 
 
 def _successor_index(m) -> dict:
-    """(state, base) -> [(successor, pushed-or-None)], both machine flavors."""
+    """(state, base) -> [(successor, pushed-or-None)]."""
     index: dict = {}
-    if isinstance(m, Vpa):
-        for (q, base), (dst, g) in m.delta_c.items():
-            index.setdefault((q, base), []).append((dst, g))
-        for (q, base), dst in m.delta_i.items():
-            index.setdefault((q, base), []).append((dst, None))
-        for (q, base, _), dst in m.delta_r.items():
-            index.setdefault((q, base), []).append((dst, None))
-    else:
-        for (q, base), moves in m.delta_c.items():
-            index.setdefault((q, base), []).extend(moves)
-        for (q, base), dsts in m.delta_i.items():
-            index.setdefault((q, base), []).extend((dst, None) for dst in dsts)
-        for (q, base, _), dsts in m.delta_r.items():
-            index.setdefault((q, base), []).extend((dst, None) for dst in dsts)
+    calls, internals, returns = transition_rows(m)
+    for q, base, dst, g in calls:
+        index.setdefault((q, base), []).append((dst, g))
+    for q, base, dst in internals:
+        index.setdefault((q, base), []).append((dst, None))
+    for q, base, _, dst in returns:
+        index.setdefault((q, base), []).append((dst, None))
     return index
 
 
-def _bfs_names(m, starts) -> tuple[dict, dict]:
+def _bfs_names(m) -> tuple[dict, dict]:
+    """BFS names of the reachable states and pushable symbols of m.
+
+    The successor index lives only while names are handed out, so it is
+    freed before the renamed tables are built.
+    """
     successors = _successor_index(m)
     state_names = {}
     sym_names = {}
     order = []
+    starts = [m.initial] if isinstance(m, Vpa) else _sorted_by_repr(m.initials)
     for q in starts:
         state_names[q] = f"q{len(order)}"
         order.append(q)
@@ -703,72 +785,6 @@ def _bfs_names(m, starts) -> tuple[dict, dict]:
                     order.append(dst)
                     queue.append(dst)
     return state_names, sym_names
-
-
-def _canonicalize_vpa(m: Vpa) -> Vpa:
-    names, syms = _bfs_names(m, [m.initial])
-    keep_syms = set(syms)
-    delta_c = {
-        (names[q], b): (names[dst], syms[g])
-        for (q, b), (dst, g) in m.delta_c.items()
-        if q in names
-    }
-    delta_i = {(names[q], b): names[dst] for (q, b), dst in m.delta_i.items() if q in names}
-    delta_r = {}
-    for (q, b, g), dst in m.delta_r.items():
-        if q not in names:
-            continue
-        if g == m.bottom:
-            delta_r[(names[q], b, "$")] = names[dst]
-        elif g in keep_syms:
-            delta_r[(names[q], b, syms[g])] = names[dst]
-    return Vpa(
-        alphabet=m.alphabet,
-        states=frozenset(names.values()),
-        stack_alphabet=frozenset(syms.values()),
-        bottom="$",
-        initial="q0",
-        accepts=frozenset(names[q] for q in m.accepts if q in names),
-        accept_stack=frozenset(syms[g] for g in m.accept_stack if g in keep_syms),
-        delta_c=delta_c,
-        delta_i=delta_i,
-        delta_r=delta_r,
-    )
-
-
-def _canonicalize_nvpa(m: Nvpa) -> Nvpa:
-    names, syms = _bfs_names(m, _sorted_by_repr(m.initials))
-    keep_syms = set(syms)
-    delta_c = {
-        (names[q], b): frozenset((names[dst], syms[g]) for dst, g in moves)
-        for (q, b), moves in m.delta_c.items()
-        if q in names
-    }
-    delta_i = {
-        (names[q], b): frozenset(names[dst] for dst in dsts)
-        for (q, b), dsts in m.delta_i.items()
-        if q in names
-    }
-    delta_r = {}
-    for (q, b, g), dsts in m.delta_r.items():
-        if q not in names:
-            continue
-        if g == m.bottom:
-            delta_r[(names[q], b, "$")] = frozenset(names[dst] for dst in dsts)
-        elif g in keep_syms:
-            delta_r[(names[q], b, syms[g])] = frozenset(names[dst] for dst in dsts)
-    return Nvpa(
-        alphabet=m.alphabet,
-        states=frozenset(names.values()),
-        stack_alphabet=frozenset(syms.values()),
-        bottom="$",
-        initials=frozenset(names[q] for q in m.initials),
-        accepts=frozenset(names[q] for q in m.accepts if q in names),
-        accept_stack=frozenset(syms[g] for g in m.accept_stack if g in keep_syms),
-        delta_c=delta_c,
-        delta_i=delta_i,
-        delta_r=delta_r,
-    )
 
 
 # ---------------------------------------------------------------------------

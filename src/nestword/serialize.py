@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .machines import Fsa, Nvpa, Pda, Vpa
+from .machines import Fsa, Nvpa, Pda, Vpa, transition_rows
 from .words import Tag, parse_token, token_str, TaggedSymbol
 
 
@@ -77,47 +77,32 @@ def to_doc(m) -> dict:
                 key=json.dumps,
             ),
         }
-    if isinstance(m, Vpa):
-        rows = []
-        for (q, base), (dst, g) in m.delta_c.items():
-            rows.append([_jsonable(q), token_str(TaggedSymbol(base, Tag.CALL)), _jsonable(dst), _jsonable(g)])
-        for (q, base), dst in m.delta_i.items():
-            rows.append([_jsonable(q), base, _jsonable(dst)])
-        for (q, base, g), dst in m.delta_r.items():
-            rows.append([_jsonable(q), token_str(TaggedSymbol(base, Tag.RETURN)), _jsonable(g), _jsonable(dst)])
-        return {
-            "kind": "vpa",
+    if isinstance(m, (Vpa, Nvpa)):
+        calls, internals, returns = transition_rows(m)
+        rows = [
+            [_jsonable(q), token_str(TaggedSymbol(base, Tag.CALL)), _jsonable(dst), _jsonable(g)]
+            for q, base, dst, g in calls
+        ]
+        rows.extend([_jsonable(q), base, _jsonable(dst)] for q, base, dst in internals)
+        rows.extend(
+            [_jsonable(q), token_str(TaggedSymbol(base, Tag.RETURN)), _jsonable(g), _jsonable(dst)]
+            for q, base, g, dst in returns
+        )
+        doc = {
+            "kind": m.kind,
             "alphabet": list(m.alphabet),
             "states": _sorted_json(m.states),
             "stack_alphabet": _sorted_json(m.stack_alphabet),
             "bottom": _jsonable(m.bottom),
-            "initial": _jsonable(m.initial),
             "accepts": _sorted_json(m.accepts),
             "accept_stack": _sorted_json(m.accept_stack),
             "transitions": sorted(rows, key=json.dumps),
         }
-    if isinstance(m, Nvpa):
-        rows = []
-        for (q, base), moves in m.delta_c.items():
-            for dst, g in moves:
-                rows.append([_jsonable(q), token_str(TaggedSymbol(base, Tag.CALL)), _jsonable(dst), _jsonable(g)])
-        for (q, base), dsts in m.delta_i.items():
-            for dst in dsts:
-                rows.append([_jsonable(q), base, _jsonable(dst)])
-        for (q, base, g), dsts in m.delta_r.items():
-            for dst in dsts:
-                rows.append([_jsonable(q), token_str(TaggedSymbol(base, Tag.RETURN)), _jsonable(g), _jsonable(dst)])
-        return {
-            "kind": "nvpa",
-            "alphabet": list(m.alphabet),
-            "states": _sorted_json(m.states),
-            "stack_alphabet": _sorted_json(m.stack_alphabet),
-            "bottom": _jsonable(m.bottom),
-            "initials": _sorted_json(m.initials),
-            "accepts": _sorted_json(m.accepts),
-            "accept_stack": _sorted_json(m.accept_stack),
-            "transitions": sorted(rows, key=json.dumps),
-        }
+        if isinstance(m, Vpa):
+            doc["initial"] = _jsonable(m.initial)
+        else:
+            doc["initials"] = _sorted_json(m.initials)
+        return doc
     raise SerializationError(f"cannot serialize {type(m).__name__}")
 
 

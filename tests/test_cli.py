@@ -103,6 +103,24 @@ def test_check_trace_prints_configurations(tmp_path):
     assert "state='e'" in lines[0]
 
 
+def test_check_trace_on_fsa(tmp_path):
+    aut, _ = build(tmp_path, Z2, "z2")
+    code, out, _ = run_cli("check", "--automaton", aut, "--trace", "t", "t")
+    assert code == 0
+    assert out.splitlines() == [
+        "state='e' remaining=t t stack=[$]",
+        "state='t' remaining=t stack=[$]",
+        "state='e' remaining=ε stack=[$]",
+        "accept",
+    ]
+    code, out, _ = run_cli("check", "--automaton", aut, "--trace", "t", "<t")
+    assert code == 1
+    assert out.splitlines()[-2:] == ["note: no call transition from 't' on 't'", "reject"]
+    code, out, _ = run_cli("check", "--automaton", aut, "--trace", "t")
+    assert code == 1
+    assert out.splitlines()[-2:] == ["note: final configuration not accepting", "reject"]
+
+
 def test_check_parse_error(tmp_path):
     aut, _ = build(tmp_path, FREE2, "free2")
     code, _, _ = run_cli("check", "--automaton", aut, "<")
@@ -355,3 +373,37 @@ def test_max_configs_env_override(tmp_path, monkeypatch):
     assert run_cli("check", "--automaton", aut, *tagged)[0] == 0
     monkeypatch.setenv("NESTWORD_MAX_CONFIGS", "0")
     assert run_cli("check", "--automaton", aut, *tagged)[0] == 2
+
+
+def test_group_spec_field_errors_name_the_field(tmp_path):
+    bad = [
+        ({"kind": "free"}, "'n'"),
+        ({**Z2, "elements": 5}, "'elements'"),
+        ({"kind": "free", "n": "two"}, "'n'"),
+    ]
+    for k, (doc, field) in enumerate(bad):
+        spec = write_spec(tmp_path, f"bad{k}.json", doc)
+        for argv in (("oracle", "--group", spec, "x1"), ("annotate", "--group", spec, "x1"),
+                     ("build", "--group", spec, "--out", tmp_path / "x.json")):
+            result = run_cli(*argv)
+            assert_one_error_line(result)
+            assert field in result[2], result[2]
+
+
+def test_max_configs_env_must_be_a_positive_integer(tmp_path, monkeypatch):
+    free1, _ = build(tmp_path, FREE1, "free1")
+    star = tmp_path / "star.json"
+    assert run_cli("closure", "--op", "star", "--inputs", free1, "--out", star)[0] == 0
+    tagged = ["<x1", "x1'>"]
+    for value in ("abc", "-1", "0", "1.5"):
+        monkeypatch.setenv("NESTWORD_MAX_CONFIGS", value)
+        for argv in (("check", "--automaton", star, *tagged), ("enum", "--automaton", star, "--max-len", "1")):
+            result = run_cli(*argv)
+            assert_one_error_line(result)
+            assert "NESTWORD_MAX_CONFIGS" in result[2]
+    monkeypatch.setenv("NESTWORD_MAX_CONFIGS", "1")
+    result = run_cli("check", "--automaton", star, *tagged)
+    assert_one_error_line(result)
+    assert "more than 1 configurations" in result[2]
+    monkeypatch.setenv("NESTWORD_MAX_CONFIGS", "50")
+    assert run_cli("check", "--automaton", star, *tagged)[0] == 0

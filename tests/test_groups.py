@@ -33,6 +33,7 @@ from nestword.groups import (
     is_identity,
     perm_compose,
     perm_inverse,
+    perm_by_name,
     perm_name,
     psi_action,
     symmetric_group,
@@ -220,6 +221,14 @@ def test_psi_action_is_homomorphism():
             for t in perms:
                 for a in letters:
                     assert psi_action(perm_compose(s, t), a) == psi_action(s, psi_action(t, a))
+
+
+def test_perm_by_name_is_built_once_and_read_only():
+    perms = perm_by_name(3)
+    assert perm_by_name(3) is perms
+    assert len(perms) == 6 and perms["p213"] == (2, 1, 3)
+    with pytest.raises(TypeError):
+        perms["p123"] = (3, 2, 1)
 
 
 def test_perm_inverse():

@@ -1,10 +1,12 @@
 """FSA/PDA/VPA run semantics, determinization, completion, serialization."""
 
+import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import random_vpa
+from oracles import random_fsa, random_vpa
 import random
 
 from nestword.machines import (
@@ -31,8 +33,19 @@ from nestword.machines import (
     vpa_run,
 )
 from nestword import serialize
+from nestword.closures import (
+    identity_relabeling,
+    relabel_image,
+    shuffle,
+    vpl_complement,
+    vpl_concat,
+    vpl_intersection,
+    vpl_reverse,
+    vpl_star,
+    vpl_union,
+)
 from nestword.words import all_tagged_words, decode, parse_word
-from nestword.groups import build_free_vpa
+from nestword.groups import build_direct_product, build_free_vpa, build_semidirect, cyclic_group
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +208,22 @@ def test_vpa_stack_height_tracks_open_calls():
                 1 for i, j in decode(tw[:k]).matching.edges if j == float("inf")
             )
             assert len(config.stack) == 1 + open_calls
+
+
+def test_vpa_run_reports_final_configuration():
+    m = vpa_accepting_nested_ab()
+    run = vpa_run(m, parse_word("<a <a a>"))
+    assert (run.accepted, run.state, run.stack) == (False, "q", ("$", "g"))
+    run = vpa_run(m, parse_word("<a a>"))
+    assert (run.accepted, run.state, run.stack) == (True, "q", ("$",))
+
+
+def test_vpa_run_dead_run_has_no_stack():
+    m = vpa_accepting_nested_ab()
+    run = vpa_run(m, parse_word("<a a"))
+    assert not run.accepted
+    assert run.state == "q"  # where the missing internal move was looked up
+    assert run.stack is None
 
 
 def test_free_vpa_trace_example():
@@ -367,8 +396,45 @@ def test_canonicalize_preserves_language_and_names():
         assert vpa_run(c, tw).accepted == vpa_run(m, tw).accepted
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_canonicalize_commutes_with_nvpa_embedding(seed):
+    m = random_vpa(random.Random(seed))
+    assert canonicalize(nvpa_from_vpa(m)) == nvpa_from_vpa(canonicalize(m))
+
+
 # ---------------------------------------------------------------------------
 # serialization
+
+
+def golden_machines():
+    """A fixed, seeded set of builder and closure outputs, Vpa and Nvpa."""
+    yield build_free_vpa(2).automaton
+    yield build_direct_product(2, cyclic_group(3)).automaton
+    yield build_semidirect(2, 2).automaton
+    rng = random.Random(20261018)
+    for _ in range(4):
+        m1, m2, r = random_vpa(rng), random_vpa(rng), random_fsa(rng)
+        yield vpl_union(m1, m2)
+        yield vpl_intersection(m1, m2)
+        yield vpl_complement(m1)
+        yield vpl_concat(m1, m2)
+        yield vpl_star(m1)
+        yield vpl_reverse(m1)
+        yield canonicalize(shuffle(m1, r))
+        yield canonicalize(relabel_image(m1, identity_relabeling(m1.alphabet)))
+        yield canonicalize(nvpa_from_vpa(m2))
+
+
+def test_dumps_golden_digest():
+    # pins the JSON text and the canonical names of every output, byte for byte
+    digest = hashlib.sha256()
+    kinds = set()
+    for m in golden_machines():
+        digest.update(serialize.dumps(m).encode())
+        kinds.add(m.kind)
+    assert kinds == {"vpa", "nvpa"}
+    assert digest.hexdigest() == "c07faf1737b957714ee0af7b82e001f4501f95a183dd70a9951b7bfd8e3305d5"
 
 
 def test_serialize_roundtrip_fsa():
