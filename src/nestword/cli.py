@@ -13,13 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import closures, groups, serialize
 from .machines import (
-    DEFAULT_MAX_CONFIGS,
-    ConfigurationSetOverflow,
     Fsa,
     Nvpa,
     Pda,
@@ -46,17 +43,6 @@ ENUM_CAP_DEFAULT = 8
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
-
-
-def _max_configs() -> int:
-    """NESTWORD_MAX_CONFIGS, or the default when unset; a value that is not
-    a positive integer raises ValueError naming the variable."""
-    value = os.environ.get("NESTWORD_MAX_CONFIGS")
-    if not value:
-        return DEFAULT_MAX_CONFIGS
-    if not value.strip().isdecimal() or int(value) < 1:
-        raise ValueError(f"NESTWORD_MAX_CONFIGS must be a positive integer, got {value!r}")
-    return int(value)
 
 
 def _load_machine(path: str):
@@ -96,10 +82,6 @@ def cmd_build(args) -> int:
 
 def cmd_check(args) -> int:
     try:
-        max_configs = _max_configs()
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    try:
         machine = _load_machine(args.automaton)
     except (OSError, ValueError) as exc:
         return _fail(f"cannot load automaton: {exc}", 2)
@@ -109,6 +91,10 @@ def cmd_check(args) -> int:
         word = parse_word(" ".join(args.tokens))
     except TokenError as exc:
         return _fail(str(exc), 2)
+    alphabet = set(machine.alphabet)
+    for sym in word:
+        if sym.base not in alphabet:
+            return _fail(f"letter {sym.base!r} not in alphabet", 2)
     if (
         isinstance(machine, (Vpa, Nvpa))
         and word
@@ -120,23 +106,20 @@ def cmd_check(args) -> int:
             "(or pass --internal to mean internal symbols)",
             2,
         )
-    try:
-        if args.trace and not isinstance(machine, Nvpa):
-            vpa = machine if isinstance(machine, Vpa) else vpa_from_fsa(machine)
-            result = vpa_run(vpa, word, record_trace=True)
-            for config in result.trace:
-                stack = " ".join(str(s) for s in config.stack)
-                rest = format_word(config.remaining)
-                print(f"state={config.state!r} remaining={rest} stack=[{stack}]")
-            if result.reason:
-                print(f"note: {result.reason}")
-            accepted = result.accepted
-        else:
-            if args.trace:
-                print("note: --trace is not available for nondeterministic machines")
-            accepted = machine_accepts(machine, word, max_configs)
-    except (ValueError, ConfigurationSetOverflow) as exc:
-        return _fail(str(exc), 2)
+    if args.trace and not isinstance(machine, Nvpa):
+        vpa = machine if isinstance(machine, Vpa) else vpa_from_fsa(machine)
+        result = vpa_run(vpa, word, record_trace=True)
+        for config in result.trace:
+            stack = " ".join(str(s) for s in config.stack)
+            rest = format_word(config.remaining)
+            print(f"state={config.state!r} remaining={rest} stack=[{stack}]")
+        if result.reason:
+            print(f"note: {result.reason}")
+        accepted = result.accepted
+    else:
+        if args.trace:
+            print("note: --trace is not available for nondeterministic machines")
+        accepted = machine_accepts(machine, word)
     print("accept" if accepted else "reject")
     return 0 if accepted else 1
 
@@ -162,27 +145,20 @@ def cmd_enum(args) -> int:
     if args.max_len > args.cap:
         return _fail(f"--max-len {args.max_len} exceeds cap {args.cap}", 2)
     try:
-        max_configs = _max_configs()
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    try:
         machine = _load_machine(args.automaton)
     except (OSError, ValueError) as exc:
         return _fail(f"cannot load automaton: {exc}", 2)
-    try:
-        if isinstance(machine, Fsa):
-            letters = sorted(machine.alphabet, key=str)
-            for word in all_plain_words(letters, args.max_len):
-                if fsa_run(machine, word):
-                    print(" ".join(word) if word else "ε")
-        elif isinstance(machine, (Vpa, Nvpa)):
-            for tw in all_tagged_words(machine.alphabet, args.max_len):
-                if machine_accepts(machine, tw, max_configs):
-                    print(format_word(tw))
-        else:
-            return _fail("enum runs FSA/VPA/NVPA automata, not PDAs", 2)
-    except ConfigurationSetOverflow as exc:
-        return _fail(str(exc), 2)
+    if isinstance(machine, Fsa):
+        letters = sorted(machine.alphabet, key=str)
+        for word in all_plain_words(letters, args.max_len):
+            if fsa_run(machine, word):
+                print(" ".join(word) if word else "ε")
+    elif isinstance(machine, (Vpa, Nvpa)):
+        for tw in all_tagged_words(machine.alphabet, args.max_len):
+            if machine_accepts(machine, tw):
+                print(format_word(tw))
+    else:
+        return _fail("enum runs FSA/VPA/NVPA automata, not PDAs", 2)
     return 0
 
 

@@ -4,8 +4,9 @@ Regular operations return deterministic FSAs (nondeterministic intermediates
 are determinized).  VPL union/intersection/complement return deterministic
 VPAs built from completed, acceptance-normalized inputs, so tags keep both
 stacks in lockstep.  Concatenation, star, and reversal return NVPAs whose
-membership is decided by configuration-set runs; prefix-closure membership
-is decided directly by saturation instead of building a machine.
+membership is decided by the summary run (`nvpa_run`: one frame of
+(entry, state) pairs per pending call, at any depth); prefix-closure
+membership is decided directly by saturation instead of building a machine.
 
 Union/intersection/complement/concat/star/reverse outputs are canonicalized
 (reachable part, q0/q1... names).  `shuffle` and `relabel_image` keep their

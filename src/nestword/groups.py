@@ -22,7 +22,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .closures import NonDisjointAlphabets, Relabeling, relabel_image, shuffle
-from .machines import DEFAULT_MAX_CONFIGS, Fsa, Nvpa, Vpa, machine_accepts, rename_machine
+from .machines import Fsa, Nvpa, Vpa, machine_accepts, rename_machine
 from .words import (
     MatchingRelation,
     NestedWord,
@@ -306,6 +306,12 @@ def _string(value) -> str:
     return value
 
 
+def _count(value) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError("expected an integer")
+    return value
+
+
 def _spec_field(doc: dict, name: str, convert):
     """doc[name] through convert; a missing or mistyped field raises a
     ValueError that names it."""
@@ -334,13 +340,13 @@ def group_spec_from_doc(doc: dict) -> GroupSpec:
         raise ValueError(f"group spec must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
     if kind == "free":
-        return FreeGroupSpec(_spec_field(doc, "n", int))
+        return FreeGroupSpec(_spec_field(doc, "n", _count))
     if kind == "finite":
         return _finite_from_doc(doc)
     if kind == "direct":
-        return DirectProductSpec(_spec_field(doc, "n", int), _finite_from_doc(doc))
+        return DirectProductSpec(_spec_field(doc, "n", _count), _finite_from_doc(doc))
     if kind == "semidirect":
-        return SemidirectProductSpec(_spec_field(doc, "n", int), _spec_field(doc, "m", int))
+        return SemidirectProductSpec(_spec_field(doc, "n", _count), _spec_field(doc, "m", _count))
     raise ValueError(f"unknown group kind {kind!r}")
 
 
@@ -430,12 +436,10 @@ class Recognizer:
     group_alphabet: tuple
     rho_contract: str  # "bijection" or "surjection"
 
-    def accepts(self, tw: TaggedWord, max_configs: int | None = None) -> bool:
+    def accepts(self, tw: TaggedWord) -> bool:
         """Membership of a tagged word; an FSA recognizer is read as the
         all-internal image of its plain language."""
-        if max_configs is None:
-            max_configs = DEFAULT_MAX_CONFIGS
-        return machine_accepts(self.automaton, tw, max_configs)
+        return machine_accepts(self.automaton, tw)
 
 
 def build_free_vpa(n: int) -> Recognizer:

@@ -20,8 +20,6 @@ from typing import Hashable, Iterable, NamedTuple
 
 from .words import Tag, TaggedWord, check_alphabet
 
-DEFAULT_MAX_CONFIGS = 10**6
-
 State = Hashable
 StackSym = Hashable
 
@@ -31,7 +29,11 @@ class EpsilonBudgetExceeded(RuntimeError):
 
 
 class ConfigurationSetOverflow(RuntimeError):
-    """An NVPA run tracked more configurations than allowed."""
+    """An NVPA run tracked more configurations than a cap allowed.
+
+    The library no longer raises it: `nvpa_run` keeps one summary frame per
+    pending call and has no cap.  The class stays for code that catches it.
+    """
 
 
 class Configuration(NamedTuple):
@@ -438,7 +440,8 @@ def vpa_run(m: Vpa, tw: TaggedWord, record_trace: bool = False) -> VpaRun:
     """Deterministic run of m on a tagged word.
 
     A missing transition rejects (recorded as the reason) rather than
-    raising; a base letter outside the alphabet raises ValueError.
+    raising.  A base letter outside the alphabet raises ValueError only
+    when the run reaches it: a run that dies earlier rejects.
     """
     alpha = m._alpha
     delta_c, delta_i, delta_r = m.delta_c, m.delta_i, m.delta_r
@@ -478,43 +481,53 @@ def vpa_run(m: Vpa, tw: TaggedWord, record_trace: bool = False) -> VpaRun:
     return VpaRun(False, "final configuration not accepting", tuple(trace), state, stack)
 
 
-def nvpa_run(m: Nvpa, tw: TaggedWord, max_configs: int = DEFAULT_MAX_CONFIGS) -> bool:
-    """Track the set of reachable (state, stack) configurations.
+def nvpa_run(m: Nvpa, tw: TaggedWord) -> bool:
+    """Summary run (Alur and Madhusudan): one frame per pending call.
 
-    The tags drive every stack in lockstep, so all configurations share one
-    stack height.  Raises ConfigurationSetOverflow past `max_configs`.
+    A frame is a set of (entry, state) pairs.  The bottom frame's entry is
+    None; a call from state q pushing g opens a frame whose entries are
+    (q, g, ok), where ok says every pending symbol, g included, is in
+    accept_stack.  A return joins each pair of the top frame with the
+    saved caller frame's pairs at its caller state.  A frame holds at most
+    2|Q|^2|stack| pairs at any depth, so the run is linear in the word.
+    A letter outside the alphabet raises ValueError when the run reaches it.
     """
-    alpha = m._alpha
+    alpha, accept_stack = m._alpha, m.accept_stack
     delta_c, delta_i, delta_r = m.delta_c, m.delta_i, m.delta_r
-    configs = {(q, (m.bottom,)) for q in m.initials}
-    for sym in tw:
-        base, tag = sym
+    frame = {(None, q) for q in m.initials}
+    saved = []
+    # plain loops, not comprehensions: frames are mostly one or two pairs,
+    # and there the loops are faster
+    for base, tag in tw:
         if base not in alpha:
             raise ValueError(f"letter {base!r} not in alphabet")
         nxt = set()
         if tag is Tag.CALL:
-            for state, stack in configs:
-                for dst, pushed in delta_c.get((state, base), ()):
-                    nxt.add((dst, stack + (pushed,)))
+            saved.append(frame)
+            for e, q in frame:
+                ok = e is None or e[2]
+                for dst, g in delta_c.get((q, base), ()):
+                    nxt.add(((q, g, ok and g in accept_stack), dst))
         elif tag is Tag.INTERNAL:
-            for state, stack in configs:
-                for dst in delta_i.get((state, base), ()):
-                    nxt.add((dst, stack))
+            for e, q in frame:
+                for dst in delta_i.get((q, base), ()):
+                    nxt.add((e, dst))
+        elif saved:
+            callers: dict = {}
+            for e, q in saved.pop():
+                callers.setdefault(q, []).append(e)
+            for (cq, g, _), q in frame:
+                for dst in delta_r.get((q, base, g), ()):
+                    for e in callers[cq]:
+                        nxt.add((e, dst))
         else:
-            for state, stack in configs:
-                top = stack[-1]
-                rest = stack[:-1] if len(stack) > 1 else stack
-                for dst in delta_r.get((state, base, top), ()):
-                    nxt.add((dst, rest))
-        configs = nxt
-        if len(configs) > max_configs:
-            raise ConfigurationSetOverflow(f"more than {max_configs} configurations")
-        if not configs:
+            for e, q in frame:
+                for dst in delta_r.get((q, base, m.bottom), ()):
+                    nxt.add((e, dst))
+        if not nxt:
             return False
-    return any(
-        state in m.accepts and _stack_ok(stack, m.accept_stack)
-        for state, stack in configs
-    )
+        frame = nxt
+    return any(q in m.accepts and (e is None or e[2]) for e, q in frame)
 
 
 def nvpa_from_vpa(m: Vpa) -> Nvpa:
@@ -539,7 +552,7 @@ def vpa_from_fsa(m: Fsa) -> Vpa:
     return Vpa(m.alphabet, m.states, frozenset(), "$", m.initial, m.accepts, frozenset(), {}, m.delta, {})
 
 
-def machine_accepts(m, tw: TaggedWord, max_configs: int = DEFAULT_MAX_CONFIGS) -> bool:
+def machine_accepts(m, tw: TaggedWord) -> bool:
     """Membership of a tagged word in L(m) for an Fsa, Vpa or Nvpa; an FSA
     is read as the all-internal image of its plain language."""
     if isinstance(m, Fsa):
@@ -549,7 +562,7 @@ def machine_accepts(m, tw: TaggedWord, max_configs: int = DEFAULT_MAX_CONFIGS) -
     if isinstance(m, Vpa):
         return vpa_run(m, tw).accepted
     if isinstance(m, Nvpa):
-        return nvpa_run(m, tw, max_configs=max_configs)
+        return nvpa_run(m, tw)
     raise TypeError(f"cannot run words on a {type(m).__name__}")
 
 

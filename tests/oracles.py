@@ -11,7 +11,7 @@ import itertools
 import random
 from collections import deque
 
-from nestword.machines import Fsa, Vpa, fsa_run, vpa_run
+from nestword.machines import Fsa, Nvpa, Vpa, fsa_run, vpa_run
 from nestword.words import (
     NEG_INF,
     POS_INF,
@@ -66,6 +66,53 @@ def fsa_language(m: Fsa, max_len: int) -> set:
             if fsa_run(m, w):
                 out.add(w)
     return out
+
+
+def deep_walk(m: Vpa, rng: random.Random, depth: int):
+    """A word m reads without dying: `depth` calls, then returns until the
+    stack is empty, each letter drawn from m's defined moves; None when a
+    state has no move left."""
+    state, stack, word = m.initial, [], []
+    while len(stack) < depth:
+        calls = [a for a in m.alphabet if (state, a) in m.delta_c]
+        if not calls:
+            return None
+        a = rng.choice(calls)
+        state, g = m.delta_c[(state, a)]
+        stack.append(g)
+        word.append(TaggedSymbol(a, Tag.CALL))
+    while stack:
+        returns = [a for a in m.alphabet if (state, a, stack[-1]) in m.delta_r]
+        if not returns:
+            return None
+        a = rng.choice(returns)
+        state = m.delta_r[(state, a, stack.pop())]
+        word.append(TaggedSymbol(a, Tag.RETURN))
+    return tuple(word)
+
+
+def configuration_set_run(m: Nvpa, tw) -> bool:
+    """Reference NVPA run: the set of reachable (state, whole stack)
+    configurations, which can grow exponentially with nesting depth."""
+    configs = {(q, (m.bottom,)) for q in m.initials}
+    for base, tag in tw:
+        nxt = set()
+        for state, stack in configs:
+            if tag is Tag.CALL:
+                for dst, pushed in m.delta_c.get((state, base), ()):
+                    nxt.add((dst, stack + (pushed,)))
+            elif tag is Tag.INTERNAL:
+                for dst in m.delta_i.get((state, base), ()):
+                    nxt.add((dst, stack))
+            else:
+                rest = stack[:-1] if len(stack) > 1 else stack
+                for dst in m.delta_r.get((state, base, stack[-1]), ()):
+                    nxt.add((dst, rest))
+        configs = nxt
+    return any(
+        state in m.accepts and all(g in m.accept_stack for g in stack[1:])
+        for state, stack in configs
+    )
 
 
 # -- set-theoretic membership formulas over input-machine membership tables

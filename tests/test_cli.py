@@ -15,6 +15,10 @@ from nestword.groups import (
     group_spec_from_doc,
     enumerate_taggings,
 )
+from nestword.machines import vpa_run
+from nestword.words import format_word, reverse as reverse_word
+from oracles import deep_walk, random_vpa
+
 FREE1 = {"kind": "free", "n": 1}
 FREE2 = {"kind": "free", "n": 2}
 Z2 = {"kind": "finite", "elements": ["e", "t"], "identity": "e",
@@ -367,19 +371,14 @@ def test_console_entry_subprocess(tmp_path):
     assert result.stdout.strip() == "accept"
 
 
-def test_max_configs_env_override(tmp_path, monkeypatch):
-    aut, _ = build(tmp_path, SEMI_F2_S2, "semi")
-    tagged = ["p21", "<x1", "p21", "x2'>"]
-    assert run_cli("check", "--automaton", aut, *tagged)[0] == 0
-    monkeypatch.setenv("NESTWORD_MAX_CONFIGS", "0")
-    assert run_cli("check", "--automaton", aut, *tagged)[0] == 2
-
-
 def test_group_spec_field_errors_name_the_field(tmp_path):
     bad = [
         ({"kind": "free"}, "'n'"),
         ({**Z2, "elements": 5}, "'elements'"),
         ({"kind": "free", "n": "two"}, "'n'"),
+        ({"kind": "free", "n": 2.7}, "'n'"),
+        ({"kind": "free", "n": True}, "'n'"),
+        ({"kind": "free", "n": "2"}, "'n'"),
     ]
     for k, (doc, field) in enumerate(bad):
         spec = write_spec(tmp_path, f"bad{k}.json", doc)
@@ -390,20 +389,37 @@ def test_group_spec_field_errors_name_the_field(tmp_path):
             assert field in result[2], result[2]
 
 
-def test_max_configs_env_must_be_a_positive_integer(tmp_path, monkeypatch):
-    free1, _ = build(tmp_path, FREE1, "free1")
-    star = tmp_path / "star.json"
-    assert run_cli("closure", "--op", "star", "--inputs", free1, "--out", star)[0] == 0
-    tagged = ["<x1", "x1'>"]
-    for value in ("abc", "-1", "0", "1.5"):
-        monkeypatch.setenv("NESTWORD_MAX_CONFIGS", value)
-        for argv in (("check", "--automaton", star, *tagged), ("enum", "--automaton", star, "--max-len", "1")):
-            result = run_cli(*argv)
+def test_check_rejects_out_of_alphabet_letters_anywhere(tmp_path):
+    free2, _ = build(tmp_path, FREE2, "free2")
+    z2, _ = build(tmp_path, Z2, "z2")
+    semi, _ = build(tmp_path, SEMI_F2_S2, "semi")
+    cases = [
+        (free2, ("--internal", "x1", "x9")),
+        (free2, ("--internal", "x1", "x1", "x9")),
+        (z2, ("t", "t", "x9")),
+        (z2, ("t", "<t", "x9")),
+        (semi, ("p21", "<x1", "x2'>", "x9>")),
+    ]
+    for aut, tokens in cases:
+        for trace in ((), ("--trace",)):
+            result = run_cli("check", "--automaton", aut, *trace, *tokens)
             assert_one_error_line(result)
-            assert "NESTWORD_MAX_CONFIGS" in result[2]
-    monkeypatch.setenv("NESTWORD_MAX_CONFIGS", "1")
-    result = run_cli("check", "--automaton", star, *tagged)
-    assert_one_error_line(result)
-    assert "more than 1 configurations" in result[2]
-    monkeypatch.setenv("NESTWORD_MAX_CONFIGS", "50")
-    assert run_cli("check", "--automaton", star, *tagged)[0] == 0
+            assert result[2] == "error: letter 'x9' not in alphabet\n", (tokens, result)
+
+
+def test_check_deep_word_on_reverse_nvpa(tmp_path):
+    verdicts = set()
+    for seed in (0, 1):
+        rng = random.Random(seed)
+        m = random_vpa(rng)
+        w = deep_walk(m, rng, 20)
+        assert w is not None
+        vpa = tmp_path / f"m{seed}.json"
+        rev = tmp_path / f"rev{seed}.json"
+        vpa.write_text(serialize.dumps(m))
+        assert run_cli("closure", "--op", "reverse", "--inputs", vpa, "--out", rev)[0] == 0
+        code, out, err = run_cli("check", "--automaton", rev, *format_word(reverse_word(w)).split())
+        expected = vpa_run(m, w).accepted
+        assert (code, out.strip()) == ((0, "accept") if expected else (1, "reject")), err
+        verdicts.add(expected)
+    assert verdicts == {True, False}

@@ -6,12 +6,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import random_fsa, random_vpa
+from oracles import configuration_set_run, deep_walk, random_fsa, random_vpa
 import random
 
 from nestword.machines import (
     Configuration,
-    ConfigurationSetOverflow,
     EpsilonBudgetExceeded,
     Fsa,
     Nfa,
@@ -44,7 +43,7 @@ from nestword.closures import (
     vpl_star,
     vpl_union,
 )
-from nestword.words import all_tagged_words, decode, parse_word
+from nestword.words import all_tagged_words, decode, parse_word, reverse as reverse_word
 from nestword.groups import build_direct_product, build_free_vpa, build_semidirect, cyclic_group
 
 
@@ -263,22 +262,45 @@ def test_nvpa_empty_initials_rejects_everything():
     assert not nvpa_run(n, parse_word("a"))
 
 
-def test_nvpa_configuration_overflow():
-    # two push choices per call: 2^k distinct stacks
-    n = Nvpa(
-        ("a",),
-        {"p"},
-        {"g", "h"},
-        "$",
-        {"p"},
-        {"p"},
-        set(),
-        delta_c={("p", "a"): {("p", "g"), ("p", "h")}},
-        delta_i={},
-        delta_r={},
-    )
-    with pytest.raises(ConfigurationSetOverflow):
-        nvpa_run(n, parse_word("<a <a <a <a <a"), max_configs=8)
+def test_nvpa_run_agrees_with_configuration_sets():
+    words = list(all_tagged_words(("a", "b"), 5))
+    for seed in range(12):
+        rng = random.Random(seed)
+        m = random_vpa(rng, 1 + seed % 5, n_stack=1 + seed % 3)
+        p = random_vpa(rng, 3)
+        for n in (vpl_reverse(m), vpl_star(m), vpl_concat(m, p), nvpa_from_vpa(m)):
+            for tw in words:
+                assert nvpa_run(n, tw) == configuration_set_run(n, tw), (seed, tw)
+
+
+def test_nvpa_two_push_choices_at_depth_64():
+    # two push choices per call: 2^64 distinct stacks at depth 64
+    def machine(accept_stack):
+        return Nvpa(
+            ("a",), {"p"}, {"g", "h"}, "$", {"p"}, {"p"}, accept_stack,
+            delta_c={("p", "a"): {("p", "g"), ("p", "h")}},
+            delta_i={},
+            delta_r={("p", "a", "h"): {"p"}},
+        )
+
+    deep = parse_word("<a " * 64)
+    assert nvpa_run(machine({"g"}), deep)
+    assert not nvpa_run(machine(set()), deep)
+    assert nvpa_run(machine(set()), deep + parse_word("a> " * 64))
+    assert not nvpa_run(machine({"g", "h"}), deep + parse_word("a> " * 65))
+
+
+def test_reverse_nvpa_at_depth_10000():
+    verdicts = set()
+    for seed in (0, 1):
+        rng = random.Random(seed)
+        m = random_vpa(rng)
+        w = deep_walk(m, rng, 10_000)
+        assert w is not None
+        verdict = nvpa_run(vpl_reverse(m), reverse_word(w))
+        assert verdict == vpa_run(m, w).accepted
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
