@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Mapping
 
-from .closures import NonDisjointAlphabets, Relabeling, relabel_image, shuffle
-from .machines import Fsa, Nvpa, Vpa, machine_accepts, rename_machine
+from .closures import NonDisjointAlphabets, Relabeling, shuffle
+from .machines import Fsa, Vpa, machine_accepts, rename_machine
 from .words import (
     MatchingRelation,
     NestedWord,
@@ -432,7 +432,7 @@ def is_identity(spec: GroupSpec, word) -> bool:
 class Recognizer:
     """A compiled automaton together with its forgetful-map contract."""
 
-    automaton: Vpa | Fsa | Nvpa
+    automaton: Vpa | Fsa
     group_alphabet: tuple
     rho_contract: str  # "bijection" or "surjection"
 
@@ -448,42 +448,27 @@ def build_free_vpa(n: int) -> Recognizer:
     The state holds the most recent unmatched call letter (or 'e' for
     none); the stack holds the letters beneath it, with a blank marking a
     slot that was empty.  A letter adjacent to its inverse must cancel:
-    the cancelling return pops the slot back into the state, and a call or
-    internal read in that situation fails.  Acceptance is state 'e' with
-    an empty stack (no symbol above the bottom is acceptable).
+    the cancelling return pops the slot back into the state, and a call in
+    that situation has no move.  There are no internal moves, and no
+    return at the bottom.  Acceptance is state 'e' with an empty stack (no
+    symbol above the bottom is acceptable).
     """
     letters = free_letters(n)
-    fail = "f"
     empty = "e"
-    states = set(letters) | {empty, fail}
-    stack = set(letters) | {FREE_VPA_BLANK}
-    delta_c: dict = {}
-    delta_i: dict = {}
-    delta_r: dict = {}
-    readable = sorted(stack) + [FREE_VPA_BOTTOM]
-    for p in sorted(states - {fail}):
-        for a in letters:
-            cancels = p != empty and invert_letter(p) == a
-            if cancels:
-                delta_c[(p, a)] = (fail, FREE_VPA_BLANK)
-            else:
-                delta_c[(p, a)] = (a, p if p != empty else FREE_VPA_BLANK)
-            delta_i[(p, a)] = fail
-            for g in readable:
-                if cancels and g != FREE_VPA_BOTTOM:
-                    delta_r[(p, a, g)] = empty if g == FREE_VPA_BLANK else g
-                else:
-                    delta_r[(p, a, g)] = fail
+    restores = {FREE_VPA_BLANK: empty, **{a: a for a in letters}}  # popped slot -> state
+    delta_c = {(empty, a): (a, FREE_VPA_BLANK) for a in letters}
+    delta_c.update({(p, a): (a, p) for p in letters for a in letters if a != invert_letter(p)})
+    delta_r = {(p, invert_letter(p), g): q for p in letters for g, q in restores.items()}
     vpa = Vpa(
         alphabet=letters,
-        states=states,
-        stack_alphabet=stack,
+        states={empty, *letters},
+        stack_alphabet=set(restores),
         bottom=FREE_VPA_BOTTOM,
         initial=empty,
         accepts={empty},
         accept_stack=frozenset(),
         delta_c=delta_c,
-        delta_i=delta_i,
+        delta_i={},
         delta_r=delta_r,
     )
     return Recognizer(vpa, letters, "bijection")
@@ -496,17 +481,11 @@ def build_finite_fsa(g: FiniteGroupSpec) -> Recognizer:
     return Recognizer(fsa, tuple(g.elements), "bijection")
 
 
-def _flat_name(state) -> str:
-    if isinstance(state, tuple):
-        return "|".join(_flat_name(s) for s in state)
-    return str(state)
-
-
-def _flatten_states(m):
-    """m (a Vpa or Nvpa) with every structured state renamed to its flat name."""
-    names = {q: _flat_name(q) for q in m.states}
-    if len(set(names.values())) != len(names):
-        raise ValueError("state renaming collided")
+def _flatten_states(m: Vpa) -> Vpa:
+    """m, a shuffle of the free-group VPA, with each state pair (p, t)
+    renamed to 'p|t'; no free-group state holds a '|', so names stay
+    distinct."""
+    names = {q: "|".join(q) for q in m.states}
     return rename_machine(m, names, {g: g for g in m.stack_alphabet | {m.bottom}})
 
 
@@ -520,7 +499,8 @@ def build_direct_product(n: int, g: FiniteGroupSpec) -> Recognizer:
 
 
 def semidirect_relabeling(n: int, m: int) -> Relabeling:
-    """Pair FSA tracking the prefix permutation.
+    """Pair FSA tracking the prefix permutation: the paper's relabeling,
+    whose image of the shuffle `build_semidirect` builds directly.
 
     Permutation letters must be copied unchanged and advance the tracked
     product; a free-group letter read as `a` is emitted as psi(sigma)^-1(a),
@@ -549,13 +529,27 @@ def semidirect_relabeling(n: int, m: int) -> Relabeling:
 
 
 def build_semidirect(n: int, m: int) -> Recognizer:
-    """Image of the shuffled free x Cayley language under the prefix twist."""
+    """The free-group VPA shuffled with the Cayley FSA of S_m, reading
+    twisted letters: in state (p, sigma) a free letter b is read by the
+    free part as psi(sigma)(b), and a permutation letter tau moves sigma to
+    sigma.tau.  This is the image of the shuffle under
+    `semidirect_relabeling`, whose pair state always equals sigma, built
+    deterministically: (2n+1).m! states, all reachable.
+    """
     spec = SemidirectProductSpec(n, m)
     free = build_free_vpa(n).automaton
-    cayley = build_finite_fsa(symmetric_group(m)).automaton
-    shuffled = shuffle(free, cayley)
-    image = relabel_image(shuffled, semidirect_relabeling(n, m))
-    return Recognizer(_flatten_states(image), group_letters(spec), "bijection")
+    shuffled = shuffle(free, build_finite_fsa(symmetric_group(m)).automaton)
+    # reads[name][a]: the letter b with psi(sigma)(b) = a
+    reads = {
+        name: {a: psi_action(perm_inverse(sigma), a) for a in free.alphabet}
+        for name, sigma in perm_by_name(m).items()
+    }
+    twisted = replace(
+        shuffled,
+        delta_c={(q, reads[q[1]][a]): v for (q, a), v in shuffled.delta_c.items()},
+        delta_r={(q, reads[q[1]][a], g): v for (q, a, g), v in shuffled.delta_r.items()},
+    )
+    return Recognizer(_flatten_states(twisted), group_letters(spec), "bijection")
 
 
 def build_recognizer(spec: GroupSpec) -> Recognizer:

@@ -125,7 +125,7 @@ def fsa_run(m: Fsa, word: Iterable) -> bool:
     state = m.initial
     for sym in word:
         if sym not in alpha:
-            raise ValueError(f"symbol {sym!r} not in alphabet")
+            raise ValueError(f"letter {sym!r} not in alphabet")
         nxt = delta.get((state, sym))
         if nxt is None:
             return False
@@ -554,11 +554,23 @@ def vpa_from_fsa(m: Fsa) -> Vpa:
 
 def machine_accepts(m, tw: TaggedWord) -> bool:
     """Membership of a tagged word in L(m) for an Fsa, Vpa or Nvpa; an FSA
-    is read as the all-internal image of its plain language."""
+    is read as the all-internal image of its plain language.
+
+    An FSA run goes as vpa_run(vpa_from_fsa(m), tw) would, in one pass: a
+    call or return, or a missing move, rejects, and a letter outside the
+    alphabet raises ValueError when the run reaches it.
+    """
     if isinstance(m, Fsa):
-        if any(s.tag is not Tag.INTERNAL for s in tw):
-            return False
-        return fsa_run(m, [s.base for s in tw])
+        alpha, delta, state = m._alpha, m.delta, m.initial
+        for base, tag in tw:
+            if base not in alpha:
+                raise ValueError(f"letter {base!r} not in alphabet")
+            if tag is not Tag.INTERNAL:
+                return False
+            state = delta.get((state, base))
+            if state is None:
+                return False
+        return state in m.accepts
     if isinstance(m, Vpa):
         return vpa_run(m, tw).accepted
     if isinstance(m, Nvpa):

@@ -220,12 +220,12 @@ def test_c08_semidirect_product():
             trivial = eval_semidirect(2, 2, w)
             if trivial:
                 tagged = annotate_word(spec, w)
-                assert tagged is not None and nvpa_run(machine, tagged)
+                assert tagged is not None and vpa_run(machine, tagged).accepted
                 if n <= 4:
-                    count = sum(1 for tw in enumerate_taggings(w) if nvpa_run(machine, tw))
+                    count = sum(1 for tw in enumerate_taggings(w) if vpa_run(machine, tw).accepted)
                     assert count == 1
             else:
-                assert not any(nvpa_run(machine, tw) for tw in enumerate_taggings(w))
+                assert not any(vpa_run(machine, tw).accepted for tw in enumerate_taggings(w))
     rng = random.Random(808)
     for _ in range(10_000):
         w = tuple(rng.choice(letters) for _ in range(rng.randrange(9)))
@@ -233,7 +233,7 @@ def test_c08_semidirect_product():
         tagged = annotate_word(spec, w)
         assert (tagged is not None) == trivial
         if trivial:
-            assert nvpa_run(machine, tagged)
+            assert vpa_run(machine, tagged).accepted
     report("08 semidirect-product")
 
 
@@ -259,7 +259,7 @@ def test_c09_relabeling_preservation():
     # the built semidirect machine accepts every witnessed image
     machine = build_semidirect(2, 2).automaton
     for w in image_members:
-        assert nvpa_run(machine, w)
+        assert vpa_run(machine, w).accepted
     report("09 relabeling-preservation")
 
 

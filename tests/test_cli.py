@@ -55,7 +55,7 @@ def build(tmp_path, doc, stem):
 def test_build_free_reports_sizes(tmp_path):
     _, stdout = build(tmp_path, FREE2, "free2")
     assert "rho contract: bijection" in stdout
-    assert "states: 6" in stdout
+    assert "states: 5" in stdout
     assert "stack symbols: 5" in stdout
 
 
@@ -123,6 +123,19 @@ def test_check_trace_on_fsa(tmp_path):
     code, out, _ = run_cli("check", "--automaton", aut, "--trace", "t")
     assert code == 1
     assert out.splitlines()[-2:] == ["note: final configuration not accepting", "reject"]
+
+
+def test_check_trace_on_semidirect(tmp_path):
+    # every built recognizer is an FSA or a VPA, so every one has a trace
+    aut, _ = build(tmp_path, SEMI_F2_S2, "semi")
+    for tokens, expected in ((("p21", "<x1", "p21", "x2'>"), 0), (("p21", "<x1", "p21", "x1'>"), 1)):
+        code, out, _ = run_cli("check", "--automaton", aut, "--trace", *tokens)
+        lines = out.splitlines()
+        assert code == expected
+        assert lines[-1] == ("accept" if expected == 0 else "reject")
+        assert lines[0] == "state='e|p12' remaining=" + " ".join(tokens) + " stack=[$]"
+        assert all(line.startswith("state=") for line in lines[1:-1 - expected])
+        assert "not available" not in out
 
 
 def test_check_parse_error(tmp_path):

@@ -1,12 +1,13 @@
 """Group evaluators, recognizer builders, and canonical annotation."""
 
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nestword.closures import NonDisjointAlphabets
+from nestword.closures import NonDisjointAlphabets, relabel_image, shuffle
 from nestword.groups import (
     BoundExceeded,
     DirectProductSpec,
@@ -36,13 +37,17 @@ from nestword.groups import (
     perm_by_name,
     perm_name,
     psi_action,
+    semidirect_relabeling,
     symmetric_group,
 )
-from nestword.machines import vpa_run
+from nestword.machines import Vpa, canonicalize, nvpa_run, vpa_run
 from nestword.words import (
     POS_INF,
     NEG_INF,
     NestedWord,
+    Tag,
+    TaggedSymbol,
+    all_tagged_words,
     decode,
     format_word,
     parse_word,
@@ -128,6 +133,10 @@ def test_free_vpa_structure():
     assert rec.rho_contract == "bijection"
     assert len(m.stack_alphabet) == 5  # four letters plus the blank
     assert m.accept_stack == frozenset()
+    # no dead fail state: 'e' and one state per letter, all reachable
+    assert len(m.states) == 5
+    assert len(canonicalize(m).states) == 5
+    assert m.delta_i == {}
 
 
 def test_free_vpa_rho_bijection_small():
@@ -311,6 +320,53 @@ def test_semidirect_agreement_sampled():
             assert tagged is not None and rec.accepts(tagged)
         else:
             assert tagged is None
+
+
+def semidirect_reference(n, m):
+    """The paper's construction: the shuffled free x Cayley language,
+    relabeled by the prefix twist (an Nvpa)."""
+    free = build_free_vpa(n).automaton
+    cayley = build_finite_fsa(symmetric_group(m)).automaton
+    return relabel_image(shuffle(free, cayley), semidirect_relabeling(n, m))
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (3, 3), (4, 3)])
+def test_semidirect_is_one_deterministic_vpa(n, m):
+    a = build_semidirect(n, m).automaton
+    assert isinstance(a, Vpa)
+    assert len(a.states) == (2 * n + 1) * math.factorial(m)
+    assert len(canonicalize(a).states) == len(a.states)  # all reachable
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (2, 2)])
+def test_semidirect_agrees_with_relabeling_on_short_words(n, m):
+    built = build_semidirect(n, m).automaton
+    reference = semidirect_reference(n, m)
+    accepted = 0
+    for tw in all_tagged_words(group_letters(SemidirectProductSpec(n, m)), 4):
+        verdict = vpa_run(built, tw).accepted
+        assert verdict == nvpa_run(reference, tw), format_word(tw)
+        accepted += verdict
+    assert accepted > 1
+
+
+@pytest.mark.parametrize("n, m", [(3, 3), (4, 3)])
+def test_semidirect_agrees_with_relabeling_on_tag_flips(n, m):
+    # the canonical tagging of a trivial word is accepted, every single-tag
+    # flip of it rejected, by both machines
+    spec = SemidirectProductSpec(n, m)
+    built = build_semidirect(n, m).automaton
+    reference = semidirect_reference(n, m)
+    rng = random.Random(10 * n + m)
+    for _ in range(500):
+        tagged = annotate_word(spec, trivial_word(rng, spec, rng.randrange(2, 17, 2)))
+        assert vpa_run(built, tagged).accepted and nvpa_run(reference, tagged)
+        for pos, (base, tag) in enumerate(tagged):
+            for other in Tag:
+                if other is not tag:
+                    flipped = tagged[:pos] + (TaggedSymbol(base, other),) + tagged[pos + 1:]
+                    assert not vpa_run(built, flipped).accepted, format_word(flipped)
+                    assert not nvpa_run(reference, flipped), format_word(flipped)
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,14 @@ from nestword.machines import (
     canonicalize,
     fsa_determinize,
     fsa_run,
+    machine_accepts,
     nfa_run,
     nvpa_from_vpa,
     nvpa_run,
     pda_run,
     pda_step,
     vpa_complete,
+    vpa_from_fsa,
     vpa_normalize_acceptance,
     vpa_run,
 )
@@ -44,7 +46,7 @@ from nestword.closures import (
     vpl_union,
 )
 from nestword.words import all_tagged_words, decode, parse_word, reverse as reverse_word
-from nestword.groups import build_direct_product, build_free_vpa, build_semidirect, cyclic_group
+from nestword.groups import build_direct_product, build_finite_fsa, build_free_vpa, build_semidirect, cyclic_group
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +73,29 @@ def test_fsa_missing_transition_rejects():
 
 
 def test_fsa_symbol_outside_alphabet_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="letter 'x' not in alphabet"):
         fsa_run(astar_bstar_fsa(), "ax")
+
+
+def test_machine_accepts_on_fsa_runs_like_its_vpa_reading():
+    # same verdict as the all-internal VPA reading, and the same error where it raises
+    m = build_finite_fsa(cyclic_group(2)).automaton
+    vpa = vpa_from_fsa(m)
+
+    def outcome(run, tw):
+        try:
+            return run(tw)
+        except ValueError as exc:
+            return str(exc)
+
+    outcomes = set()
+    for tw in all_tagged_words(m.alphabet + ("x9",), 3):
+        got = outcome(lambda w: machine_accepts(m, w), tw)
+        assert got == outcome(lambda w: vpa_run(vpa, w).accepted, tw), tw
+        outcomes.add(got)
+    assert outcomes == {True, False, "letter 'x9' not in alphabet"}
+    with pytest.raises(ValueError, match="letter 'x9' not in alphabet"):
+        machine_accepts(m, parse_word("<x9"))
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +452,15 @@ def test_canonicalize_commutes_with_nvpa_embedding(seed):
 # serialization
 
 
-def golden_machines():
-    """A fixed, seeded set of builder and closure outputs, Vpa and Nvpa."""
+def golden_builder_machines():
+    """The free, direct-product and semidirect builder outputs."""
     yield build_free_vpa(2).automaton
     yield build_direct_product(2, cyclic_group(3)).automaton
     yield build_semidirect(2, 2).automaton
+
+
+def golden_closure_machines():
+    """A fixed, seeded set of closure outputs, Vpa and Nvpa."""
     rng = random.Random(20261018)
     for _ in range(4):
         m1, m2, r = random_vpa(rng), random_vpa(rng), random_fsa(rng)
@@ -448,15 +475,27 @@ def golden_machines():
         yield canonicalize(nvpa_from_vpa(m2))
 
 
-def test_dumps_golden_digest():
-    # pins the JSON text and the canonical names of every output, byte for byte
+def _dumps_digest(machines) -> tuple:
     digest = hashlib.sha256()
     kinds = set()
-    for m in golden_machines():
+    for m in machines:
         digest.update(serialize.dumps(m).encode())
         kinds.add(m.kind)
+    return digest.hexdigest(), kinds
+
+
+def test_dumps_golden_digest():
+    # pins the JSON text and the canonical names of every output, byte for byte
+    digest, kinds = _dumps_digest(golden_closure_machines())
     assert kinds == {"vpa", "nvpa"}
-    assert digest.hexdigest() == "c07faf1737b957714ee0af7b82e001f4501f95a183dd70a9951b7bfd8e3305d5"
+    assert digest == "c3a10691e0c2b3132e30d81f9675a1b1c9592fad44e4ad0e7b34510e90358f78"
+
+
+def test_dumps_golden_digest_builders():
+    # the free, direct and semidirect builders' JSON, byte for byte
+    digest, kinds = _dumps_digest(golden_builder_machines())
+    assert kinds == {"vpa"}
+    assert digest == "f757073ef664bcd04371ba4d0a6dc715f8b291329b6005cefa8f6f9b2ac6d477"
 
 
 def test_serialize_roundtrip_fsa():
