@@ -4,9 +4,12 @@ Four group families are supported: free groups F_n, finite groups given by
 a multiplication table, direct products F_n x G, and semidirect products
 F_n x| S_m where the symmetric group permutes the first m free generators.
 
-Each family has a brute-force identity evaluator (never touching automata)
-and a recognizer builder.  Builder languages hit every trivial word in
-exactly one tagging: the canonical matching traced by stack cancellation.
+Both products are F_n x| G for a finite factor G and a twist: the letter
+each free letter acts as after a prefix of a given finite value (itself,
+in a direct product).  They share one brute-force identity evaluator
+(never touching automata), one recognizer builder and one annotator.
+Builder languages hit every trivial word in exactly one tagging: the
+canonical matching traced by stack cancellation.
 
 Conventions: free generators are named x1..xn with apostrophes for
 inverses (x1'); permutation names are 'p' followed by one-line notation
@@ -167,6 +170,14 @@ class FiniteGroupSpec:
                         raise InvalidTable(f"associativity fails at ({a!r},{b!r},{c!r})")
 
     @classmethod
+    def _trusted(cls, elements: tuple, identity: str, table: dict) -> "FiniteGroupSpec":
+        """Skip validation: for the tables the library builds itself, which
+        are groups by construction."""
+        spec = object.__new__(cls)
+        spec.elements, spec.identity, spec.table = elements, identity, table
+        return spec
+
+    @classmethod
     def from_rows(cls, elements, identity, rows) -> "FiniteGroupSpec":
         """Build from a row-major table: rows[i][j] = elements[i] * elements[j]."""
         elements = tuple(elements)
@@ -196,7 +207,7 @@ def cyclic_group(k: int) -> FiniteGroupSpec:
         for i in range(k)
         for j in range(k)
     }
-    return FiniteGroupSpec(tuple(names), "e", table)
+    return FiniteGroupSpec._trusted(tuple(names), "e", table)
 
 
 # permutations in one-line notation: sigma maps i to sigma[i-1]
@@ -229,7 +240,7 @@ def symmetric_group(m: int) -> FiniteGroupSpec:
         for s in perms
         for t in perms
     }
-    return FiniteGroupSpec(
+    return FiniteGroupSpec._trusted(
         tuple(names[s] for s in perms), perm_name(tuple(range(1, m + 1))), table
     )
 
@@ -278,6 +289,11 @@ class DirectProductSpec:
         if overlap:
             raise NonDisjointAlphabets(f"element names collide with generators: {overlap}")
 
+    @functools.cached_property
+    def twist(self) -> dict:
+        reads = {a: a for a in free_letters(self.n)}
+        return {g: reads for g in self.finite.elements}
+
 
 @dataclass(frozen=True)
 class SemidirectProductSpec:
@@ -290,8 +306,24 @@ class SemidirectProductSpec:
         if self.m > self.n:
             raise ValueError(f"permutation degree {self.m} exceeds generator count {self.n}")
 
+    @functools.cached_property
+    def finite(self) -> FiniteGroupSpec:
+        return symmetric_group(self.m)
 
-GroupSpec = FreeGroupSpec | FiniteGroupSpec | DirectProductSpec | SemidirectProductSpec
+    @functools.cached_property
+    def twist(self) -> dict:
+        letters = free_letters(self.n)
+        return {
+            name: {a: psi_action(sigma, a) for a in letters}
+            for name, sigma in perm_by_name(self.m).items()
+        }
+
+
+# A product spec is F_n x| G: it gives `finite`, the factor G, and `twist`,
+# mapping each element g to {free letter a: the letter a acts as after a
+# prefix of value g}.  Both are built once per spec.
+ProductSpec = DirectProductSpec | SemidirectProductSpec
+GroupSpec = FreeGroupSpec | FiniteGroupSpec | ProductSpec
 
 
 def _strings(value) -> tuple:
@@ -355,73 +387,68 @@ def group_letters(spec: GroupSpec) -> tuple:
         return free_letters(spec.n)
     if isinstance(spec, FiniteGroupSpec):
         return tuple(spec.elements)
-    if isinstance(spec, DirectProductSpec):
-        return free_letters(spec.n) + tuple(spec.finite.elements)
-    return free_letters(spec.n) + tuple(symmetric_group(spec.m).elements)
+    return free_letters(spec.n) + tuple(spec.finite.elements)
 
 
 # ---------------------------------------------------------------------------
 # brute-force identity evaluators (never consult automata)
 
 
+def _cancellations(spec: FreeGroupSpec | ProductSpec, word) -> tuple:
+    """One pass over a word of F_n or of a product F_n x| G: each free
+    letter is read through the twist of its prefix's finite value and
+    cancelled against the stack top; each finite letter multiplies that
+    value through the table.  Returns the cancellation edges (i, j) and
+    whether the word is trivial."""
+    if isinstance(spec, FreeGroupSpec):  # every letter read as itself; no finite letters
+        reads, twist, table, g = {a: a for a in free_letters(spec.n)}, {}, {}, None
+        outside = "the alphabet"
+    else:
+        twist, table, g = spec.twist, spec.finite.table, spec.finite.identity
+        reads, outside = twist[g], "the combined alphabet"
+    unit = g
+    inverse = {b: invert_letter(b) for b in reads}
+    stack: list = []  # (position, twisted letter) awaiting cancellation
+    edges = []
+    for pos, c in enumerate(word, start=1):
+        b = reads.get(c)
+        if b is not None:
+            if stack and stack[-1][1] == inverse[b]:
+                edges.append((stack.pop()[0], pos))
+            else:
+                stack.append((pos, b))
+            continue
+        g = table.get((g, c))
+        if g is None:
+            raise ValueError(f"letter {c!r} outside {outside}")
+        reads = twist[g]
+    return edges, not stack and g == unit
+
+
 def eval_direct(n: int, g: FiniteGroupSpec, word) -> bool:
     """Trivial in F_n x G: both projections must be trivial."""
-    a_letters = set(free_letters(n))
-    b_letters = set(g.elements)
-    if a_letters & b_letters:
-        raise NonDisjointAlphabets("generator and element names overlap")
-    a_part = [c for c in word if c in a_letters]
-    b_part = []
-    for c in word:
-        if c in b_letters:
-            b_part.append(c)
-        elif c not in a_letters:
-            raise ValueError(f"letter {c!r} outside the combined alphabet")
-    return not free_reduce(a_part) and g.product(b_part) == g.identity
+    return is_identity(DirectProductSpec(n, g), word)
 
 
 def eval_semidirect(n: int, m: int, word) -> bool:
-    """Trivial in F_n x| S_m under (f1,s1)(f2,s2) = (f1 psi(s1)(f2), s1 s2).
+    """Trivial in F_n x| S_m under (f1,s1)(f2,s2) = (f1 psi(s1)(f2), s1 s2):
+    the permutation letters multiply to the identity and the free-group
+    word twisted by each prefix permutation reduces to nothing."""
+    return is_identity(_semidirect_spec(n, m), word)
 
-    Equivalently: the permutation letters multiply to the identity and the
-    free-group word twisted by each prefix permutation reduces to nothing.
-    """
-    if m > n:
-        raise ValueError(f"permutation degree {m} exceeds generator count {n}")
-    perms = perm_by_name(m)
-    a_letters = set(free_letters(n))
-    sigma = tuple(range(1, m + 1))
-    stack: list = []
-    for c in word:
-        if c in perms:
-            sigma = perm_compose(sigma, perms[c])
-        elif c in a_letters:
-            t = psi_action(sigma, c)
-            if stack and stack[-1] == invert_letter(t):
-                stack.pop()
-            else:
-                stack.append(t)
-        else:
-            raise ValueError(f"letter {c!r} outside the combined alphabet")
-    return not stack and sigma == tuple(range(1, m + 1))
+
+# eval_semidirect's specs: each S_m table and twist is built once, not per call
+_semidirect_spec = functools.lru_cache(maxsize=8)(SemidirectProductSpec)
 
 
 def is_identity(spec: GroupSpec, word) -> bool:
-    if isinstance(spec, FreeGroupSpec):
-        letters = set(free_letters(spec.n))
-        for c in word:
-            if c not in letters:
-                raise ValueError(f"letter {c!r} outside the alphabet")
-        return not free_reduce(word)
     if isinstance(spec, FiniteGroupSpec):
         elements = set(spec.elements)
         for c in word:
             if c not in elements:
                 raise ValueError(f"letter {c!r} outside the alphabet")
         return spec.product(word) == spec.identity
-    if isinstance(spec, DirectProductSpec):
-        return eval_direct(spec.n, spec.finite, word)
-    return eval_semidirect(spec.n, spec.m, word)
+    return _cancellations(spec, word)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -489,13 +516,28 @@ def _flatten_states(m: Vpa) -> Vpa:
     return rename_machine(m, names, {g: g for g in m.stack_alphabet | {m.bottom}})
 
 
+def _build_product(spec: ProductSpec) -> Recognizer:
+    """The free-group VPA shuffled with the Cayley FSA of the finite factor,
+    reading twisted letters: in state (p, g) a free letter b is read by the
+    free part as twist[g][b], and a finite letter h moves g to g.h.  For
+    S_m this is the image of the shuffle under `semidirect_relabeling`,
+    whose pair state always equals g, built deterministically: (2n+1).|G|
+    states, all reachable.
+    """
+    shuffled = shuffle(build_free_vpa(spec.n).automaton, build_finite_fsa(spec.finite).automaton)
+    # reads[g][a]: the letter b with twist[g][b] = a
+    reads = {g: {a: b for b, a in t.items()} for g, t in spec.twist.items()}
+    twisted = replace(
+        shuffled,
+        delta_c={(q, reads[q[1]][a]): v for (q, a), v in shuffled.delta_c.items()},
+        delta_r={(q, reads[q[1]][a], g): v for (q, a, g), v in shuffled.delta_r.items()},
+    )
+    return Recognizer(_flatten_states(twisted), group_letters(spec), "bijection")
+
+
 def build_direct_product(n: int, g: FiniteGroupSpec) -> Recognizer:
     """Shuffle the free-group VPA with the Cayley FSA of the finite factor."""
-    spec = DirectProductSpec(n, g)  # validates name disjointness
-    free = build_free_vpa(n).automaton
-    cayley = build_finite_fsa(g).automaton
-    product = _flatten_states(shuffle(free, cayley))
-    return Recognizer(product, group_letters(spec), "bijection")
+    return _build_product(DirectProductSpec(n, g))
 
 
 def semidirect_relabeling(n: int, m: int) -> Relabeling:
@@ -529,27 +571,9 @@ def semidirect_relabeling(n: int, m: int) -> Relabeling:
 
 
 def build_semidirect(n: int, m: int) -> Recognizer:
-    """The free-group VPA shuffled with the Cayley FSA of S_m, reading
-    twisted letters: in state (p, sigma) a free letter b is read by the
-    free part as psi(sigma)(b), and a permutation letter tau moves sigma to
-    sigma.tau.  This is the image of the shuffle under
-    `semidirect_relabeling`, whose pair state always equals sigma, built
-    deterministically: (2n+1).m! states, all reachable.
-    """
-    spec = SemidirectProductSpec(n, m)
-    free = build_free_vpa(n).automaton
-    shuffled = shuffle(free, build_finite_fsa(symmetric_group(m)).automaton)
-    # reads[name][a]: the letter b with psi(sigma)(b) = a
-    reads = {
-        name: {a: psi_action(perm_inverse(sigma), a) for a in free.alphabet}
-        for name, sigma in perm_by_name(m).items()
-    }
-    twisted = replace(
-        shuffled,
-        delta_c={(q, reads[q[1]][a]): v for (q, a), v in shuffled.delta_c.items()},
-        delta_r={(q, reads[q[1]][a], g): v for (q, a, g), v in shuffled.delta_r.items()},
-    )
-    return Recognizer(_flatten_states(twisted), group_letters(spec), "bijection")
+    """The free-group VPA shuffled with the Cayley FSA of S_m, where a free
+    letter after a prefix permutation sigma is read as psi(sigma) of it."""
+    return _build_product(SemidirectProductSpec(n, m))
 
 
 def build_recognizer(spec: GroupSpec) -> Recognizer:
@@ -557,9 +581,7 @@ def build_recognizer(spec: GroupSpec) -> Recognizer:
         return build_free_vpa(spec.n)
     if isinstance(spec, FiniteGroupSpec):
         return build_finite_fsa(spec)
-    if isinstance(spec, DirectProductSpec):
-        return build_direct_product(spec.n, spec.finite)
-    return build_semidirect(spec.n, spec.m)
+    return _build_product(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -570,42 +592,16 @@ def annotate_word(spec: GroupSpec, word) -> TaggedWord | None:
     """The unique recognizer-accepted tagging of a trivial word, else None.
 
     Free-group letters get the canonical cancellation matching (computed on
-    the twisted letters for semidirect products); finite-group letters stay
-    internal.  One pass decides triviality and pairs the cancellations.
+    the twisted letters of a product); finite-group letters stay internal.
+    One pass decides triviality and pairs the cancellations.
     """
     word = tuple(word)
     if isinstance(spec, FiniteGroupSpec):
         if not is_identity(spec, word):
             return None
         return tuple(TaggedSymbol(c, Tag.INTERNAL) for c in word)
-    direct = isinstance(spec, DirectProductSpec)
-    semidirect = isinstance(spec, SemidirectProductSpec)
-    if semidirect and spec.m > spec.n:
-        raise ValueError(f"permutation degree {spec.m} exceeds generator count {spec.n}")
-    outside = "the combined alphabet" if direct or semidirect else "the alphabet"
-    inverse = {a: invert_letter(a) for a in free_letters(spec.n)}
-    perms = perm_by_name(spec.m) if semidirect else {}
-    elements = set(spec.finite.elements) if direct else set()
-    unit = tuple(range(1, spec.m + 1)) if semidirect else ()
-    sigma = unit
-    g = spec.finite.identity if direct else None
-    stack: list = []  # (position, twisted letter) awaiting cancellation
-    edges = []
-    for pos, c in enumerate(word, start=1):
-        if c in inverse:
-            if semidirect:
-                c = psi_action(sigma, c)
-            if stack and stack[-1][1] == inverse[c]:
-                edges.append((stack.pop()[0], pos))
-            else:
-                stack.append((pos, c))
-        elif c in perms:
-            sigma = perm_compose(sigma, perms[c])
-        elif c in elements:
-            g = spec.finite.table[(g, c)]
-        else:
-            raise ValueError(f"letter {c!r} outside {outside}")
-    if stack or sigma != unit or (direct and g != spec.finite.identity):
+    edges, trivial = _cancellations(spec, word)
+    if not trivial:
         return None
     return encode(NestedWord._trusted(word, MatchingRelation(len(word), edges)))
 

@@ -285,7 +285,7 @@ def pda_run(m: Pda, word: Iterable[str], eps_budget: int | None = None) -> bool:
     alpha = set(m.alphabet)
     for sym in word:
         if sym not in alpha:
-            raise ValueError(f"symbol {sym!r} not in alphabet")
+            raise ValueError(f"letter {sym!r} not in alphabet")
     if eps_budget is None:
         eps_budget = default_eps_budget(m, len(word))
     if eps_budget <= 0:

@@ -11,6 +11,16 @@ import itertools
 import random
 from collections import deque
 
+from nestword.closures import NonDisjointAlphabets
+from nestword.groups import (
+    FiniteGroupSpec,
+    free_letters,
+    free_reduce,
+    invert_letter,
+    perm_by_name,
+    perm_compose,
+    psi_action,
+)
 from nestword.machines import Fsa, Nvpa, Vpa, fsa_run, vpa_run
 from nestword.words import (
     NEG_INF,
@@ -288,3 +298,46 @@ def pairwise_validate_matching(word, matching) -> MatchingViolation | None:
         if crosses(e1, e2):
             return MatchingViolation("nesting", tuple(sorted((e1, e2))))
     return None
+
+
+# -- group word problems by the definitions, with no twist table
+
+
+def direct_oracle(n: int, g: FiniteGroupSpec, word) -> bool:
+    """Trivial in F_n x G: both projections must be trivial."""
+    a_letters = set(free_letters(n))
+    b_letters = set(g.elements)
+    if a_letters & b_letters:
+        raise NonDisjointAlphabets("generator and element names overlap")
+    a_part = [c for c in word if c in a_letters]
+    b_part = []
+    for c in word:
+        if c in b_letters:
+            b_part.append(c)
+        elif c not in a_letters:
+            raise ValueError(f"letter {c!r} outside the combined alphabet")
+    return not free_reduce(a_part) and g.product(b_part) == g.identity
+
+
+def semidirect_oracle(n: int, m: int, word) -> bool:
+    """Trivial in F_n x| S_m under (f1,s1)(f2,s2) = (f1 psi(s1)(f2), s1 s2):
+    the permutation letters multiply to the identity and the free-group
+    word twisted by each prefix permutation reduces to nothing."""
+    if m > n:
+        raise ValueError(f"permutation degree {m} exceeds generator count {n}")
+    perms = perm_by_name(m)
+    a_letters = set(free_letters(n))
+    sigma = tuple(range(1, m + 1))
+    stack: list = []
+    for c in word:
+        if c in perms:
+            sigma = perm_compose(sigma, perms[c])
+        elif c in a_letters:
+            t = psi_action(sigma, c)
+            if stack and stack[-1] == invert_letter(t):
+                stack.pop()
+            else:
+                stack.append(t)
+        else:
+            raise ValueError(f"letter {c!r} outside the combined alphabet")
+    return not stack and sigma == tuple(range(1, m + 1))

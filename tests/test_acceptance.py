@@ -10,9 +10,11 @@ import random
 from oracles import (
     ExtensionOracle,
     concat_oracle,
+    direct_oracle,
     random_fsa,
     random_vpa,
     reverse_oracle,
+    semidirect_oracle,
     shuffle_oracle,
     star_oracle,
 )
@@ -31,8 +33,6 @@ from nestword.groups import (
     canonical_matching,
     cyclic_group,
     enumerate_taggings,
-    eval_direct,
-    eval_semidirect,
     free_letters,
     free_reduce,
     group_letters,
@@ -194,7 +194,7 @@ def test_c07_direct_product():
     # rho image equals the evaluator's trivial set, length <= 6
     for n in range(7):
         for w in itertools.product(letters, repeat=n):
-            trivial = eval_direct(1, z2, w)
+            trivial = direct_oracle(1, z2, w)
             if trivial:
                 tagged = annotate_word(DirectProductSpec(1, z2), w)
                 assert tagged is not None and vpa_run(machine, tagged).accepted
@@ -217,7 +217,7 @@ def test_c08_semidirect_product():
     letters = group_letters(spec)
     for n in range(6):
         for w in itertools.product(letters, repeat=n):
-            trivial = eval_semidirect(2, 2, w)
+            trivial = semidirect_oracle(2, 2, w)
             if trivial:
                 tagged = annotate_word(spec, w)
                 assert tagged is not None and vpa_run(machine, tagged).accepted
@@ -229,7 +229,7 @@ def test_c08_semidirect_product():
     rng = random.Random(808)
     for _ in range(10_000):
         w = tuple(rng.choice(letters) for _ in range(rng.randrange(9)))
-        trivial = eval_semidirect(2, 2, w)
+        trivial = semidirect_oracle(2, 2, w)
         tagged = annotate_word(spec, w)
         assert (tagged is not None) == trivial
         if trivial:

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import direct_oracle, semidirect_oracle
 from nestword.closures import NonDisjointAlphabets, relabel_image, shuffle
 from nestword.groups import (
     BoundExceeded,
@@ -238,6 +239,18 @@ def test_perm_by_name_is_built_once_and_read_only():
     assert len(perms) == 6 and perms["p213"] == (2, 1, 3)
     with pytest.raises(TypeError):
         perms["p123"] = (3, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "make, k",
+    [(symmetric_group, m) for m in range(1, 6)] + [(cyclic_group, k) for k in range(1, 13)],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_library_tables_pass_the_validating_constructor(make, k):
+    # the library builds these without re-checking them
+    g = make(k)
+    assert type(g.elements) is tuple and type(g.table) is dict
+    assert FiniteGroupSpec(g.elements, g.identity, g.table) == g
 
 
 def test_perm_inverse():
@@ -514,3 +527,100 @@ def test_annotate_word_none_iff_not_identity(spec, picks, close):
 def test_annotate_word_rejects_unknown_letters(spec):
     with pytest.raises(ValueError, match="outside"):
         annotate_word(spec, [group_letters(spec)[0], "y1"])
+
+
+# ---------------------------------------------------------------------------
+# the shared product path against the definitions
+
+
+OUTSIDE = ("y1", "x9", "x1''", "p21", "p1234", "t9")
+
+
+def oracle_verdict(spec, word):
+    """The definition's verdict on word, or its ValueError text."""
+    try:
+        if isinstance(spec, DirectProductSpec):
+            return direct_oracle(spec.n, spec.finite, word)
+        return semidirect_oracle(spec.n, spec.m, word)
+    except ValueError as exc:
+        return str(exc)
+
+
+def library_verdicts(spec, word):
+    """is_identity and annotate_word's verdicts on word, or their ValueError texts."""
+    out = []
+    for decide in (is_identity, lambda s, w: annotate_word(s, w) is not None):
+        try:
+            out.append(decide(spec, word))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [DirectProductSpec(1, cyclic_group(2)), SemidirectProductSpec(2, 2), SemidirectProductSpec(3, 2)],
+    ids=["F1xZ2", "F2:S2", "F3:S2"],
+)
+def test_products_agree_with_definitions_on_short_words(spec):
+    letters = group_letters(spec)
+    trivial = 0
+    for n in range(6):
+        for w in itertools.product(letters, repeat=n):
+            verdict = oracle_verdict(spec, w)
+            assert library_verdicts(spec, w) == [verdict, verdict], w
+            trivial += verdict
+    assert trivial > 1
+
+
+def inverse_word(spec, word):
+    """A word for the inverse of word's value (f, g), by the definitions:
+    the letters of psi(g^-1)(f^-1) read untwisted, then g^-1.  Unlike a
+    product of nested g . g^-1 blocks, it is trivial only through the
+    group's relations."""
+    if isinstance(spec, DirectProductSpec):
+        def act(g, a):
+            return a
+    else:
+        def act(g, a):
+            return psi_action(perm_by_name(spec.m)[g], a)
+    finite = spec.finite
+    g, free = finite.identity, []
+    for c in word:
+        if c in finite.elements:
+            g = finite.table[(g, c)]
+        else:
+            free.append(act(g, c))
+    g_inv = group_inverse(spec, g)
+    return [act(g_inv, invert_letter(a)) for a in reversed(free_reduce(free))] + [g_inv]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DirectProductSpec(3, cyclic_group(6)),
+        DirectProductSpec(2, symmetric_group(3)),
+        SemidirectProductSpec(3, 3),
+        SemidirectProductSpec(4, 3),
+    ],
+    ids=["F3xZ6", "F2xS3", "F3:S3", "F4:S3"],
+)
+def test_products_agree_with_definitions_on_random_words(spec):
+    letters = group_letters(spec)
+    assert not set(OUTSIDE) & set(letters)
+    rng = random.Random(len(letters))
+    seen = set()
+    for i in range(2000):
+        if i % 3 == 0:
+            w = [rng.choice(letters) for _ in range(rng.randrange(65))]
+        elif i % 3 == 1:
+            w = list(trivial_word(rng, spec, rng.randrange(0, 65, 2)))
+        else:
+            u = [rng.choice(letters) for _ in range(rng.randrange(33))]
+            w = u + inverse_word(spec, u)
+        if w and i % 4 >= 2:  # one letter replaced, maybe by one outside the alphabet
+            w[rng.randrange(len(w))] = rng.choice(letters + OUTSIDE)
+        verdict = oracle_verdict(spec, w)
+        assert library_verdicts(spec, w) == [verdict, verdict], w
+        seen.add(verdict if isinstance(verdict, bool) else "error")
+    assert seen == {True, False, "error"}

@@ -112,6 +112,11 @@ def test_pda_step_example_transitions():
     assert pda_step(Configuration("sy", ("a",), ()), m) is None
 
 
+def test_pda_run_letter_outside_alphabet_raises():
+    with pytest.raises(ValueError, match=r"^letter 'x' not in alphabet$"):
+        pda_run(anbn_pda(), "ax")
+
+
 def test_pda_run_examples():
     m = anbn_pda()
     assert pda_run(m, "aabb")
@@ -518,6 +523,16 @@ def test_serialize_roundtrip_pda():
     again = serialize.loads(serialize.dumps(m))
     assert again == m
     assert pda_run(again, "aaabbb")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_dumps_loads_dumps_is_identity(seed):
+    rng = random.Random(seed)
+    m = random_vpa(rng, 1 + rng.randrange(4), n_stack=1 + rng.randrange(3))
+    for machine in (m, random_fsa(rng, 1 + rng.randrange(4)), nvpa_from_vpa(m), vpl_reverse(m)):
+        doc = serialize.dumps(machine)
+        assert serialize.dumps(serialize.loads(doc)) == doc
 
 
 def test_serialize_roundtrip_vpa_and_nvpa():
