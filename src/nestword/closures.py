@@ -2,11 +2,16 @@
 
 Regular operations return deterministic FSAs (nondeterministic intermediates
 are determinized).  VPL union/intersection/complement return deterministic
-VPAs built from completed, acceptance-normalized inputs, so tags keep both
-stacks in lockstep.  Concatenation, star, and reversal return NVPAs whose
-membership is decided by the summary run (`nvpa_run`: one frame of
-(entry, state) pairs per pending call, at any depth); prefix-closure
-membership is decided directly by saturation instead of building a machine.
+VPAs holding only the states and stack symbols a run can reach from the
+initial state, found by breadth-first search; tags keep both stacks of a
+product in lockstep.  Intersection takes its inputs as they are; union and
+complement complete theirs and make acceptance state-only, normalizing only
+when some stack symbol is unacceptable.  Concatenation, star, and reversal
+return NVPAs whose membership is decided by the summary run (`nvpa_run`:
+one frame of (entry, state) pairs per pending call, at any depth);
+prefix-closure membership is decided directly by saturation instead of
+building a machine, and the same summaries decide emptiness and
+equivalence of VPAs exactly (`vpa_is_empty`, `vpl_equivalent`).
 
 Union/intersection/complement/concat/star/reverse outputs are canonicalized
 (reachable part, q0/q1... names).  `shuffle` and `relabel_image` keep their
@@ -150,74 +155,149 @@ def reg_prefix(m: Fsa) -> Fsa:
 
 
 # ---------------------------------------------------------------------------
-# VPL boolean closures (deterministic products of normalized machines)
+# VPL boolean closures (deterministic products, reachable part only)
+
+
+def _reachable_vpa(alphabet, initial, bottom, call, internal, ret, accepts, acceptable) -> Vpa:
+    """The canonical part of a deterministic VPA that runs can reach, found
+    by breadth-first search from `initial`.  `call`, `internal` and `ret`
+    look a move up by its key, as the `Vpa` tables are keyed, and give
+    None where there is none.
+
+    Stack symbols are found as calls push them; every state found gets
+    returns on every symbol found and on `bottom` (an over-approximation
+    of which tops a state meets, never of the language).  `accepts` and
+    `acceptable` are the predicates on states and pushed symbols.
+    """
+    seen = {initial}
+    queue = deque([initial])
+    expanded: list = []
+    tops = {bottom: None}  # insertion-ordered set
+    delta_c: dict = {}
+    delta_i: dict = {}
+    delta_r: dict = {}
+
+    def reach(state) -> None:
+        if state not in seen:
+            seen.add(state)
+            queue.append(state)
+
+    def add_returns(state, top) -> None:
+        for a in alphabet:
+            dst = ret((state, a, top))
+            if dst is not None:
+                delta_r[(state, a, top)] = dst
+                reach(dst)
+
+    while queue:
+        state = queue.popleft()
+        for a in alphabet:
+            dst = internal((state, a))
+            if dst is not None:
+                delta_i[(state, a)] = dst
+                reach(dst)
+            move = call((state, a))
+            if move is not None:
+                delta_c[(state, a)] = move
+                dst, pushed = move
+                reach(dst)
+                if pushed not in tops:
+                    tops[pushed] = None
+                    for earlier in expanded:
+                        add_returns(earlier, pushed)
+        expanded.append(state)
+        for top in tops:
+            add_returns(state, top)
+
+    stack = list(tops)[1:]
+    return canonicalize(
+        Vpa(
+            alphabet=alphabet,
+            states=frozenset(seen),
+            stack_alphabet=frozenset(stack),
+            bottom=bottom,
+            initial=initial,
+            accepts=frozenset(filter(accepts, seen)),
+            accept_stack=frozenset(filter(acceptable, stack)),
+            delta_c=delta_c,
+            delta_i=delta_i,
+            delta_r=delta_r,
+        )
+    )
 
 
 def _vpa_product(m1: Vpa, m2: Vpa, keep) -> Vpa:
+    """The reachable product: a move exists where both machines have one,
+    so a missing move on either side rejects.  A pair state accepts when
+    `keep` does on its two states' verdicts; a stack pair is acceptable
+    when both of its symbols are."""
     alphabet = _require_same_alphabet(m1, m2)
-    n1 = vpa_normalize_acceptance(vpa_complete(m1))
-    n2 = vpa_normalize_acceptance(vpa_complete(m2))
-    states = {(p, q) for p in n1.states for q in n2.states}
-    stack = {(g1, g2) for g1 in n1.stack_alphabet for g2 in n2.stack_alphabet}
-    bottom = (n1.bottom, n2.bottom)
-    delta_c = {}
-    delta_i = {}
-    delta_r = {}
-    for p, q in states:
-        for a in alphabet:
-            d1, g1 = n1.delta_c[(p, a)]
-            d2, g2 = n2.delta_c[(q, a)]
-            delta_c[((p, q), a)] = ((d1, d2), (g1, g2))
-            delta_i[((p, q), a)] = (n1.delta_i[(p, a)], n2.delta_i[(q, a)])
-            for s1, s2 in stack:
-                delta_r[((p, q), a, (s1, s2))] = (
-                    n1.delta_r[(p, a, s1)],
-                    n2.delta_r[(q, a, s2)],
-                )
-            delta_r[((p, q), a, bottom)] = (
-                n1.delta_r[(p, a, n1.bottom)],
-                n2.delta_r[(q, a, n2.bottom)],
-            )
-    accepts = {(p, q) for p, q in states if keep(p in n1.accepts, q in n2.accepts)}
-    prod = Vpa(
-        alphabet=alphabet,
-        states=frozenset(states),
-        stack_alphabet=frozenset(stack),
-        bottom=bottom,
-        initial=(n1.initial, n2.initial),
-        accepts=frozenset(accepts),
-        accept_stack=frozenset(stack),
-        delta_c=delta_c,
-        delta_i=delta_i,
-        delta_r=delta_r,
+    c1, i1, r1 = m1.delta_c, m1.delta_i, m1.delta_r
+    c2, i2, r2 = m2.delta_c, m2.delta_i, m2.delta_r
+
+    def call(key):
+        (p, q), a = key
+        move1, move2 = c1.get((p, a)), c2.get((q, a))
+        if move1 is None or move2 is None:
+            return None
+        return (move1[0], move2[0]), (move1[1], move2[1])
+
+    def internal(key):
+        (p, q), a = key
+        d1, d2 = i1.get((p, a)), i2.get((q, a))
+        return None if d1 is None or d2 is None else (d1, d2)
+
+    def ret(key):
+        (p, q), a, (g1, g2) = key
+        d1, d2 = r1.get((p, a, g1)), r2.get((q, a, g2))
+        return None if d1 is None or d2 is None else (d1, d2)
+
+    return _reachable_vpa(
+        alphabet,
+        (m1.initial, m2.initial),
+        (m1.bottom, m2.bottom),
+        call,
+        internal,
+        ret,
+        lambda state: keep(state[0] in m1.accepts, state[1] in m2.accepts),
+        lambda top: top[0] in m1.accept_stack and top[1] in m2.accept_stack,
     )
-    return canonicalize(prod)
+
+
+def _total_state_acceptance(m: Vpa) -> Vpa:
+    """m completed, with state-only acceptance: normalized unless every
+    stack symbol is already acceptable."""
+    c = vpa_complete(m)
+    return c if c.accept_stack >= c.stack_alphabet else vpa_normalize_acceptance(c)
 
 
 def vpl_union(m1: Vpa, m2: Vpa) -> Vpa:
-    return _vpa_product(m1, m2, lambda a, b: a or b)
+    """Both machines run to the end of every word, so each is completed;
+    each accepts by state alone, so a pair accepts when either side does."""
+    return _vpa_product(
+        _total_state_acceptance(m1), _total_state_acceptance(m2), lambda a, b: a or b
+    )
 
 
 def vpl_intersection(m1: Vpa, m2: Vpa) -> Vpa:
+    """A run dying on either side rejects, and both stack conditions hold
+    exactly when every pushed pair is acceptable on both sides, so the
+    inputs are used as they are."""
     return _vpa_product(m1, m2, lambda a, b: a and b)
 
 
 def vpl_complement(m: Vpa) -> Vpa:
-    """Complete, normalize acceptance to state-only, then swap accept states."""
-    n = vpa_normalize_acceptance(vpa_complete(m))
-    return canonicalize(
-        Vpa(
-            alphabet=n.alphabet,
-            states=n.states,
-            stack_alphabet=n.stack_alphabet,
-            bottom=n.bottom,
-            initial=n.initial,
-            accepts=n.states - n.accepts,
-            accept_stack=n.accept_stack,
-            delta_c=n.delta_c,
-            delta_i=n.delta_i,
-            delta_r=n.delta_r,
-        )
+    """Complete, make acceptance state-only, then swap accept states."""
+    n = _total_state_acceptance(m)
+    return _reachable_vpa(
+        n.alphabet,
+        n.initial,
+        n.bottom,
+        n.delta_c.get,
+        n.delta_i.get,
+        n.delta_r.get,
+        lambda q: q not in n.accepts,
+        n.accept_stack.__contains__,
     )
 
 
@@ -444,28 +524,55 @@ class PrefixDecider:
         self.tail_bottom = _reaching(self.tail, summary_edges + bottom_reads)
 
     def _well_matched_pairs(self) -> dict:
+        """Summary-edge saturation by worklist (Reps, Horwitz and Sagiv).
+
+        Each pair (q, q1) is expanded once.  A call move of q1 into `inner`
+        pushing g subscribes q to `exits[(inner, g)]`, the states that a
+        return on g leads to from some state `inner` reaches; adding a pair
+        (inner, p) grows those exits and wakes every subscriber.
+        """
         m = self.m
+        internals: dict = {}
+        calls: dict = {}
+        returns: dict = {}
+        for (q, _), dst in m.delta_i.items():
+            internals.setdefault(q, set()).add(dst)
+        for (q, _), move in m.delta_c.items():
+            calls.setdefault(q, set()).add(move)
+        for (q, _, g), dst in m.delta_r.items():
+            returns.setdefault((q, g), set()).add(dst)
         reach = {q: {q} for q in m.states}
-        changed = True
-        while changed:
-            changed = False
-            for q in m.states:
-                for q1 in list(reach[q]):
-                    for a in m.alphabet:
-                        dst = m.delta_i.get((q1, a))
-                        if dst is not None and dst not in reach[q]:
-                            reach[q].add(dst)
-                            changed = True
-                        move = m.delta_c.get((q1, a))
-                        if move is None:
-                            continue
-                        inner, g = move
-                        for p in list(reach[inner]):
-                            for b in m.alphabet:
-                                dst = m.delta_r.get((p, b, g))
-                                if dst is not None and dst not in reach[q]:
-                                    reach[q].add(dst)
-                                    changed = True
+        exits: dict = {}  # (inner, g) -> return targets
+        callers: dict = {}  # (inner, g) -> subscribed states
+        pushed: dict = {}  # inner -> the g of its keys
+        todo = [(q, q) for q in m.states]
+
+        def add(q, dst) -> None:
+            if dst not in reach[q]:
+                reach[q].add(dst)
+                todo.append((q, dst))
+
+        while todo:
+            q, q1 = todo.pop()
+            for dst in internals.get(q1, ()):
+                add(q, dst)
+            for key in calls.get(q1, ()):
+                if key not in exits:
+                    inner, g = key
+                    exits[key] = {d for p in reach[inner] for d in returns.get((p, g), ())}
+                    callers[key] = set()
+                    pushed.setdefault(inner, []).append(g)
+                if q not in callers[key]:
+                    callers[key].add(q)
+                    for dst in exits[key]:
+                        add(q, dst)
+            for g in pushed.get(q, ()):
+                found = exits[(q, g)]
+                for dst in returns.get((q1, g), ()):
+                    if dst not in found:
+                        found.add(dst)
+                        for caller in callers[(q, g)]:
+                            add(caller, dst)
         return reach
 
     def member(self, tw: TaggedWord) -> bool:
@@ -498,6 +605,25 @@ class PrefixDecider:
 def vpl_prefix_member(m: Vpa, tw: TaggedWord) -> bool:
     """Does some extension of tw land in L(m)?"""
     return PrefixDecider(m).member(tw)
+
+
+# ---------------------------------------------------------------------------
+# exact decisions
+
+
+def vpa_is_empty(m: Vpa) -> bool:
+    """Is L(m) empty?  Decided exactly by summary saturation: no accepting
+    configuration is reachable from the initial state on the bottom."""
+    return m.initial not in PrefixDecider(m).tail_bottom
+
+
+def vpl_equivalent(m1: Vpa, m2: Vpa) -> bool:
+    """Is L(m1) = L(m2)?  Decided exactly as emptiness of the product that
+    accepts where exactly one side does."""
+    xor = _vpa_product(
+        _total_state_acceptance(m1), _total_state_acceptance(m2), lambda a, b: a != b
+    )
+    return vpa_is_empty(xor)
 
 
 # ---------------------------------------------------------------------------

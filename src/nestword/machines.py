@@ -654,8 +654,12 @@ def rename_machine(m, names: dict, syms: dict):
 def vpa_complete(m: Vpa) -> Vpa:
     """Make all three transition families total via a non-accepting sink.
 
-    The sink pushes a fresh stack symbol outside accept_stack, so the
-    accepted language is unchanged.
+    Missing calls push a fresh sink symbol, which is added to accept_stack:
+    that symbol is only ever pushed on the way into the sink, which never
+    accepts and never leaves, so no accepting run has it on its stack and
+    the accepted language is unchanged.  A machine whose accept_stack
+    covers its stack alphabet keeps covering it, so its acceptance stays
+    state-only.
     """
     sink = _fresh("sink", m.states)
     sink_sym = _fresh("sinksym", m.stack_alphabet | {m.bottom})
@@ -672,7 +676,7 @@ def vpa_complete(m: Vpa) -> Vpa:
                 delta_r.setdefault((q, base, g), sink)
     return Vpa(
         m.alphabet, states, stack, m.bottom, m.initial, m.accepts,
-        m.accept_stack, delta_c, delta_i, delta_r,
+        m.accept_stack | {sink_sym}, delta_c, delta_i, delta_r,
     )
 
 

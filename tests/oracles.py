@@ -21,7 +21,15 @@ from nestword.groups import (
     perm_compose,
     psi_action,
 )
-from nestword.machines import Fsa, Nvpa, Vpa, fsa_run, vpa_run
+from nestword.machines import (
+    Fsa,
+    Nvpa,
+    Vpa,
+    canonicalize,
+    fsa_run,
+    vpa_normalize_acceptance,
+    vpa_run,
+)
 from nestword.words import (
     NEG_INF,
     POS_INF,
@@ -341,3 +349,89 @@ def semidirect_oracle(n: int, m: int, word) -> bool:
         else:
             raise ValueError(f"letter {c!r} outside the combined alphabet")
     return not stack and sigma == tuple(range(1, m + 1))
+
+
+# -- VPL Boolean closures as full products of completed, normalized machines
+
+
+def _complete_outside_accept_stack(m: Vpa) -> Vpa:
+    """m made total through a non-accepting sink whose pushed symbol lies
+    outside accept_stack."""
+    sink, sink_sym = ("sink",), ("sinksym",)
+    states = m.states | {sink}
+    stack = m.stack_alphabet | {sink_sym}
+    delta_c, delta_i, delta_r = dict(m.delta_c), dict(m.delta_i), dict(m.delta_r)
+    for q in states:
+        for a in m.alphabet:
+            delta_c.setdefault((q, a), (sink, sink_sym))
+            delta_i.setdefault((q, a), sink)
+            for g in stack | {m.bottom}:
+                delta_r.setdefault((q, a, g), sink)
+    return Vpa(
+        m.alphabet, states, stack, m.bottom, m.initial, m.accepts,
+        m.accept_stack, delta_c, delta_i, delta_r,
+    )
+
+
+def full_vpa_product(m1: Vpa, m2: Vpa, keep) -> Vpa:
+    """Every pair of states and of stack symbols of the completed,
+    acceptance-normalized inputs, then the reachable part."""
+    n1 = vpa_normalize_acceptance(_complete_outside_accept_stack(m1))
+    n2 = vpa_normalize_acceptance(_complete_outside_accept_stack(m2))
+    states = {(p, q) for p in n1.states for q in n2.states}
+    stack = {(g1, g2) for g1 in n1.stack_alphabet for g2 in n2.stack_alphabet}
+    bottom = (n1.bottom, n2.bottom)
+    delta_c, delta_i, delta_r = {}, {}, {}
+    for p, q in states:
+        for a in m1.alphabet:
+            d1, g1 = n1.delta_c[(p, a)]
+            d2, g2 = n2.delta_c[(q, a)]
+            delta_c[((p, q), a)] = ((d1, d2), (g1, g2))
+            delta_i[((p, q), a)] = (n1.delta_i[(p, a)], n2.delta_i[(q, a)])
+            for s1, s2 in stack | {bottom}:
+                delta_r[((p, q), a, (s1, s2))] = (n1.delta_r[(p, a, s1)], n2.delta_r[(q, a, s2)])
+    accepts = {(p, q) for p, q in states if keep(p in n1.accepts, q in n2.accepts)}
+    return canonicalize(
+        Vpa(
+            m1.alphabet, states, stack, bottom, (n1.initial, n2.initial), accepts,
+            stack, delta_c, delta_i, delta_r,
+        )
+    )
+
+
+def full_vpl_complement(m: Vpa) -> Vpa:
+    """Complete, normalize acceptance to state-only, swap accept states."""
+    n = vpa_normalize_acceptance(_complete_outside_accept_stack(m))
+    return canonicalize(
+        Vpa(
+            n.alphabet, n.states, n.stack_alphabet, n.bottom, n.initial,
+            n.states - n.accepts, n.accept_stack, n.delta_c, n.delta_i, n.delta_r,
+        )
+    )
+
+
+def well_matched_pairs_sweep(m: Vpa) -> dict:
+    """q -> the states q' that some well-matched word leads q to, by
+    sweeping every pair until nothing changes."""
+    reach = {q: {q} for q in m.states}
+    changed = True
+    while changed:
+        changed = False
+        for q in m.states:
+            for q1 in list(reach[q]):
+                for a in m.alphabet:
+                    dst = m.delta_i.get((q1, a))
+                    if dst is not None and dst not in reach[q]:
+                        reach[q].add(dst)
+                        changed = True
+                    move = m.delta_c.get((q1, a))
+                    if move is None:
+                        continue
+                    inner, g = move
+                    for p in list(reach[inner]):
+                        for b in m.alphabet:
+                            dst = m.delta_r.get((p, b, g))
+                            if dst is not None and dst not in reach[q]:
+                                reach[q].add(dst)
+                                changed = True
+    return reach

@@ -2,12 +2,15 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
 from oracles import (
     ExtensionOracle,
     concat_oracle,
+    full_vpa_product,
+    full_vpl_complement,
     interleavings,
     internal_word,
     random_fsa,
@@ -16,6 +19,7 @@ from oracles import (
     shuffle_oracle,
     star_oracle,
     vpa_language,
+    well_matched_pairs_sweep,
 )
 
 from nestword.closures import (
@@ -33,8 +37,10 @@ from nestword.closures import (
     reg_union,
     relabel_image,
     shuffle,
+    vpa_is_empty,
     vpl_complement,
     vpl_concat,
+    vpl_equivalent,
     vpl_intersection,
     vpl_prefix_member,
     vpl_reverse,
@@ -250,6 +256,177 @@ def test_vpl_alphabet_mismatch():
         vpl_union(singleton_vpa("a", ("a",)), singleton_vpa("b", ("b",)))
 
 
+def random_vpa_pairs(seed, count):
+    """Seeded random VPA pairs of mixed shape: 2-5 states, 1-3 stack
+    symbols, sparse to total tables, some accepting on every stack."""
+    rng = random.Random(seed)
+
+    def one():
+        return random_vpa(
+            rng, n_states=rng.randrange(2, 6), n_stack=rng.randrange(1, 4),
+            density=rng.choice((0.5, 0.8, 1.0)),
+        )
+
+    return [(one(), one()) for _ in range(count)]
+
+
+def test_vpl_boolean_ops_agree_with_full_products():
+    # the reachable-only products against the full products of completed,
+    # normalized machines, on every tagged word up to length 5
+    words = list(all_tagged_words(("a", "b"), 5))
+    runs = 0
+    for m1, m2 in random_vpa_pairs(7001, 16):
+        full_comp = full_vpl_complement(m1)
+        pairs = (
+            (vpl_union(m1, m2), full_vpa_product(m1, m2, lambda a, b: a or b)),
+            (vpl_intersection(m1, m2), full_vpa_product(m1, m2, lambda a, b: a and b)),
+            (vpl_complement(m1), full_comp),
+            (vpl_complement(vpl_complement(m1)), full_vpl_complement(full_comp)),
+        )
+        for new, reference in pairs:
+            for w in words:
+                assert vpa_run(new, w).accepted == vpa_run(reference, w).accepted, w
+            runs += 2 * len(words)
+    assert runs >= 1_000_000
+
+
+def _edges(m: Vpa):
+    """(src, dst) for every move of m, whatever it reads or pushes."""
+    for (q, _), (dst, _) in m.delta_c.items():
+        yield q, dst
+    for table in (m.delta_i, m.delta_r):
+        for key, dst in table.items():
+            yield key[0], dst
+
+
+def _closure(starts, edges) -> set:
+    succ: dict = {}
+    for src, dst in edges:
+        succ.setdefault(src, set()).add(dst)
+    seen, todo = set(starts), list(starts)
+    while todo:
+        for dst in succ.get(todo.pop(), ()):
+            if dst not in seen:
+                seen.add(dst)
+                todo.append(dst)
+    return seen
+
+
+def _sinks(m: Vpa) -> set:
+    """Completion sinks: states with every move defined, on every letter
+    and top, and no path to an accept state."""
+    tops = m.stack_alphabet | {m.bottom}
+    total = {
+        q for q in m.states
+        if all(
+            (q, a) in m.delta_c and (q, a) in m.delta_i
+            and all((q, a, g) in m.delta_r for g in tops)
+            for a in m.alphabet
+        )
+    }
+    return total - _closure(m.accepts, ((dst, src) for src, dst in _edges(m)))
+
+
+def test_vpl_boolean_outputs_have_only_reachable_states():
+    for m1, m2 in random_vpa_pairs(7002, 20):
+        comp = vpl_complement(m1)
+        for out in (vpl_union(m1, m2), vpl_intersection(m1, m2), comp, vpl_complement(comp)):
+            assert _closure({out.initial}, _edges(out)) == set(out.states)
+
+
+def test_vpl_intersection_has_no_sink():
+    # inputs with partial tables, where the full product's completion shows
+    rng = random.Random(7003)
+    for _ in range(20):
+        m1, m2 = (
+            random_vpa(rng, n_states=rng.randrange(2, 6), n_stack=rng.randrange(1, 4), density=0.7)
+            for _ in range(2)
+        )
+        inter = vpl_intersection(m1, m2)
+        assert not _sinks(inter)
+        assert len(inter.states) <= len(m1.states) * len(m2.states)
+        assert _sinks(full_vpa_product(m1, m2, lambda a, b: a and b))
+
+
+def test_vpl_double_complement_is_smaller_than_full_product():
+    m = random_vpa(random.Random(1), 6, ("a", "b", "c"), 3)
+    full = full_vpl_complement(full_vpl_complement(m))
+    twice = vpl_complement(vpl_complement(m))
+    assert len(full.states) == 30
+    assert len(twice.states) < 30
+    for w in all_tagged_words(m.alphabet, 4):
+        assert vpa_run(twice, w).accepted == vpa_run(m, w).accepted
+
+
+# ---------------------------------------------------------------------------
+# exact decisions, alongside the bounded oracles
+
+
+def test_vpl_equivalent_decides_double_complement_in_milliseconds():
+    m = random_vpa(random.Random(1), 6, ("a", "b", "c"), 3)
+    twice = vpl_complement(vpl_complement(m))
+    start = time.perf_counter()
+    assert vpl_equivalent(m, twice)
+    assert time.perf_counter() - start < 1.0  # the full XOR product took 5 s
+    assert not vpl_equivalent(m, vpl_complement(m))
+
+
+def test_vpl_equivalent_closure_laws_random():
+    for m1, m2 in random_vpa_pairs(7004, 25):
+        c1, c2 = vpl_complement(m1), vpl_complement(m2)
+        union, inter = vpl_union(m1, m2), vpl_intersection(m1, m2)
+        assert vpl_equivalent(m1, vpl_complement(c1))
+        assert vpl_equivalent(vpl_complement(union), vpl_intersection(c1, c2))
+        assert vpl_equivalent(vpl_complement(inter), vpl_union(c1, c2))
+        assert vpl_equivalent(union, vpl_union(m2, m1))
+        assert vpl_equivalent(inter, vpl_intersection(m2, m1))
+        assert vpl_equivalent(vpl_union(m1, m1), m1)
+        assert vpl_equivalent(vpl_intersection(m1, m1), m1)
+        assert vpa_is_empty(vpl_intersection(m1, c1))
+        assert not vpl_equivalent(m1, c1)
+        assert not vpa_is_empty(vpl_union(m1, c1))
+
+
+def test_vpl_exact_decisions_against_bounded_languages():
+    # an exact "empty" or "equivalent" must hold on every short word, and a
+    # short accepted word must make the language non-empty
+    for m1, m2 in random_vpa_pairs(7005, 25):
+        lang1, lang2 = vpa_language(m1, 4), vpa_language(m2, 4)
+        if vpa_is_empty(m1):
+            assert not lang1
+        if lang1:
+            assert not vpa_is_empty(m1)
+        if vpl_equivalent(m1, m2):
+            assert lang1 == lang2
+        elif lang1 != lang2:
+            assert not vpl_equivalent(m1, m2)
+        inter = vpl_intersection(m1, m2)
+        assert vpa_is_empty(inter) or not vpa_is_empty(m1)
+        if lang1 & lang2:
+            assert not vpa_is_empty(inter)
+
+
+def test_vpl_exact_decisions_see_past_the_bounded_oracles():
+    # languages that agree on every word up to length 5
+    long_word = singleton_vpa("<a <b a a> b> <a b>")
+    pending = singleton_vpa("a a b <a <b b")
+    bottom_reads = singleton_vpa("b> a> <a b <b a>")
+    for m in (long_word, pending, bottom_reads):
+        assert vpa_language(m, 5) == set()
+        assert not vpa_is_empty(m)
+        assert not vpl_equivalent(m, empty_vpa())
+        assert vpl_equivalent(m, vpl_complement(vpl_complement(m)))
+    assert vpa_is_empty(empty_vpa())
+    assert vpa_is_empty(vpl_complement(all_accepting_vpa()))
+    assert vpa_is_empty(vpl_intersection(long_word, pending))
+    # the pending calls must be acceptable: with none, nothing is accepted
+    unacceptable = Vpa(
+        pending.alphabet, pending.states, pending.stack_alphabet, "$", pending.initial,
+        pending.accepts, set(), pending.delta_c, pending.delta_i, pending.delta_r,
+    )
+    assert vpa_is_empty(unacceptable)
+
+
 # ---------------------------------------------------------------------------
 # concatenation, star, reversal
 
@@ -376,6 +553,16 @@ def test_prefix_against_extension_oracle_random():
         oracle = ExtensionOracle(m, start_height_max=6)
         for w in words:
             assert decider.member(w) == oracle.member(w)
+
+
+def test_prefix_summaries_worklist_agrees_with_sweep():
+    rng = random.Random(7006)
+    for _ in range(30):
+        m = random_vpa(
+            rng, n_states=rng.randrange(1, 8), alphabet=("a", "b", "c")[: rng.randrange(1, 4)],
+            n_stack=rng.randrange(1, 4), density=rng.choice((0.3, 0.6, 0.9)),
+        )
+        assert PrefixDecider(m).summaries == well_matched_pairs_sweep(m)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """FSA/PDA/VPA run semantics, determinization, completion, serialization."""
 
+import dataclasses
 import hashlib
 import itertools
 
@@ -414,6 +415,21 @@ def test_complete_preserves_random_languages():
             assert vpa_run(c, tw).accepted == vpa_run(m, tw).accepted
 
 
+def test_complete_sink_symbol_is_acceptable():
+    rng = random.Random(8)
+    for _ in range(4):
+        m = random_vpa(rng, n_stack=rng.randrange(1, 4))
+        c = vpa_complete(m)
+        (sink_sym,) = c.stack_alphabet - m.stack_alphabet
+        assert c.accept_stack == m.accept_stack | {sink_sym}
+    m = random_vpa(rng, n_stack=2)
+    full = dataclasses.replace(m, accept_stack=m.stack_alphabet)
+    c = vpa_complete(full)
+    assert c.accept_stack == c.stack_alphabet
+    for tw in all_tagged_words(("a", "b"), 5):
+        assert vpa_run(c, tw).accepted == vpa_run(full, tw).accepted
+
+
 def test_normalize_acceptance_state_only():
     rng = random.Random(7)
     m = random_vpa(rng)
@@ -493,7 +509,7 @@ def test_dumps_golden_digest():
     # pins the JSON text and the canonical names of every output, byte for byte
     digest, kinds = _dumps_digest(golden_closure_machines())
     assert kinds == {"vpa", "nvpa"}
-    assert digest == "c3a10691e0c2b3132e30d81f9675a1b1c9592fad44e4ad0e7b34510e90358f78"
+    assert digest == "baa3265ed8e1c1922bd9d17225e7d273aaeaaefa41730cbf8c183f099f9fc42b"
 
 
 def test_dumps_golden_digest_builders():
