@@ -10,115 +10,186 @@ fields are emitted in a sorted canonical order, and transition rows are
 
 The VPA bottom symbol is serialized under "bottom" and may appear as the
 stack symbol of return rows.  Tuple-shaped labels (pair-FSA symbols) become
-JSON arrays; printing is deterministic, so parse-then-print is the identity
-on printed documents.
+JSON arrays and are read back as tuples.  Every list-valued field, every
+row and every push word must be a JSON array.
+
+Byte contract: `dumps(m)` is exactly `json.dumps(doc, indent=2,
+sort_keys=True) + "\\n"` of the document, where label sets and transition
+rows are ordered by their compact JSON text (`json.dumps(value)` with the
+default separators), and the alphabet keeps the machine's order.
+The writer prints that layout itself in one pass, encoding each string
+label once per document, so parse-then-print is the identity on printed
+documents.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from json.encoder import encode_basestring_ascii
 
 from .machines import Fsa, Nvpa, Pda, Vpa, transition_rows
-from .words import Tag, parse_token, token_str, TaggedSymbol
+from .words import parse_token
 
 
 class SerializationError(ValueError):
     pass
 
 
-def _jsonable(value: Any) -> Any:
+# ---------------------------------------------------------------------------
+# writing
+
+
+class _Texts(dict):
+    """label -> its compact JSON text.  String labels are encoded once per
+    document; others are encoded at each use, because labels that compare
+    equal (1, 1.0 and True) must keep their own text."""
+
+    nested = False  # set once a tuple label has been encoded
+
+    def __missing__(self, label) -> str:
+        if isinstance(label, tuple):
+            self.nested = True
+            return "[" + ", ".join([self[v] for v in label]) + "]"
+        if isinstance(label, str):
+            text = self[label] = encode_basestring_ascii(label)
+            return text
+        if isinstance(label, (int, float)) or label is None:
+            return json.dumps(label)
+        raise SerializationError(
+            f"label {label!r} is not JSON-serializable; canonicalize() the machine first"
+        )
+
+
+def _array(items: list, pad: str) -> str:
+    """An indent-2 JSON array of already printed items; `pad` is the
+    newline and indent of the line that closes it."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
+def _printed(value, pad: str, texts: _Texts) -> str:
+    """The indent-2 text of a label or row whose closing line is at `pad`."""
     if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    raise SerializationError(
-        f"label {value!r} is not JSON-serializable; canonicalize() the machine first"
-    )
+        return _array([_printed(v, pad + "  ", texts) for v in value], pad)
+    return texts[value]
 
 
-def _unjsonable(value: Any) -> Any:
-    if isinstance(value, list):
-        return tuple(_unjsonable(v) for v in value)
-    return value
+def _rows(rows: list, texts: _Texts) -> str:
+    """Transition rows, ordered by their compact text."""
+    encode = texts.__getitem__
+    pieces = [[*map(encode, row)] for row in rows]
+    keys = ["[" + ", ".join(p) + "]" for p in pieces]
+    order = sorted(range(len(rows)), key=keys.__getitem__)
+    if texts.nested:
+        printed = [_printed(rows[i], "\n    ", texts) for i in order]
+    else:  # every label is a scalar: _printed without the recursion
+        printed = ["[\n      " + ",\n      ".join(pieces[i]) + "\n    ]" for i in order]
+    return _array(printed, "\n  ")
 
 
-def _sorted_json(values) -> list:
-    return sorted((_jsonable(v) for v in values), key=lambda v: json.dumps(v))
+def _fields(m, texts: _Texts) -> dict:
+    """Each top-level field of m's document, printed."""
 
+    def label(v):
+        return _printed(v, "\n  ", texts)
 
-def to_doc(m) -> dict:
+    def labels(vs):  # a label set, ordered by compact text
+        return _array([_printed(v, "\n    ", texts) for v in sorted(vs, key=texts.__getitem__)], "\n  ")
+
+    def alphabet():
+        return _array([_printed(a, "\n    ", texts) for a in m.alphabet], "\n  ")
+
     if isinstance(m, Fsa):
         return {
-            "kind": "fsa",
-            "alphabet": [_jsonable(a) for a in m.alphabet],
-            "states": _sorted_json(m.states),
-            "initial": _jsonable(m.initial),
-            "accepts": _sorted_json(m.accepts),
-            "transitions": sorted(
-                ([_jsonable(q), _jsonable(sym), _jsonable(dst)] for (q, sym), dst in m.delta.items()),
-                key=json.dumps,
-            ),
+            "alphabet": alphabet(),
+            "states": labels(m.states),
+            "initial": label(m.initial),
+            "accepts": labels(m.accepts),
+            "transitions": _rows([(q, sym, dst) for (q, sym), dst in m.delta.items()], texts),
         }
     if isinstance(m, Pda):
+        rows = [(q, sym, g, dst, push) for (q, sym, g), (dst, push) in m.delta.items()]
         return {
-            "kind": "pda",
-            "alphabet": list(m.alphabet),
-            "states": _sorted_json(m.states),
-            "stack_alphabet": _sorted_json(m.stack_alphabet),
-            "initial": _jsonable(m.initial),
-            "bottom": _jsonable(m.bottom),
-            "accepts": _sorted_json(m.accepts),
-            "transitions": sorted(
-                (
-                    [_jsonable(q), sym, _jsonable(g), _jsonable(dst), [_jsonable(p) for p in push]]
-                    for (q, sym, g), (dst, push) in m.delta.items()
-                ),
-                key=json.dumps,
-            ),
+            "alphabet": alphabet(),
+            "states": labels(m.states),
+            "stack_alphabet": labels(m.stack_alphabet),
+            "initial": label(m.initial),
+            "bottom": label(m.bottom),
+            "accepts": labels(m.accepts),
+            "transitions": _rows(rows, texts),
         }
     if isinstance(m, (Vpa, Nvpa)):
         calls, internals, returns = transition_rows(m)
-        rows = [
-            [_jsonable(q), token_str(TaggedSymbol(base, Tag.CALL)), _jsonable(dst), _jsonable(g)]
-            for q, base, dst, g in calls
-        ]
-        rows.extend([_jsonable(q), base, _jsonable(dst)] for q, base, dst in internals)
-        rows.extend(
-            [_jsonable(q), token_str(TaggedSymbol(base, Tag.RETURN)), _jsonable(g), _jsonable(dst)]
-            for q, base, g, dst in returns
-        )
-        doc = {
-            "kind": m.kind,
-            "alphabet": list(m.alphabet),
-            "states": _sorted_json(m.states),
-            "stack_alphabet": _sorted_json(m.stack_alphabet),
-            "bottom": _jsonable(m.bottom),
-            "accepts": _sorted_json(m.accepts),
-            "accept_stack": _sorted_json(m.accept_stack),
-            "transitions": sorted(rows, key=json.dumps),
+        rows = [(q, "<" + base, dst, g) for q, base, dst, g in calls]
+        rows += internals
+        rows += [(q, base + ">", g, dst) for q, base, g, dst in returns]
+        fields = {
+            "alphabet": alphabet(),
+            "states": labels(m.states),
+            "stack_alphabet": labels(m.stack_alphabet),
+            "bottom": label(m.bottom),
+            "accepts": labels(m.accepts),
+            "accept_stack": labels(m.accept_stack),
+            "transitions": _rows(rows, texts),
         }
         if isinstance(m, Vpa):
-            doc["initial"] = _jsonable(m.initial)
+            fields["initial"] = label(m.initial)
         else:
-            doc["initials"] = _sorted_json(m.initials)
-        return doc
+            fields["initials"] = labels(m.initials)
+        return fields
     raise SerializationError(f"cannot serialize {type(m).__name__}")
 
 
-def _label(value: Any) -> Any:
+def dumps(m) -> str:
+    texts = _Texts()
+    fields = _fields(m, texts)
+    fields["kind"] = texts[m.kind]
+    return "{\n" + ",\n".join(f'  "{name}": {fields[name]}' for name in sorted(fields)) + "\n}\n"
+
+
+# ---------------------------------------------------------------------------
+# reading
+
+
+def _tuple(value: list) -> tuple:
+    """A JSON array label as a tuple, nested arrays included."""
+    return tuple([_tuple(v) if type(v) is list else v for v in value])
+
+
+def _label(value):
     """For a label that parsing puts into no set or key: hashing it here
     turns a JSON object into an error on its field, not a later one."""
-    label = _unjsonable(value)
-    hash(label)
-    return label
+    if type(value) is list:
+        value = _tuple(value)
+    hash(value)
+    return value
+
+
+def _array_of(value) -> list:
+    if type(value) is not list:
+        raise TypeError(f"expected an array, got {value!r}")
+    return value
 
 
 def _labels(values) -> frozenset:
-    return frozenset(_unjsonable(v) for v in values)
+    return frozenset([_tuple(v) if type(v) is list else v for v in _array_of(values)])
 
 
-def _field(doc: dict, name: str, convert=_label) -> Any:
+def _alphabet(values) -> tuple:
+    return tuple(map(_label, _array_of(values)))
+
+
+def _row_arrays(rows):
+    """The transition rows, each a JSON array, with array labels as tuples."""
+    for row in _array_of(rows):
+        if type(row) is not list:
+            raise TypeError(f"transition row {row!r} is not an array")
+        yield [_tuple(v) if type(v) is list else v for v in row] if list in map(type, row) else row
+
+
+def _field(doc: dict, name: str, convert=_label):
     """doc[name] through convert; a missing or malformed field raises a
     SerializationError that names it."""
     try:
@@ -127,51 +198,70 @@ def _field(doc: dict, name: str, convert=_label) -> Any:
         raise SerializationError(f"{doc['kind']} document has no {name!r} field") from None
     try:
         return convert(value)
+    except SerializationError:
+        raise
     except (LookupError, TypeError, ValueError) as exc:
         raise SerializationError(f"bad {name!r} field in {doc['kind']} document: {exc}") from None
 
 
 def _fsa_delta(rows) -> dict:
-    return {(_unjsonable(q), _unjsonable(sym)): _label(dst) for q, sym, dst in rows}
+    return {(q, sym): _label(dst) for q, sym, dst in _row_arrays(rows)}
 
 
 def _pda_delta(rows) -> dict:
-    return {
-        (_unjsonable(q), sym, _unjsonable(g)): (_label(dst), tuple(_label(p) for p in push))
-        for q, sym, g, dst, push in rows
-    }
+    delta = {}
+    for q, sym, g, dst, push in _row_arrays(rows):
+        if type(push) is not tuple:
+            raise TypeError(f"push word {push!r} is not an array")
+        delta[q, sym, g] = _label(dst), _label(push)
+    return delta
 
 
-def _vpa_deltas(rows) -> tuple:
-    """Call, internal and return tables, each mapping to a set of targets."""
+def _vpa_deltas(rows, single: bool) -> tuple:
+    """Call, internal and return tables.  A `single` (vpa) table maps each
+    key to its one target, and a second, different target is an error; an
+    nvpa table maps each key to a set of targets."""
     delta_c: dict = {}
     delta_i: dict = {}
     delta_r: dict = {}
-    for row in rows:
-        src = _unjsonable(row[0])
-        if not isinstance(row[1], str):
-            raise TypeError(f"token {row[1]!r} is not a string")
-        sym = parse_token(row[1])
-        if sym.tag is Tag.CALL:
-            _, _, dst, g = row
-            delta_c.setdefault((src, sym.base), set()).add((_unjsonable(dst), _unjsonable(g)))
-        elif sym.tag is Tag.INTERNAL:
-            _, _, dst = row
-            delta_i.setdefault((src, sym.base), set()).add(_unjsonable(dst))
+    tables = (delta_c, delta_i, delta_r)  # indexed by the Tag of a token
+    parsed: dict = {}  # token text -> (its table, its base letter)
+    for row in _row_arrays(rows):
+        token = row[1]
+        try:
+            table, base = parsed[token]
+        except (KeyError, TypeError):
+            if not isinstance(token, str):
+                raise TypeError(f"token {token!r} is not a string") from None
+            base, tag = parse_token(token)
+            table, base = parsed[token] = tables[tag], base
+        if table is delta_i:
+            src, _, move = row
+            key = (src, base)
+        elif table is delta_c:
+            src, _, dst, g = row
+            key, move = (src, base), (dst, g)
         else:
-            _, _, g, dst = row
-            delta_r.setdefault((src, sym.base, _unjsonable(g)), set()).add(_unjsonable(dst))
-    return delta_c, delta_i, delta_r
+            src, _, g, move = row
+            key = (src, base, g)
+        if single:
+            old = table.setdefault(key, move)
+            if old is not move and old != move:
+                raise SerializationError(f"vpa document is nondeterministic at {key!r}")
+        else:
+            targets = table.get(key)
+            if targets is None:
+                table[key] = {move}
+            else:
+                targets.add(move)
+    return tables
 
 
-def from_doc(doc: dict):
-    try:
-        kind = doc["kind"]
-    except (TypeError, KeyError):
-        raise SerializationError("document has no 'kind' field")
+def _machine(doc: dict):
+    kind = doc["kind"]
     if kind == "fsa":
         return Fsa(
-            alphabet=_field(doc, "alphabet", lambda v: tuple(map(_label, v))),
+            alphabet=_field(doc, "alphabet", _alphabet),
             states=_field(doc, "states", _labels),
             initial=_field(doc, "initial"),
             accepts=_field(doc, "accepts", _labels),
@@ -179,7 +269,7 @@ def from_doc(doc: dict):
         )
     if kind == "pda":
         return Pda(
-            alphabet=_field(doc, "alphabet", tuple),
+            alphabet=_field(doc, "alphabet", _alphabet),
             states=_field(doc, "states", _labels),
             stack_alphabet=_field(doc, "stack_alphabet", _labels),
             initial=_field(doc, "initial"),
@@ -188,48 +278,53 @@ def from_doc(doc: dict):
             delta=_field(doc, "transitions", _pda_delta),
         )
     if kind in ("vpa", "nvpa"):
-        delta_c, delta_i, delta_r = _field(doc, "transitions", _vpa_deltas)
+        single = kind == "vpa"
+        delta_c, delta_i, delta_r = _field(doc, "transitions", lambda rows: _vpa_deltas(rows, single))
         common = dict(
-            alphabet=_field(doc, "alphabet", tuple),
+            alphabet=_field(doc, "alphabet", _alphabet),
             states=_field(doc, "states", _labels),
             stack_alphabet=_field(doc, "stack_alphabet", _labels),
             bottom=_field(doc, "bottom"),
             accepts=_field(doc, "accepts", _labels),
             accept_stack=_field(doc, "accept_stack", _labels),
+            delta_c=delta_c,
+            delta_i=delta_i,
+            delta_r=delta_r,
         )
-        if kind == "nvpa":
-            return Nvpa(
-                initials=_field(doc, "initials", _labels),
-                delta_c=delta_c,
-                delta_i=delta_i,
-                delta_r=delta_r,
-                **common,
-            )
-        for table in (delta_c, delta_i, delta_r):
-            for key, targets in table.items():
-                if len(targets) > 1:
-                    raise SerializationError(f"vpa document is nondeterministic at {key!r}")
-        return Vpa(
-            initial=_field(doc, "initial"),
-            delta_c={k: next(iter(v)) for k, v in delta_c.items()},
-            delta_i={k: next(iter(v)) for k, v in delta_i.items()},
-            delta_r={k: next(iter(v)) for k, v in delta_r.items()},
-            **common,
-        )
+        if single:
+            return Vpa(initial=_field(doc, "initial"), **common)
+        return Nvpa(initials=_field(doc, "initials", _labels), **common)
     raise SerializationError(f"unknown machine kind {kind!r}")
 
 
-def dumps(m) -> str:
-    return json.dumps(to_doc(m), indent=2, sort_keys=True) + "\n"
+def from_doc(doc: dict):
+    """The machine a parsed document describes.  Every malformed document
+    raises SerializationError, a ValueError."""
+    try:
+        doc["kind"]
+    except (TypeError, KeyError):
+        raise SerializationError("document has no 'kind' field") from None
+    try:
+        return _machine(doc)
+    except SerializationError:
+        raise
+    except (TypeError, ValueError) as exc:  # the machine's own validation
+        raise SerializationError(f"invalid {doc['kind']} document: {exc}") from None
 
 
 def loads(text: str):
-    return from_doc(json.loads(text))
+    try:
+        return from_doc(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise SerializationError(f"not a JSON document: {exc}") from None
+    except RecursionError:
+        raise SerializationError("document nests arrays too deeply") from None
 
 
 def save(m, path) -> None:
+    text = dumps(m)  # before opening: a failing dumps leaves the file as it was
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(m))
+        fh.write(text)
 
 
 def load(path):

@@ -8,6 +8,7 @@ it is used to check.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from collections import deque
 
@@ -24,12 +25,15 @@ from nestword.groups import (
 from nestword.machines import (
     Fsa,
     Nvpa,
+    Pda,
     Vpa,
     canonicalize,
     fsa_run,
+    transition_rows,
     vpa_normalize_acceptance,
     vpa_run,
 )
+from nestword.serialize import SerializationError
 from nestword.words import (
     NEG_INF,
     POS_INF,
@@ -37,7 +41,9 @@ from nestword.words import (
     Tag,
     TaggedSymbol,
     all_tagged_words,
+    parse_token,
     reverse as reverse_word,
+    token_str,
 )
 
 
@@ -435,3 +441,196 @@ def well_matched_pairs_sweep(m: Vpa) -> dict:
                                 reach[q].add(dst)
                                 changed = True
     return reach
+
+
+# ---------------------------------------------------------------------------
+# reference serialization: the document built as a dict, printed by
+# json.dumps(indent=2, sort_keys=True), rows sorted with key=json.dumps, and
+# read back field by field.  The one-pass writer in nestword.serialize must
+# print the same bytes, and its reader must return the same machines (it
+# also rejects a string or object where an array is required, which this
+# reader unpacks).
+
+
+def _ref_jsonable(value):
+    if isinstance(value, tuple):
+        return [_ref_jsonable(v) for v in value]
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    raise SerializationError(
+        f"label {value!r} is not JSON-serializable; canonicalize() the machine first"
+    )
+
+
+def _ref_unjsonable(value):
+    if isinstance(value, list):
+        return tuple(_ref_unjsonable(v) for v in value)
+    return value
+
+
+def _ref_sorted_json(values) -> list:
+    return sorted((_ref_jsonable(v) for v in values), key=lambda v: json.dumps(v))
+
+
+def reference_to_doc(m) -> dict:
+    j = _ref_jsonable
+    if isinstance(m, Fsa):
+        return {
+            "kind": "fsa",
+            "alphabet": [j(a) for a in m.alphabet],
+            "states": _ref_sorted_json(m.states),
+            "initial": j(m.initial),
+            "accepts": _ref_sorted_json(m.accepts),
+            "transitions": sorted(
+                ([j(q), j(sym), j(dst)] for (q, sym), dst in m.delta.items()),
+                key=json.dumps,
+            ),
+        }
+    if isinstance(m, Pda):
+        return {
+            "kind": "pda",
+            "alphabet": list(m.alphabet),
+            "states": _ref_sorted_json(m.states),
+            "stack_alphabet": _ref_sorted_json(m.stack_alphabet),
+            "initial": j(m.initial),
+            "bottom": j(m.bottom),
+            "accepts": _ref_sorted_json(m.accepts),
+            "transitions": sorted(
+                (
+                    [j(q), sym, j(g), j(dst), [j(p) for p in push]]
+                    for (q, sym, g), (dst, push) in m.delta.items()
+                ),
+                key=json.dumps,
+            ),
+        }
+    if isinstance(m, (Vpa, Nvpa)):
+        calls, internals, returns = transition_rows(m)
+        rows = [[j(q), token_str(TaggedSymbol(b, Tag.CALL)), j(dst), j(g)] for q, b, dst, g in calls]
+        rows.extend([j(q), b, j(dst)] for q, b, dst in internals)
+        rows.extend([j(q), token_str(TaggedSymbol(b, Tag.RETURN)), j(g), j(dst)] for q, b, g, dst in returns)
+        doc = {
+            "kind": m.kind,
+            "alphabet": list(m.alphabet),
+            "states": _ref_sorted_json(m.states),
+            "stack_alphabet": _ref_sorted_json(m.stack_alphabet),
+            "bottom": j(m.bottom),
+            "accepts": _ref_sorted_json(m.accepts),
+            "accept_stack": _ref_sorted_json(m.accept_stack),
+            "transitions": sorted(rows, key=json.dumps),
+        }
+        if isinstance(m, Vpa):
+            doc["initial"] = j(m.initial)
+        else:
+            doc["initials"] = _ref_sorted_json(m.initials)
+        return doc
+    raise SerializationError(f"cannot serialize {type(m).__name__}")
+
+
+def reference_dumps(m) -> str:
+    return json.dumps(reference_to_doc(m), indent=2, sort_keys=True) + "\n"
+
+
+def _ref_label(value):
+    label = _ref_unjsonable(value)
+    hash(label)
+    return label
+
+
+def _ref_labels(values) -> frozenset:
+    return frozenset(_ref_unjsonable(v) for v in values)
+
+
+def _ref_field(doc: dict, name: str, convert=_ref_label):
+    try:
+        value = doc[name]
+    except KeyError:
+        raise SerializationError(f"{doc['kind']} document has no {name!r} field") from None
+    try:
+        return convert(value)
+    except (LookupError, TypeError, ValueError) as exc:
+        raise SerializationError(f"bad {name!r} field in {doc['kind']} document: {exc}") from None
+
+
+def _ref_vpa_deltas(rows) -> tuple:
+    u = _ref_unjsonable
+    delta_c: dict = {}
+    delta_i: dict = {}
+    delta_r: dict = {}
+    for row in rows:
+        src = u(row[0])
+        if not isinstance(row[1], str):
+            raise TypeError(f"token {row[1]!r} is not a string")
+        sym = parse_token(row[1])
+        if sym.tag is Tag.CALL:
+            _, _, dst, g = row
+            delta_c.setdefault((src, sym.base), set()).add((u(dst), u(g)))
+        elif sym.tag is Tag.INTERNAL:
+            _, _, dst = row
+            delta_i.setdefault((src, sym.base), set()).add(u(dst))
+        else:
+            _, _, g, dst = row
+            delta_r.setdefault((src, sym.base, u(g)), set()).add(u(dst))
+    return delta_c, delta_i, delta_r
+
+
+def reference_from_doc(doc: dict):
+    u, f = _ref_unjsonable, _ref_field
+    try:
+        kind = doc["kind"]
+    except (TypeError, KeyError):
+        raise SerializationError("document has no 'kind' field")
+    if kind == "fsa":
+        return Fsa(
+            alphabet=f(doc, "alphabet", lambda v: tuple(map(_ref_label, v))),
+            states=f(doc, "states", _ref_labels),
+            initial=f(doc, "initial"),
+            accepts=f(doc, "accepts", _ref_labels),
+            delta=f(doc, "transitions", lambda rows: {(u(q), u(sym)): _ref_label(dst) for q, sym, dst in rows}),
+        )
+    if kind == "pda":
+        return Pda(
+            alphabet=f(doc, "alphabet", tuple),
+            states=f(doc, "states", _ref_labels),
+            stack_alphabet=f(doc, "stack_alphabet", _ref_labels),
+            initial=f(doc, "initial"),
+            bottom=f(doc, "bottom"),
+            accepts=f(doc, "accepts", _ref_labels),
+            delta=f(doc, "transitions", lambda rows: {
+                (u(q), sym, u(g)): (_ref_label(dst), tuple(_ref_label(p) for p in push))
+                for q, sym, g, dst, push in rows
+            }),
+        )
+    if kind in ("vpa", "nvpa"):
+        delta_c, delta_i, delta_r = f(doc, "transitions", _ref_vpa_deltas)
+        common = dict(
+            alphabet=f(doc, "alphabet", tuple),
+            states=f(doc, "states", _ref_labels),
+            stack_alphabet=f(doc, "stack_alphabet", _ref_labels),
+            bottom=f(doc, "bottom"),
+            accepts=f(doc, "accepts", _ref_labels),
+            accept_stack=f(doc, "accept_stack", _ref_labels),
+        )
+        if kind == "nvpa":
+            return Nvpa(
+                initials=f(doc, "initials", _ref_labels),
+                delta_c=delta_c,
+                delta_i=delta_i,
+                delta_r=delta_r,
+                **common,
+            )
+        for table in (delta_c, delta_i, delta_r):
+            for key, targets in table.items():
+                if len(targets) > 1:
+                    raise SerializationError(f"vpa document is nondeterministic at {key!r}")
+        return Vpa(
+            initial=f(doc, "initial"),
+            delta_c={k: next(iter(v)) for k, v in delta_c.items()},
+            delta_i={k: next(iter(v)) for k, v in delta_i.items()},
+            delta_r={k: next(iter(v)) for k, v in delta_r.items()},
+            **common,
+        )
+    raise SerializationError(f"unknown machine kind {kind!r}")
+
+
+def reference_loads(text: str):
+    return reference_from_doc(json.loads(text))
