@@ -2,16 +2,19 @@
 
 Regular operations return deterministic FSAs (nondeterministic intermediates
 are determinized).  VPL union/intersection/complement return deterministic
-VPAs holding only the states and stack symbols a run can reach from the
-initial state, found by breadth-first search; tags keep both stacks of a
-product in lockstep.  Intersection takes its inputs as they are; union and
-complement complete theirs and make acceptance state-only, normalizing only
-when some stack symbol is unacceptable.  Concatenation, star, and reversal
-return NVPAs whose membership is decided by the summary run (`nvpa_run`:
-one frame of (entry, state) pairs per pending call, at any depth);
-prefix-closure membership is decided directly by saturation instead of
-building a machine, and the same summaries decide emptiness and
-equivalence of VPAs exactly (`vpa_is_empty`, `vpl_equivalent`).
+VPAs holding only the states, stack symbols and moves a run can reach from
+the initial state, found by a worklist over (state, stack top) pairs: a
+return is kept only at a pair the search reaches, and the search
+over-approximates only which call pushed a symbol.  Tags keep both stacks
+of a product in lockstep.  Intersection takes its inputs as they are;
+union and complement complete theirs and make acceptance state-only,
+normalizing only when some stack symbol is unacceptable.  Concatenation,
+star, and reversal return NVPAs whose membership is decided by the
+summary run (`nvpa_run`: one frame of (entry, state) pairs per pending
+call, at any depth); prefix-closure membership is decided directly by
+saturation instead of building a machine, and the same summaries decide
+emptiness and equivalence of VPAs exactly (`vpa_is_empty`,
+`vpl_equivalent`).
 
 Union/intersection/complement/concat/star/reverse outputs are canonicalized
 (reachable part, q0/q1... names).  `shuffle` and `relabel_image` keep their
@@ -159,66 +162,98 @@ def reg_prefix(m: Fsa) -> Fsa:
 
 
 def _reachable_vpa(alphabet, initial, bottom, call, internal, ret, accepts, acceptable) -> Vpa:
-    """The canonical part of a deterministic VPA that runs can reach, found
-    by breadth-first search from `initial`.  `call`, `internal` and `ret`
-    look a move up by its key, as the `Vpa` tables are keyed, and give
-    None where there is none.
+    """The canonical part of a deterministic VPA that runs can reach from
+    `initial`.  `call`, `internal` and `ret` look a move up by its key, as
+    the `Vpa` tables are keyed, and give None where there is none.
 
-    Stack symbols are found as calls push them; every state found gets
-    returns on every symbol found and on `bottom` (an over-approximation
-    of which tops a state meets, never of the language).  `accepts` and
-    `acceptable` are the predicates on states and pushed symbols.
+    The search is the summary reachability of Alur and Madhusudan over
+    (state, top) pairs, by worklist as in Reps, Horwitz and Sagiv; a state
+    is expanded with all its tops found since it last was.  Each state's
+    internal and call moves are looked up once.  A call from (q, t)
+    pushing g reaches (dst, g) and records t in `under[g]`.  A return row
+    is looked up, and kept, only for a reached pair: one popping g to r
+    reaches (r, t) for every t in `under[g]`, now or later, and one
+    reading the bottom reaches (r, bottom).  Every configuration a run
+    reaches has its (state, top) pair in the set and each adjacent stack
+    pair in `under`, so this over-approximates only which caller pushed g,
+    never the language.  `accepts` and `acceptable` are the predicates on
+    states and pushed symbols.
     """
-    seen = {initial}
-    queue = deque([initial])
-    expanded: list = []
-    tops = {bottom: None}  # insertion-ordered set
+    moves: dict = {}  # state -> (internal targets, pushed symbols)
+    under: dict = {}  # pushed symbol -> tops found directly beneath it
+    exits: dict = {}  # pushed symbol -> states a return popping it leads to
+    tops_of: dict = {}  # state -> the tops it is reached with
+    pending: dict = {}  # state -> those of its tops not yet expanded
     delta_c: dict = {}
     delta_i: dict = {}
     delta_r: dict = {}
 
-    def reach(state) -> None:
-        if state not in seen:
-            seen.add(state)
-            queue.append(state)
+    def reach(state, tops: set) -> None:
+        known = tops_of.get(state)
+        if known is None:
+            tops_of[state] = set(tops)
+            pending[state] = set(tops)
+        elif not tops <= known:
+            fresh = tops - known
+            known |= fresh
+            if state in pending:
+                pending[state] |= fresh
+            else:
+                pending[state] = fresh
 
-    def add_returns(state, top) -> None:
-        for a in alphabet:
-            dst = ret((state, a, top))
-            if dst is not None:
-                delta_r[(state, a, top)] = dst
-                reach(dst)
-
-    while queue:
-        state = queue.popleft()
-        for a in alphabet:
-            dst = internal((state, a))
-            if dst is not None:
-                delta_i[(state, a)] = dst
-                reach(dst)
-            move = call((state, a))
-            if move is not None:
-                delta_c[(state, a)] = move
-                dst, pushed = move
-                reach(dst)
-                if pushed not in tops:
-                    tops[pushed] = None
-                    for earlier in expanded:
-                        add_returns(earlier, pushed)
-        expanded.append(state)
+    reach(initial, {bottom})
+    while pending:
+        state = next(iter(pending))
+        tops = pending.pop(state)
+        if state not in moves:
+            targets, pushes = moves[state] = [], []
+            for a in alphabet:
+                dst = internal((state, a))
+                if dst is not None:
+                    delta_i[(state, a)] = dst
+                    targets.append(dst)
+                move = call((state, a))
+                if move is not None:
+                    delta_c[(state, a)] = move
+                    dst, pushed = move
+                    pushes.append(pushed)
+                    if pushed not in under:
+                        under[pushed], exits[pushed] = set(), set()
+                    reach(dst, {pushed})
+        targets, pushes = moves[state]
+        for dst in targets:
+            reach(dst, tops)
+        for pushed in pushes:
+            below = under[pushed]
+            if not tops <= below:
+                fresh = tops - below
+                below |= fresh
+                for dst in exits[pushed]:
+                    reach(dst, fresh)
         for top in tops:
-            add_returns(state, top)
+            found = exits.get(top)  # None for the bottom, which a return reads in place
+            for a in alphabet:
+                key = (state, a, top)
+                dst = ret(key)
+                if dst is None:
+                    continue
+                delta_r[key] = dst
+                if found is None:
+                    reach(dst, {top})
+                elif dst not in found:
+                    found.add(dst)
+                    reach(dst, under[top])
 
-    stack = list(tops)[1:]
+    states = frozenset(moves)
     return canonicalize(
         Vpa(
             alphabet=alphabet,
-            states=frozenset(seen),
-            stack_alphabet=frozenset(stack),
+            states=states,
+            stack_alphabet=frozenset(under),
             bottom=bottom,
             initial=initial,
-            accepts=frozenset(filter(accepts, seen)),
-            accept_stack=frozenset(filter(acceptable, stack)),
+            accepts=frozenset(filter(accepts, states)),
+            accept_stack=frozenset(filter(acceptable, under)),
             delta_c=delta_c,
             delta_i=delta_i,
             delta_r=delta_r,

@@ -735,18 +735,18 @@ def _sorted_by_repr(items):
 def canonicalize(m):
     """Rename states (and VPA stack symbols) to q0,q1,.../g0,g1,... in BFS order.
 
-    Only the reachable part is kept (reachability over-approximates by
-    ignoring which stack symbols can actually be on top).  The accepted
-    language is unchanged.  Useful after product constructions, whose
-    structured state tuples are not JSON-serializable.
+    Only the reachable part is kept.  The search follows a return only on
+    the bottom or on a symbol that a call of a reached state pushes; it
+    still over-approximates by ignoring which of those symbols a state can
+    actually meet on top.  The accepted language is unchanged.  Useful
+    after product constructions, whose structured state tuples are not
+    JSON-serializable.
     """
     if isinstance(m, Fsa):
         return _canonicalize_fsa(m)
     if not isinstance(m, (Vpa, Nvpa)):
         raise TypeError(f"cannot canonicalize {type(m).__name__}")
-    names, syms = _bfs_names(m)
-    syms[m.bottom] = "$"
-    return rename_machine(m, names, syms)
+    return rename_machine(m, *_bfs_names(m))
 
 
 def _canonicalize_fsa(m: Fsa) -> Fsa:
@@ -775,44 +775,60 @@ def _canonicalize_fsa(m: Fsa) -> Fsa:
     )
 
 
-def _successor_index(m) -> dict:
-    """(state, base) -> [(successor, pushed-or-None)]."""
-    index: dict = {}
+def _successor_index(m) -> tuple[dict, dict]:
+    """Two maps from (state, base): to its calls as (successor, pushed) and
+    internals as (successor,); and to its returns as (top, (successor,))."""
+    moves: dict = {}
+    pops: dict = {}
     calls, internals, returns = transition_rows(m)
     for q, base, dst, g in calls:
-        index.setdefault((q, base), []).append((dst, g))
+        moves.setdefault((q, base), []).append((dst, g))
     for q, base, dst in internals:
-        index.setdefault((q, base), []).append((dst, None))
-    for q, base, _, dst in returns:
-        index.setdefault((q, base), []).append((dst, None))
-    return index
+        moves.setdefault((q, base), []).append((dst,))
+    for q, base, g, dst in returns:
+        pops.setdefault((q, base), []).append((g, (dst,)))
+    return moves, pops
 
 
 def _bfs_names(m) -> tuple[dict, dict]:
-    """BFS names of the reachable states and pushable symbols of m.
+    """BFS names of the reachable states and stack symbols of m, the
+    bottom named "$"; each state's moves on a letter are taken in repr
+    order.
 
+    A return is followed on the bottom, or on a symbol once a call of a
+    named state has pushed it; until then its target waits in `deferred`,
+    and the targets waiting on a symbol are named in repr order.
     The successor index lives only while names are handed out, so it is
     freed before the renamed tables are built.
     """
-    successors = _successor_index(m)
-    state_names = {}
-    sym_names = {}
-    order = []
-    starts = [m.initial] if isinstance(m, Vpa) else _sorted_by_repr(m.initials)
-    for q in starts:
-        state_names[q] = f"q{len(order)}"
-        order.append(q)
-    queue = deque(order)
-    while queue:
-        q = queue.popleft()
+    moves, pops = _successor_index(m)
+    state_names: dict = {}
+    sym_names = {m.bottom: "$"}
+    deferred: dict = {}  # symbol not pushed yet -> targets of returns reading it
+    order: list = []
+
+    def name(q) -> None:
+        if q not in state_names:
+            state_names[q] = f"q{len(order)}"
+            order.append(q)
+
+    for q in [m.initial] if isinstance(m, Vpa) else _sorted_by_repr(m.initials):
+        name(q)
+    for q in order:  # grows while it is walked: a breadth-first queue
         for base in m.alphabet:
-            for dst, pushed in _sorted_by_repr(successors.get((q, base), ())):
-                if pushed is not None and pushed not in sym_names:
-                    sym_names[pushed] = f"g{len(sym_names)}"
-                if dst not in state_names:
-                    state_names[dst] = f"q{len(order)}"
-                    order.append(dst)
-                    queue.append(dst)
+            ready = [*moves.get((q, base), ())]
+            for top, move in pops.get((q, base), ()):
+                if top in sym_names:
+                    ready.append(move)
+                else:
+                    deferred.setdefault(top, []).append(move[0])
+            for move in _sorted_by_repr(ready):
+                if move[0] not in state_names:
+                    name(move[0])
+                if len(move) == 2 and move[1] not in sym_names:
+                    sym_names[move[1]] = f"g{len(sym_names) - 1}"
+                    for waiting in _sorted_by_repr(deferred.pop(move[1], ())):
+                        name(waiting)
     return state_names, sym_names
 
 

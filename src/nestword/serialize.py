@@ -10,13 +10,15 @@ fields are emitted in a sorted canonical order, and transition rows are
 
 The VPA bottom symbol is serialized under "bottom" and may appear as the
 stack symbol of return rows.  Tuple-shaped labels (pair-FSA symbols) become
-JSON arrays and are read back as tuples.  Every list-valued field, every
-row and every push word must be a JSON array.
+JSON arrays and are read back as tuples.  A float label must be finite:
+JSON has no NaN or infinity.  Every list-valued field, every row and every
+push word must be a JSON array.  In an fsa, pda or vpa document a row may
+repeat, but two different rows for one key are an error.
 
-Byte contract: `dumps(m)` is exactly `json.dumps(doc, indent=2,
-sort_keys=True) + "\\n"` of the document, where label sets and transition
-rows are ordered by their compact JSON text (`json.dumps(value)` with the
-default separators), and the alphabet keeps the machine's order.
+Byte contract: where `dumps(m)` succeeds it is exactly `json.dumps(doc,
+indent=2, sort_keys=True) + "\\n"` of the document, where label sets and
+transition rows are ordered by their compact JSON text (`json.dumps(value)`
+with the default separators), and the alphabet keeps the machine's order.
 The writer prints that layout itself in one pass, encoding each string
 label once per document, so parse-then-print is the identity on printed
 documents.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
+from math import isfinite
 
 from .machines import Fsa, Nvpa, Pda, Vpa, transition_rows
 from .words import parse_token
@@ -53,6 +56,8 @@ class _Texts(dict):
         if isinstance(label, str):
             text = self[label] = encode_basestring_ascii(label)
             return text
+        if isinstance(label, float) and not isfinite(label):
+            raise SerializationError(f"label {label!r} has no JSON form: NaN and infinities are not JSON")
         if isinstance(label, (int, float)) or label is None:
             return json.dumps(label)
         raise SerializationError(
@@ -204,16 +209,27 @@ def _field(doc: dict, name: str, convert=_label):
         raise SerializationError(f"bad {name!r} field in {doc['kind']} document: {exc}") from None
 
 
+def _put(table: dict, key, value, kind: str) -> None:
+    """table[key] = value for a deterministic table: a repeated row loads,
+    a second, different value for a key is an error."""
+    old = table.setdefault(key, value)
+    if old is not value and old != value:
+        raise SerializationError(f"{kind} document is nondeterministic at {key!r}")
+
+
 def _fsa_delta(rows) -> dict:
-    return {(q, sym): _label(dst) for q, sym, dst in _row_arrays(rows)}
+    delta: dict = {}
+    for q, sym, dst in _row_arrays(rows):
+        _put(delta, (q, sym), _label(dst), "fsa")
+    return delta
 
 
 def _pda_delta(rows) -> dict:
-    delta = {}
+    delta: dict = {}
     for q, sym, g, dst, push in _row_arrays(rows):
         if type(push) is not tuple:
             raise TypeError(f"push word {push!r} is not an array")
-        delta[q, sym, g] = _label(dst), _label(push)
+        _put(delta, (q, sym, g), (_label(dst), _label(push)), "pda")
     return delta
 
 
@@ -244,7 +260,7 @@ def _vpa_deltas(rows, single: bool) -> tuple:
         else:
             src, _, g, move = row
             key = (src, base, g)
-        if single:
+        if single:  # _put, inlined on the hot path of every vpa row
             old = table.setdefault(key, move)
             if old is not move and old != move:
                 raise SerializationError(f"vpa document is nondeterministic at {key!r}")

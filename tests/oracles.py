@@ -379,30 +379,37 @@ def _complete_outside_accept_stack(m: Vpa) -> Vpa:
     )
 
 
+def pair_product(m1: Vpa, m2: Vpa, keep) -> Vpa:
+    """Every pair of states and of stack symbols of m1 and m2 as they are,
+    with a move wherever both machines have one; not canonicalized."""
+    states = {(p, q) for p in m1.states for q in m2.states}
+    stack = {(g1, g2) for g1 in m1.stack_alphabet for g2 in m2.stack_alphabet}
+    bottom = (m1.bottom, m2.bottom)
+    delta_c, delta_i, delta_r = {}, {}, {}
+    for p, q in states:
+        for a in m1.alphabet:
+            if (p, a) in m1.delta_c and (q, a) in m2.delta_c:
+                (d1, g1), (d2, g2) = m1.delta_c[(p, a)], m2.delta_c[(q, a)]
+                delta_c[((p, q), a)] = ((d1, d2), (g1, g2))
+            if (p, a) in m1.delta_i and (q, a) in m2.delta_i:
+                delta_i[((p, q), a)] = (m1.delta_i[(p, a)], m2.delta_i[(q, a)])
+            for s1, s2 in stack | {bottom}:
+                if (p, a, s1) in m1.delta_r and (q, a, s2) in m2.delta_r:
+                    delta_r[((p, q), a, (s1, s2))] = (m1.delta_r[(p, a, s1)], m2.delta_r[(q, a, s2)])
+    accepts = {(p, q) for p, q in states if keep(p in m1.accepts, q in m2.accepts)}
+    accept_stack = {(g1, g2) for g1, g2 in stack if g1 in m1.accept_stack and g2 in m2.accept_stack}
+    return Vpa(
+        m1.alphabet, states, stack, bottom, (m1.initial, m2.initial), accepts,
+        accept_stack, delta_c, delta_i, delta_r,
+    )
+
+
 def full_vpa_product(m1: Vpa, m2: Vpa, keep) -> Vpa:
     """Every pair of states and of stack symbols of the completed,
     acceptance-normalized inputs, then the reachable part."""
     n1 = vpa_normalize_acceptance(_complete_outside_accept_stack(m1))
     n2 = vpa_normalize_acceptance(_complete_outside_accept_stack(m2))
-    states = {(p, q) for p in n1.states for q in n2.states}
-    stack = {(g1, g2) for g1 in n1.stack_alphabet for g2 in n2.stack_alphabet}
-    bottom = (n1.bottom, n2.bottom)
-    delta_c, delta_i, delta_r = {}, {}, {}
-    for p, q in states:
-        for a in m1.alphabet:
-            d1, g1 = n1.delta_c[(p, a)]
-            d2, g2 = n2.delta_c[(q, a)]
-            delta_c[((p, q), a)] = ((d1, d2), (g1, g2))
-            delta_i[((p, q), a)] = (n1.delta_i[(p, a)], n2.delta_i[(q, a)])
-            for s1, s2 in stack | {bottom}:
-                delta_r[((p, q), a, (s1, s2))] = (n1.delta_r[(p, a, s1)], n2.delta_r[(q, a, s2)])
-    accepts = {(p, q) for p, q in states if keep(p in n1.accepts, q in n2.accepts)}
-    return canonicalize(
-        Vpa(
-            m1.alphabet, states, stack, bottom, (n1.initial, n2.initial), accepts,
-            stack, delta_c, delta_i, delta_r,
-        )
-    )
+    return canonicalize(pair_product(n1, n2, keep))
 
 
 def full_vpl_complement(m: Vpa) -> Vpa:
@@ -414,6 +421,51 @@ def full_vpl_complement(m: Vpa) -> Vpa:
             n.states - n.accepts, n.accept_stack, n.delta_c, n.delta_i, n.delta_r,
         )
     )
+
+
+def exact_state_tops(m: Vpa) -> set:
+    """The (state, top) pairs of the configurations that runs of m reach,
+    exactly, by a search over frames.
+
+    A frame (entry, top) is a state entered with `top` on the stack: the
+    root (initial, bottom), or the target and symbol of a call.  What a run
+    reaches inside a frame before popping its top depends on the frame
+    alone, so a return popping a frame's top leads into exactly the frames
+    whose states made the call that entered it.
+    """
+    root = (m.initial, m.bottom)
+    reached = {(root, m.initial)}
+    todo = [(root, m.initial)]
+    callers: dict = {}  # frame -> frames a call entered it from
+    exits: dict = {}  # frame -> states a return popping its top leads to
+
+    def reach(frame, state) -> None:
+        if (frame, state) not in reached:
+            reached.add((frame, state))
+            todo.append((frame, state))
+
+    while todo:
+        frame, q = todo.pop()
+        top = frame[1]
+        for a in m.alphabet:
+            if (q, a) in m.delta_i:
+                reach(frame, m.delta_i[(q, a)])
+            if (q, a) in m.delta_c:
+                inner = m.delta_c[(q, a)]
+                if frame not in callers.setdefault(inner, set()):
+                    callers[inner].add(frame)
+                    for dst in exits.get(inner, ()):
+                        reach(frame, dst)
+                reach(inner, inner[0])
+            if (q, a, top) in m.delta_r:
+                dst = m.delta_r[(q, a, top)]
+                if frame == root:
+                    reach(root, dst)
+                elif dst not in exits.setdefault(frame, set()):
+                    exits[frame].add(dst)
+                    for caller in callers[frame]:
+                        reach(caller, dst)
+    return {(q, frame[1]) for frame, q in reached}
 
 
 def well_matched_pairs_sweep(m: Vpa) -> dict:

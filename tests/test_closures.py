@@ -9,10 +9,12 @@ import pytest
 from oracles import (
     ExtensionOracle,
     concat_oracle,
+    exact_state_tops,
     full_vpa_product,
     full_vpl_complement,
     interleavings,
     internal_word,
+    pair_product,
     random_fsa,
     random_vpa,
     reverse_oracle,
@@ -22,6 +24,7 @@ from oracles import (
     well_matched_pairs_sweep,
 )
 
+from nestword import closures
 from nestword.closures import (
     AlphabetMismatch,
     NonDisjointAlphabets,
@@ -270,12 +273,21 @@ def random_vpa_pairs(seed, count):
     return [(one(), one()) for _ in range(count)]
 
 
+def _seed_pair():
+    # the 6-state, 3-letter machines of seeds 1 and 2, where the products
+    # keep the fewest of the all-tops search's returns
+    return (
+        random_vpa(random.Random(1), 6, ("a", "b", "c"), 3),
+        random_vpa(random.Random(2), 6, ("a", "b", "c"), 3),
+    )
+
+
 def test_vpl_boolean_ops_agree_with_full_products():
     # the reachable-only products against the full products of completed,
     # normalized machines, on every tagged word up to length 5
-    words = list(all_tagged_words(("a", "b"), 5))
     runs = 0
-    for m1, m2 in random_vpa_pairs(7001, 16):
+    for m1, m2 in random_vpa_pairs(7001, 16) + [_seed_pair()]:
+        words = list(all_tagged_words(m1.alphabet, 5))
         full_comp = full_vpl_complement(m1)
         pairs = (
             (vpl_union(m1, m2), full_vpa_product(m1, m2, lambda a, b: a or b)),
@@ -287,7 +299,63 @@ def test_vpl_boolean_ops_agree_with_full_products():
             for w in words:
                 assert vpa_run(new, w).accepted == vpa_run(reference, w).accepted, w
             runs += 2 * len(words)
-    assert runs >= 1_000_000
+    assert runs >= 1_500_000
+
+
+def _searched(build):
+    """build()'s output as the (state, top) search left it, before the
+    canonical renaming."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(closures, "canonicalize", lambda m: m)
+        return build()
+
+
+def _assert_keeps_every_return_a_run_can_take(out: Vpa, m: Vpa) -> None:
+    """`out`, searched from machine m, keeps each return row of m at every
+    (state, top) pair a run of m reaches, and only rows of m."""
+    pairs = exact_state_tops(m)
+    assert {q for q, _ in pairs} <= out.states
+    for q, top in pairs:
+        for a in m.alphabet:
+            if (q, a, top) in m.delta_r:
+                assert out.delta_r.get((q, a, top)) == m.delta_r[(q, a, top)], (q, a, top)
+    assert out.delta_r.items() <= m.delta_r.items()
+    assert out.delta_c.items() <= m.delta_c.items()
+    assert out.delta_i.items() <= m.delta_i.items()
+
+
+def test_reachable_search_keeps_every_return_a_run_can_take():
+    rng = random.Random(7006)
+    for _ in range(40):
+        m = random_vpa(
+            rng, n_states=rng.randrange(2, 7), alphabet=("a", "b", "c")[: rng.randrange(1, 4)],
+            n_stack=rng.randrange(1, 4), density=rng.choice((0.3, 0.5, 0.8, 1.0)),
+        )
+        out = _searched(lambda: closures._reachable_vpa(
+            m.alphabet, m.initial, m.bottom, m.delta_c.get, m.delta_i.get, m.delta_r.get,
+            m.accepts.__contains__, m.accept_stack.__contains__,
+        ))
+        _assert_keeps_every_return_a_run_can_take(out, m)
+
+
+def test_boolean_products_keep_every_return_a_run_can_take():
+    for m1, m2 in random_vpa_pairs(7007, 12) + [_seed_pair()]:
+        n1, n2 = closures._total_state_acceptance(m1), closures._total_state_acceptance(m2)
+        for build, machine in (
+            (lambda: vpl_union(m1, m2), pair_product(n1, n2, lambda a, b: a or b)),
+            (lambda: vpl_intersection(m1, m2), pair_product(m1, m2, lambda a, b: a and b)),
+            (lambda: vpl_complement(m1), n1),
+        ):
+            _assert_keeps_every_return_a_run_can_take(_searched(build), machine)
+
+
+def test_vpl_union_keeps_at_most_half_the_returns_of_the_all_tops_search():
+    m1, m2 = _seed_pair()
+    union = vpl_union(m1, m2)
+    # the search that gave every reached state a return on every reached
+    # top kept 98 states and 9,702 returns
+    assert len(union.states) == 98
+    assert len(union.delta_r) <= 9_702 // 2
 
 
 def _edges(m: Vpa):
@@ -352,8 +420,11 @@ def test_vpl_double_complement_is_smaller_than_full_product():
     m = random_vpa(random.Random(1), 6, ("a", "b", "c"), 3)
     full = full_vpl_complement(full_vpl_complement(m))
     twice = vpl_complement(vpl_complement(m))
-    assert len(full.states) == 30
-    assert len(twice.states) < 30
+    # canonicalize keeps 8 of the full product's 30 states, as it follows a
+    # return only on a symbol that a reached call pushes
+    assert len(full.states) == 8
+    assert len(twice.states) < 8
+    assert len(twice.delta_r) < len(full.delta_r)
     for w in all_tagged_words(m.alphabet, 4):
         assert vpa_run(twice, w).accepted == vpa_run(m, w).accepted
 

@@ -29,6 +29,7 @@ from nestword.machines import (
     nvpa_run,
     pda_run,
     pda_step,
+    transition_rows,
     vpa_complete,
     vpa_from_fsa,
     vpa_normalize_acceptance,
@@ -462,6 +463,55 @@ def test_canonicalize_preserves_language_and_names():
         assert vpa_run(c, tw).accepted == vpa_run(m, tw).accepted
 
 
+def _pops_unpushed_symbol() -> Vpa:
+    # p pushes only g; the return into q reads h, which nothing pushes
+    return Vpa(
+        ("a",), {"p", "q"}, {"g", "h"}, "$", "p", {"p"}, {"g", "h"},
+        {("p", "a"): ("p", "g")}, {}, {("p", "a", "h"): "q"},
+    )
+
+
+@pytest.mark.parametrize("embed", [lambda m: m, nvpa_from_vpa], ids=["vpa", "nvpa"])
+def test_canonicalize_names_no_state_behind_an_unpushed_symbol(embed):
+    c = canonicalize(embed(_pops_unpushed_symbol()))
+    assert c.states == {"q0"}
+    assert c.stack_alphabet == {"g0"}
+    assert not c.delta_r
+
+
+@pytest.mark.parametrize("embed", [lambda m: m, nvpa_from_vpa], ids=["vpa", "nvpa"])
+def test_canonicalize_follows_a_deferred_return_once_its_symbol_is_pushed(embed):
+    # the return on h is met before the call that pushes h, one state later
+    m = Vpa(
+        ("a", "b"), {"p", "r", "s", "t"}, {"h"}, "$", "p", {"t"}, set(),
+        {("r", "a"): ("s", "h")}, {("p", "a"): "r"}, {("p", "b", "h"): "t"},
+    )
+    c = canonicalize(embed(m))
+    assert len(c.states) == 4
+    assert c.stack_alphabet == {"g0"}
+    rows = c.delta_r.items() if isinstance(c, Vpa) else ((k, d) for k, ds in c.delta_r.items() for d in ds)
+    assert [(key[2], dst) for key, dst in rows] == [("g0", "q3")]
+    for tw in all_tagged_words(m.alphabet, 4):
+        assert machine_accepts(c, tw) == machine_accepts(embed(m), tw)
+
+
+def test_canonicalize_names_a_pushed_none_symbol():
+    # a call pushing the label None used to be taken for an internal move
+    m = Vpa(("a",), {"p"}, {None}, "$", "p", {"p"}, {None}, {("p", "a"): ("p", None)}, {}, {("p", "a", None): "p"})
+    c = canonicalize(m)
+    assert c.delta_c == {("q0", "a"): ("q0", "g0")}
+    assert c.delta_r == {("q0", "a", "g0"): "q0"}
+
+
+def test_canonicalize_keeps_every_state_a_named_move_reaches():
+    # every state but the initial one has an incoming kept move
+    for seed in range(40):
+        m = canonicalize(random_vpa(random.Random(seed), n_states=5, n_stack=3, density=0.5))
+        calls, internals, returns = transition_rows(m)
+        targets = {row[2] for row in calls} | {row[2] for row in internals} | {row[3] for row in returns}
+        assert m.states - {m.initial} <= targets
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_canonicalize_commutes_with_nvpa_embedding(seed):
@@ -509,7 +559,7 @@ def test_dumps_golden_digest():
     # pins the JSON text and the canonical names of every output, byte for byte
     digest, kinds = _dumps_digest(golden_closure_machines())
     assert kinds == {"vpa", "nvpa"}
-    assert digest == "baa3265ed8e1c1922bd9d17225e7d273aaeaaefa41730cbf8c183f099f9fc42b"
+    assert digest == "88594c031c66365d7a70822fe522c5186a2b25df81436c4630290f3019ff0ad8"
 
 
 def test_dumps_golden_digest_builders():

@@ -107,25 +107,38 @@ def visibly_pushdown(draw, nondeterministic: bool):
 machines = st.one_of(fsas(), pdas(), visibly_pushdown(False), visibly_pushdown(True))
 
 
+def _non_finite(text: str) -> list:
+    """The NaN and infinity constants in a reference text, which JSON lacks."""
+    found: list = []
+    json.loads(text, parse_constant=found.append)
+    return found
+
+
 @settings(max_examples=400, deadline=None)
 @given(machines)
 def test_dumps_and_loads_match_the_reference(m):
-    text = serialize.dumps(m)
-    assert text == reference_dumps(m)
-    # distinct NaN labels all read back as one NaN, which can shrink a set or
-    # break the machine's own checks (a bottom among the pushable symbols)
-    collapses = "NaN" in text
-    try:
-        want = reference_loads(text)
-    except ValueError:
-        assert collapses
-        with pytest.raises(serialize.SerializationError):
-            serialize.loads(text)
+    reference = reference_dumps(m)
+    if _non_finite(reference):
+        # the reference prints NaN and infinities, which are not JSON and
+        # read back as other machines (distinct NaN labels become one)
+        with pytest.raises(serialize.SerializationError, match=r"label (nan|inf|-inf) has no JSON form"):
+            serialize.dumps(m)
         return
+    text = serialize.dumps(m)
+    assert text == reference
     got = serialize.loads(text)
     assert type(got) is type(m)
-    assert got == want
-    assert serialize.dumps(got) == text or collapses
+    assert got == reference_loads(text)
+    assert serialize.dumps(got) == text
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_dumps_names_a_nan_or_infinite_label(bad):
+    fsa = Fsa(("a",), {bad, 1.0}, 1.0, set(), {(1.0, "a"): bad})
+    vpa = Vpa(("a",), {"p"}, {("g", bad)}, "$", "p", set(), set(), {("p", "a"): ("p", ("g", bad))}, {}, {})
+    for m in (fsa, vpa):
+        with pytest.raises(serialize.SerializationError, match=f"label {bad!r} has no JSON form"):
+            serialize.dumps(m)
 
 
 def test_dumps_matches_the_reference_on_seeded_machines():
@@ -192,6 +205,18 @@ def test_cli_reports_a_string_for_an_array(tmp_path):
     path = tmp_path / "strings.json"
     path.write_text(json.dumps({**VPA, "states": "pq"}))
     assert cli_main(["check", "--automaton", str(path), "a"]) == 2
+
+
+def test_fsa_and_pda_documents_repeated_row_loads_conflicting_row_raises():
+    m = serialize.loads(json.dumps({**FSA, "transitions": [["p", "a", "q"], ["p", "a", "q"]]}))
+    assert m.delta == {("p", "a"): "q"}
+    with pytest.raises(serialize.SerializationError, match=r"fsa document is nondeterministic at \('p', 'a'\)"):
+        serialize.loads(json.dumps({**FSA, "transitions": [["p", "a", "q"], ["p", "a", "p"]]}))
+    row = ["p", "a", "Z", "q", ["Z"]]
+    assert serialize.loads(json.dumps({**PDA, "transitions": [row, row]})).delta == {("p", "a", "Z"): ("q", ("Z",))}
+    for other in (["p", "a", "Z", "p", ["Z"]], ["p", "a", "Z", "q", []]):
+        with pytest.raises(serialize.SerializationError, match=r"pda document is nondeterministic at \('p', 'a', 'Z'\)"):
+            serialize.loads(json.dumps({**PDA, "transitions": [row, other]}))
 
 
 def test_vpa_document_repeated_row_loads_conflicting_row_raises():
@@ -288,12 +313,46 @@ def _array_slot_holds_non_array(doc) -> bool:
     return kind == "pda" and any(len(row) == 5 and not isinstance(row[4], list) for row in rows)
 
 
+def _freeze(value):
+    return tuple(map(_freeze, value)) if isinstance(value, list) else value
+
+
+def _conflicting_rows(doc) -> bool:
+    """An fsa or pda document with two different rows for one key, where
+    the reference keeps the last and `loads` raises."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    rows = doc.get("transitions") if kind in ("fsa", "pda") else None
+    if not isinstance(rows, list):
+        return False
+    width = 2 if kind == "fsa" else 3
+    targets: dict = {}
+    for row in map(_freeze, rows):
+        try:
+            if targets.setdefault(row[:width], row[width:]) != row[width:]:
+                return True
+        except TypeError:  # an unhashable label
+            return False
+    return False
+
+
+def _with_conflict(rng: random.Random, doc):
+    """doc with a copy of one of its rows, its target or push word replaced,
+    inserted anywhere among the rows."""
+    doc = copy.deepcopy(doc)
+    rows = doc["transitions"]
+    row = copy.deepcopy(rng.choice(rows))
+    slot = rng.randrange(2 if doc["kind"] == "fsa" else 3, len(row))
+    row[slot] = copy.deepcopy(rng.choice(MUTANTS + [other[slot] for other in rows]))
+    rows.insert(rng.randrange(len(rows) + 1), row)
+    return doc
+
+
 def test_mutation_fuzz_only_serialization_errors_and_agreement():
     rng = random.Random(20261018)
     seeds = _seed_documents()
-    outcomes = {"both reject": 0, "newly rejected": 0, "both load": 0}
-    for _ in range(3000):
-        doc = _mutate(rng, rng.choice(seeds))
+    outcomes = {"both reject": 0, "newly rejected": 0, "conflicting rows": 0, "both load": 0}
+
+    def judge(doc) -> None:
         text = json.dumps(doc)
         try:
             want = reference_loads(text)
@@ -306,10 +365,19 @@ def test_mutation_fuzz_only_serialization_errors_and_agreement():
         if want is None:
             assert got is None, text
             outcomes["both reject"] += 1
+        elif got is None and _conflicting_rows(doc):
+            outcomes["conflicting rows"] += 1
         elif got is None:
             assert _array_slot_holds_non_array(doc), text
             outcomes["newly rejected"] += 1
         else:
             assert type(got) is type(want) and got == want, text
             outcomes["both load"] += 1
+
+    for _ in range(3000):
+        judge(_mutate(rng, rng.choice(seeds)))
+    # two rows for one key: the reference keeps the last, `loads` raises
+    fsa_pda = [doc for doc in seeds if doc["kind"] in ("fsa", "pda")]
+    for _ in range(300):
+        judge(_with_conflict(rng, rng.choice(fsa_pda)))
     assert min(outcomes.values()) >= 30, outcomes  # each outcome is exercised
