@@ -98,7 +98,7 @@ def cmd_check(args) -> int:
     if (
         isinstance(machine, (Vpa, Nvpa))
         and word
-        and all(s.tag is Tag.INTERNAL for s in word)
+        and all(s.tag == Tag.INTERNAL for s in word)
         and not args.internal
     ):
         return _fail(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Mapping
@@ -28,12 +29,10 @@ from .closures import NonDisjointAlphabets, Relabeling, shuffle
 from .machines import Fsa, Vpa, machine_accepts, rename_machine
 from .words import (
     MatchingRelation,
-    NestedWord,
     Tag,
     TaggedSymbol,
     TaggedWord,
     check_letter,
-    encode,
 )
 
 
@@ -588,22 +587,35 @@ def build_recognizer(spec: GroupSpec) -> Recognizer:
 # canonical annotation and tagging enumeration
 
 
+@functools.lru_cache(maxsize=4096)
+def _tagged(letter: str) -> tuple:
+    """The call, internal and return symbols of a letter, indexed by tag
+    value; one of each per letter, shared by every caller."""
+    return tuple(TaggedSymbol(letter, t) for t in Tag)
+
+
 def annotate_word(spec: GroupSpec, word) -> TaggedWord | None:
     """The unique recognizer-accepted tagging of a trivial word, else None.
 
     Free-group letters get the canonical cancellation matching (computed on
     the twisted letters of a product); finite-group letters stay internal.
-    One pass decides triviality and pairs the cancellations.
+    One pass decides triviality and pairs the cancellations; the tags are
+    written straight from its edges.
     """
     word = tuple(word)
     if isinstance(spec, FiniteGroupSpec):
         if not is_identity(spec, word):
             return None
-        return tuple(TaggedSymbol(c, Tag.INTERNAL) for c in word)
-    edges, trivial = _cancellations(spec, word)
-    if not trivial:
-        return None
-    return encode(NestedWord._trusted(word, MatchingRelation(len(word), edges)))
+        edges = ()
+    else:
+        edges, trivial = _cancellations(spec, word)
+        if not trivial:
+            return None
+    tags = [Tag.INTERNAL] * len(word)
+    for i, j in edges:
+        tags[i - 1] = Tag.CALL
+        tags[j - 1] = Tag.RETURN
+    return tuple(map(operator.getitem, map(_tagged, word), tags))
 
 
 def enumerate_taggings(word, bound: int = 12):
@@ -611,9 +623,6 @@ def enumerate_taggings(word, bound: int = 12):
     word = tuple(word)
     if len(word) > bound:
         raise BoundExceeded(f"word length {len(word)} exceeds bound {bound}")
-    tag_choices = [
-        tuple(TaggedSymbol(c, t) for t in (Tag.CALL, Tag.INTERNAL, Tag.RETURN))
-        for c in word
-    ]
+    tag_choices = [_tagged(c) for c in word]
     for combo in itertools.product(*tag_choices):
         yield tuple(combo)

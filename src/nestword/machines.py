@@ -441,10 +441,12 @@ def vpa_run(m: Vpa, tw: TaggedWord, record_trace: bool = False) -> VpaRun:
 
     A missing transition rejects (recorded as the reason) rather than
     raising.  A base letter outside the alphabet raises ValueError only
-    when the run reaches it: a run that dies earlier rejects.
+    when the run reaches it: a run that dies earlier rejects.  Tags are
+    compared by value, so an int tag runs as the Tag it equals.
     """
     alpha = m._alpha
     delta_c, delta_i, delta_r = m.delta_c, m.delta_i, m.delta_r
+    call, internal = Tag.CALL, Tag.INTERNAL
     state = m.initial
     stack = [m.bottom]
     trace = []
@@ -454,13 +456,13 @@ def vpa_run(m: Vpa, tw: TaggedWord, record_trace: bool = False) -> VpaRun:
         base, tag = sym
         if base not in alpha:
             raise ValueError(f"letter {base!r} not in alphabet")
-        if tag is Tag.CALL:
+        if tag == call:
             move = delta_c.get((state, base))
             if move is None:
                 return VpaRun(False, f"no call transition from {state!r} on {base!r}", tuple(trace), state)
             state, pushed = move
             stack.append(pushed)
-        elif tag is Tag.INTERNAL:
+        elif tag == internal:
             nxt = delta_i.get((state, base))
             if nxt is None:
                 return VpaRun(False, f"no internal transition from {state!r} on {base!r}", tuple(trace), state)
@@ -490,10 +492,12 @@ def nvpa_run(m: Nvpa, tw: TaggedWord) -> bool:
     accept_stack.  A return joins each pair of the top frame with the
     saved caller frame's pairs at its caller state.  A frame holds at most
     2|Q|^2|stack| pairs at any depth, so the run is linear in the word.
-    A letter outside the alphabet raises ValueError when the run reaches it.
+    A letter outside the alphabet raises ValueError when the run reaches
+    it.  Tags are compared by value, as in vpa_run.
     """
     alpha, accept_stack = m._alpha, m.accept_stack
     delta_c, delta_i, delta_r = m.delta_c, m.delta_i, m.delta_r
+    call, internal = Tag.CALL, Tag.INTERNAL
     frame = {(None, q) for q in m.initials}
     saved = []
     # plain loops, not comprehensions: frames are mostly one or two pairs,
@@ -502,13 +506,13 @@ def nvpa_run(m: Nvpa, tw: TaggedWord) -> bool:
         if base not in alpha:
             raise ValueError(f"letter {base!r} not in alphabet")
         nxt = set()
-        if tag is Tag.CALL:
+        if tag == call:
             saved.append(frame)
             for e, q in frame:
                 ok = e is None or e[2]
                 for dst, g in delta_c.get((q, base), ()):
                     nxt.add(((q, g, ok and g in accept_stack), dst))
-        elif tag is Tag.INTERNAL:
+        elif tag == internal:
             for e, q in frame:
                 for dst in delta_i.get((q, base), ()):
                     nxt.add((e, dst))
@@ -558,14 +562,16 @@ def machine_accepts(m, tw: TaggedWord) -> bool:
 
     An FSA run goes as vpa_run(vpa_from_fsa(m), tw) would, in one pass: a
     call or return, or a missing move, rejects, and a letter outside the
-    alphabet raises ValueError when the run reaches it.
+    alphabet raises ValueError when the run reaches it.  Tags are compared
+    by value, as in vpa_run.
     """
     if isinstance(m, Fsa):
         alpha, delta, state = m._alpha, m.delta, m.initial
+        internal = Tag.INTERNAL
         for base, tag in tw:
             if base not in alpha:
                 raise ValueError(f"letter {base!r} not in alphabet")
-            if tag is not Tag.INTERNAL:
+            if tag != internal:
                 return False
             state = delta.get((state, base))
             if state is None:

@@ -11,7 +11,8 @@ fields are emitted in a sorted canonical order, and transition rows are
 The VPA bottom symbol is serialized under "bottom" and may appear as the
 stack symbol of return rows.  Tuple-shaped labels (pair-FSA symbols) become
 JSON arrays and are read back as tuples.  A float label must be finite:
-JSON has no NaN or infinity.  Every list-valued field, every row and every
+JSON has no NaN or infinity, so `dumps` refuses such a label and `loads`
+refuses the constants NaN, Infinity and -Infinity.  Every list-valued field, every row and every
 push word must be a JSON array.  In an fsa, pda or vpa document a row may
 repeat, but two different rows for one key are an error.
 
@@ -328,9 +329,14 @@ def from_doc(doc: dict):
         raise SerializationError(f"invalid {doc['kind']} document: {exc}") from None
 
 
+def _refuse_constant(name: str):
+    """Python's json reads NaN, Infinity and -Infinity; JSON has none."""
+    raise SerializationError(f"not a JSON document: {name} is not JSON")
+
+
 def loads(text: str):
     try:
-        return from_doc(json.loads(text))
+        return from_doc(json.loads(text, parse_constant=_refuse_constant))
     except json.JSONDecodeError as exc:
         raise SerializationError(f"not a JSON document: {exc}") from None
     except RecursionError:

@@ -14,6 +14,7 @@ endpoints.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -84,11 +85,24 @@ def parse_token(token: str) -> TaggedSymbol:
 
 
 def token_str(sym: TaggedSymbol) -> str:
-    if sym.tag is Tag.CALL:
-        return "<" + sym.base
-    if sym.tag is Tag.RETURN:
-        return sym.base + ">"
-    return sym.base
+    """The token text of a symbol, chosen by the value of its tag, so an
+    int tag prints as the Tag it equals."""
+    base, tag = sym
+    if tag == Tag.CALL:
+        return "<" + base
+    if tag == Tag.RETURN:
+        return base + ">"
+    return base
+
+
+# A word has few distinct tokens, so parse_word and format_word read and
+# print each distinct one once per cache lifetime; a bad token raises on
+# every call, since a raise is never cached.  Symbols are immutable, and
+# twins equal by value (TaggedSymbol("a", 0), TaggedSymbol("a", Tag.CALL))
+# hash alike and print alike, so sharing one answer between them is exact.
+_TOKEN_CACHE_SIZE = 4096
+_parse_token = functools.lru_cache(maxsize=_TOKEN_CACHE_SIZE)(parse_token)
+_token_str = functools.lru_cache(maxsize=_TOKEN_CACHE_SIZE)(token_str)
 
 
 def parse_word(text: str) -> TaggedWord:
@@ -96,19 +110,19 @@ def parse_word(text: str) -> TaggedWord:
     tokens = text.split()
     if tokens == [EMPTY_WORD_TOKEN]:
         return ()
-    return tuple(parse_token(t) for t in tokens)
+    return tuple(map(_parse_token, tokens))
 
 
 def format_word(tw: TaggedWord) -> str:
     if not tw:
         return EMPTY_WORD_TOKEN
-    return " ".join(token_str(s) for s in tw)
+    return " ".join(map(_token_str, tw))
 
 
 def parse_plain(text: str) -> PlainWord:
     """Parse a plain (untagged) word; tagged tokens are rejected."""
     word = parse_word(text)
-    if any(s.tag is not Tag.INTERNAL for s in word):
+    if any(s.tag != Tag.INTERNAL for s in word):
         raise TokenError(f"expected a plain word, got tagged tokens: {text!r}")
     return tuple(s.base for s in word)
 
@@ -132,6 +146,15 @@ class MatchingRelation:
     def __init__(self, length: int, edges: Iterable[tuple]):
         object.__setattr__(self, "length", int(length))
         object.__setattr__(self, "edges", frozenset((i, j) for i, j in edges))
+
+    @classmethod
+    def _trusted(cls, length: int, edges: frozenset) -> "MatchingRelation":
+        """Skip the conversions: for an int length and a frozenset of
+        pairs built by the library itself."""
+        matching = object.__new__(cls)
+        object.__setattr__(matching, "length", length)
+        object.__setattr__(matching, "edges", edges)
+        return matching
 
 
 @dataclass(frozen=True)
@@ -250,20 +273,23 @@ def encode(nw: NestedWord) -> TaggedWord:
 
 
 def decode(tw: TaggedWord) -> NestedWord:
-    """Pair calls and returns by stack discipline; unmatched ones pend."""
+    """Pair calls and returns by stack discipline; unmatched ones pend.
+
+    Tags are compared by value, so an int tag reads as the Tag it equals."""
+    call, ret = Tag.CALL, Tag.RETURN
+    word = []
     edges = []
     open_calls: list[int] = []
-    for pos, sym in enumerate(tw, start=1):
-        if sym.tag is Tag.CALL:
+    pos = 0
+    for base, tag in tw:
+        pos += 1
+        word.append(base)
+        if tag == call:
             open_calls.append(pos)
-        elif sym.tag is Tag.RETURN:
-            if open_calls:
-                edges.append((open_calls.pop(), pos))
-            else:
-                edges.append((NEG_INF, pos))
+        elif tag == ret:
+            edges.append((open_calls.pop() if open_calls else NEG_INF, pos))
     edges.extend((i, POS_INF) for i in open_calls)
-    word = tuple(sym.base for sym in tw)
-    return NestedWord._trusted(word, MatchingRelation(len(word), edges))
+    return NestedWord._trusted(tuple(word), MatchingRelation._trusted(pos, frozenset(edges)))
 
 
 def forget(tw: TaggedWord) -> PlainWord:

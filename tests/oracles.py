@@ -15,9 +15,11 @@ from collections import deque
 from nestword.closures import NonDisjointAlphabets
 from nestword.groups import (
     FiniteGroupSpec,
+    _cancellations,
     free_letters,
     free_reduce,
     invert_letter,
+    is_identity,
     perm_by_name,
     perm_compose,
     psi_action,
@@ -35,12 +37,16 @@ from nestword.machines import (
 )
 from nestword.serialize import SerializationError
 from nestword.words import (
+    EMPTY_WORD_TOKEN,
     NEG_INF,
     POS_INF,
+    MatchingRelation,
     MatchingViolation,
+    NestedWord,
     Tag,
     TaggedSymbol,
     all_tagged_words,
+    encode,
     parse_token,
     reverse as reverse_word,
     token_str,
@@ -312,6 +318,59 @@ def pairwise_validate_matching(word, matching) -> MatchingViolation | None:
         if crosses(e1, e2):
             return MatchingViolation("nesting", tuple(sorted((e1, e2))))
     return None
+
+
+# -- the words pipeline one position at a time: the bodies that parsing,
+# printing and tagging each distinct token once replaced
+
+
+def reference_token_str(sym) -> str:
+    if sym.tag is Tag.CALL:
+        return "<" + sym.base
+    if sym.tag is Tag.RETURN:
+        return sym.base + ">"
+    return sym.base
+
+
+def reference_parse_word(text: str) -> tuple:
+    tokens = text.split()
+    if tokens == [EMPTY_WORD_TOKEN]:
+        return ()
+    return tuple(parse_token(t) for t in tokens)
+
+
+def reference_format_word(tw) -> str:
+    if not tw:
+        return EMPTY_WORD_TOKEN
+    return " ".join(reference_token_str(s) for s in tw)
+
+
+def reference_decode(tw) -> NestedWord:
+    edges = []
+    open_calls: list = []
+    for pos, sym in enumerate(tw, start=1):
+        if sym.tag is Tag.CALL:
+            open_calls.append(pos)
+        elif sym.tag is Tag.RETURN:
+            if open_calls:
+                edges.append((open_calls.pop(), pos))
+            else:
+                edges.append((NEG_INF, pos))
+    edges.extend((i, POS_INF) for i in open_calls)
+    word = tuple(sym.base for sym in tw)
+    return NestedWord._trusted(word, MatchingRelation(len(word), edges))
+
+
+def reference_annotate_word(spec, word):
+    word = tuple(word)
+    if isinstance(spec, FiniteGroupSpec):
+        if not is_identity(spec, word):
+            return None
+        return tuple(TaggedSymbol(c, Tag.INTERNAL) for c in word)
+    edges, trivial = _cancellations(spec, word)
+    if not trivial:
+        return None
+    return encode(NestedWord._trusted(word, MatchingRelation(len(word), edges)))
 
 
 # -- group word problems by the definitions, with no twist table

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import direct_oracle, semidirect_oracle
+from oracles import direct_oracle, reference_annotate_word, semidirect_oracle
 from nestword.closures import NonDisjointAlphabets, relabel_image, shuffle
 from nestword.groups import (
     BoundExceeded,
@@ -521,6 +521,33 @@ def test_annotate_word_none_iff_not_identity(spec, picks, close):
     if close:  # w . w^-1 is trivial
         word += [group_inverse(spec, c) for c in reversed(word)]
     assert (annotate_word(spec, word) is None) == (not is_identity(spec, word))
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(SPEC_KINDS),
+    st.lists(st.integers(min_value=0), max_size=16),
+    st.booleans(),
+)
+def test_annotate_word_matches_reference_property(spec, picks, close):
+    letters = group_letters(spec)
+    word = [letters[i % len(letters)] for i in picks]
+    if close:  # w . w^-1 is trivial
+        word += [group_inverse(spec, c) for c in reversed(word)]
+    tagged = annotate_word(spec, word)
+    assert tagged == reference_annotate_word(spec, word)
+    assert tagged is None or all(type(sym.tag) is Tag for sym in tagged)
+
+
+@pytest.mark.parametrize("spec", SPEC_KINDS, ids=lambda s: type(s).__name__)
+def test_annotate_word_matches_reference_on_long_words(spec):
+    rng = random.Random(4096)
+    letters = group_letters(spec)
+    trivial = trivial_word(rng, spec, 4096)
+    other = tuple(rng.choices(letters, k=4096))
+    for word in (trivial, other, trivial[:-1]):
+        assert annotate_word(spec, word) == reference_annotate_word(spec, word)
+    assert annotate_word(spec, trivial) is not None
 
 
 @pytest.mark.parametrize("spec", SPEC_KINDS, ids=lambda s: type(s).__name__)

@@ -47,7 +47,7 @@ from nestword.closures import (
     vpl_star,
     vpl_union,
 )
-from nestword.words import all_tagged_words, decode, parse_word, reverse as reverse_word
+from nestword.words import TaggedSymbol, all_tagged_words, decode, parse_word, reverse as reverse_word
 from nestword.groups import build_direct_product, build_finite_fsa, build_free_vpa, build_semidirect, cyclic_group
 
 
@@ -626,3 +626,47 @@ def test_serialize_rejects_set_labels():
 def test_serialize_unknown_kind():
     with pytest.raises(serialize.SerializationError):
         serialize.loads('{"kind": "widget"}')
+
+
+# ---------------------------------------------------------------------------
+# tags compared by value: an int tag runs as the Tag it equals
+
+
+def _int_tagged(tw) -> tuple:
+    return tuple(TaggedSymbol(base, int(tag)) for base, tag in tw)
+
+
+def _kernels(kind: str):
+    """The machine of a kind and every kernel that runs it."""
+    if kind == "vpa":
+        m = build_free_vpa(1).automaton
+        nvpa = nvpa_from_vpa(m)
+        return m, (lambda tw: vpa_run(m, tw), lambda tw: nvpa_run(nvpa, tw))
+    if kind == "nvpa":
+        m = vpl_reverse(build_free_vpa(1).automaton)
+        return m, (lambda tw: nvpa_run(m, tw),)
+    m = build_finite_fsa(cyclic_group(2)).automaton
+    vpa = vpa_from_fsa(m)
+    return m, (lambda tw: vpa_run(vpa, tw),)
+
+
+@pytest.mark.parametrize("kind", ["vpa", "nvpa", "fsa"])
+def test_int_tags_run_as_their_tag_twins(kind):
+    m, kernels = _kernels(kind)
+    accepted = 0
+    for tw in all_tagged_words(m.alphabet, 4):
+        twin = _int_tagged(tw)
+        assert twin == tw
+        verdict = machine_accepts(m, tw)
+        assert machine_accepts(m, twin) == verdict, tw
+        for run in kernels:
+            assert run(twin) == run(tw), tw
+        accepted += verdict
+    assert accepted > 0
+
+
+def test_int_tagged_free_word_is_accepted():
+    m = build_free_vpa(1).automaton
+    tw = (TaggedSymbol("x1", 0), TaggedSymbol("x1'", 2))
+    assert tw == parse_word("<x1 x1'>")
+    assert vpa_run(m, tw).accepted

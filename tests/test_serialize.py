@@ -207,6 +207,21 @@ def test_cli_reports_a_string_for_an_array(tmp_path):
     assert cli_main(["check", "--automaton", str(path), "a"]) == 2
 
 
+NON_JSON_FSA = '{"kind":"fsa","alphabet":["a"],"states":[%s,1.0],"initial":1.0,"accepts":[],"transitions":[]}'
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_loads_refuses_the_non_json_constants(constant, tmp_path, capsys):
+    text = NON_JSON_FSA % constant
+    with pytest.raises(serialize.SerializationError, match=f"not a JSON document: {constant} is not JSON"):
+        serialize.loads(text)
+    path = tmp_path / "constant.json"
+    path.write_text(text)
+    assert cli_main(["check", "--automaton", str(path), "a"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and constant in err, err
+
+
 def test_fsa_and_pda_documents_repeated_row_loads_conflicting_row_raises():
     m = serialize.loads(json.dumps({**FSA, "transitions": [["p", "a", "q"], ["p", "a", "q"]]}))
     assert m.delta == {("p", "a"): "q"}

@@ -5,7 +5,13 @@ import random
 
 import pytest
 from hypothesis import given, strategies as st
-from oracles import crosses, pairwise_validate_matching
+from oracles import (
+    crosses,
+    pairwise_validate_matching,
+    reference_decode,
+    reference_format_word,
+    reference_parse_word,
+)
 
 from nestword.words import (
     NEG_INF,
@@ -302,3 +308,87 @@ def test_concat_matches_pendings_property(tw1, tw2):
     combined = concat(tw1, tw2)
     assert len(combined) == len(tw1) + len(tw2)
     assert encode(decode(combined)) == combined
+
+
+# ---------------------------------------------------------------------------
+# the shared-symbol pipeline against the per-position reference
+
+# ASCII and non-ASCII letters, and letters made of token-syntax neighbours
+LETTERS = ["a", "b", "x1'", "é", "λ", "日本", "εε", "a-b", "\U0001f600"]
+
+
+def _is_letter(name: str) -> bool:
+    try:
+        check_letter(name)
+    except TokenError:
+        return False
+    return True
+
+
+letters = st.one_of(st.sampled_from(LETTERS), st.text(min_size=1, max_size=3).filter(_is_letter))
+symbols = st.builds(TaggedSymbol, letters, st.sampled_from(list(Tag)))
+
+
+@st.composite
+def repetitive_words(draw):
+    """Words over a pool of at most four symbols, so most positions repeat."""
+    pool = draw(st.lists(symbols, min_size=1, max_size=4))
+    return tuple(draw(st.lists(st.sampled_from(pool), max_size=200)))
+
+
+pipeline_words = st.one_of(st.lists(symbols, max_size=12).map(tuple), repetitive_words())
+
+
+def _outcome(f, *args):
+    try:
+        return "value", f(*args)
+    except TokenError as exc:
+        return "error", str(exc)
+
+
+@given(pipeline_words)
+def test_words_pipeline_matches_reference_property(tw):
+    text = format_word(tw)
+    assert text == reference_format_word(tw)
+    parsed = parse_word(text)
+    assert parsed == reference_parse_word(text) == tw
+    assert all(type(sym.tag) is Tag for sym in parsed)
+    nw = decode(tw)
+    assert nw == reference_decode(tw)
+    assert validate_matching(nw.word, nw.matching) is None
+
+
+def test_words_pipeline_matches_reference_on_long_words():
+    rng = random.Random(2048)
+    pool = [TaggedSymbol(b, t) for b in ("x1", "x1'", "é") for t in Tag]
+    for k in (2, 9):
+        tw = tuple(rng.choices(pool[:k], k=4096))
+        text = format_word(tw)
+        assert text == reference_format_word(tw)
+        assert parse_word(text) == reference_parse_word(text) == tw
+        assert decode(tw) == reference_decode(tw)
+
+
+BAD_TOKENS = ["ε", "<", ">", "a>b", "<a>", "<<a", "a>>", "<ε", "ε>", "<a<b"]
+
+
+@given(pipeline_words, st.sampled_from(BAD_TOKENS), st.data())
+def test_bad_token_anywhere_raises_the_reference_error(tw, bad, data):
+    tokens = format_word(tw).split() if tw else []
+    tokens.insert(data.draw(st.integers(0, len(tokens))), bad)
+    text = " ".join(tokens)
+    expected = _outcome(reference_parse_word, text)
+    assert expected[0] == "error" or text == "ε"
+    # twice: a raise is never cached
+    assert _outcome(parse_word, text) == expected
+    assert _outcome(parse_word, text) == expected
+
+
+def test_int_tags_print_and_decode_as_their_tag_twins():
+    # each twin is printed before its Tag word: a cache keyed on symbol
+    # equality must answer both alike
+    for tw in all_tagged_words(("u", "v'"), 4):
+        twin = tuple(TaggedSymbol(base, int(tag)) for base, tag in tw)
+        assert format_word(twin) == format_word(tw) == reference_format_word(tw)
+        assert decode(twin) == decode(tw) == reference_decode(tw)
+    assert format_word((TaggedSymbol("x1", 0), TaggedSymbol("x1'", 2))) == "<x1 x1'>"
