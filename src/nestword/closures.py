@@ -10,11 +10,11 @@ of a product in lockstep.  Intersection takes its inputs as they are;
 union and complement complete theirs and make acceptance state-only,
 normalizing only when some stack symbol is unacceptable.  Concatenation,
 star, and reversal return NVPAs whose membership is decided by the
-summary run (`nvpa_run`: one frame of (entry, state) pairs per pending
-call, at any depth); prefix-closure membership is decided directly by
-saturation instead of building a machine, and the same summaries decide
-emptiness and equivalence of VPAs exactly (`vpa_is_empty`,
-`vpl_equivalent`).
+summary run (`nvpa_run`: one frame per pending call, mapping each entry
+to a bitmask of states, at any depth); prefix-closure membership is
+decided directly by saturation instead of building a machine, and the
+same summaries decide emptiness and equivalence of VPAs exactly
+(`vpa_is_empty`, `vpl_equivalent`).
 
 Union/intersection/complement/concat/star/reverse outputs are canonicalized
 (reachable part, q0/q1... names).  `shuffle` and `relabel_image` keep their

@@ -2,7 +2,9 @@
 
 All machines are plain dataclasses validated on construction and treated as
 immutable afterwards; runs keep their own private configuration state, so
-machines may be shared freely between threads.
+machines may be shared freely between threads.  The one thing a run adds to
+a machine is an Nvpa's image rows, a cache no answer, comparison or
+document depends on.
 
 Stack conventions: stacks are tuples with the bottom symbol at index 0.
 For a VPA the bottom symbol is not part of the (pushable) stack alphabet
@@ -13,6 +15,8 @@ empty stack, as the instantaneous-description semantics allows.
 
 from __future__ import annotations
 
+import functools
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
@@ -415,6 +419,18 @@ class Nvpa(_VisiblyPushdown):
         self.delta_r = {k: frozenset(v) for k, v in self.delta_r.items()}
         self._check(self.initials)
 
+    @functools.cached_property
+    def _summary_rows(self) -> _SummaryRows:
+        """nvpa_run's image rows, compiled on the first run."""
+        return _SummaryRows(self)
+
+    def __getstate__(self):
+        """The fields without the image rows: a copy or an unpickled
+        machine compiles its own."""
+        state = dict(self.__dict__)
+        state.pop("_summary_rows", None)
+        return state
+
 
 @dataclass
 class VpaRun:
@@ -483,55 +499,170 @@ def vpa_run(m: Vpa, tw: TaggedWord, record_trace: bool = False) -> VpaRun:
     return VpaRun(False, "final configuration not accepting", tuple(trace), state, stack)
 
 
+# Most images one Nvpa's summary rows store beyond the single-state images
+# compiled from its tables.  A run stores at most one image per step, and
+# only for a state set it reaches; past this many, images are computed and
+# not stored, so no answer depends on it.  An image takes about 100 bytes,
+# so the rows of one machine stay within a few megabytes.
+MAX_STORED_IMAGES = 1 << 15
+
+_NO_ROWS: dict = {}
+
+
+class _Budget:
+    """How many images one machine's rows have stored.  The rows hold it
+    rather than their owner, so they form no reference cycle."""
+
+    __slots__ = ("stored", "lock")
+
+    def __init__(self):
+        self.stored = 0
+        self.lock = threading.Lock()
+
+
+class _ImageRow(dict):
+    """One letter's row of images, keyed by a state mask (by (mask, ok) in
+    a call row).  The image of a mask is the union of its states' images;
+    one not compiled in is stored the first time a run asks for it, while
+    the machine's budget lasts."""
+
+    __slots__ = ("join", "budget")
+
+    def __init__(self, join, budget: _Budget):
+        super().__init__()
+        self.join = join
+        self.budget = budget
+
+    def __missing__(self, key):
+        image = self.join(self, key)
+        budget = self.budget
+        with budget.lock:  # runs on other threads may share the machine
+            if budget.stored < MAX_STORED_IMAGES and key not in self:
+                budget.stored += 1
+                self[key] = image
+        return image
+
+
+def _join_states(row: _ImageRow, mask: int) -> int:
+    image = 0
+    while mask:
+        low = mask & -mask
+        image |= row.get(low, 0)
+        mask ^= low
+    return image
+
+
+def _join_calls(row: _ImageRow, key: tuple) -> tuple:
+    mask, ok = key
+    items = []
+    while mask:
+        low = mask & -mask
+        items.extend(row.get((low, ok), ()))  # entries hold the caller bit, so never repeat
+        mask ^= low
+    return tuple(items)
+
+
+class _SummaryRows:
+    """An Nvpa's transition tables as image rows over state bitmasks, for
+    nvpa_run: `internals[base]` and `returns[base][top]` map a mask to the
+    mask of its successors, `calls[base]` maps (mask, ok) to the new
+    frame's (entry, mask) items.  Compiled rows hold the single states
+    that have moves; `budget` counts the images added since."""
+
+    def __init__(self, m: Nvpa):
+        bit = {q: 1 << i for i, q in enumerate(m.states)}
+
+        def mask(states) -> int:
+            return sum(bit[q] for q in states)
+
+        def row(table: dict, key, join) -> _ImageRow:
+            found = table.get(key)
+            if found is None:
+                found = table[key] = _ImageRow(join, self.budget)
+            return found
+
+        self.budget = _Budget()
+        self.initial = mask(m.initials)
+        self.accepts = mask(m.accepts)
+        self.internals: dict = {}
+        for (q, base), dsts in m.delta_i.items():
+            row(self.internals, base, _join_states)[bit[q]] = mask(dsts)
+        self.returns: dict = {}
+        for (q, base, g), dsts in m.delta_r.items():
+            row(self.returns.setdefault(base, {}), g, _join_states)[bit[q]] = mask(dsts)
+        self.calls: dict = {}
+        for (q, base), moves in m.delta_c.items():
+            calls = row(self.calls, base, _join_calls)
+            for ok in (True, False):
+                frame: dict = {}
+                for dst, g in moves:
+                    entry = (bit[q], g, ok and g in m.accept_stack)
+                    frame[entry] = frame.get(entry, 0) | bit[dst]
+                calls[bit[q], ok] = tuple(frame.items())
+
+
 def nvpa_run(m: Nvpa, tw: TaggedWord) -> bool:
     """Summary run (Alur and Madhusudan): one frame per pending call.
 
-    A frame is a set of (entry, state) pairs.  The bottom frame's entry is
-    None; a call from state q pushing g opens a frame whose entries are
-    (q, g, ok), where ok says every pending symbol, g included, is in
-    accept_stack.  A return joins each pair of the top frame with the
-    saved caller frame's pairs at its caller state.  A frame holds at most
-    2|Q|^2|stack| pairs at any depth, so the run is linear in the word.
-    A letter outside the alphabet raises ValueError when the run reaches
-    it.  Tags are compared by value, as in vpa_run.
+    A frame maps each entry to a bitmask of the states the run can be in
+    under it.  The bottom frame's only entry is None; a call from state q
+    pushing g opens a frame whose entries are (bit of q, g, ok), where ok
+    says every pending symbol, g included, is in accept_stack.  A return
+    joins the top frame with the saved caller frame: an entry's image goes
+    to every caller entry whose mask holds its caller bit.  A frame holds
+    at most 2|Q||stack| entries of |Q| bits at any depth, so the run is
+    linear in the word.  Each step is one lookup per entry in the machine's
+    image rows (`_SummaryRows`), which store at most MAX_STORED_IMAGES
+    images besides their compiled single-state ones.  A letter outside the
+    alphabet raises ValueError when the run reaches it.  Tags are compared
+    by value, as in vpa_run.
     """
-    alpha, accept_stack = m._alpha, m.accept_stack
-    delta_c, delta_i, delta_r = m.delta_c, m.delta_i, m.delta_r
+    rows = m._summary_rows
+    calls, internals, returns, bottom = rows.calls, rows.internals, rows.returns, m.bottom
     call, internal = Tag.CALL, Tag.INTERNAL
-    frame = {(None, q) for q in m.initials}
+    frame = {None: rows.initial} if rows.initial else {}
     saved = []
-    # plain loops, not comprehensions: frames are mostly one or two pairs,
-    # and there the loops are faster
     for base, tag in tw:
-        if base not in alpha:
-            raise ValueError(f"letter {base!r} not in alphabet")
-        nxt = set()
+        nxt = {}
         if tag == call:
-            saved.append(frame)
-            for e, q in frame:
-                ok = e is None or e[2]
-                for dst, g in delta_c.get((q, base), ()):
-                    nxt.add(((q, g, ok and g in accept_stack), dst))
+            row = calls.get(base)
+            if row is not None:
+                saved.append(frame)
+                for e, mask in frame.items():
+                    for entry, image in row[mask, e is None or e[2]]:
+                        nxt[entry] = nxt.get(entry, 0) | image
         elif tag == internal:
-            for e, q in frame:
-                for dst in delta_i.get((q, base), ()):
-                    nxt.add((e, dst))
-        elif saved:
-            callers: dict = {}
-            for e, q in saved.pop():
-                callers.setdefault(q, []).append(e)
-            for (cq, g, _), q in frame:
-                for dst in delta_r.get((q, base, g), ()):
-                    for e in callers[cq]:
-                        nxt.add((e, dst))
+            row = internals.get(base)
+            if row is not None:
+                for e, mask in frame.items():
+                    image = row[mask]
+                    if image:
+                        nxt[e] = image
         else:
-            for e, q in frame:
-                for dst in delta_r.get((q, base, m.bottom), ()):
-                    nxt.add((e, dst))
+            tops = returns.get(base, _NO_ROWS)
+            if saved:
+                caller = saved.pop()
+                for (caller_bit, g, _), mask in frame.items():
+                    row = tops.get(g)
+                    image = row[mask] if row is not None else 0
+                    if image:
+                        for e, held in caller.items():
+                            if held & caller_bit:
+                                nxt[e] = nxt.get(e, 0) | image
+            elif frame:
+                row = tops.get(bottom)
+                image = row[frame[None]] if row is not None else 0
+                if image:
+                    nxt[None] = image
         if not nxt:
+            # the rows hold alphabet letters only, so a letter outside it
+            # has left the frame empty here
+            if base not in m._alpha:
+                raise ValueError(f"letter {base!r} not in alphabet")
             return False
         frame = nxt
-    return any(q in m.accepts and (e is None or e[2]) for e, q in frame)
+    accepts = rows.accepts
+    return any(mask & accepts and (e is None or e[2]) for e, mask in frame.items())
 
 
 def nvpa_from_vpa(m: Vpa) -> Nvpa:

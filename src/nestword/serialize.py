@@ -334,9 +334,24 @@ def _refuse_constant(name: str):
     raise SerializationError(f"not a JSON document: {name} is not JSON")
 
 
-def loads(text: str):
+# one decoder for every call: json.loads builds a new one whenever it is
+# given a keyword such as parse_constant
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
+def loads(text: str | bytes | bytearray):
+    """The machine a JSON document describes.  Like json.loads, it reads
+    str, and bytes or bytearray in UTF-8, -16 or -32, and raises TypeError
+    on anything else."""
+    if isinstance(text, (bytes, bytearray)):
+        text = text.decode(json.detect_encoding(text), "surrogatepass")
+    elif not isinstance(text, str):
+        raise TypeError(f"the JSON object must be str, bytes or bytearray, not {type(text).__name__}")
+    elif text.startswith("\ufeff"):
+        bom = json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        raise SerializationError(f"not a JSON document: {bom}")
     try:
-        return from_doc(json.loads(text, parse_constant=_refuse_constant))
+        return from_doc(_DECODER.decode(text))
     except json.JSONDecodeError as exc:
         raise SerializationError(f"not a JSON document: {exc}") from None
     except RecursionError:

@@ -1,0 +1,45 @@
+"""Standard-library-only agreement smoke of nvpa_run against the reference
+summary run, for interpreters that have no pytest:
+
+    PYTHONPATH=src python tests/nvpa_smoke.py
+
+Runs every tagged word of length <= 4 over two letters, and 20 walks of
+up to 80 letters, on the reverse, star and concat closures and the NVPA
+embedding of seeded random VPAs; exits 1 on the first disagreement.
+"""
+
+import os
+import random
+import sys
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+
+from oracles import random_vpa, random_walk, reference_nvpa_run  # noqa: E402
+
+from nestword.closures import vpl_concat, vpl_reverse, vpl_star  # noqa: E402
+from nestword.machines import nvpa_from_vpa, nvpa_run  # noqa: E402
+from nestword.words import all_tagged_words  # noqa: E402
+
+
+def main() -> int:
+    words = list(all_tagged_words(("a", "b"), 4))
+    runs = accepted = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        m = random_vpa(rng, 1 + seed % 5, n_stack=1 + seed % 3)
+        p = random_vpa(rng, 3)
+        walks = [random_walk(m, rng, 40) + random_walk(p, rng, 40) for _ in range(20)]
+        for n in (vpl_reverse(m), vpl_star(m), vpl_concat(m, p), nvpa_from_vpa(m)):
+            for tw in words + walks:
+                got, want = nvpa_run(n, tw), reference_nvpa_run(n, tw)
+                if got != want:
+                    print(f"seed {seed}: nvpa_run says {got}, the reference {want}, on {tw}")
+                    return 1
+                runs += 1
+                accepted += got
+    print(f"Python {sys.version.split()[0]}: {runs} runs agree ({accepted} accepted)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

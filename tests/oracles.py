@@ -121,6 +121,36 @@ def deep_walk(m: Vpa, rng: random.Random, depth: int):
     return tuple(word)
 
 
+def random_walk(m: Vpa, rng: random.Random, length: int) -> tuple:
+    """A word of at most `length` letters that m reads without dying, each
+    letter drawn from m's moves where the run stands; the first half leans
+    to calls and the second to returns, so the nesting gets deep."""
+    state, stack, word = m.initial, [], []
+    while len(word) < length:
+        top = stack[-1] if stack else m.bottom
+        calls = [a for a in m.alphabet if (state, a) in m.delta_c]
+        others = [(a, Tag.INTERNAL) for a in m.alphabet if (state, a) in m.delta_i]
+        others += [(a, Tag.RETURN) for a in m.alphabet if (state, a, top) in m.delta_r]
+        lean = 0.75 if 2 * len(word) < length else 0.25
+        if calls and (not others or rng.random() < lean):
+            a = rng.choice(calls)
+            state, g = m.delta_c[(state, a)]
+            stack.append(g)
+            word.append(TaggedSymbol(a, Tag.CALL))
+            continue
+        if not others:
+            break
+        a, tag = rng.choice(others)
+        if tag is Tag.INTERNAL:
+            state = m.delta_i[(state, a)]
+        else:
+            state = m.delta_r[(state, a, top)]
+            if stack:
+                stack.pop()
+        word.append(TaggedSymbol(a, tag))
+    return tuple(word)
+
+
 def configuration_set_run(m: Nvpa, tw) -> bool:
     """Reference NVPA run: the set of reachable (state, whole stack)
     configurations, which can grow exponentially with nesting depth."""
@@ -143,6 +173,50 @@ def configuration_set_run(m: Nvpa, tw) -> bool:
         state in m.accepts and all(g in m.accept_stack for g in stack[1:])
         for state, stack in configs
     )
+
+
+def reference_nvpa_run(m: Nvpa, tw) -> bool:
+    """Reference summary run: one frame per pending call, each a set of
+    (entry, state) pairs.  The bottom frame's entry is None; a call from q
+    pushing g opens a frame of entries (q, g, ok), ok saying every pending
+    symbol is in accept_stack; a return joins the top frame with the saved
+    caller frame through the caller state.  A letter outside the alphabet
+    raises ValueError where the run reaches it."""
+    alpha, accept_stack = m._alpha, m.accept_stack
+    delta_c, delta_i, delta_r = m.delta_c, m.delta_i, m.delta_r
+    call, internal = Tag.CALL, Tag.INTERNAL
+    frame = {(None, q) for q in m.initials}
+    saved = []
+    for base, tag in tw:
+        if base not in alpha:
+            raise ValueError(f"letter {base!r} not in alphabet")
+        nxt = set()
+        if tag == call:
+            saved.append(frame)
+            for e, q in frame:
+                ok = e is None or e[2]
+                for dst, g in delta_c.get((q, base), ()):
+                    nxt.add(((q, g, ok and g in accept_stack), dst))
+        elif tag == internal:
+            for e, q in frame:
+                for dst in delta_i.get((q, base), ()):
+                    nxt.add((e, dst))
+        elif saved:
+            callers: dict = {}
+            for e, q in saved.pop():
+                callers.setdefault(q, []).append(e)
+            for (cq, g, _), q in frame:
+                for dst in delta_r.get((q, base, g), ()):
+                    for e in callers[cq]:
+                        nxt.add((e, dst))
+        else:
+            for e, q in frame:
+                for dst in delta_r.get((q, base, m.bottom), ()):
+                    nxt.add((e, dst))
+        if not nxt:
+            return False
+        frame = nxt
+    return any(q in m.accepts and (e is None or e[2]) for e, q in frame)
 
 
 # -- set-theoretic membership formulas over input-machine membership tables

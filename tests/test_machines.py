@@ -1,13 +1,23 @@
 """FSA/PDA/VPA run semantics, determinization, completion, serialization."""
 
+import copy
 import dataclasses
 import hashlib
 import itertools
+import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import configuration_set_run, deep_walk, random_fsa, random_vpa
+from oracles import (
+    configuration_set_run,
+    deep_walk,
+    random_fsa,
+    random_vpa,
+    random_walk,
+    reference_nvpa_run,
+)
 import random
 
 from nestword.machines import (
@@ -35,7 +45,7 @@ from nestword.machines import (
     vpa_normalize_acceptance,
     vpa_run,
 )
-from nestword import serialize
+from nestword import machines, serialize
 from nestword.closures import (
     identity_relabeling,
     relabel_image,
@@ -331,6 +341,163 @@ def test_reverse_nvpa_at_depth_10000():
         assert verdict == vpa_run(m, w).accepted
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def _outcome(run, n, tw):
+    """A run's verdict, or the type and text of what it raised."""
+    try:
+        return run(n, tw)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _closure_nvpas(seed: int) -> tuple:
+    rng = random.Random(seed)
+    m = random_vpa(rng, 1 + seed % 5, n_stack=1 + seed % 3)
+    p = random_vpa(rng, 3)
+    return m, p, (vpl_reverse(m), vpl_star(m), vpl_concat(m, p), nvpa_from_vpa(m))
+
+
+def test_nvpa_run_agrees_with_the_reference_on_short_words():
+    words = list(all_tagged_words(("a", "b"), 5))
+    for seed in range(30):
+        for n in _closure_nvpas(seed)[2]:
+            for tw in words:
+                assert nvpa_run(n, tw) == reference_nvpa_run(n, tw), (seed, tw)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=39))
+def test_nvpa_run_agrees_with_the_reference_at_depth(seed, flip):
+    m, p, nvpas = _closure_nvpas(seed % 60)
+    rng = random.Random(seed)
+    u, v = random_walk(m, rng, 20), random_walk(p, rng, 20)
+    words = [u + v, u, reverse_word(u + v)]
+    # one symbol retagged, so that runs also die and reject at depth
+    words += [w[:flip] + (TaggedSymbol(w[flip].base, (w[flip].tag + 1) % 3),) + w[flip + 1:]
+              for w in words if flip < len(w)]
+    for n in nvpas:
+        for w in words:
+            assert nvpa_run(n, w) == reference_nvpa_run(n, w), (seed, w)
+
+
+def test_nvpa_run_edge_cases_match_the_reference():
+    bare = Nvpa(("a",), {"q"}, set(), "$", set(), {"q"}, set(), {}, {}, {})
+    # returns at the bottom read it in place; g is pushed but never accepted
+    loop = Nvpa(
+        ("a", "b"), {"p", "q"}, {"g", "h"}, "$", {"p"}, {"p"}, {"h"},
+        delta_c={("p", "a"): {("p", "g"), ("q", "h")}, ("q", "a"): {("q", "h")}},
+        delta_i={("p", "b"): {"p", "q"}},
+        delta_r={("p", "b", "$"): {"p"}, ("q", "b", "$"): {"q"}, ("q", "a", "h"): {"p", "q"}},
+    )
+    words = [
+        "", "a", "b", "b>", "b> b> b", "<a", "<a <a", "<a <a a>", "<a a> a>",
+        "b <a <a a> b>", "x9", "b x9", "<a x9", "b> x9", "<b x9", "a> x9", "<a <a a> a> x9",
+    ]
+    verdicts = set()
+    for n in (bare, loop):
+        for text in words:
+            tw = parse_word(text)
+            want = _outcome(reference_nvpa_run, n, tw)
+            assert _outcome(nvpa_run, n, tw) == want, text
+            assert _outcome(nvpa_run, n, tuple(TaggedSymbol(b, int(t)) for b, t in tw)) == want, text
+            verdicts.add(want if isinstance(want, bool) else want[0])
+    assert verdicts == {True, False, ValueError}
+    # a run that dies before the letter rejects; one that reaches it raises
+    assert not nvpa_run(loop, parse_word("<b x9"))
+    with pytest.raises(ValueError, match="letter 'x9' not in alphabet"):
+        nvpa_run(loop, parse_word("<a x9"))
+    with pytest.raises(ValueError, match="letter 'x9' not in alphabet"):
+        nvpa_run(bare, parse_word("x9"))
+
+
+def _concat_with_states(at_least: int):
+    for seed in itertools.count():
+        rng = random.Random(seed)
+        m, p = random_vpa(rng, 6, ("a", "b", "c"), 3), random_vpa(rng, 6, ("a", "b", "c"), 3)
+        n = vpl_concat(m, p)
+        if len(n.states) >= at_least:
+            return m, p, n
+
+
+def _concat_words(m, p, rng, length: int) -> tuple:
+    """A walk of m then one of p, the first cut to its longest prefix that
+    m accepts and, on half the calls, the second likewise, so that many
+    words lie in the concatenation and many do not."""
+    u, v = random_walk(m, rng, length), random_walk(p, rng, length)
+    cut = max((i for i in range(len(u) + 1) if vpa_run(m, u[:i]).accepted), default=len(u))
+    if rng.random() < 0.5:
+        v = v[:max((j for j in range(len(v) + 1) if vpa_run(p, v[:j]).accepted), default=len(v))]
+    return u[:cut] + v
+
+
+def test_nvpa_stored_images_stay_under_the_cap_on_long_runs():
+    m, p, n = _concat_with_states(20)
+    rng = random.Random(7)
+    verdicts = set()
+    for _ in range(300):
+        verdicts.add(nvpa_run(n, _concat_words(m, p, rng, 150)))
+    assert verdicts == {True, False}
+    assert 0 < n._summary_rows.budget.stored < machines.MAX_STORED_IMAGES
+
+
+def test_nvpa_image_rows_are_invisible():
+    m, p, n = _concat_with_states(20)
+    twin = vpl_concat(m, p)
+    before = (repr(n), serialize.dumps(n))
+    rng = random.Random(3)
+    for _ in range(50):
+        nvpa_run(n, random_walk(m, rng, 60) + random_walk(p, rng, 60))
+    assert n._summary_rows.budget.stored > 0
+    assert n == twin and twin == n
+    assert (repr(n), serialize.dumps(n)) == before
+    for clone in (copy.copy(n), copy.deepcopy(n), pickle.loads(pickle.dumps(n))):
+        assert clone == n and "_summary_rows" not in vars(clone)
+
+
+def test_replaced_nvpa_gets_fresh_image_rows():
+    m, p, n = _concat_with_states(20)
+    rng = random.Random(5)
+    words = [_concat_words(m, p, rng, 40) for _ in range(40)]
+    accepted = [w for w in words if nvpa_run(n, w)]
+    assert accepted
+    twin = dataclasses.replace(n)
+    assert twin == n and twin._summary_rows is not n._summary_rows
+    none_accept = dataclasses.replace(n, accepts=frozenset())
+    assert not any(nvpa_run(none_accept, w) for w in accepted)
+
+
+def test_threads_sharing_an_nvpa_store_each_image_once():
+    from concurrent.futures import ThreadPoolExecutor
+
+    m, p, n = _concat_with_states(20)
+    rows = n._summary_rows
+    tables = [*rows.internals.values(), *rows.calls.values()]
+    tables += [row for tops in rows.returns.values() for row in tops.values()]
+    compiled = sum(map(len, tables))
+    rng = random.Random(13)
+    words = [_concat_words(m, p, rng, 80) for _ in range(400)]
+    serial = [reference_nvpa_run(n, w) for w in words]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            parallel = list(pool.map(lambda w: nvpa_run(n, w), words, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == serial
+    assert 0 < rows.budget.stored == sum(map(len, tables)) - compiled
+
+
+@pytest.mark.parametrize("cap", [0, 3])
+def test_nvpa_answers_do_not_depend_on_the_image_cap(cap, monkeypatch):
+    monkeypatch.setattr(machines, "MAX_STORED_IMAGES", cap)
+    m, p, n = _concat_with_states(20)
+    rng = random.Random(11)
+    for _ in range(60):
+        w = random_walk(m, rng, 60) + random_walk(p, rng, 60)
+        assert nvpa_run(n, w) == reference_nvpa_run(n, w)
+    assert n._summary_rows.budget.stored == cap
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,25 @@ def test_loads_refuses_the_non_json_constants(constant, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and constant in err, err
 
 
+def test_loads_reads_what_json_loads_reads():
+    text = json.dumps(FSA)
+    want = serialize.loads(text)
+    for data in (text.encode(), bytearray(text.encode()), text.encode("utf-16"), text.encode("utf-8-sig")):
+        assert serialize.loads(data) == want
+    for constant in ("NaN", "Infinity"):
+        for data in ((NON_JSON_FSA % constant).encode(), bytearray((NON_JSON_FSA % constant).encode())):
+            with pytest.raises(serialize.SerializationError, match=f"not a JSON document: {constant} is not JSON"):
+                serialize.loads(data)
+    with pytest.raises(serialize.SerializationError, match=r"not a JSON document: Unexpected UTF-8 BOM"):
+        serialize.loads("\ufeff" + text)
+    for bad in (5, None, [text]):
+        with pytest.raises(TypeError) as want_error:
+            json.loads(bad)
+        with pytest.raises(TypeError) as got_error:
+            serialize.loads(bad)
+        assert str(got_error.value) == str(want_error.value)
+
+
 def test_fsa_and_pda_documents_repeated_row_loads_conflicting_row_raises():
     m = serialize.loads(json.dumps({**FSA, "transitions": [["p", "a", "q"], ["p", "a", "q"]]}))
     assert m.delta == {("p", "a"): "q"}
