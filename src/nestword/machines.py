@@ -149,18 +149,6 @@ def _eps_closure(n: Nfa, states: frozenset) -> frozenset:
     return frozenset(seen)
 
 
-def nfa_run(m: Nfa, word: Iterable) -> bool:
-    current = _eps_closure(m, m.initials)
-    for sym in word:
-        step = set()
-        for q in current:
-            step |= m.delta.get((q, sym), frozenset())
-        current = _eps_closure(m, frozenset(step))
-        if not current:
-            return False
-    return bool(current & m.accepts)
-
-
 def fsa_determinize(n: Nfa) -> Fsa:
     """Subset construction over reachable subsets only; states become q0, q1, ..."""
     start = _eps_closure(n, n.initials)
@@ -665,22 +653,6 @@ def nvpa_run(m: Nvpa, tw: TaggedWord) -> bool:
     return any(mask & accepts and (e is None or e[2]) for e, mask in frame.items())
 
 
-def nvpa_from_vpa(m: Vpa) -> Nvpa:
-    """Embed a deterministic VPA as a singleton-valued NVPA."""
-    return Nvpa(
-        alphabet=m.alphabet,
-        states=m.states,
-        stack_alphabet=m.stack_alphabet,
-        bottom=m.bottom,
-        initials={m.initial},
-        accepts=m.accepts,
-        accept_stack=m.accept_stack,
-        delta_c={k: {v} for k, v in m.delta_c.items()},
-        delta_i={k: {v} for k, v in m.delta_i.items()},
-        delta_r={k: {v} for k, v in m.delta_r.items()},
-    )
-
-
 def vpa_from_fsa(m: Fsa) -> Vpa:
     """The all-internal reading of an FSA: its moves on internal letters,
     no call or return moves, and nothing to push."""
@@ -967,46 +939,3 @@ def _bfs_names(m) -> tuple[dict, dict]:
                     for waiting in _sorted_by_repr(deferred.pop(move[1], ())):
                         name(waiting)
     return state_names, sym_names
-
-
-# ---------------------------------------------------------------------------
-# the two textbook example machines
-
-
-def anbn_pda() -> Pda:
-    """PDA for {a^n b^n : n >= 0} with an explicit fail state.
-
-    Counts a's on the stack with 1's, pops them on b's, and drains the
-    bottom 0 with a final epsilon move into the accepting state.
-    """
-    states = {"s0", "s1", "s2", "sy", "sf"}
-    delta = {
-        ("s0", "a", "0"): ("s1", ("0", "1")),
-        ("s1", "a", "1"): ("s1", ("1", "1")),
-        ("s1", "b", "1"): ("s2", ()),
-        ("s2", "b", "1"): ("s2", ()),
-        ("s2", None, "0"): ("sy", ()),
-    }
-    eps_blocked = {("s2", "0")}
-    for s in states:
-        for sym in ("a", "b"):
-            for g in ("0", "1"):
-                if (s, g) in eps_blocked:
-                    continue
-                delta.setdefault((s, sym, g), ("sf", (g,)))
-    return Pda(("a", "b"), states, {"0", "1"}, "s0", "0", {"s0", "sy"}, delta)
-
-
-def astar_bstar_fsa() -> Fsa:
-    """FSA for {a^m b^n : m,n >= 0} with an explicit fail state."""
-    delta = {
-        ("s0", "a"): "s1",
-        ("s0", "b"): "s2",
-        ("s1", "a"): "s1",
-        ("s1", "b"): "s2",
-        ("s2", "b"): "s2",
-        ("s2", "a"): "sf",
-        ("sf", "a"): "sf",
-        ("sf", "b"): "sf",
-    }
-    return Fsa(("a", "b"), {"s0", "s1", "s2", "sf"}, "s0", {"s0", "s1", "s2"}, delta)

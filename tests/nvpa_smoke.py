@@ -14,10 +14,10 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from oracles import random_vpa, random_walk, reference_nvpa_run  # noqa: E402
+from oracles import nvpa_from_vpa, random_vpa, random_walk, reference_nvpa_run  # noqa: E402
 
 from nestword.closures import vpl_concat, vpl_reverse, vpl_star  # noqa: E402
-from nestword.machines import nvpa_from_vpa, nvpa_run  # noqa: E402
+from nestword.machines import nvpa_run  # noqa: E402
 from nestword.words import all_tagged_words  # noqa: E402
 
 

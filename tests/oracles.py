@@ -12,7 +12,7 @@ import json
 import random
 from collections import deque
 
-from nestword.closures import NonDisjointAlphabets
+from nestword.closures import NonDisjointAlphabets, Relabeling
 from nestword.groups import (
     FiniteGroupSpec,
     _cancellations,
@@ -26,9 +26,11 @@ from nestword.groups import (
 )
 from nestword.machines import (
     Fsa,
+    Nfa,
     Nvpa,
     Pda,
     Vpa,
+    _eps_closure,
     canonicalize,
     fsa_run,
     transition_rows,
@@ -51,6 +53,85 @@ from nestword.words import (
     reverse as reverse_word,
     token_str,
 )
+
+
+# ---------------------------------------------------------------------------
+# fixtures: the two textbook example machines, an NFA run, and the trivial
+# NVPA and relabeling embeddings
+
+
+def anbn_pda() -> Pda:
+    """PDA for {a^n b^n : n >= 0} with an explicit fail state.
+
+    Counts a's on the stack with 1's, pops them on b's, and drains the
+    bottom 0 with a final epsilon move into the accepting state.
+    """
+    states = {"s0", "s1", "s2", "sy", "sf"}
+    delta = {
+        ("s0", "a", "0"): ("s1", ("0", "1")),
+        ("s1", "a", "1"): ("s1", ("1", "1")),
+        ("s1", "b", "1"): ("s2", ()),
+        ("s2", "b", "1"): ("s2", ()),
+        ("s2", None, "0"): ("sy", ()),
+    }
+    eps_blocked = {("s2", "0")}
+    for s in states:
+        for sym in ("a", "b"):
+            for g in ("0", "1"):
+                if (s, g) in eps_blocked:
+                    continue
+                delta.setdefault((s, sym, g), ("sf", (g,)))
+    return Pda(("a", "b"), states, {"0", "1"}, "s0", "0", {"s0", "sy"}, delta)
+
+
+def astar_bstar_fsa() -> Fsa:
+    """FSA for {a^m b^n : m,n >= 0} with an explicit fail state."""
+    delta = {
+        ("s0", "a"): "s1",
+        ("s0", "b"): "s2",
+        ("s1", "a"): "s1",
+        ("s1", "b"): "s2",
+        ("s2", "b"): "s2",
+        ("s2", "a"): "sf",
+        ("sf", "a"): "sf",
+        ("sf", "b"): "sf",
+    }
+    return Fsa(("a", "b"), {"s0", "s1", "s2", "sf"}, "s0", {"s0", "s1", "s2"}, delta)
+
+
+def nfa_run(m: Nfa, word) -> bool:
+    current = _eps_closure(m, m.initials)
+    for sym in word:
+        step = set()
+        for q in current:
+            step |= m.delta.get((q, sym), frozenset())
+        current = _eps_closure(m, frozenset(step))
+        if not current:
+            return False
+    return bool(current & m.accepts)
+
+
+def nvpa_from_vpa(m: Vpa) -> Nvpa:
+    """Embed a deterministic VPA as a singleton-valued NVPA."""
+    return Nvpa(
+        alphabet=m.alphabet,
+        states=m.states,
+        stack_alphabet=m.stack_alphabet,
+        bottom=m.bottom,
+        initials={m.initial},
+        accepts=m.accepts,
+        accept_stack=m.accept_stack,
+        delta_c={k: {v} for k, v in m.delta_c.items()},
+        delta_i={k: {v} for k, v in m.delta_i.items()},
+        delta_r={k: {v} for k, v in m.delta_r.items()},
+    )
+
+
+def identity_relabeling(alphabet) -> Relabeling:
+    pairs = tuple((a, a) for a in alphabet)
+    state = "p"
+    delta = {(state, pair): state for pair in pairs}
+    return Relabeling(Fsa(pairs, {state}, state, {state}, delta))
 
 
 def random_vpa(rng: random.Random, n_states=4, alphabet=("a", "b"), n_stack=2, density=0.8) -> Vpa:

@@ -9,6 +9,8 @@ import random
 
 from oracles import (
     ExtensionOracle,
+    anbn_pda,
+    astar_bstar_fsa,
     concat_oracle,
     direct_oracle,
     random_fsa,
@@ -41,8 +43,6 @@ from nestword.groups import (
     symmetric_group,
 )
 from nestword.machines import (
-    anbn_pda,
-    astar_bstar_fsa,
     fsa_run,
     nvpa_run,
     pda_run,

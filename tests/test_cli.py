@@ -17,7 +17,7 @@ from nestword.groups import (
 )
 from nestword.machines import vpa_run
 from nestword.words import format_word, reverse as reverse_word
-from oracles import deep_walk, random_vpa
+from oracles import astar_bstar_fsa, deep_walk, random_vpa
 
 FREE1 = {"kind": "free", "n": 1}
 FREE2 = {"kind": "free", "n": 2}
@@ -201,8 +201,6 @@ def test_enum_free_f1(tmp_path):
 
 
 def test_enum_fsa_listing(tmp_path):
-    from nestword.machines import astar_bstar_fsa
-
     path = tmp_path / "ambn.json"
     serialize.save(astar_bstar_fsa(), path)
     code, out, _ = run_cli("enum", "--automaton", path, "--max-len", 2)
@@ -214,6 +212,13 @@ def test_enum_cap(tmp_path):
     aut, _ = build(tmp_path, FREE1, "free1")
     assert run_cli("enum", "--automaton", aut, "--max-len", 9)[0] == 2
     assert run_cli("enum", "--automaton", aut, "--max-len", 3, "--cap", 3)[0] == 0
+
+
+def test_enum_negative_max_len_exits_2(tmp_path):
+    aut, _ = build(tmp_path, FREE1, "free1")
+    code, out, err = run_cli("enum", "--automaton", aut, "--max-len", -1)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_closure_complement_twice_preserves_enum(tmp_path):
@@ -255,6 +260,19 @@ def test_closure_prefix_word_mode(tmp_path):
     aut, _ = build(tmp_path, FREE1, "free1")
     assert run_cli("closure", "--op", "prefix", "--inputs", aut, "--word", "<x1")[0] == 0
     assert run_cli("closure", "--op", "prefix", "--inputs", aut, "--word", "x1")[0] == 1
+
+
+def test_closure_word_outside_vpa_prefix_exits_2(tmp_path):
+    aut, _ = build(tmp_path, FREE1, "free1")
+    z2_aut, _ = build(tmp_path, Z2, "z2")
+    for argv in (
+        ("--op", "prefix", "--inputs", z2_aut, "--word", "<t"),  # an FSA
+        ("--op", "union", "--inputs", aut, aut, "--word", "x1"),
+        ("--op", "prefix", "--inputs", aut, aut, "--word", "<x1"),
+    ):
+        code, out, err = run_cli("closure", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, argv
 
 
 def test_closure_arity_and_kind_errors(tmp_path):

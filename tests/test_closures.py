@@ -8,10 +8,12 @@ import pytest
 
 from oracles import (
     ExtensionOracle,
+    astar_bstar_fsa,
     concat_oracle,
     exact_state_tops,
     full_vpa_product,
     full_vpl_complement,
+    identity_relabeling,
     interleavings,
     internal_word,
     pair_product,
@@ -30,7 +32,6 @@ from nestword.closures import (
     NonDisjointAlphabets,
     PrefixDecider,
     Relabeling,
-    identity_relabeling,
     reg_complement,
     reg_concat,
     reg_intersection,
@@ -45,7 +46,6 @@ from nestword.closures import (
     vpl_concat,
     vpl_equivalent,
     vpl_intersection,
-    vpl_prefix_member,
     vpl_reverse,
     vpl_star,
     vpl_union,
@@ -54,7 +54,6 @@ from nestword.machines import (
     Fsa,
     Nvpa,
     Vpa,
-    astar_bstar_fsa,
     fsa_run,
     nvpa_run,
     vpa_run,
@@ -605,14 +604,14 @@ def test_prefix_of_accepted_words_are_members():
 
 
 def test_prefix_free_vpa_call_extends():
-    m = build_free_vpa(2).automaton
-    assert vpl_prefix_member(m, parse_word("<x1"))
-    assert vpl_prefix_member(m, parse_word("<x1 <x2"))
+    member = PrefixDecider(build_free_vpa(2).automaton).member
+    assert member(parse_word("<x1"))
+    assert member(parse_word("<x1 <x2"))
     # a call on the inverse of the pending letter can never be completed:
     # the canonical matching would have cancelled it as a return
-    assert not vpl_prefix_member(m, parse_word("<x1 <x1'"))
+    assert not member(parse_word("<x1 <x1'"))
     # an internal letter kills the run for every extension
-    assert not vpl_prefix_member(m, parse_word("x1"))
+    assert not member(parse_word("x1"))
 
 
 def test_prefix_against_extension_oracle_random():

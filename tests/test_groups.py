@@ -25,8 +25,6 @@ from nestword.groups import (
     canonical_matching,
     cyclic_group,
     enumerate_taggings,
-    eval_direct,
-    eval_semidirect,
     free_letters,
     free_reduce,
     group_letters,
@@ -131,7 +129,6 @@ def test_free_vpa_canonical_choice():
 def test_free_vpa_structure():
     rec = build_free_vpa(2)
     m = rec.automaton
-    assert rec.rho_contract == "bijection"
     assert len(m.stack_alphabet) == 5  # four letters plus the blank
     assert m.accept_stack == frozenset()
     # no dead fail state: 'e' and one state per letter, all reachable
@@ -264,27 +261,26 @@ def test_perm_inverse():
 
 
 def test_eval_direct_examples():
-    z2 = cyclic_group(2)
-    assert eval_direct(1, z2, "x1 t x1' t".split())
-    assert eval_direct(1, z2, ())
-    assert not eval_direct(1, z2, "x1 t".split())
+    spec = DirectProductSpec(1, cyclic_group(2))
+    assert is_identity(spec, "x1 t x1' t".split())
+    assert is_identity(spec, ())
+    assert not is_identity(spec, "x1 t".split())
 
 
 def test_build_direct_product_examples():
     rec = build_direct_product(1, cyclic_group(2))
     assert rec.accepts(parse_word("<x1 t x1'> t"))
     assert rec.accepts(())
-    assert rec.rho_contract == "bijection"
 
 
 def test_direct_product_unique_taggings():
-    z2 = cyclic_group(2)
-    rec = build_direct_product(1, z2)
-    letters = group_letters(DirectProductSpec(1, z2))
+    spec = DirectProductSpec(1, cyclic_group(2))
+    rec = build_direct_product(1, spec.finite)
+    letters = group_letters(spec)
     for n in range(5):
         for w in itertools.product(letters, repeat=n):
             count = sum(1 for tw in enumerate_taggings(w) if rec.accepts(tw))
-            assert count == (1 if eval_direct(1, z2, w) else 0)
+            assert count == (1 if is_identity(spec, w) else 0)
 
 
 def test_direct_product_name_clash_rejected():
@@ -300,14 +296,13 @@ def test_direct_product_name_clash_rejected():
 
 
 def test_eval_semidirect_examples():
-    assert eval_semidirect(2, 2, "p21 x1 p21 x2'".split())
-    assert eval_semidirect(2, 2, ())
-    assert not eval_semidirect(2, 2, "p21 x1 p21 x1'".split())
+    spec = SemidirectProductSpec(2, 2)
+    assert is_identity(spec, "p21 x1 p21 x2'".split())
+    assert is_identity(spec, ())
+    assert not is_identity(spec, "p21 x1 p21 x1'".split())
 
 
 def test_eval_semidirect_requires_m_at_most_n():
-    with pytest.raises(ValueError):
-        eval_semidirect(1, 2, [])
     with pytest.raises(ValueError):
         SemidirectProductSpec(1, 2)
 
@@ -329,7 +324,7 @@ def test_semidirect_agreement_sampled():
     for _ in range(300):
         w = tuple(rng.choice(letters) for _ in range(rng.randrange(7)))
         tagged = annotate_word(spec, w)
-        if eval_semidirect(2, 2, w):
+        if is_identity(spec, w):
             assert tagged is not None and rec.accepts(tagged)
         else:
             assert tagged is None

@@ -11,8 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    anbn_pda,
+    astar_bstar_fsa,
     configuration_set_run,
     deep_walk,
+    identity_relabeling,
+    nfa_run,
+    nvpa_from_vpa,
     random_fsa,
     random_vpa,
     random_walk,
@@ -28,14 +33,10 @@ from nestword.machines import (
     Nvpa,
     Pda,
     Vpa,
-    anbn_pda,
-    astar_bstar_fsa,
     canonicalize,
     fsa_determinize,
     fsa_run,
     machine_accepts,
-    nfa_run,
-    nvpa_from_vpa,
     nvpa_run,
     pda_run,
     pda_step,
@@ -47,7 +48,6 @@ from nestword.machines import (
 )
 from nestword import machines, serialize
 from nestword.closures import (
-    identity_relabeling,
     relabel_image,
     shuffle,
     vpl_complement,

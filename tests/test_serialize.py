@@ -9,10 +9,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import random_fsa, random_vpa, reference_dumps, reference_loads
+from oracles import (
+    anbn_pda,
+    astar_bstar_fsa,
+    nvpa_from_vpa,
+    random_fsa,
+    random_vpa,
+    reference_dumps,
+    reference_loads,
+)
 from nestword import serialize
 from nestword.cli import main as cli_main
-from nestword.machines import Fsa, Nvpa, Pda, Vpa, anbn_pda, astar_bstar_fsa, nvpa_from_vpa
+from nestword.machines import Fsa, Nvpa, Pda, Vpa
 from nestword.words import TokenError, check_letter
 
 # labels that stress escaping and the row order: `", "` and "]" inside a
