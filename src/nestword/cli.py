@@ -5,14 +5,17 @@ serialized automaton, annotate a plain word with its canonical tagging,
 enumerate accepted words, compose closure operations, and run the
 brute-force group oracle.
 
-Exit codes: 0 accept/identity/success, 1 reject/not-identity, 2 usage,
-parse, or specification errors.  Build returns 1 on I/O failure.
+Exit codes: 0 accept, identity or success; 1 reject or not identity; 2
+any bad input (an unreadable or invalid file, a bad token, a letter
+outside the alphabet, a refused option), with one `error:` line and no
+traceback.  An unreadable `build --group` file and a failed `--out` write
+exit 1.  Commands raise; `main` alone maps a ValueError (each input error
+of the library is one) to 2 and an `_Exit` to its own code.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import closures, groups, serialize
@@ -29,7 +32,6 @@ from .machines import (
 )
 from .words import (
     Tag,
-    TokenError,
     all_plain_words,
     all_tagged_words,
     format_word,
@@ -40,20 +42,30 @@ from .words import (
 ENUM_CAP_DEFAULT = 8
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+class _Exit(Exception):
+    """_Exit(message, code): `main` prints message as one error line and
+    returns code."""
 
 
-def _load_machine(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return serialize.loads(fh.read())
+def _load(path: str, what: str, parse, io_code: int = 2):
+    """parse of the strict JSON value (serialize.parse_json) in the file at
+    path.  An unreadable file exits io_code, an invalid one 2."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(serialize.parse_json(fh.read()))
+    except (OSError, ValueError) as exc:
+        raise _Exit(f"cannot load {what}: {exc}", io_code if isinstance(exc, OSError) else 2) from None
 
 
-def _load_group_spec(path: str):
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return groups.group_spec_from_doc(doc)
+def _word(text: str, machine) -> tuple:
+    """The tagged word in text, refused whole if any letter is outside the
+    machine's alphabet, so the verdict never depends on where it sits."""
+    word = parse_word(text)
+    alphabet = set(machine.alphabet)
+    for sym in word:
+        if sym.base not in alphabet:
+            raise ValueError(f"letter {sym.base!r} not in alphabet")
+    return word
 
 
 # ---------------------------------------------------------------------------
@@ -61,17 +73,12 @@ def _load_group_spec(path: str):
 
 
 def cmd_build(args) -> int:
-    try:
-        spec = _load_group_spec(args.group)
-    except OSError as exc:
-        return _fail(f"cannot read group spec: {exc}", 1)
-    except ValueError as exc:
-        return _fail(f"invalid group spec: {exc}", 2)
+    spec = _load(args.group, "group spec", groups.group_spec_from_doc, io_code=1)
     machine = groups.build_recognizer(spec).automaton
     try:
         serialize.save(machine, args.out)
     except OSError as exc:
-        return _fail(f"cannot write {args.out}: {exc}", 1)
+        raise _Exit(f"cannot write {args.out}: {exc}", 1) from None
     stack_size = len(machine.stack_alphabet) if hasattr(machine, "stack_alphabet") else 0
     print("rho contract: bijection")
     print(f"states: {len(machine.states)}")
@@ -80,30 +87,19 @@ def cmd_build(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        machine = _load_machine(args.automaton)
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot load automaton: {exc}", 2)
+    machine = _load(args.automaton, "automaton", serialize.from_doc)
     if isinstance(machine, Pda):
-        return _fail("check runs FSA/VPA/NVPA automata, not PDAs", 2)
-    try:
-        word = parse_word(" ".join(args.tokens))
-    except TokenError as exc:
-        return _fail(str(exc), 2)
-    alphabet = set(machine.alphabet)
-    for sym in word:
-        if sym.base not in alphabet:
-            return _fail(f"letter {sym.base!r} not in alphabet", 2)
+        raise ValueError("check runs FSA/VPA/NVPA automata, not PDAs")
+    word = _word(" ".join(args.tokens), machine)
     if (
         isinstance(machine, (Vpa, Nvpa))
         and word
         and all(s.tag == Tag.INTERNAL for s in word)
         and not args.internal
     ):
-        return _fail(
+        raise ValueError(
             "plain word given to a VPA; run `annotate` to tag it "
-            "(or pass --internal to mean internal symbols)",
-            2,
+            "(or pass --internal to mean internal symbols)"
         )
     if args.trace and not isinstance(machine, Nvpa):
         vpa = machine if isinstance(machine, Vpa) else vpa_from_fsa(machine)
@@ -124,15 +120,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_annotate(args) -> int:
-    try:
-        spec = _load_group_spec(args.group)
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot load group spec: {exc}", 2)
-    try:
-        word = parse_plain(" ".join(args.tokens))
-        tagged = groups.annotate_word(spec, word)
-    except (TokenError, ValueError) as exc:
-        return _fail(str(exc), 2)
+    spec = _load(args.group, "group spec", groups.group_spec_from_doc)
+    tagged = groups.annotate_word(spec, parse_plain(" ".join(args.tokens)))
     if tagged is None:
         print("not identity")
         return 1
@@ -142,13 +131,10 @@ def cmd_annotate(args) -> int:
 
 def cmd_enum(args) -> int:
     if args.max_len < 0:
-        return _fail(f"--max-len {args.max_len} is negative", 2)
+        raise ValueError(f"--max-len {args.max_len} is negative")
     if args.max_len > args.cap:
-        return _fail(f"--max-len {args.max_len} exceeds cap {args.cap}", 2)
-    try:
-        machine = _load_machine(args.automaton)
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot load automaton: {exc}", 2)
+        raise ValueError(f"--max-len {args.max_len} exceeds cap {args.cap}")
+    machine = _load(args.automaton, "automaton", serialize.from_doc)
     if isinstance(machine, Fsa):
         letters = sorted(machine.alphabet, key=str)
         for word in all_plain_words(letters, args.max_len):
@@ -159,7 +145,7 @@ def cmd_enum(args) -> int:
             if machine_accepts(machine, tw):
                 print(format_word(tw))
     else:
-        return _fail("enum runs FSA/VPA/NVPA automata, not PDAs", 2)
+        raise ValueError("enum runs FSA/VPA/NVPA automata, not PDAs")
     return 0
 
 
@@ -209,24 +195,14 @@ def _closure_result(op: str, machines: list):
 
 
 def cmd_closure(args) -> int:
-    try:
-        machines = [_load_machine(path) for path in args.inputs]
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot load input: {exc}", 2)
+    machines = [_load(path, "input", serialize.from_doc) for path in args.inputs]
     if args.word is not None:
         if args.op != "prefix" or len(machines) != 1 or not isinstance(machines[0], Vpa):
-            return _fail("--word needs --op prefix and a single VPA input", 2)
-        try:
-            tw = parse_word(args.word)
-        except TokenError as exc:
-            return _fail(str(exc), 2)
-        member = closures.PrefixDecider(machines[0]).member(tw)
+            raise ValueError("--word needs --op prefix and a single VPA input")
+        member = closures.PrefixDecider(machines[0]).member(_word(args.word, machines[0]))
         print("accept" if member else "reject")
         return 0 if member else 1
-    try:
-        result = _closure_result(args.op, machines)
-    except (ValueError, TypeError) as exc:
-        return _fail(str(exc), 2)
+    result = _closure_result(args.op, machines)
     deterministic = isinstance(result, (Fsa, Vpa))
     text = serialize.dumps(result)
     if args.out:
@@ -234,7 +210,7 @@ def cmd_closure(args) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            return _fail(f"cannot write {args.out}: {exc}", 1)
+            raise _Exit(f"cannot write {args.out}: {exc}", 1) from None
         print(f"deterministic: {'yes' if deterministic else 'no'}")
     else:
         sys.stdout.write(text)
@@ -243,15 +219,8 @@ def cmd_closure(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        spec = _load_group_spec(args.group)
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot load group spec: {exc}", 2)
-    try:
-        word = parse_plain(" ".join(args.tokens))
-        trivial = groups.is_identity(spec, word)
-    except (TokenError, ValueError) as exc:
-        return _fail(str(exc), 2)
+    spec = _load(args.group, "group spec", groups.group_spec_from_doc)
+    trivial = groups.is_identity(spec, parse_plain(" ".join(args.tokens)))
     print("identity" if trivial else "not identity")
     return 0 if trivial else 1
 
@@ -315,7 +284,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Exit as exc:
+        message, code = exc.args
+    except ValueError as exc:
+        message, code = str(exc), 2
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -727,22 +727,28 @@ class Relabeling:
         return tuple(sorted({a for a, _ in self.pair_fsa.alphabet}))
 
     def apply(self, tw: TaggedWord) -> list:
-        """All relabelings of tw accepted by the pair FSA (tags copied)."""
+        """All relabelings of tw accepted by the pair FSA (tags copied), in
+        depth-first order; one edge iterator per open position, no recursion."""
+        accepts, edges = self.pair_fsa.accepts, self._edges
+        if not tw:
+            return [()] if self.pair_fsa.initial in accepts else []
         results = []
-        out: list = []
-
-        def go(i: int, p) -> None:
-            if i == len(tw):
-                if p in self.pair_fsa.accepts:
+        out: list = []  # the output letters of positions before the top iterator's
+        moves = [iter(edges.get((self.pair_fsa.initial, tw[0].base), ()))]
+        while moves:
+            i = len(out)
+            for b_out, dst in moves[-1]:
+                out.append(TaggedSymbol(b_out, tw[i].tag))
+                if i + 1 < len(tw):
+                    moves.append(iter(edges.get((dst, tw[i + 1].base), ())))
+                    break
+                if dst in accepts:
                     results.append(tuple(out))
-                return
-            sym = tw[i]
-            for b_out, dst in self._edges.get((p, sym.base), ()):
-                out.append(TaggedSymbol(b_out, sym.tag))
-                go(i + 1, dst)
                 out.pop()
-
-        go(0, self.pair_fsa.initial)
+            else:
+                moves.pop()
+                if out:
+                    out.pop()
         return results
 
     def is_functional(self, max_len: int = 6) -> bool:

@@ -353,14 +353,6 @@ def group_spec_from_doc(doc: dict) -> GroupSpec:
     raise ValueError(f"unknown group kind {kind!r}")
 
 
-def group_letters(spec: GroupSpec) -> tuple:
-    if isinstance(spec, FreeGroupSpec):
-        return free_letters(spec.n)
-    if isinstance(spec, FiniteGroupSpec):
-        return tuple(spec.elements)
-    return free_letters(spec.n) + tuple(spec.finite.elements)
-
-
 # ---------------------------------------------------------------------------
 # brute-force identity evaluators (never consult automata)
 

@@ -267,21 +267,16 @@ def pda_step(c: Configuration, m: Pda) -> Configuration | None:
     return None
 
 
-def default_eps_budget(m: Pda, word_len: int) -> int:
-    return 10 * len(m.states) * len(m.stack_alphabet) * (word_len + 1)
-
-
-def pda_run(m: Pda, word: Iterable[str], eps_budget: int | None = None) -> bool:
-    """Accept iff the run reaches an accept state with all input consumed."""
+def pda_run(m: Pda, word: Iterable[str]) -> bool:
+    """Accept iff the run reaches an accept state with all input consumed.
+    A run that takes more than 10·|Q|·|Γ|·(|w| + 1) epsilon moves raises
+    EpsilonBudgetExceeded."""
     word = tuple(word)
     alpha = set(m.alphabet)
     for sym in word:
         if sym not in alpha:
             raise ValueError(f"letter {sym!r} not in alphabet")
-    if eps_budget is None:
-        eps_budget = default_eps_budget(m, len(word))
-    if eps_budget <= 0:
-        raise ValueError("eps_budget must be positive")
+    eps_budget = 10 * len(m.states) * len(m.stack_alphabet) * (len(word) + 1)
     config = Configuration(m.initial, word, (m.bottom,))
     eps_used = 0
     while True:

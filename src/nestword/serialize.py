@@ -11,8 +11,9 @@ fields are emitted in a sorted canonical order, and transition rows are
 The VPA bottom symbol is serialized under "bottom" and may appear as the
 stack symbol of return rows.  Tuple-shaped labels (pair-FSA symbols) become
 JSON arrays and are read back as tuples.  A float label must be finite:
-JSON has no NaN or infinity, so `dumps` refuses such a label and `loads`
-refuses the constants NaN, Infinity and -Infinity.  Every list-valued field, every row and every
+JSON has no NaN or infinity, so `dumps` refuses such a label and
+`parse_json` (which `loads` reads through) refuses the constants NaN,
+Infinity and -Infinity.  Every list-valued field, every row and every
 push word must be a JSON array.  In an fsa, pda or vpa document a row may
 repeat, but two different rows for one key are an error.
 
@@ -325,6 +326,8 @@ def from_doc(doc: dict):
         return _machine(doc)
     except SerializationError:
         raise
+    except RecursionError:  # _tuple on a label nested deeper than Python recurses
+        raise SerializationError("document nests arrays too deeply") from None
     except (TypeError, ValueError) as exc:  # the machine's own validation
         raise SerializationError(f"invalid {doc['kind']} document: {exc}") from None
 
@@ -339,10 +342,11 @@ def _refuse_constant(name: str):
 _DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
-def loads(text: str | bytes | bytearray):
-    """The machine a JSON document describes.  Like json.loads, it reads
-    str, and bytes or bytearray in UTF-8, -16 or -32, and raises TypeError
-    on anything else."""
+def parse_json(text: str | bytes | bytearray):
+    """The value of a strict JSON document; NaN, the infinities, nesting
+    deeper than Python recurses and any malformed text raise SerializationError.
+    Like json.loads, it reads str, and bytes or bytearray in UTF-8, -16 or
+    -32, and raises TypeError on anything else."""
     if isinstance(text, (bytes, bytearray)):
         text = text.decode(json.detect_encoding(text), "surrogatepass")
     elif not isinstance(text, str):
@@ -351,11 +355,16 @@ def loads(text: str | bytes | bytearray):
         bom = json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
         raise SerializationError(f"not a JSON document: {bom}")
     try:
-        return from_doc(_DECODER.decode(text))
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise SerializationError(f"not a JSON document: {exc}") from None
     except RecursionError:
         raise SerializationError("document nests arrays too deeply") from None
+
+
+def loads(text: str | bytes | bytearray):
+    """The machine a JSON document describes: from_doc(parse_json(text))."""
+    return from_doc(parse_json(text))
 
 
 def save(m, path) -> None:

@@ -15,6 +15,7 @@ from collections import deque
 from nestword.closures import NonDisjointAlphabets, Relabeling
 from nestword.groups import (
     FiniteGroupSpec,
+    FreeGroupSpec,
     _cancellations,
     free_letters,
     free_reduce,
@@ -435,6 +436,15 @@ class ExtensionOracle:
     def member(self, tw) -> bool:
         config = self._final_config(tw)
         return config is not None and self._coaccessible(config)
+
+
+def group_letters(spec) -> tuple:
+    """The letters of a group spec's words: free letters, then elements."""
+    if isinstance(spec, FreeGroupSpec):
+        return free_letters(spec.n)
+    if isinstance(spec, FiniteGroupSpec):
+        return tuple(spec.elements)
+    return free_letters(spec.n) + tuple(spec.finite.elements)
 
 
 def internal_word(letters) -> tuple:

@@ -13,6 +13,7 @@ from oracles import (
     astar_bstar_fsa,
     concat_oracle,
     direct_oracle,
+    group_letters,
     random_fsa,
     random_vpa,
     reverse_oracle,
@@ -37,7 +38,6 @@ from nestword.groups import (
     enumerate_taggings,
     free_letters,
     free_reduce,
-    group_letters,
     group_spec_from_doc,
     semidirect_relabeling,
     symmetric_group,

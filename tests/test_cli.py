@@ -7,17 +7,18 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 from nestword.cli import main as cli_main
 from nestword import serialize
 from nestword.groups import (
     build_recognizer,
-    group_letters,
     group_spec_from_doc,
     enumerate_taggings,
 )
 from nestword.machines import vpa_run
 from nestword.words import format_word, reverse as reverse_word
-from oracles import astar_bstar_fsa, deep_walk, random_vpa
+from oracles import astar_bstar_fsa, deep_walk, group_letters, random_vpa
 
 FREE1 = {"kind": "free", "n": 1}
 FREE2 = {"kind": "free", "n": 2}
@@ -454,3 +455,51 @@ def test_check_deep_word_on_reverse_nvpa(tmp_path):
         assert (code, out.strip()) == ((0, "accept") if expected else (1, "reject")), err
         verdicts.add(expected)
     assert verdicts == {True, False}
+
+
+# Every subcommand on each bad input: the expected exit code, one stderr
+# line starting "error: ", and no traceback.  Each argv is valid apart from
+# the one bad input; "{file}" stands for the file under test.
+BAD_FILES = {
+    "missing": None,
+    "not-json": "{kind: free}",
+    "nan": '{"kind": "free", "n": NaN}',
+    "deep": "[" * 100_000 + "]" * 100_000,
+}
+FILE_ARGVS = {
+    "build": ("build", "--group", "{file}", "--out", "{out}"),
+    "check": ("check", "--automaton", "{file}", "<x1", "x1'>"),
+    "annotate": ("annotate", "--group", "{file}", "x1", "x1'"),
+    "enum": ("enum", "--automaton", "{file}", "--max-len", "2"),
+    "closure": ("closure", "--op", "complement", "--inputs", "{file}"),
+    "closure-word": ("closure", "--op", "prefix", "--inputs", "{file}", "--word", "<x1"),
+    "oracle": ("oracle", "--group", "{file}", "x1", "x1'"),
+}
+# the same commands on a good file (FREE1, or its recognizer) with a bad word
+WORD_ARGVS = [
+    ("check-bad-token", ("check", "--automaton", "{aut}", "<x1", "x>1<")),
+    ("annotate-bad-token", ("annotate", "--group", "{spec}", "x>1<")),
+    ("closure-word-bad-token", ("closure", "--op", "prefix", "--inputs", "{aut}", "--word", "x>1<")),
+    ("oracle-bad-token", ("oracle", "--group", "{spec}", "x>1<")),
+    ("check-letter", ("check", "--automaton", "{aut}", "<x1", "x9", "x1'>")),
+    ("closure-word-letter", ("closure", "--op", "prefix", "--inputs", "{aut}", "--word", "<zz")),
+]
+BAD_INPUT_CASES = [
+    pytest.param(argv, text, 1 if (command, name) == ("build", "missing") else 2, id=f"{command}-{name}")
+    for command, argv in FILE_ARGVS.items()
+    for name, text in BAD_FILES.items()
+] + [pytest.param(argv, None, 2, id=case) for case, argv in WORD_ARGVS]
+
+
+@pytest.mark.parametrize("argv, text, code", BAD_INPUT_CASES)
+def test_bad_input_exits_with_one_error_line(tmp_path, argv, text, code):
+    bad = tmp_path / "bad.json"
+    if text is not None:
+        bad.write_text(text)
+    aut, _ = build(tmp_path, FREE1, "free1")
+    paths = {"file": bad, "out": tmp_path / "out.json", "aut": aut,
+             "spec": write_spec(tmp_path, "free1.json", FREE1)}
+    result_code, out, err = run_cli(*[a.format(**paths) for a in argv])
+    assert (result_code, out) == (code, ""), (argv, err)
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert "Traceback" not in err

@@ -58,8 +58,8 @@ from nestword.machines import (
     nvpa_run,
     vpa_run,
 )
-from nestword.groups import build_free_vpa
-from nestword.words import Tag, all_tagged_words, decode, parse_word, reverse as reverse_word
+from nestword.groups import build_free_vpa, semidirect_relabeling
+from nestword.words import Tag, TaggedSymbol, all_tagged_words, decode, parse_word, reverse as reverse_word
 
 
 def plain_words(alphabet, max_len):
@@ -723,6 +723,16 @@ def test_relabel_preserves_matching_and_length():
             assert len(out) == len(tw)
             assert [s.tag for s in out] == [s.tag for s in tw]
             assert decode(out).matching == decode(tw).matching
+
+
+def test_relabeling_apply_on_a_long_word():
+    # one search step per letter, with no recursion per letter
+    phi = semidirect_relabeling(2, 2)
+    rng = random.Random(5000)
+    tw = tuple(TaggedSymbol(rng.choice(phi.input_letters()), rng.choice(list(Tag))) for _ in range(5000))
+    (out,) = phi.apply(tw)
+    assert len(out) == len(tw)
+    assert [s.tag for s in out] == [s.tag for s in tw]
 
 
 def test_relabeling_functional_check():

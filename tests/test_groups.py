@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import direct_oracle, reference_annotate_word, semidirect_oracle
+from oracles import direct_oracle, group_letters, reference_annotate_word, semidirect_oracle
 from nestword.closures import NonDisjointAlphabets, relabel_image, shuffle
 from nestword.groups import (
     BoundExceeded,
@@ -27,7 +27,6 @@ from nestword.groups import (
     enumerate_taggings,
     free_letters,
     free_reduce,
-    group_letters,
     group_spec_from_doc,
     invert_letter,
     is_identity,

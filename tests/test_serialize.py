@@ -278,6 +278,14 @@ def test_loads_reports_deep_nesting_and_bad_json():
             serialize.loads(text)
 
 
+def test_from_doc_reports_a_label_nested_too_deeply():
+    label: list = []
+    for _ in range(100_000):
+        label = [label]
+    with pytest.raises(serialize.SerializationError, match="too deeply"):
+        serialize.from_doc({**FSA, "initial": label})
+
+
 def test_save_keeps_the_old_file_when_dumps_raises(tmp_path):
     path = tmp_path / "m.json"
     path.write_text("old content\n")
