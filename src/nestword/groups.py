@@ -106,8 +106,8 @@ def canonical_matching(word) -> MatchingRelation | None:
 class FiniteGroupSpec:
     """A finite group as an explicit multiplication table.
 
-    `table` maps element pairs to elements; associativity, the identity
-    law, and inverse existence are all checked at construction.
+    `table` maps exactly the element pairs to elements; that, associativity,
+    the identity law, and inverse existence are all checked at construction.
     """
 
     elements: tuple
@@ -128,6 +128,8 @@ class FiniteGroupSpec:
             for b in self.elements:
                 if self.table.get((a, b)) not in elems:
                     raise InvalidTable(f"table missing or escaping at ({a!r},{b!r})")
+        if len(self.table) != len(elems) ** 2:  # every pair is in it, so some key is not a pair
+            raise InvalidTable("table has an entry for a pair outside the elements")
         for a in self.elements:
             if self.table[(self.identity, a)] != a or self.table[(a, self.identity)] != a:
                 raise InvalidTable(f"identity law fails at {a!r}")
@@ -205,15 +207,18 @@ def symmetric_group(m: int) -> FiniteGroupSpec:
     if m < 1:
         raise ValueError("need m >= 1")
     perms = sorted(itertools.permutations(range(1, m + 1)))
-    names = {s: perm_name(s) for s in perms}
+    names = [perm_name(s) for s in perms]
+    # perm_compose(s, t) == after_t(s), the entries of s at t's positions.
+    # At m = 1 an itemgetter of one position returns a bare entry, so the
+    # index is keyed through the identity's getter, which fits every m.
+    getters = [operator.itemgetter(*[i - 1 for i in t]) for t in perms]
+    index = dict(zip(map(getters[0], perms), names))
     table = {
-        (names[s], names[t]): names[perm_compose(s, t)]
-        for s in perms
-        for t in perms
+        (s_name, t_name): index[after_t(s)]
+        for s, s_name in zip(perms, names)
+        for t_name, after_t in zip(names, getters)
     }
-    return FiniteGroupSpec._trusted(
-        tuple(names[s] for s in perms), perm_name(tuple(range(1, m + 1))), table
-    )
+    return FiniteGroupSpec._trusted(tuple(names), names[0], table)
 
 
 @functools.lru_cache(maxsize=8)
@@ -448,9 +453,9 @@ def build_free_vpa(n: int) -> Recognizer:
 
 
 def build_finite_fsa(g: FiniteGroupSpec) -> Recognizer:
-    """Cayley-graph FSA: states are elements, reading b multiplies by b."""
-    delta = {(a, b): g.table[(a, b)] for a in g.elements for b in g.elements}
-    fsa = Fsa(tuple(g.elements), set(g.elements), g.identity, {g.identity}, delta)
+    """Cayley-graph FSA: states are elements, reading b multiplies by b.
+    Its moves are g.table as it stands, whose keys are the element pairs."""
+    fsa = Fsa(g.elements, set(g.elements), g.identity, {g.identity}, g.table)
     return Recognizer(fsa)
 
 

@@ -50,6 +50,15 @@ def _freeze_states(states: Iterable[State]) -> frozenset:
     return states if isinstance(states, frozenset) else frozenset(states)
 
 
+def _state_set(states: Iterable[State]) -> frozenset:
+    """A machine's state set, refusing the label None: runs and
+    constructions read a None from a table as a missing move."""
+    states = _freeze_states(states)
+    if None in states:
+        raise ValueError("None is not a state label: a table reads it as a missing move")
+    return states
+
+
 # ---------------------------------------------------------------------------
 # finite-state machines
 
@@ -72,7 +81,7 @@ class Fsa:
 
     def __post_init__(self):
         self.alphabet = tuple(self.alphabet)
-        self.states = _freeze_states(self.states)
+        self.states = _state_set(self.states)
         self.accepts = _freeze_states(self.accepts)
         self.delta = dict(self.delta)
         alpha = set(self.alphabet)
@@ -221,7 +230,7 @@ class Pda:
 
     def __post_init__(self):
         self.alphabet = check_alphabet(self.alphabet)
-        self.states = _freeze_states(self.states)
+        self.states = _state_set(self.states)
         self.stack_alphabet = frozenset(self.stack_alphabet)
         self.accepts = _freeze_states(self.accepts)
         self.delta = {k: (t, tuple(push)) for k, (t, push) in self.delta.items()}
@@ -303,7 +312,7 @@ class _VisiblyPushdown:
         """Normalize and validate the shared fields; a Vpa table entry is
         the only choice for its key."""
         self.alphabet = check_alphabet(self.alphabet)
-        self.states = states = _freeze_states(self.states)
+        self.states = states = _state_set(self.states)
         self.stack_alphabet = stack = frozenset(self.stack_alphabet)
         self.accepts = _freeze_states(self.accepts)
         self.accept_stack = frozenset(self.accept_stack)
@@ -845,6 +854,11 @@ def canonicalize(m):
     actually meet on top.  The accepted language is unchanged.  Useful
     after product constructions, whose structured state tuples are not
     JSON-serializable.
+
+    A state's moves on a letter are named in repr order.  Before that
+    sort, the search of a Vpa or Nvpa drops each move whose target is
+    already named and that pushes no symbol or an already named one: such
+    a move names nothing, so the names and their order do not depend on it.
     """
     if isinstance(m, Fsa):
         return _canonicalize_fsa(m)
@@ -880,17 +894,22 @@ def _canonicalize_fsa(m: Fsa) -> Fsa:
 
 
 def _successor_index(m) -> tuple[dict, dict]:
-    """Two maps from (state, base): to its calls as (successor, pushed) and
-    internals as (successor,); and to its returns as (top, (successor,))."""
-    moves: dict = {}
+    """Two maps from (state, base), read straight from m's tables: to its
+    calls as (successor, pushed) and then its internals as (successor,);
+    and to its returns as (top, successor)."""
     pops: dict = {}
-    calls, internals, returns = transition_rows(m)
-    for q, base, dst, g in calls:
-        moves.setdefault((q, base), []).append((dst, g))
-    for q, base, dst in internals:
-        moves.setdefault((q, base), []).append((dst,))
-    for q, base, g, dst in returns:
-        pops.setdefault((q, base), []).append((g, (dst,)))
+    if isinstance(m, Vpa):
+        moves = {key: [move] for key, move in m.delta_c.items()}
+        for key, dst in m.delta_i.items():
+            moves.setdefault(key, []).append((dst,))
+        for (q, base, g), dst in m.delta_r.items():
+            pops.setdefault((q, base), []).append((g, dst))
+    else:
+        moves = {key: [*choices] for key, choices in m.delta_c.items()}
+        for key, dsts in m.delta_i.items():
+            moves.setdefault(key, []).extend([(dst,) for dst in dsts])
+        for (q, base, g), dsts in m.delta_r.items():
+            pops.setdefault((q, base), []).extend([(g, dst) for dst in dsts])
     return moves, pops
 
 
@@ -901,9 +920,12 @@ def _bfs_names(m) -> tuple[dict, dict]:
 
     A return is followed on the bottom, or on a symbol once a call of a
     named state has pushed it; until then its target waits in `deferred`,
-    and the targets waiting on a symbol are named in repr order.
-    The successor index lives only while names are handed out, so it is
-    freed before the renamed tables are built.
+    and the targets waiting on a symbol are named in repr order.  A move
+    whose target is already named, and that pushes no symbol or a named
+    one, names nothing, so it is dropped before the sort (and a named
+    target does not wait); names only grow, so this leaves every name and
+    its order as they were.  The successor index lives only while names
+    are handed out, so it is freed before the renamed tables are built.
     """
     moves, pops = _successor_index(m)
     state_names: dict = {}
@@ -920,12 +942,18 @@ def _bfs_names(m) -> tuple[dict, dict]:
         name(q)
     for q in order:  # grows while it is walked: a breadth-first queue
         for base in m.alphabet:
-            ready = [*moves.get((q, base), ())]
-            for top, move in pops.get((q, base), ()):
+            key = (q, base)
+            ready = [
+                move for move in moves.get(key, ())
+                if move[0] not in state_names or len(move) == 2 and move[1] not in sym_names
+            ]
+            for top, dst in pops.get(key, ()):
+                if dst in state_names:
+                    continue
                 if top in sym_names:
-                    ready.append(move)
+                    ready.append((dst,))
                 else:
-                    deferred.setdefault(top, []).append(move[0])
+                    deferred.setdefault(top, []).append(dst)
             for move in _sorted_by_repr(ready):
                 if move[0] not in state_names:
                     name(move[0])

@@ -31,9 +31,10 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii
 from math import isfinite
+from operator import itemgetter
 
 from .machines import Fsa, Nvpa, Pda, Vpa, transition_rows
-from .words import parse_token
+from .words import Tag, parse_token
 
 
 class SerializationError(ValueError):
@@ -188,12 +189,18 @@ def _alphabet(values) -> tuple:
     return tuple(map(_label, _array_of(values)))
 
 
-def _row_arrays(rows):
-    """The transition rows, each a JSON array, with array labels as tuples."""
-    for row in _array_of(rows):
-        if type(row) is not list:
-            raise TypeError(f"transition row {row!r} is not an array")
-        yield [_tuple(v) if type(v) is list else v for v in row] if list in map(type, row) else row
+def _row_arrays(rows) -> list:
+    """The transition rows, each a JSON array, with array labels as tuples.
+    Each check runs once over the whole document."""
+    rows = _array_of(rows)
+    if not {*map(type, rows)} <= {list}:
+        bad = next(row for row in rows if type(row) is not list)
+        raise TypeError(f"transition row {bad!r} is not an array")
+    try:
+        hash(tuple(map(tuple, rows)))  # fails only on an array or object label
+    except TypeError:
+        rows = [[_tuple(v) if type(v) is list else v for v in row] if list in map(type, row) else row for row in rows]
+    return rows
 
 
 def _field(doc: dict, name: str, convert=_label):
@@ -211,68 +218,73 @@ def _field(doc: dict, name: str, convert=_label):
         raise SerializationError(f"bad {name!r} field in {doc['kind']} document: {exc}") from None
 
 
-def _put(table: dict, key, value, kind: str) -> None:
-    """table[key] = value for a deterministic table: a repeated row loads,
-    a second, different value for a key is an error."""
-    old = table.setdefault(key, value)
-    if old is not value and old != value:
-        raise SerializationError(f"{kind} document is nondeterministic at {key!r}")
+def _deterministic(moves: list, kind: str) -> dict:
+    """The table of (key, target) moves, in order, for a deterministic
+    machine: a repeated move loads, a second, different target for a key
+    is an error.  The first target of a key is kept."""
+    table: dict = {}
+    for key, value in moves:
+        old = table.setdefault(key, value)
+        if old is not value and old != value:
+            raise SerializationError(f"{kind} document is nondeterministic at {key!r}")
+    return table
 
 
 def _fsa_delta(rows) -> dict:
-    delta: dict = {}
-    for q, sym, dst in _row_arrays(rows):
-        _put(delta, (q, sym), _label(dst), "fsa")
+    rows = _row_arrays(rows)
+    delta = {(q, sym): dst for q, sym, dst in rows}
+    if len(delta) < len(rows):  # a key repeats: a conflict, or rows that repeat
+        delta = _deterministic([((q, sym), dst) for q, sym, dst in rows], "fsa")
     return delta
 
 
 def _pda_delta(rows) -> dict:
-    delta: dict = {}
+    moves = []
     for q, sym, g, dst, push in _row_arrays(rows):
         if type(push) is not tuple:
             raise TypeError(f"push word {push!r} is not an array")
-        _put(delta, (q, sym, g), (_label(dst), _label(push)), "pda")
-    return delta
+        moves.append(((q, sym, g), (_label(dst), _label(push))))
+    return _deterministic(moves, "pda")
 
 
 def _vpa_deltas(rows, single: bool) -> tuple:
-    """Call, internal and return tables.  A `single` (vpa) table maps each
-    key to its one target, and a second, different target is an error; an
-    nvpa table maps each key to a set of targets."""
+    """Call, internal and return tables, built a token at a time.  A
+    `single` (vpa) table maps each key to its one target, and a second,
+    different target is an error; an nvpa table maps each key to a set of
+    targets."""
+    rows = _row_arrays(rows)
+    tokens = [*map(itemgetter(1), rows)]
+    if not {*map(type, tokens)} <= {str}:
+        bad = next(token for token in tokens if type(token) is not str)
+        raise TypeError(f"token {bad!r} is not a string")
+    groups: dict = {}  # token -> its rows, in document order
+    for token, row in zip(tokens, rows):
+        groups.setdefault(token, []).append(row)
     delta_c: dict = {}
     delta_i: dict = {}
     delta_r: dict = {}
-    tables = (delta_c, delta_i, delta_r)  # indexed by the Tag of a token
-    parsed: dict = {}  # token text -> (its table, its base letter)
-    for row in _row_arrays(rows):
-        token = row[1]
-        try:
-            table, base = parsed[token]
-        except (KeyError, TypeError):
-            if not isinstance(token, str):
-                raise TypeError(f"token {token!r} is not a string") from None
-            base, tag = parse_token(token)
-            table, base = parsed[token] = tables[tag], base
-        if table is delta_i:
-            src, _, move = row
-            key = (src, base)
-        elif table is delta_c:
-            src, _, dst, g = row
-            key, move = (src, base), (dst, g)
+    for token, group in groups.items():
+        base, tag = parse_token(token)
+        if tag == Tag.CALL:
+            table, moves = delta_c, [((src, base), (dst, g)) for src, _, dst, g in group]
+        elif tag == Tag.INTERNAL:
+            table, moves = delta_i, [((src, base), dst) for src, _, dst in group]
         else:
-            src, _, g, move = row
-            key = (src, base, g)
-        if single:  # _put, inlined on the hot path of every vpa row
-            old = table.setdefault(key, move)
-            if old is not move and old != move:
-                raise SerializationError(f"vpa document is nondeterministic at {key!r}")
+            table, moves = delta_r, [((src, base, g), dst) for src, _, g, dst in group]
+        # distinct tokens give distinct keys, so a key repeats only within a group
+        if single:
+            size = len(table)
+            table.update(moves)
+            if len(table) - size < len(moves):  # a conflict, or rows that repeat
+                table.update(_deterministic(moves, "vpa"))
         else:
-            targets = table.get(key)
-            if targets is None:
-                table[key] = {move}
-            else:
-                targets.add(move)
-    return tables
+            for key, move in moves:
+                targets = table.get(key)
+                if targets is None:
+                    table[key] = {move}
+                else:
+                    targets.add(move)
+    return delta_c, delta_i, delta_r
 
 
 def _machine(doc: dict):

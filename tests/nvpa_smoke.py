@@ -1,11 +1,14 @@
-"""Standard-library-only agreement smoke of nvpa_run against the reference
-summary run, for interpreters that have no pytest:
+"""Standard-library-only smoke of nvpa_run against the reference summary
+run, and of the serialized bytes against the golden digests, for
+interpreters that have no pytest:
 
     PYTHONPATH=src python tests/nvpa_smoke.py
 
 Runs every tagged word of length <= 4 over two letters, and 20 walks of
 up to 80 letters, on the reverse, star and concat closures and the NVPA
-embedding of seeded random VPAs; exits 1 on the first disagreement.
+embedding of seeded random VPAs; then checks that the golden closure and
+builder machines dump to the pinned digests.  Exits 1 on the first
+disagreement.
 """
 
 import os
@@ -14,7 +17,17 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from oracles import nvpa_from_vpa, random_vpa, random_walk, reference_nvpa_run  # noqa: E402
+from oracles import (  # noqa: E402
+    GOLDEN_BUILDER_DIGEST,
+    GOLDEN_CLOSURE_DIGEST,
+    dumps_digest,
+    golden_builder_machines,
+    golden_closure_machines,
+    nvpa_from_vpa,
+    random_vpa,
+    random_walk,
+    reference_nvpa_run,
+)
 
 from nestword.closures import vpl_concat, vpl_reverse, vpl_star  # noqa: E402
 from nestword.machines import nvpa_run  # noqa: E402
@@ -37,7 +50,15 @@ def main() -> int:
                     return 1
                 runs += 1
                 accepted += got
-    print(f"Python {sys.version.split()[0]}: {runs} runs agree ({accepted} accepted)")
+    for what, machines, pinned in (
+        ("closure", golden_closure_machines(), GOLDEN_CLOSURE_DIGEST),
+        ("builder", golden_builder_machines(), GOLDEN_BUILDER_DIGEST),
+    ):
+        digest, _ = dumps_digest(machines)
+        if digest != pinned:
+            print(f"golden {what} machines dump to {digest}, pinned {pinned}")
+            return 1
+    print(f"Python {sys.version.split()[0]}: {runs} runs agree ({accepted} accepted); golden digests match")
     return 0
 
 

@@ -7,22 +7,39 @@ it is used to check.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import random
 from collections import deque
 
-from nestword.closures import NonDisjointAlphabets, Relabeling
+from nestword.closures import (
+    NonDisjointAlphabets,
+    Relabeling,
+    relabel_image,
+    shuffle,
+    vpl_complement,
+    vpl_concat,
+    vpl_intersection,
+    vpl_reverse,
+    vpl_star,
+    vpl_union,
+)
 from nestword.groups import (
     FiniteGroupSpec,
     FreeGroupSpec,
     _cancellations,
+    build_direct_product,
+    build_free_vpa,
+    build_semidirect,
+    cyclic_group,
     free_letters,
     free_reduce,
     invert_letter,
     is_identity,
     perm_by_name,
     perm_compose,
+    perm_name,
     psi_action,
 )
 from nestword.machines import (
@@ -38,7 +55,7 @@ from nestword.machines import (
     vpa_normalize_acceptance,
     vpa_run,
 )
-from nestword.serialize import SerializationError
+from nestword.serialize import SerializationError, dumps
 from nestword.words import (
     EMPTY_WORD_TOKEN,
     NEG_INF,
@@ -717,6 +734,116 @@ def well_matched_pairs_sweep(m: Vpa) -> dict:
                                 reach[q].add(dst)
                                 changed = True
     return reach
+
+
+# ---------------------------------------------------------------------------
+# reference canonical naming and S_m table: the straightforward forms that
+# nestword.machines._bfs_names and nestword.groups.symmetric_group must agree
+# with, names, element order and dict order included
+
+
+def reference_bfs_names(m) -> tuple[dict, dict]:
+    """The state and stack-symbol names canonicalize gives a Vpa or Nvpa:
+    breadth-first from the initial state(s), taken in repr order, every
+    move of a state on a letter sorted by repr (named or not); a return is
+    followed on the bottom, or on a symbol once a call of a named state has
+    pushed it, and the targets waiting on a symbol are named in repr order
+    when it is pushed."""
+    moves: dict = {}
+    pops: dict = {}
+    calls, internals, returns = transition_rows(m)
+    for q, base, dst, g in calls:
+        moves.setdefault((q, base), []).append((dst, g))
+    for q, base, dst in internals:
+        moves.setdefault((q, base), []).append((dst,))
+    for q, base, g, dst in returns:
+        pops.setdefault((q, base), []).append((g, (dst,)))
+    state_names: dict = {}
+    sym_names = {m.bottom: "$"}
+    deferred: dict = {}
+    order: list = []
+
+    def name(q) -> None:
+        if q not in state_names:
+            state_names[q] = f"q{len(order)}"
+            order.append(q)
+
+    for q in [m.initial] if isinstance(m, Vpa) else sorted(m.initials, key=repr):
+        name(q)
+    for q in order:
+        for base in m.alphabet:
+            ready = [*moves.get((q, base), ())]
+            for top, move in pops.get((q, base), ()):
+                if top in sym_names:
+                    ready.append(move)
+                else:
+                    deferred.setdefault(top, []).append(move[0])
+            for move in sorted(ready, key=repr):
+                if move[0] not in state_names:
+                    name(move[0])
+                if len(move) == 2 and move[1] not in sym_names:
+                    sym_names[move[1]] = f"g{len(sym_names) - 1}"
+                    for waiting in sorted(deferred.pop(move[1], ()), key=repr):
+                        name(waiting)
+    return state_names, sym_names
+
+
+def reference_symmetric_group(m: int) -> tuple:
+    """(elements, identity, table) of S_m through perm_compose: elements in
+    the sorted order of their one-line tuples, the table keyed (s, t) with
+    s outer and t inner."""
+    perms = sorted(itertools.permutations(range(1, m + 1)))
+    names = {s: perm_name(s) for s in perms}
+    table = {(names[s], names[t]): names[perm_compose(s, t)] for s in perms for t in perms}
+    return tuple(names[s] for s in perms), perm_name(tuple(range(1, m + 1))), table
+
+
+def reference_finite_fsa(g: FiniteGroupSpec) -> Fsa:
+    """The Cayley FSA of g, each move looked up pair by pair."""
+    delta = {(a, b): g.table[(a, b)] for a in g.elements for b in g.elements}
+    return Fsa(tuple(g.elements), set(g.elements), g.identity, {g.identity}, delta)
+
+
+# ---------------------------------------------------------------------------
+# golden machines: fixed, seeded outputs whose JSON text the suite pins by
+# digest (tests/test_machines.py), also checked without pytest by
+# tests/nvpa_smoke.py
+
+GOLDEN_CLOSURE_DIGEST = "88594c031c66365d7a70822fe522c5186a2b25df81436c4630290f3019ff0ad8"
+GOLDEN_BUILDER_DIGEST = "f757073ef664bcd04371ba4d0a6dc715f8b291329b6005cefa8f6f9b2ac6d477"
+
+
+def golden_builder_machines():
+    """The free, direct-product and semidirect builder outputs."""
+    yield build_free_vpa(2).automaton
+    yield build_direct_product(2, cyclic_group(3)).automaton
+    yield build_semidirect(2, 2).automaton
+
+
+def golden_closure_machines():
+    """A fixed, seeded set of closure outputs, Vpa and Nvpa."""
+    rng = random.Random(20261018)
+    for _ in range(4):
+        m1, m2, r = random_vpa(rng), random_vpa(rng), random_fsa(rng)
+        yield vpl_union(m1, m2)
+        yield vpl_intersection(m1, m2)
+        yield vpl_complement(m1)
+        yield vpl_concat(m1, m2)
+        yield vpl_star(m1)
+        yield vpl_reverse(m1)
+        yield canonicalize(shuffle(m1, r))
+        yield canonicalize(relabel_image(m1, identity_relabeling(m1.alphabet)))
+        yield canonicalize(nvpa_from_vpa(m2))
+
+
+def dumps_digest(machines) -> tuple:
+    """The sha256 of the machines' dumps texts in order, and their kinds."""
+    digest = hashlib.sha256()
+    kinds = set()
+    for m in machines:
+        digest.update(dumps(m).encode())
+        kinds.add(m.kind)
+    return digest.hexdigest(), kinds
 
 
 # ---------------------------------------------------------------------------

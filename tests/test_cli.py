@@ -354,6 +354,24 @@ def test_check_machine_missing_field_exits_2(tmp_path):
     assert "'transitions'" in result[2]
 
 
+NULL_STATE_FSA = {"kind": "fsa", "alphabet": ["a"], "states": [0, None], "initial": 0, "accepts": [None],
+                  "transitions": [[0, "a", None]]}
+
+
+@pytest.mark.parametrize("argv", [
+    ("closure", "--op", "complement", "--inputs", "{aut}"),
+    ("closure", "--op", "prefix", "--inputs", "{aut}"),
+    ("check", "--automaton", "{aut}", "a"),
+])
+def test_null_state_exits_2(tmp_path, argv):
+    # a state labelled null would read as a missing move: complement would
+    # fail with KeyError: None, and check would answer "reject"
+    aut = write_spec(tmp_path, "null.json", NULL_STATE_FSA)
+    result = run_cli(*[a.format(aut=aut) for a in argv])
+    assert_one_error_line(result)
+    assert "None is not a state label" in result[2]
+
+
 def test_enum_machine_missing_field_exits_2(tmp_path):
     aut = write_spec(tmp_path, "bare.json", {"kind": "vpa"})
     assert_one_error_line(run_cli("enum", "--automaton", aut, "--max-len", "2"))

@@ -7,7 +7,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import direct_oracle, group_letters, reference_annotate_word, semidirect_oracle
+from oracles import (
+    direct_oracle,
+    group_letters,
+    reference_annotate_word,
+    reference_finite_fsa,
+    reference_symmetric_group,
+    semidirect_oracle,
+)
+from nestword import serialize
 from nestword.closures import NonDisjointAlphabets, relabel_image, shuffle
 from nestword.groups import (
     BoundExceeded,
@@ -188,6 +196,8 @@ def test_finite_fsa_rejects_tagged_words():
 def test_invalid_tables():
     with pytest.raises(InvalidTable):
         FiniteGroupSpec(("e", "t"), "e", {("e", "e"): "e"})  # missing entries
+    with pytest.raises(InvalidTable, match="outside the elements"):
+        FiniteGroupSpec(("e",), "e", {("e", "e"): "e", ("e", "x"): "e"})
     with pytest.raises(InvalidTable):
         FiniteGroupSpec.from_rows(("e", "t"), "e", [["e", "t"], ["t", "t"]])
     with pytest.raises(InvalidTable):
@@ -247,6 +257,21 @@ def test_library_tables_pass_the_validating_constructor(make, k):
     g = make(k)
     assert type(g.elements) is tuple and type(g.table) is dict
     assert FiniteGroupSpec(g.elements, g.identity, g.table) == g
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_symmetric_group_matches_perm_compose(m):
+    # elements in order, the identity, and the table's items in order
+    elements, identity, table = reference_symmetric_group(m)
+    g = symmetric_group(m)
+    assert g.elements == elements and g.identity == identity
+    assert [*g.table.items()] == [*table.items()]
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_finite_fsa_of_symmetric_group_dumps_as_the_reference(m):
+    g = symmetric_group(m)
+    assert serialize.dumps(build_finite_fsa(g).automaton) == serialize.dumps(reference_finite_fsa(g))
 
 
 def test_perm_inverse():

@@ -2,7 +2,6 @@
 
 import copy
 import dataclasses
-import hashlib
 import itertools
 import pickle
 import sys
@@ -11,16 +10,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    GOLDEN_BUILDER_DIGEST,
+    GOLDEN_CLOSURE_DIGEST,
     anbn_pda,
     astar_bstar_fsa,
     configuration_set_run,
     deep_walk,
+    dumps_digest,
+    golden_builder_machines,
+    golden_closure_machines,
     identity_relabeling,
     nfa_run,
     nvpa_from_vpa,
     random_fsa,
     random_vpa,
     random_walk,
+    reference_bfs_names,
     reference_nvpa_run,
 )
 import random
@@ -46,7 +51,7 @@ from nestword.machines import (
     vpa_normalize_acceptance,
     vpa_run,
 )
-from nestword import machines, serialize
+from nestword import closures, machines, serialize
 from nestword.closures import (
     relabel_image,
     shuffle,
@@ -58,7 +63,7 @@ from nestword.closures import (
     vpl_union,
 )
 from nestword.words import TaggedSymbol, all_tagged_words, decode, parse_word, reverse as reverse_word
-from nestword.groups import build_direct_product, build_finite_fsa, build_free_vpa, build_semidirect, cyclic_group
+from nestword.groups import build_finite_fsa, build_free_vpa, cyclic_group
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +667,59 @@ def test_canonicalize_follows_a_deferred_return_once_its_symbol_is_pushed(embed)
         assert machine_accepts(c, tw) == machine_accepts(embed(m), tw)
 
 
+def test_machines_refuse_a_null_state():
+    # the tables would read a target None as a missing move, so each of
+    # these machines would reject "a" although it accepts it
+    builds = [
+        lambda: Fsa(("a",), {0, None}, 0, {None}, {(0, "a"): None}),
+        lambda: Pda(("a",), {0, None}, {"Z"}, 0, "Z", {None}, {(0, "a", "Z"): (None, ("Z",))}),
+        lambda: Vpa(("a",), {0, None}, set(), "$", 0, {None}, set(), {}, {(0, "a"): None}, {}),
+        lambda: Nvpa(("a",), {0, None}, set(), "$", {0}, {None}, set(), {}, {(0, "a"): {None}}, {}),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError, match="None is not a state label"):
+            build()
+    # a tuple holding None is an ordinary label
+    m = Fsa(("a",), {0, (None,)}, 0, {(None,)}, {(0, "a"): (None,)})
+    assert fsa_run(m, "a")
+
+
+def _names_in_order(names: tuple) -> tuple:
+    states, syms = names
+    return [*states.items()], [*syms.items()]
+
+
+def test_bfs_names_agree_with_the_reference(monkeypatch):
+    # the names canonicalize gives, and their dict order, match the search
+    # that sorts every move, on random machines and on the machines each
+    # closure construction hands to canonicalize
+    checked = []
+
+    def agreeing(m):
+        if not isinstance(m, Fsa):
+            assert _names_in_order(machines._bfs_names(m)) == _names_in_order(reference_bfs_names(m))
+            checked.append(m.kind)
+        return canonicalize(m)
+
+    monkeypatch.setattr(closures, "canonicalize", agreeing)
+    for seed in range(12):
+        rng = random.Random(seed)
+        m1 = random_vpa(rng, n_states=2 + seed % 5, n_stack=1 + seed % 3, density=0.4 + 0.1 * (seed % 5))
+        m2 = random_vpa(rng, n_states=3, n_stack=2)
+        r = random_fsa(rng)
+        for m in (m1, nvpa_from_vpa(m2)):
+            agreeing(m)
+        vpl_union(m1, m2)
+        vpl_intersection(m1, m2)
+        vpl_complement(m1)
+        vpl_concat(m1, m2)
+        vpl_star(m1)
+        vpl_reverse(m1)
+        agreeing(shuffle(m1, r))
+        agreeing(relabel_image(m1, identity_relabeling(m1.alphabet)))
+    assert {"vpa", "nvpa"} <= set(checked) and len(checked) >= 12 * 10
+
+
 def test_canonicalize_names_a_pushed_none_symbol():
     # a call pushing the label None used to be taken for an internal move
     m = Vpa(("a",), {"p"}, {None}, "$", "p", {"p"}, {None}, {("p", "a"): ("p", None)}, {}, {("p", "a", None): "p"})
@@ -690,50 +748,18 @@ def test_canonicalize_commutes_with_nvpa_embedding(seed):
 # serialization
 
 
-def golden_builder_machines():
-    """The free, direct-product and semidirect builder outputs."""
-    yield build_free_vpa(2).automaton
-    yield build_direct_product(2, cyclic_group(3)).automaton
-    yield build_semidirect(2, 2).automaton
-
-
-def golden_closure_machines():
-    """A fixed, seeded set of closure outputs, Vpa and Nvpa."""
-    rng = random.Random(20261018)
-    for _ in range(4):
-        m1, m2, r = random_vpa(rng), random_vpa(rng), random_fsa(rng)
-        yield vpl_union(m1, m2)
-        yield vpl_intersection(m1, m2)
-        yield vpl_complement(m1)
-        yield vpl_concat(m1, m2)
-        yield vpl_star(m1)
-        yield vpl_reverse(m1)
-        yield canonicalize(shuffle(m1, r))
-        yield canonicalize(relabel_image(m1, identity_relabeling(m1.alphabet)))
-        yield canonicalize(nvpa_from_vpa(m2))
-
-
-def _dumps_digest(machines) -> tuple:
-    digest = hashlib.sha256()
-    kinds = set()
-    for m in machines:
-        digest.update(serialize.dumps(m).encode())
-        kinds.add(m.kind)
-    return digest.hexdigest(), kinds
-
-
 def test_dumps_golden_digest():
     # pins the JSON text and the canonical names of every output, byte for byte
-    digest, kinds = _dumps_digest(golden_closure_machines())
+    digest, kinds = dumps_digest(golden_closure_machines())
     assert kinds == {"vpa", "nvpa"}
-    assert digest == "88594c031c66365d7a70822fe522c5186a2b25df81436c4630290f3019ff0ad8"
+    assert digest == GOLDEN_CLOSURE_DIGEST
 
 
 def test_dumps_golden_digest_builders():
     # the free, direct and semidirect builders' JSON, byte for byte
-    digest, kinds = _dumps_digest(golden_builder_machines())
+    digest, kinds = dumps_digest(golden_builder_machines())
     assert kinds == {"vpa"}
-    assert digest == "f757073ef664bcd04371ba4d0a6dc715f8b291329b6005cefa8f6f9b2ac6d477"
+    assert digest == GOLDEN_BUILDER_DIGEST
 
 
 def test_serialize_roundtrip_fsa():

@@ -38,6 +38,9 @@ scalars = st.one_of(
     st.floats(),
 )
 labels = st.recursive(scalars, lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=5)
+# machines refuse the state label None, which their tables would read as a
+# missing move
+state_labels = labels.filter(lambda label: label is not None)
 
 
 def _is_letter(name: str) -> bool:
@@ -53,7 +56,7 @@ letters = st.one_of(st.sampled_from(TRICKY), st.text(min_size=1, max_size=3)).fi
 
 @st.composite
 def fsas(draw):
-    states = draw(st.lists(labels, min_size=1, max_size=4, unique=True))
+    states = draw(st.lists(state_labels, min_size=1, max_size=4, unique=True))
     alphabet = draw(st.lists(labels, max_size=3, unique=True))
     state = st.sampled_from(states)
     delta = {(q, a): draw(state) for q in states for a in alphabet if draw(st.booleans())}
@@ -62,7 +65,7 @@ def fsas(draw):
 
 @st.composite
 def pdas(draw):
-    states = draw(st.lists(labels, min_size=1, max_size=3, unique=True))
+    states = draw(st.lists(state_labels, min_size=1, max_size=3, unique=True))
     stack = draw(st.lists(labels, min_size=1, max_size=3, unique=True))
     alphabet = draw(st.lists(letters, min_size=1, max_size=2, unique=True))
     state, symbol = st.sampled_from(states), st.sampled_from(stack)
@@ -82,7 +85,7 @@ def pdas(draw):
 
 @st.composite
 def visibly_pushdown(draw, nondeterministic: bool):
-    states = draw(st.lists(labels, min_size=1, max_size=3, unique=True))
+    states = draw(st.lists(state_labels, min_size=1, max_size=3, unique=True))
     stack = draw(st.lists(labels, max_size=3, unique=True))
     bottom = draw(labels.filter(lambda b: b not in stack))
     alphabet = draw(st.lists(letters, min_size=1, max_size=2, unique=True))
@@ -272,6 +275,47 @@ def test_vpa_document_repeated_row_loads_conflicting_row_raises():
         serialize.loads(json.dumps({**VPA, "transitions": [["p", "<a", "q", "g"], ["p", "<a", "p", "g"]]}))
 
 
+# (document, its rows, the whole message of the error): one fault each
+ROW_ERRORS = [
+    (FSA, [["p", "a", "q"], "paq"], "bad 'transitions' field in fsa document: transition row 'paq' is not an array"),
+    (VPA, [["p", "a", "q"], 5], "bad 'transitions' field in vpa document: transition row 5 is not an array"),
+    (FSA, [["p", "a"]], "bad 'transitions' field in fsa document: not enough values to unpack (expected 3, got 2)"),
+    (FSA, [["p", "a", "q", "q"]], "bad 'transitions' field in fsa document: too many values to unpack (expected 3)"),
+    (PDA, [["p", "a", "Z", "q"]], "bad 'transitions' field in pda document: not enough values to unpack (expected 5, got 4)"),
+    (VPA, [["p"]], "bad 'transitions' field in vpa document: list index out of range"),
+    (VPA, [["p", "a"]], "bad 'transitions' field in vpa document: not enough values to unpack (expected 3, got 2)"),
+    (VPA, [["p", "<a", "q"]], "bad 'transitions' field in vpa document: not enough values to unpack (expected 4, got 3)"),
+    (NVPA, [["p", "a>", "g"]], "bad 'transitions' field in nvpa document: not enough values to unpack (expected 4, got 3)"),
+    (VPA, [["p", 5, "q"]], "bad 'transitions' field in vpa document: token 5 is not a string"),
+    (NVPA, [["p", ["a"], "q"]], "bad 'transitions' field in nvpa document: token ('a',) is not a string"),
+    (VPA, [["p", {}, "q"]], "bad 'transitions' field in vpa document: token {} is not a string"),
+    (FSA, [["p", "a", "q"], ["p", "a", "p"]], "fsa document is nondeterministic at ('p', 'a')"),
+    (PDA, [["p", "a", "Z", "q", ["Z"]], ["p", "a", "Z", "q", []]], "pda document is nondeterministic at ('p', 'a', 'Z')"),
+    (VPA, [["p", "a>", "g", "q"], ["p", "a>", "g", "p"]], "vpa document is nondeterministic at ('p', 'a', 'g')"),
+    (PDA, [["p", "a", "Z", "q", "Z"]], "bad 'transitions' field in pda document: push word 'Z' is not an array"),
+]
+
+
+@pytest.mark.parametrize("doc, rows, message", ROW_ERRORS)
+def test_loads_names_the_faulty_row(doc, rows, message):
+    with pytest.raises(serialize.SerializationError) as error:
+        serialize.loads(json.dumps({**doc, "transitions": rows}))
+    assert str(error.value) == message
+
+
+def test_loads_reads_a_repeated_row_and_nested_array_labels():
+    for doc, row in ((FSA, ["p", "a", "q"]), (PDA, ["p", "a", "Z", "q", ["Z"]]), (VPA, ["p", "<a", "q", "g"]),
+                     (NVPA, ["p", "a>", "$", "q"])):
+        text = json.dumps({**doc, "transitions": [row, row]})
+        assert serialize.loads(text) == reference_loads(text)
+    nested = {**FSA, "states": [["p", ["x", 1]], "q"], "initial": ["p", ["x", 1]],
+              "transitions": [[["p", ["x", 1]], "a", "q"], ["q", "b", ["p", ["x", 1]]]]}
+    m = serialize.loads(json.dumps(nested))
+    p = ("p", ("x", 1))
+    assert m.states == {p, "q"} and m.initial == p
+    assert m.delta == {(p, "a"): "q", ("q", "b"): p}
+
+
 def test_loads_reports_deep_nesting_and_bad_json():
     for text in ("[" * 100_000, "{", json.dumps({**FSA, "initial": json.loads("[" * 600 + "]" * 600)})):
         with pytest.raises(serialize.SerializationError):
@@ -397,10 +441,27 @@ def _with_conflict(rng: random.Random, doc):
     return doc
 
 
+def _replaced(node, old, new):
+    """node with every value equal to `old` (of the same type) replaced by `new`."""
+    if isinstance(node, dict):
+        return {key: _replaced(value, old, new) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_replaced(value, old, new) for value in node]
+    return new if type(node) is type(old) and node == old else node
+
+
+def _with_null_state(rng: random.Random, doc):
+    """doc with one of its states renamed null wherever its label appears."""
+    return _replaced(doc, rng.choice(doc["states"]), None)
+
+
+NULL_STATE = "None is not a state label"
+
+
 def test_mutation_fuzz_only_serialization_errors_and_agreement():
     rng = random.Random(20261018)
     seeds = _seed_documents()
-    outcomes = {"both reject": 0, "newly rejected": 0, "conflicting rows": 0, "both load": 0}
+    outcomes = {"both reject": 0, "null state": 0, "newly rejected": 0, "conflicting rows": 0, "both load": 0}
 
     def judge(doc) -> None:
         text = json.dumps(doc)
@@ -410,9 +471,13 @@ def test_mutation_fuzz_only_serialization_errors_and_agreement():
             want = None
         try:
             got = serialize.loads(text)
-        except serialize.SerializationError:  # anything else fails the test
-            got = None
-        if want is None:
+        except serialize.SerializationError as exc:  # anything else fails the test
+            got, error = None, str(exc)
+        if want is None and got is None and NULL_STATE in error:
+            # the machines refuse a null state, which both readers pass on
+            assert None in doc["states"], text
+            outcomes["null state"] += 1
+        elif want is None:
             assert got is None, text
             outcomes["both reject"] += 1
         elif got is None and _conflicting_rows(doc):
@@ -430,4 +495,6 @@ def test_mutation_fuzz_only_serialization_errors_and_agreement():
     fsa_pda = [doc for doc in seeds if doc["kind"] in ("fsa", "pda")]
     for _ in range(300):
         judge(_with_conflict(rng, rng.choice(fsa_pda)))
+    for _ in range(100):
+        judge(_with_null_state(rng, rng.choice(seeds)))
     assert min(outcomes.values()) >= 30, outcomes  # each outcome is exercised
