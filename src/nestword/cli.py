@@ -34,6 +34,7 @@ from .words import (
     Tag,
     all_plain_words,
     all_tagged_words,
+    check_letter,
     format_word,
     parse_plain,
     parse_word,
@@ -55,6 +56,17 @@ def _load(path: str, what: str, parse, io_code: int = 2):
             return parse(serialize.parse_json(fh.read()))
     except (OSError, ValueError) as exc:
         raise _Exit(f"cannot load {what}: {exc}", io_code if isinstance(exc, OSError) else 2) from None
+
+
+def _load_runnable(path: str, command: str):
+    """The FSA, VPA or NVPA in the file at path for `command` to read and
+    print words of, refused unless its letters are token letters."""
+    machine = _load(path, "automaton", serialize.from_doc)
+    if isinstance(machine, Pda):
+        raise ValueError(f"{command} runs FSA/VPA/NVPA automata, not PDAs")
+    for letter in machine.alphabet:
+        check_letter(letter)
+    return machine
 
 
 def _word(text: str, machine) -> tuple:
@@ -87,9 +99,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_check(args) -> int:
-    machine = _load(args.automaton, "automaton", serialize.from_doc)
-    if isinstance(machine, Pda):
-        raise ValueError("check runs FSA/VPA/NVPA automata, not PDAs")
+    machine = _load_runnable(args.automaton, "check")
     word = _word(" ".join(args.tokens), machine)
     if (
         isinstance(machine, (Vpa, Nvpa))
@@ -134,18 +144,15 @@ def cmd_enum(args) -> int:
         raise ValueError(f"--max-len {args.max_len} is negative")
     if args.max_len > args.cap:
         raise ValueError(f"--max-len {args.max_len} exceeds cap {args.cap}")
-    machine = _load(args.automaton, "automaton", serialize.from_doc)
+    machine = _load_runnable(args.automaton, "enum")
     if isinstance(machine, Fsa):
-        letters = sorted(machine.alphabet, key=str)
-        for word in all_plain_words(letters, args.max_len):
+        for word in all_plain_words(sorted(machine.alphabet), args.max_len):
             if fsa_run(machine, word):
                 print(" ".join(word) if word else "ε")
-    elif isinstance(machine, (Vpa, Nvpa)):
+    else:
         for tw in all_tagged_words(machine.alphabet, args.max_len):
             if machine_accepts(machine, tw):
                 print(format_word(tw))
-    else:
-        raise ValueError("enum runs FSA/VPA/NVPA automata, not PDAs")
     return 0
 
 

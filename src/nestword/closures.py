@@ -1,24 +1,25 @@
 """Closure constructions for regular languages and VPLs.
 
-Regular operations return deterministic FSAs (nondeterministic intermediates
-are determinized).  VPL union/intersection/complement return deterministic
-VPAs holding only the states, stack symbols and moves a run can reach from
-the initial state, found by a worklist over (state, stack top) pairs: a
-return is kept only at a pair the search reaches, and the search
-over-approximates only which call pushed a symbol.  Tags keep both stacks
-of a product in lockstep.  Intersection takes its inputs as they are;
+Regular operations return deterministic FSAs holding only the states a run
+reaches: products, complement and prefix read a missing move as a dead
+state, never a materialized sink, and nondeterministic intermediates are
+determinized over reached subsets.  VPL union/intersection/complement return
+deterministic VPAs holding only the states, stack symbols and moves a run
+can reach from the initial state, found by a worklist over (state, stack
+top) pairs: a return is kept only at a pair the search reaches, and the
+search over-approximates only which call pushed a symbol.  Tags keep both
+stacks of a product in lockstep.  Intersection takes its inputs as they are;
 union and complement complete theirs and make acceptance state-only,
 normalizing only when some stack symbol is unacceptable.  Concatenation,
-star, and reversal return NVPAs whose membership is decided by the
-summary run (`nvpa_run`: one frame per pending call, mapping each entry
-to a bitmask of states, at any depth); prefix-closure membership is
-decided directly by saturation instead of building a machine, and the
-same summaries decide emptiness and equivalence of VPAs exactly
-(`vpa_is_empty`, `vpl_equivalent`).
+star, and reversal return NVPAs whose membership is decided by the summary
+run (`nvpa_run`: one frame per pending call, mapping each entry to a bitmask
+of states, at any depth); prefix-closure membership is decided directly by
+saturation instead of building a machine, and the same summaries decide
+emptiness and equivalence of VPAs exactly (`vpa_is_empty`,
+`vpl_equivalent`).
 
-Union/intersection/complement/concat/star/reverse outputs are canonicalized
-(reachable part, q0/q1... names).  `shuffle` and `relabel_image` keep their
-structured product states so callers can rename them meaningfully.
+Every output but `shuffle`'s and `relabel_image`'s has canonical q0/q1...
+names; those two keep their structured product states for callers to name.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .machines import (
     Vpa,
     add_move,
     canonicalize,
-    fsa_complete,
     fsa_determinize,
+    reached_fsa,
     vpa_complete,
     vpa_normalize_acceptance,
     vpa_run,
@@ -77,18 +78,20 @@ def _reaching(targets, edges) -> frozenset:
 # regular closures
 
 
+# Where a run of a regular input has no move: a state of the completed
+# input that moves only to itself and accepts nothing.
+_DEAD = object()
+
+
 def _fsa_product(m1: Fsa, m2: Fsa, keep) -> Fsa:
-    alphabet = _require_same_alphabet(m1, m2)
-    c1, c2 = fsa_complete(m1), fsa_complete(m2)
-    states = {(p, q) for p in c1.states for q in c2.states}
-    delta = {
-        ((p, q), a): (c1.delta[(p, a)], c2.delta[(q, a)])
-        for p, q in states
-        for a in alphabet
-    }
-    accepts = {(p, q) for p, q in states if keep(p in c1.accepts, q in c2.accepts)}
-    prod = Fsa(alphabet, frozenset(states), (c1.initial, c2.initial), frozenset(accepts), delta)
-    return canonicalize(prod)
+    """The part of the product of the completed inputs that a run reaches."""
+    d1, d2 = m1.delta, m2.delta
+    return reached_fsa(
+        _require_same_alphabet(m1, m2),
+        (m1.initial, m2.initial),
+        lambda pair, a: (d1.get((pair[0], a), _DEAD), d2.get((pair[1], a), _DEAD)),
+        lambda pair: keep(pair[0] in m1.accepts, pair[1] in m2.accepts),
+    )
 
 
 def reg_union(m1: Fsa, m2: Fsa) -> Fsa:
@@ -100,9 +103,9 @@ def reg_intersection(m1: Fsa, m2: Fsa) -> Fsa:
 
 
 def reg_complement(m: Fsa) -> Fsa:
-    c = fsa_complete(m)
-    return canonicalize(
-        Fsa(c.alphabet, c.states, c.initial, c.states - c.accepts, c.delta)
+    """The reached part of the completed m, its accepting states flipped."""
+    return reached_fsa(
+        m.alphabet, m.initial, lambda q, a: m.delta.get((q, a), _DEAD), lambda q: q not in m.accepts
     )
 
 
@@ -154,7 +157,7 @@ def reg_reverse(m: Fsa) -> Fsa:
 def reg_prefix(m: Fsa) -> Fsa:
     """Every state that can reach an accept state becomes accepting."""
     reach = _reaching(m.accepts, ((q, dst) for (q, _), dst in m.delta.items()))
-    return canonicalize(Fsa(m.alphabet, m.states, m.initial, reach, m.delta))
+    return reached_fsa(m.alphabet, m.initial, lambda q, a: m.delta.get((q, a)), reach.__contains__)
 
 
 # ---------------------------------------------------------------------------

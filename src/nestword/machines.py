@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import functools
 import threading
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from typing import Hashable, Iterable, NamedTuple
 
 from .words import Tag, TaggedWord, check_alphabet
@@ -84,7 +83,9 @@ class Fsa:
         self.states = _state_set(self.states)
         self.accepts = _freeze_states(self.accepts)
         self.delta = dict(self.delta)
-        alpha = set(self.alphabet)
+        self._alpha = alpha = frozenset(self.alphabet)
+        if len(alpha) != len(self.alphabet):
+            raise ValueError(f"duplicate letters in alphabet: {self.alphabet}")
         if self.initial not in self.states:
             raise ValueError(f"initial state {self.initial!r} not in states")
         if not self.accepts <= self.states:
@@ -94,7 +95,6 @@ class Fsa:
                 raise ValueError(f"transition ({src!r},{sym!r})->{dst!r} leaves state set")
             if sym not in alpha:
                 raise ValueError(f"transition symbol {sym!r} not in alphabet")
-        self._alpha = frozenset(alpha)
 
     def __repr__(self):
         return f"Fsa(states={len(self.states)}, alphabet={self.alphabet!r})"
@@ -131,19 +131,25 @@ class Nfa:
         return f"Nfa(states={len(self.states)}, alphabet={self.alphabet!r})"
 
 
+def _fsa_final(m: Fsa, tw: TaggedWord) -> State | None:
+    """The state the run of m on a tagged word ends in, or None once a call,
+    a return or a missing move kills it.  A letter outside the alphabet
+    raises ValueError when the run reaches it."""
+    alpha, delta, state = m._alpha, m.delta, m.initial
+    internal = Tag.INTERNAL
+    for base, tag in tw:
+        state = delta.get((state, base)) if tag == internal else None
+        if state is None:
+            # the table holds alphabet letters only: one outside it ends here
+            if base not in alpha:
+                raise ValueError(f"letter {base!r} not in alphabet")
+            return None
+    return state
+
+
 def fsa_run(m: Fsa, word: Iterable) -> bool:
     """Accept iff the unique (possibly dying) run ends in an accept state."""
-    alpha = m._alpha
-    delta = m.delta
-    state = m.initial
-    for sym in word:
-        if sym not in alpha:
-            raise ValueError(f"letter {sym!r} not in alphabet")
-        nxt = delta.get((state, sym))
-        if nxt is None:
-            return False
-        state = nxt
-    return state in m.accepts
+    return _fsa_final(m, zip(word, repeat(Tag.INTERNAL))) in m.accepts
 
 
 def _eps_closure(n: Nfa, states: frozenset) -> frozenset:
@@ -158,40 +164,40 @@ def _eps_closure(n: Nfa, states: frozenset) -> frozenset:
     return frozenset(seen)
 
 
+def reached_fsa(alphabet: tuple, initial, step, accepting) -> Fsa:
+    """The Fsa of the states a run from `initial` reaches, named q0, q1, ...
+    in the breadth-first order that first meets them, each state's letters
+    taken in alphabet order.  step(q, a) is the successor of q on a, or
+    None where there is no move; accepting(q) says whether q accepts."""
+    names = {initial: "q0"}
+    order = [initial]
+    delta = {}
+    for q in order:  # grows while it is walked: a breadth-first queue
+        src = names[q]
+        for a in alphabet:
+            dst = step(q, a)
+            if dst is None:
+                continue
+            name = names.get(dst)
+            if name is None:
+                name = names[dst] = f"q{len(order)}"
+                order.append(dst)
+            delta[src, a] = name
+    accepts = frozenset(names[q] for q in order if accepting(q))
+    return Fsa(alphabet, frozenset(names.values()), "q0", accepts, delta)
+
+
 def fsa_determinize(n: Nfa) -> Fsa:
     """Subset construction over reachable subsets only; states become q0, q1, ..."""
+
+    def step(subset: frozenset, sym) -> frozenset | None:
+        moved = set()
+        for q in subset:
+            moved.update(n.delta.get((q, sym), ()))
+        return _eps_closure(n, moved) or None
+
     start = _eps_closure(n, n.initials)
-    names = {start: "q0"}
-    order = [start]
-    delta = {}
-    queue = deque([start])
-    while queue:
-        subset = queue.popleft()
-        for sym in n.alphabet:
-            step = set()
-            for q in subset:
-                step |= n.delta.get((q, sym), frozenset())
-            target = _eps_closure(n, frozenset(step))
-            if not target:
-                continue
-            if target not in names:
-                names[target] = f"q{len(order)}"
-                order.append(target)
-                queue.append(target)
-            delta[(names[subset], sym)] = names[target]
-    accepts = frozenset(names[s] for s in order if s & n.accepts)
-    return Fsa(n.alphabet, frozenset(names.values()), "q0", accepts, delta)
-
-
-def fsa_complete(m: Fsa) -> Fsa:
-    """Total-transition version of m: missing moves go to a fresh reject sink."""
-    sink = _fresh("sink", m.states)
-    delta = dict(m.delta)
-    states = set(m.states) | {sink}
-    for q in states:
-        for sym in m.alphabet:
-            delta.setdefault((q, sym), sink)
-    return Fsa(m.alphabet, frozenset(states), m.initial, m.accepts, delta)
+    return reached_fsa(n.alphabet, start, step, lambda subset: not n.accepts.isdisjoint(subset))
 
 
 def _fresh(base: str, taken: Iterable[Hashable]) -> str:
@@ -667,23 +673,13 @@ def machine_accepts(m, tw: TaggedWord) -> bool:
     """Membership of a tagged word in L(m) for an Fsa, Vpa or Nvpa; an FSA
     is read as the all-internal image of its plain language.
 
-    An FSA run goes as vpa_run(vpa_from_fsa(m), tw) would, in one pass: a
-    call or return, or a missing move, rejects, and a letter outside the
-    alphabet raises ValueError when the run reaches it.  Tags are compared
-    by value, as in vpa_run.
+    An FSA run goes as vpa_run(vpa_from_fsa(m), tw) would, in the loop
+    fsa_run also takes: a call or return, or a missing move, rejects, and
+    a letter outside the alphabet raises ValueError when the run reaches
+    it.  Tags are compared by value, as in vpa_run.
     """
     if isinstance(m, Fsa):
-        alpha, delta, state = m._alpha, m.delta, m.initial
-        internal = Tag.INTERNAL
-        for base, tag in tw:
-            if base not in alpha:
-                raise ValueError(f"letter {base!r} not in alphabet")
-            if tag != internal:
-                return False
-            state = delta.get((state, base))
-            if state is None:
-                return False
-        return state in m.accepts
+        return _fsa_final(m, tw) in m.accepts
     if isinstance(m, Vpa):
         return vpa_run(m, tw).accepted
     if isinstance(m, Nvpa):
@@ -861,36 +857,10 @@ def canonicalize(m):
     a move names nothing, so the names and their order do not depend on it.
     """
     if isinstance(m, Fsa):
-        return _canonicalize_fsa(m)
+        return reached_fsa(m.alphabet, m.initial, lambda q, a: m.delta.get((q, a)), m.accepts.__contains__)
     if not isinstance(m, (Vpa, Nvpa)):
         raise TypeError(f"cannot canonicalize {type(m).__name__}")
     return rename_machine(m, *_bfs_names(m))
-
-
-def _canonicalize_fsa(m: Fsa) -> Fsa:
-    names = {m.initial: "q0"}
-    order = [m.initial]
-    queue = deque(order)
-    while queue:
-        q = queue.popleft()
-        for sym in m.alphabet:
-            dst = m.delta.get((q, sym))
-            if dst is not None and dst not in names:
-                names[dst] = f"q{len(order)}"
-                order.append(dst)
-                queue.append(dst)
-    delta = {
-        (names[q], sym): names[dst]
-        for (q, sym), dst in m.delta.items()
-        if q in names
-    }
-    return Fsa(
-        m.alphabet,
-        frozenset(names.values()),
-        "q0",
-        frozenset(names[q] for q in m.accepts if q in names),
-        delta,
-    )
 
 
 def _successor_index(m) -> tuple[dict, dict]:

@@ -6,8 +6,8 @@ interpreters that have no pytest:
 
 Runs every tagged word of length <= 4 over two letters, and 20 walks of
 up to 80 letters, on the reverse, star and concat closures and the NVPA
-embedding of seeded random VPAs; then checks that the golden closure and
-builder machines dump to the pinned digests.  Exits 1 on the first
+embedding of seeded random VPAs; then checks that the golden closure,
+builder and regular machines dump to the pinned digests.  Exits 1 on the first
 disagreement.
 """
 
@@ -20,9 +20,11 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from oracles import (  # noqa: E402
     GOLDEN_BUILDER_DIGEST,
     GOLDEN_CLOSURE_DIGEST,
+    GOLDEN_REGULAR_DIGEST,
     dumps_digest,
     golden_builder_machines,
     golden_closure_machines,
+    golden_regular_machines,
     nvpa_from_vpa,
     random_vpa,
     random_walk,
@@ -53,6 +55,7 @@ def main() -> int:
     for what, machines, pinned in (
         ("closure", golden_closure_machines(), GOLDEN_CLOSURE_DIGEST),
         ("builder", golden_builder_machines(), GOLDEN_BUILDER_DIGEST),
+        ("regular", golden_regular_machines(), GOLDEN_REGULAR_DIGEST),
     ):
         digest, _ = dumps_digest(machines)
         if digest != pinned:

@@ -16,6 +16,13 @@ from collections import deque
 from nestword.closures import (
     NonDisjointAlphabets,
     Relabeling,
+    reg_complement,
+    reg_concat,
+    reg_intersection,
+    reg_prefix,
+    reg_reverse,
+    reg_star,
+    reg_union,
     relabel_image,
     shuffle,
     vpl_complement,
@@ -50,6 +57,7 @@ from nestword.machines import (
     Vpa,
     _eps_closure,
     canonicalize,
+    fsa_determinize,
     fsa_run,
     transition_rows,
     vpa_normalize_acceptance,
@@ -182,6 +190,21 @@ def random_fsa(rng: random.Random, n_states=3, alphabet=("c", "d"), density=0.85
                 delta[(q, a)] = rng.choice(states)
     accepts = {q for q in states if rng.random() < 0.5} or {states[0]}
     return Fsa(alphabet, states, states[0], accepts, delta)
+
+
+def random_nfa(rng: random.Random, n_states=3, alphabet=("c", "d"), density=0.4) -> Nfa:
+    """An Nfa on states s0, s1, ...: each move, epsilon moves included,
+    drawn with probability `density`; initials and accepts may be empty."""
+    states = [f"s{i}" for i in range(n_states)]
+    delta: dict = {}
+    for q in states:
+        for sym in (*alphabet, None):
+            dsts = {p for p in states if rng.random() < density}
+            if dsts:
+                delta[(q, sym)] = dsts
+    initials = {q for q in states if rng.random() < 0.4}
+    accepts = {q for q in states if rng.random() < 0.4}
+    return Nfa(alphabet, states, initials, accepts, delta)
 
 
 def vpa_language(m: Vpa, max_len: int) -> set:
@@ -805,12 +828,121 @@ def reference_finite_fsa(g: FiniteGroupSpec) -> Fsa:
 
 
 # ---------------------------------------------------------------------------
+# reference regular builders: the complete-then-canonicalize forms that the
+# regular closures, canonicalize on an Fsa and fsa_determinize must agree
+# with, byte for byte.  Each completes its inputs with a sink state, builds
+# the whole product, and canonicalizes it afterwards.
+
+
+def reference_fsa_complete(m: Fsa) -> Fsa:
+    """m with every missing move sent to a fresh, non-accepting sink."""
+    sink = "sink"
+    i = 0
+    while sink in m.states:
+        i += 1
+        sink = f"sink{i}"
+    states = set(m.states) | {sink}
+    delta = dict(m.delta)
+    for q in states:
+        for sym in m.alphabet:
+            delta.setdefault((q, sym), sink)
+    return Fsa(m.alphabet, frozenset(states), m.initial, m.accepts, delta)
+
+
+def reference_canonicalize_fsa(m: Fsa) -> Fsa:
+    """The part of m reached from its initial state, states named q0,
+    q1, ... breadth-first, letters taken in alphabet order."""
+    names = {m.initial: "q0"}
+    order = [m.initial]
+    queue = deque(order)
+    while queue:
+        q = queue.popleft()
+        for sym in m.alphabet:
+            dst = m.delta.get((q, sym))
+            if dst is not None and dst not in names:
+                names[dst] = f"q{len(order)}"
+                order.append(dst)
+                queue.append(dst)
+    delta = {(names[q], sym): names[dst] for (q, sym), dst in m.delta.items() if q in names}
+    accepts = frozenset(names[q] for q in m.accepts if q in names)
+    return Fsa(m.alphabet, frozenset(names.values()), "q0", accepts, delta)
+
+
+def reference_fsa_product(m1: Fsa, m2: Fsa, keep) -> Fsa:
+    """The whole product of the completed inputs, then canonicalized."""
+    c1, c2 = reference_fsa_complete(m1), reference_fsa_complete(m2)
+    states = {(p, q) for p in c1.states for q in c2.states}
+    delta = {
+        ((p, q), a): (c1.delta[(p, a)], c2.delta[(q, a)])
+        for p, q in states
+        for a in m1.alphabet
+    }
+    accepts = {(p, q) for p, q in states if keep(p in c1.accepts, q in c2.accepts)}
+    prod = Fsa(m1.alphabet, frozenset(states), (c1.initial, c2.initial), frozenset(accepts), delta)
+    return reference_canonicalize_fsa(prod)
+
+
+def reference_reg_union(m1: Fsa, m2: Fsa) -> Fsa:
+    return reference_fsa_product(m1, m2, lambda a, b: a or b)
+
+
+def reference_reg_intersection(m1: Fsa, m2: Fsa) -> Fsa:
+    return reference_fsa_product(m1, m2, lambda a, b: a and b)
+
+
+def reference_reg_complement(m: Fsa) -> Fsa:
+    c = reference_fsa_complete(m)
+    return reference_canonicalize_fsa(Fsa(c.alphabet, c.states, c.initial, c.states - c.accepts, c.delta))
+
+
+def reference_reg_prefix(m: Fsa) -> Fsa:
+    """m with every state that can reach an accept state accepting."""
+    reach = set(m.accepts)
+    grew = True
+    while grew:
+        grew = False
+        for (q, _), dst in m.delta.items():
+            if dst in reach and q not in reach:
+                reach.add(q)
+                grew = True
+    return reference_canonicalize_fsa(Fsa(m.alphabet, m.states, m.initial, reach, m.delta))
+
+
+def reference_fsa_determinize(n: Nfa) -> Fsa:
+    """The subset construction over the subsets reached from the
+    epsilon-closed initials; the empty subset is a state only when it is
+    the initial one."""
+    start = _eps_closure(n, n.initials)
+    names = {start: "q0"}
+    order = [start]
+    delta = {}
+    queue = deque([start])
+    while queue:
+        subset = queue.popleft()
+        for sym in n.alphabet:
+            step = set()
+            for q in subset:
+                step |= n.delta.get((q, sym), frozenset())
+            target = _eps_closure(n, frozenset(step))
+            if not target:
+                continue
+            if target not in names:
+                names[target] = f"q{len(order)}"
+                order.append(target)
+                queue.append(target)
+            delta[(names[subset], sym)] = names[target]
+    accepts = frozenset(names[s] for s in order if s & n.accepts)
+    return Fsa(n.alphabet, frozenset(names.values()), "q0", accepts, delta)
+
+
+# ---------------------------------------------------------------------------
 # golden machines: fixed, seeded outputs whose JSON text the suite pins by
 # digest (tests/test_machines.py), also checked without pytest by
 # tests/nvpa_smoke.py
 
 GOLDEN_CLOSURE_DIGEST = "88594c031c66365d7a70822fe522c5186a2b25df81436c4630290f3019ff0ad8"
 GOLDEN_BUILDER_DIGEST = "f757073ef664bcd04371ba4d0a6dc715f8b291329b6005cefa8f6f9b2ac6d477"
+GOLDEN_REGULAR_DIGEST = "9e20f07645383dea69471648dec0524c224c57d658c6ef2958b5c6107595fd82"
 
 
 def golden_builder_machines():
@@ -834,6 +966,27 @@ def golden_closure_machines():
         yield canonicalize(shuffle(m1, r))
         yield canonicalize(relabel_image(m1, identity_relabeling(m1.alphabet)))
         yield canonicalize(nvpa_from_vpa(m2))
+
+
+def golden_regular_machines():
+    """A fixed, seeded set of Fsa outputs: every regular closure,
+    canonicalize on an Fsa and fsa_determinize, on inputs of one to five
+    states whose moves are drawn with densities from 0.3 to 1."""
+    rng = random.Random(20261019)
+    for i in range(10):
+        density = 0.3 + 0.7 * i / 9
+        m1 = random_fsa(rng, 1 + i % 5, alphabet=("a", "b", "c"), density=density)
+        m2 = random_fsa(rng, 1 + (i * 2) % 5, alphabet=("a", "b", "c"), density=density)
+        yield reg_union(m1, m2)
+        yield reg_intersection(m1, m2)
+        yield reg_complement(m1)
+        yield reg_concat(m1, m2)
+        yield reg_star(m1)
+        yield reg_reverse(m1)
+        yield reg_prefix(m1)
+        yield reg_complement(reg_union(m1, reg_star(m2)))
+        yield canonicalize(m1)
+        yield fsa_determinize(random_nfa(rng, 1 + i % 4, alphabet=("a", "b", "c"), density=0.2 + 0.05 * i))
 
 
 def dumps_digest(machines) -> tuple:

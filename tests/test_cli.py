@@ -372,6 +372,59 @@ def test_null_state_exits_2(tmp_path, argv):
     assert "None is not a state label" in result[2]
 
 
+REPEATED_LETTER_FSA = {"kind": "fsa", "alphabet": ["a", "a"], "states": ["q"], "initial": "q",
+                       "accepts": ["q"], "transitions": [["q", "a", "q"]]}
+
+
+@pytest.mark.parametrize("argv", [
+    ("enum", "--automaton", "{aut}", "--max-len", "2"),
+    ("check", "--automaton", "{aut}", "a"),
+    ("check", "--automaton", "{aut}", "--trace", "a"),
+    ("closure", "--op", "complement", "--inputs", "{aut}"),
+])
+def test_repeated_alphabet_letter_exits_2(tmp_path, argv):
+    # such an alphabet used to load: enum listed `a` twice and `a a` four
+    # times, and check --trace refused what check answered
+    aut = write_spec(tmp_path, "twice.json", REPEATED_LETTER_FSA)
+    result = run_cli(*[a.format(aut=aut) for a in argv])
+    assert_one_error_line(result)
+    assert "duplicate letters in alphabet" in result[2]
+
+
+def _fsa_lettered(letters) -> dict:
+    return {"kind": "fsa", "alphabet": letters, "states": ["q"], "initial": "q", "accepts": ["q"],
+            "transitions": [["q", letter, "q"] for letter in letters]}
+
+
+@pytest.mark.parametrize("letters, named", [
+    ([1, 2], "bad letter name: 1"),
+    ([["a", "b"]], "bad letter name: ('a', 'b')"),
+])
+@pytest.mark.parametrize("argv", [
+    ("enum", "--automaton", "{aut}", "--max-len", "2"),
+    ("check", "--automaton", "{aut}", "a"),
+    ("check", "--automaton", "{aut}", "--trace", "a"),
+])
+def test_letters_that_are_not_tokens_exit_2(tmp_path, letters, named, argv):
+    # enum used to crash with a TypeError traceback, and check answered
+    # unless given --trace
+    aut = write_spec(tmp_path, "odd.json", _fsa_lettered(letters))
+    result = run_cli(*[a.format(aut=aut) for a in argv])
+    assert_one_error_line(result)
+    assert result[2] == f"error: {named}\n"
+
+
+def test_closure_relabel_takes_a_pair_fsa(tmp_path):
+    aut, _ = build(tmp_path, FREE1, "free1")
+    letters = json.loads(aut.read_text())["alphabet"]
+    pairs = write_spec(tmp_path, "pairs.json", _fsa_lettered([[a, a] for a in letters]))
+    out = tmp_path / "image.json"
+    code, stdout, _ = run_cli("closure", "--op", "relabel", "--inputs", aut, pairs, "--out", out)
+    assert (code, stdout) == (0, "deterministic: no\n")
+    original = run_cli("enum", "--automaton", aut, "--max-len", 4)
+    assert run_cli("enum", "--automaton", out, "--max-len", 4) == original
+
+
 def test_enum_machine_missing_field_exits_2(tmp_path):
     aut = write_spec(tmp_path, "bare.json", {"kind": "vpa"})
     assert_one_error_line(run_cli("enum", "--automaton", aut, "--max-len", "2"))

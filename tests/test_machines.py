@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     GOLDEN_BUILDER_DIGEST,
     GOLDEN_CLOSURE_DIGEST,
+    GOLDEN_REGULAR_DIGEST,
     anbn_pda,
     astar_bstar_fsa,
     configuration_set_run,
@@ -19,6 +20,7 @@ from oracles import (
     dumps_digest,
     golden_builder_machines,
     golden_closure_machines,
+    golden_regular_machines,
     identity_relabeling,
     nfa_run,
     nvpa_from_vpa,
@@ -760,6 +762,13 @@ def test_dumps_golden_digest_builders():
     digest, kinds = dumps_digest(golden_builder_machines())
     assert kinds == {"vpa"}
     assert digest == GOLDEN_BUILDER_DIGEST
+
+
+def test_dumps_golden_digest_regular():
+    # every regular closure, canonicalize(Fsa) and fsa_determinize, byte for byte
+    digest, kinds = dumps_digest(golden_regular_machines())
+    assert kinds == {"fsa"}
+    assert digest == GOLDEN_REGULAR_DIGEST
 
 
 def test_serialize_roundtrip_fsa():
