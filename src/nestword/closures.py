@@ -3,20 +3,19 @@
 Regular operations return deterministic FSAs holding only the states a run
 reaches: products, complement and prefix read a missing move as a dead
 state, never a materialized sink, and nondeterministic intermediates are
-determinized over reached subsets.  VPL union/intersection/complement return
-deterministic VPAs holding only the states, stack symbols and moves a run
-can reach from the initial state, found by a worklist over (state, stack
-top) pairs: a return is kept only at a pair the search reaches, and the
-search over-approximates only which call pushed a symbol.  Tags keep both
-stacks of a product in lockstep.  Intersection takes its inputs as they are;
-union and complement complete theirs and make acceptance state-only,
-normalizing only when some stack symbol is unacceptable.  Concatenation,
-star, and reversal return NVPAs whose membership is decided by the summary
-run (`nvpa_run`: one frame per pending call, mapping each entry to a bitmask
-of states, at any depth); prefix-closure membership is decided directly by
-saturation instead of building a machine, and the same summaries decide
-emptiness and equivalence of VPAs exactly (`vpa_is_empty`,
-`vpl_equivalent`).
+determinized over reached subsets.  VPL union/intersection/complement, and
+through `canonicalize` concatenation, star and reversal, come from one
+search (`machines.reached_vpa`): a worklist over (state, stack top) pairs
+that keeps only the states, stack symbols and moves a run can reach, and a
+return only at a pair it reaches.  Tags keep both stacks of a product in
+lockstep.  Intersection takes its inputs as they are; union and complement
+complete theirs and make acceptance state-only, normalizing only when some
+stack symbol is unacceptable.  Concatenation, star, and reversal return
+NVPAs whose membership is decided by the summary run (`nvpa_run`: one
+frame per pending call, mapping each entry to a bitmask of states, at any
+depth); prefix-closure membership is decided directly by saturation
+instead of building a machine, and the same summaries decide emptiness and
+equivalence of VPAs exactly (`vpa_is_empty`, `vpl_equivalent`).
 
 Every output but `shuffle`'s and `relabel_image`'s has canonical q0/q1...
 names; those two keep their structured product states for callers to name.
@@ -36,7 +35,9 @@ from .machines import (
     canonicalize,
     fsa_determinize,
     reached_fsa,
+    reached_vpa,
     vpa_complete,
+    vpa_lookup,
     vpa_normalize_acceptance,
     vpa_run,
 )
@@ -164,106 +165,6 @@ def reg_prefix(m: Fsa) -> Fsa:
 # VPL boolean closures (deterministic products, reachable part only)
 
 
-def _reachable_vpa(alphabet, initial, bottom, call, internal, ret, accepts, acceptable) -> Vpa:
-    """The canonical part of a deterministic VPA that runs can reach from
-    `initial`.  `call`, `internal` and `ret` look a move up by its key, as
-    the `Vpa` tables are keyed, and give None where there is none.
-
-    The search is the summary reachability of Alur and Madhusudan over
-    (state, top) pairs, by worklist as in Reps, Horwitz and Sagiv; a state
-    is expanded with all its tops found since it last was.  Each state's
-    internal and call moves are looked up once.  A call from (q, t)
-    pushing g reaches (dst, g) and records t in `under[g]`.  A return row
-    is looked up, and kept, only for a reached pair: one popping g to r
-    reaches (r, t) for every t in `under[g]`, now or later, and one
-    reading the bottom reaches (r, bottom).  Every configuration a run
-    reaches has its (state, top) pair in the set and each adjacent stack
-    pair in `under`, so this over-approximates only which caller pushed g,
-    never the language.  `accepts` and `acceptable` are the predicates on
-    states and pushed symbols.
-    """
-    moves: dict = {}  # state -> (internal targets, pushed symbols)
-    under: dict = {}  # pushed symbol -> tops found directly beneath it
-    exits: dict = {}  # pushed symbol -> states a return popping it leads to
-    tops_of: dict = {}  # state -> the tops it is reached with
-    pending: dict = {}  # state -> those of its tops not yet expanded
-    delta_c: dict = {}
-    delta_i: dict = {}
-    delta_r: dict = {}
-
-    def reach(state, tops: set) -> None:
-        known = tops_of.get(state)
-        if known is None:
-            tops_of[state] = set(tops)
-            pending[state] = set(tops)
-        elif not tops <= known:
-            fresh = tops - known
-            known |= fresh
-            if state in pending:
-                pending[state] |= fresh
-            else:
-                pending[state] = fresh
-
-    reach(initial, {bottom})
-    while pending:
-        state = next(iter(pending))
-        tops = pending.pop(state)
-        if state not in moves:
-            targets, pushes = moves[state] = [], []
-            for a in alphabet:
-                dst = internal((state, a))
-                if dst is not None:
-                    delta_i[(state, a)] = dst
-                    targets.append(dst)
-                move = call((state, a))
-                if move is not None:
-                    delta_c[(state, a)] = move
-                    dst, pushed = move
-                    pushes.append(pushed)
-                    if pushed not in under:
-                        under[pushed], exits[pushed] = set(), set()
-                    reach(dst, {pushed})
-        targets, pushes = moves[state]
-        for dst in targets:
-            reach(dst, tops)
-        for pushed in pushes:
-            below = under[pushed]
-            if not tops <= below:
-                fresh = tops - below
-                below |= fresh
-                for dst in exits[pushed]:
-                    reach(dst, fresh)
-        for top in tops:
-            found = exits.get(top)  # None for the bottom, which a return reads in place
-            for a in alphabet:
-                key = (state, a, top)
-                dst = ret(key)
-                if dst is None:
-                    continue
-                delta_r[key] = dst
-                if found is None:
-                    reach(dst, {top})
-                elif dst not in found:
-                    found.add(dst)
-                    reach(dst, under[top])
-
-    states = frozenset(moves)
-    return canonicalize(
-        Vpa(
-            alphabet=alphabet,
-            states=states,
-            stack_alphabet=frozenset(under),
-            bottom=bottom,
-            initial=initial,
-            accepts=frozenset(filter(accepts, states)),
-            accept_stack=frozenset(filter(acceptable, under)),
-            delta_c=delta_c,
-            delta_i=delta_i,
-            delta_r=delta_r,
-        )
-    )
-
-
 def _vpa_product(m1: Vpa, m2: Vpa, keep) -> Vpa:
     """The reachable product: a move exists where both machines have one,
     so a missing move on either side rejects.  A pair state accepts when
@@ -273,26 +174,27 @@ def _vpa_product(m1: Vpa, m2: Vpa, keep) -> Vpa:
     c1, i1, r1 = m1.delta_c, m1.delta_i, m1.delta_r
     c2, i2, r2 = m2.delta_c, m2.delta_i, m2.delta_r
 
-    def call(key):
+    def call(key) -> tuple:
         (p, q), a = key
         move1, move2 = c1.get((p, a)), c2.get((q, a))
         if move1 is None or move2 is None:
-            return None
-        return (move1[0], move2[0]), (move1[1], move2[1])
+            return ()
+        return (((move1[0], move2[0]), (move1[1], move2[1])),)
 
-    def internal(key):
+    def internal(key) -> tuple:
         (p, q), a = key
         d1, d2 = i1.get((p, a)), i2.get((q, a))
-        return None if d1 is None or d2 is None else (d1, d2)
+        return () if d1 is None or d2 is None else ((d1, d2),)
 
-    def ret(key):
+    def ret(key) -> tuple:
         (p, q), a, (g1, g2) = key
         d1, d2 = r1.get((p, a, g1)), r2.get((q, a, g2))
-        return None if d1 is None or d2 is None else (d1, d2)
+        return () if d1 is None or d2 is None else ((d1, d2),)
 
-    return _reachable_vpa(
+    return reached_vpa(
+        Vpa,
         alphabet,
-        (m1.initial, m2.initial),
+        ((m1.initial, m2.initial),),
         (m1.bottom, m2.bottom),
         call,
         internal,
@@ -327,15 +229,10 @@ def vpl_intersection(m1: Vpa, m2: Vpa) -> Vpa:
 def vpl_complement(m: Vpa) -> Vpa:
     """Complete, make acceptance state-only, then swap accept states."""
     n = _total_state_acceptance(m)
-    return _reachable_vpa(
-        n.alphabet,
-        n.initial,
-        n.bottom,
-        n.delta_c.get,
-        n.delta_i.get,
-        n.delta_r.get,
-        lambda q: q not in n.accepts,
-        n.accept_stack.__contains__,
+    return reached_vpa(
+        Vpa, n.alphabet, (n.initial,), n.bottom,
+        vpa_lookup(n.delta_c), vpa_lookup(n.delta_i), vpa_lookup(n.delta_r),
+        lambda q: q not in n.accepts, n.accept_stack.__contains__,
     )
 
 

@@ -84,6 +84,8 @@ class Fsa:
         self.accepts = _freeze_states(self.accepts)
         self.delta = dict(self.delta)
         self._alpha = alpha = frozenset(self.alphabet)
+        if not alpha:
+            raise ValueError("alphabet must be non-empty")
         if len(alpha) != len(self.alphabet):
             raise ValueError(f"duplicate letters in alphabet: {self.alphabet}")
         if self.initial not in self.states:
@@ -837,98 +839,148 @@ def vpa_normalize_acceptance(m: Vpa) -> Vpa:
 # canonical relabeling (deterministic names, reachable part only)
 
 
-def _sorted_by_repr(items):
-    return sorted(items, key=repr)
+def reached_vpa(cls, alphabet, initials, bottom, calls, internals, returns, accepting, acceptable):
+    """The Vpa or Nvpa (`cls`) of what runs from `initials` reach, its
+    states named q0, q1, ..., pushed symbols g0, g1, ... in the order the
+    search first meets them, and its bottom "$".
+
+    `calls`, `internals` and `returns` give the sequence of choices of a
+    key, keyed as the tables are (at most one for a Vpa).  The search is
+    the summary reachability of Alur and Madhusudan over (state, top)
+    pairs, by worklist as in Reps, Horwitz and Sagiv; a state is expanded
+    with all its tops found since it last was, its internal and call moves
+    looked up once.  A call from (q, t) pushing g reaches (dst, g) and
+    records t in `under[g]`.  A return row is looked up, and kept, only for
+    a reached pair: one popping g to r reaches (r, t) for every t in
+    `under[g]`, now or later, and one reading the bottom reaches (r,
+    bottom).  Every configuration a run reaches has its (state, top) pair
+    in the search and each adjacent stack pair in `under`, so this
+    over-approximates only which caller pushed g, never the language.
+    Every set the search walks is an insertion-ordered dict, so no name
+    depends on hashing.  `accepting` and `acceptable` are the predicates
+    on states and pushed symbols.
+    """
+    single = cls is Vpa
+    names: dict = {}  # state -> its name
+    syms: dict = {bottom: "$"}  # stack symbol -> its name
+    moves: dict = {}  # state -> (internal targets, pushed symbols)
+    under: dict = {}  # pushed symbol -> tops found directly beneath it
+    exits: dict = {}  # pushed symbol -> states a return popping it leads to
+    tops_of: dict = {}  # state -> the tops it is reached with
+    pending: dict = {}  # state -> those of its tops not yet expanded
+    delta_c: dict = {}
+    delta_i: dict = {}
+    delta_r: dict = {}
+
+    def name(state) -> str:
+        found = names.get(state)
+        if found is None:
+            found = names[state] = f"q{len(names)}"
+        return found
+
+    def reach(state, tops) -> None:
+        known = tops_of.setdefault(state, {})
+        fresh = {top: None for top in tops if top not in known}
+        if fresh:
+            known.update(fresh)
+            pending.setdefault(state, {}).update(fresh)
+
+    def store(table: dict, key, named: list) -> None:
+        table[key] = named[0] if single else named
+
+    for q in initials:
+        name(q)
+        reach(q, (bottom,))
+    while pending:
+        state = next(iter(pending))
+        tops = pending.pop(state)
+        src = names[state]
+        if state not in moves:
+            targets, pushes = moves[state] = [], []
+            for a in alphabet:
+                dsts = internals((state, a))
+                if dsts:
+                    store(delta_i, (src, a), [name(dst) for dst in dsts])
+                    targets.extend(dsts)
+                choices = calls((state, a))
+                if choices:
+                    named = []
+                    for dst, pushed in choices:
+                        if pushed not in syms:
+                            syms[pushed] = f"g{len(syms) - 1}"
+                            under[pushed], exits[pushed] = {}, {}
+                        named.append((name(dst), syms[pushed]))
+                        pushes.append(pushed)
+                        reach(dst, (pushed,))
+                    store(delta_c, (src, a), named)
+        targets, pushes = moves[state]
+        for dst in targets:
+            reach(dst, tops)
+        for pushed in pushes:
+            below = under[pushed]
+            fresh = {top: None for top in tops if top not in below}
+            if fresh:
+                below.update(fresh)
+                for dst in exits[pushed]:
+                    reach(dst, fresh)
+        for top in tops:
+            found = exits.get(top)  # None for the bottom, which a return reads in place
+            for a in alphabet:
+                dsts = returns((state, a, top))
+                if not dsts:
+                    continue
+                store(delta_r, (src, a, syms[top]), [name(dst) for dst in dsts])
+                for dst in dsts:
+                    if found is None:
+                        reach(dst, (top,))
+                    elif dst not in found:
+                        found[dst] = None
+                        reach(dst, under[top])
+
+    start = {"initial": "q0"} if single else {"initials": frozenset(map(names.get, initials))}
+    return cls(
+        alphabet=alphabet,
+        states=frozenset(names.values()),
+        stack_alphabet=frozenset(syms[g] for g in under),
+        bottom="$",
+        accepts=frozenset(label for q, label in names.items() if accepting(q)),
+        accept_stack=frozenset(syms[g] for g in under if acceptable(g)),
+        delta_c=delta_c,
+        delta_i=delta_i,
+        delta_r=delta_r,
+        **start,
+    )
+
+
+def vpa_lookup(table: dict):
+    """A Vpa table as a reached_vpa lookup: a key's entry is its only choice."""
+    return lambda key: () if (move := table.get(key)) is None else (move,)
+
+
+def _repr_ordered(table: dict):
+    """An Nvpa table as a reached_vpa lookup: a key's choices in repr order."""
+    return lambda key: sorted(table.get(key, ()), key=repr)
 
 
 def canonicalize(m):
-    """Rename states (and VPA stack symbols) to q0,q1,.../g0,g1,... in BFS order.
+    """The part of m that runs reach, its states named q0, q1, ... and a
+    VPA's stack symbols g0, g1, ... in the order the search meets them.
 
-    Only the reachable part is kept.  The search follows a return only on
-    the bottom or on a symbol that a call of a reached state pushes; it
-    still over-approximates by ignoring which of those symbols a state can
-    actually meet on top.  The accepted language is unchanged.  Useful
-    after product constructions, whose structured state tuples are not
-    JSON-serializable.
-
-    A state's moves on a letter are named in repr order.  Before that
-    sort, the search of a Vpa or Nvpa drops each move whose target is
-    already named and that pushes no symbol or an already named one: such
-    a move names nothing, so the names and their order do not depend on it.
+    An Fsa is searched breadth-first (`reached_fsa`), a Vpa or Nvpa over
+    (state, top) pairs (`reached_vpa`), which keeps a return only where
+    some reached state can have its symbol on top; the language is kept.
+    An Nvpa's initials and choices are taken in repr order.  Useful after
+    product constructions, whose state tuples are not JSON-serializable.
     """
     if isinstance(m, Fsa):
         return reached_fsa(m.alphabet, m.initial, lambda q, a: m.delta.get((q, a)), m.accepts.__contains__)
-    if not isinstance(m, (Vpa, Nvpa)):
-        raise TypeError(f"cannot canonicalize {type(m).__name__}")
-    return rename_machine(m, *_bfs_names(m))
-
-
-def _successor_index(m) -> tuple[dict, dict]:
-    """Two maps from (state, base), read straight from m's tables: to its
-    calls as (successor, pushed) and then its internals as (successor,);
-    and to its returns as (top, successor)."""
-    pops: dict = {}
     if isinstance(m, Vpa):
-        moves = {key: [move] for key, move in m.delta_c.items()}
-        for key, dst in m.delta_i.items():
-            moves.setdefault(key, []).append((dst,))
-        for (q, base, g), dst in m.delta_r.items():
-            pops.setdefault((q, base), []).append((g, dst))
+        initials, lookup = (m.initial,), vpa_lookup
+    elif isinstance(m, Nvpa):
+        initials, lookup = sorted(m.initials, key=repr), _repr_ordered
     else:
-        moves = {key: [*choices] for key, choices in m.delta_c.items()}
-        for key, dsts in m.delta_i.items():
-            moves.setdefault(key, []).extend([(dst,) for dst in dsts])
-        for (q, base, g), dsts in m.delta_r.items():
-            pops.setdefault((q, base), []).extend([(g, dst) for dst in dsts])
-    return moves, pops
-
-
-def _bfs_names(m) -> tuple[dict, dict]:
-    """BFS names of the reachable states and stack symbols of m, the
-    bottom named "$"; each state's moves on a letter are taken in repr
-    order.
-
-    A return is followed on the bottom, or on a symbol once a call of a
-    named state has pushed it; until then its target waits in `deferred`,
-    and the targets waiting on a symbol are named in repr order.  A move
-    whose target is already named, and that pushes no symbol or a named
-    one, names nothing, so it is dropped before the sort (and a named
-    target does not wait); names only grow, so this leaves every name and
-    its order as they were.  The successor index lives only while names
-    are handed out, so it is freed before the renamed tables are built.
-    """
-    moves, pops = _successor_index(m)
-    state_names: dict = {}
-    sym_names = {m.bottom: "$"}
-    deferred: dict = {}  # symbol not pushed yet -> targets of returns reading it
-    order: list = []
-
-    def name(q) -> None:
-        if q not in state_names:
-            state_names[q] = f"q{len(order)}"
-            order.append(q)
-
-    for q in [m.initial] if isinstance(m, Vpa) else _sorted_by_repr(m.initials):
-        name(q)
-    for q in order:  # grows while it is walked: a breadth-first queue
-        for base in m.alphabet:
-            key = (q, base)
-            ready = [
-                move for move in moves.get(key, ())
-                if move[0] not in state_names or len(move) == 2 and move[1] not in sym_names
-            ]
-            for top, dst in pops.get(key, ()):
-                if dst in state_names:
-                    continue
-                if top in sym_names:
-                    ready.append((dst,))
-                else:
-                    deferred.setdefault(top, []).append(dst)
-            for move in _sorted_by_repr(ready):
-                if move[0] not in state_names:
-                    name(move[0])
-                if len(move) == 2 and move[1] not in sym_names:
-                    sym_names[move[1]] = f"g{len(sym_names) - 1}"
-                    for waiting in _sorted_by_repr(deferred.pop(move[1], ())):
-                        name(waiting)
-    return state_names, sym_names
+        raise TypeError(f"cannot canonicalize {type(m).__name__}")
+    return reached_vpa(
+        type(m), m.alphabet, initials, m.bottom, lookup(m.delta_c), lookup(m.delta_i),
+        lookup(m.delta_r), m.accepts.__contains__, m.accept_stack.__contains__,
+    )

@@ -8,7 +8,8 @@ Runs every tagged word of length <= 4 over two letters, and 20 walks of
 up to 80 letters, on the reverse, star and concat closures and the NVPA
 embedding of seeded random VPAs; then checks that the golden closure,
 builder and regular machines dump to the pinned digests.  Exits 1 on the first
-disagreement.
+disagreement.  Run under two PYTHONHASHSEED values, it also shows that no
+canonical name depends on hashing.
 """
 
 import os

@@ -59,6 +59,7 @@ from nestword.machines import (
     canonicalize,
     fsa_determinize,
     fsa_run,
+    rename_machine,
     transition_rows,
     vpa_normalize_acceptance,
     vpa_run,
@@ -670,16 +671,18 @@ def pair_product(m1: Vpa, m2: Vpa, keep) -> Vpa:
 
 def full_vpa_product(m1: Vpa, m2: Vpa, keep) -> Vpa:
     """Every pair of states and of stack symbols of the completed,
-    acceptance-normalized inputs, then the reachable part."""
+    acceptance-normalized inputs, then the part the over-approximating
+    reference naming reaches."""
     n1 = vpa_normalize_acceptance(_complete_outside_accept_stack(m1))
     n2 = vpa_normalize_acceptance(_complete_outside_accept_stack(m2))
-    return canonicalize(pair_product(n1, n2, keep))
+    return reference_bfs_canonicalize(pair_product(n1, n2, keep))
 
 
 def full_vpl_complement(m: Vpa) -> Vpa:
-    """Complete, normalize acceptance to state-only, swap accept states."""
+    """Complete, normalize acceptance to state-only, swap accept states,
+    then name the result with the over-approximating reference naming."""
     n = vpa_normalize_acceptance(_complete_outside_accept_stack(m))
-    return canonicalize(
+    return reference_bfs_canonicalize(
         Vpa(
             n.alphabet, n.states, n.stack_alphabet, n.bottom, n.initial,
             n.states - n.accepts, n.accept_stack, n.delta_c, n.delta_i, n.delta_r,
@@ -760,18 +763,20 @@ def well_matched_pairs_sweep(m: Vpa) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# reference canonical naming and S_m table: the straightforward forms that
-# nestword.machines._bfs_names and nestword.groups.symmetric_group must agree
-# with, names, element order and dict order included
+# reference canonical naming and S_m table: the over-approximating naming
+# that the boolean-closure oracles above use, independent of the library's
+# search, and the straightforward form nestword.groups.symmetric_group must
+# agree with, element order and dict order included
 
 
 def reference_bfs_names(m) -> tuple[dict, dict]:
-    """The state and stack-symbol names canonicalize gives a Vpa or Nvpa:
-    breadth-first from the initial state(s), taken in repr order, every
-    move of a state on a letter sorted by repr (named or not); a return is
-    followed on the bottom, or on a symbol once a call of a named state has
-    pushed it, and the targets waiting on a symbol are named in repr order
-    when it is pushed."""
+    """Breadth-first names of a Vpa or Nvpa, the bottom named "$": from the
+    initial state(s), taken in repr order, every move of a state on a
+    letter sorted by repr (named or not); a return is followed on the
+    bottom, or on a symbol once a call of a named state has pushed it, and
+    the targets waiting on a symbol are named in repr order when it is
+    pushed.  This ignores which of the pushed symbols a state can meet on
+    top, so it keeps returns no run takes; the language is unchanged."""
     moves: dict = {}
     pops: dict = {}
     calls, internals, returns = transition_rows(m)
@@ -809,6 +814,11 @@ def reference_bfs_names(m) -> tuple[dict, dict]:
                     for waiting in sorted(deferred.pop(move[1], ()), key=repr):
                         name(waiting)
     return state_names, sym_names
+
+
+def reference_bfs_canonicalize(m):
+    """m renamed by reference_bfs_names, keeping what that search reaches."""
+    return rename_machine(m, *reference_bfs_names(m))
 
 
 def reference_symmetric_group(m: int) -> tuple:
@@ -940,7 +950,7 @@ def reference_fsa_determinize(n: Nfa) -> Fsa:
 # digest (tests/test_machines.py), also checked without pytest by
 # tests/nvpa_smoke.py
 
-GOLDEN_CLOSURE_DIGEST = "88594c031c66365d7a70822fe522c5186a2b25df81436c4630290f3019ff0ad8"
+GOLDEN_CLOSURE_DIGEST = "681ddcce61a6d1cc1a2b09b60907719f59e3fd803ad821097275f00db478a22a"
 GOLDEN_BUILDER_DIGEST = "f757073ef664bcd04371ba4d0a6dc715f8b291329b6005cefa8f6f9b2ac6d477"
 GOLDEN_REGULAR_DIGEST = "9e20f07645383dea69471648dec0524c224c57d658c6ef2958b5c6107595fd82"
 

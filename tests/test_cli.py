@@ -391,6 +391,19 @@ def test_repeated_alphabet_letter_exits_2(tmp_path, argv):
     assert "duplicate letters in alphabet" in result[2]
 
 
+def test_empty_alphabet_exits_2_from_every_runner(tmp_path):
+    # such an FSA used to load: check answered accept and enum listed the
+    # empty word, while check --trace refused it
+    aut = write_spec(tmp_path, "empty.json", _fsa_lettered([]))
+    errors = set()
+    for argv in (("check", "--automaton", aut), ("check", "--automaton", aut, "--trace"),
+                 ("enum", "--automaton", aut, "--max-len", "2")):
+        result = run_cli(*argv)
+        assert_one_error_line(result)
+        errors.add(result[2])
+    assert errors == {"error: cannot load automaton: invalid fsa document: alphabet must be non-empty\n"}
+
+
 def _fsa_lettered(letters) -> dict:
     return {"kind": "fsa", "alphabet": letters, "states": ["q"], "initial": "q", "accepts": ["q"],
             "transitions": [["q", letter, "q"] for letter in letters]}

@@ -57,7 +57,7 @@ letters = st.one_of(st.sampled_from(TRICKY), st.text(min_size=1, max_size=3)).fi
 @st.composite
 def fsas(draw):
     states = draw(st.lists(state_labels, min_size=1, max_size=4, unique=True))
-    alphabet = draw(st.lists(labels, max_size=3, unique=True))
+    alphabet = draw(st.lists(labels, min_size=1, max_size=3, unique=True))
     state = st.sampled_from(states)
     delta = {(q, a): draw(state) for q in states for a in alphabet if draw(st.booleans())}
     return Fsa(alphabet, states, draw(state), draw(st.lists(state, max_size=3)), delta)
