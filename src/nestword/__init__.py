@@ -28,8 +28,6 @@ from .machines import (
     nvpa_run,
     pda_run,
     pda_step,
-    vpa_complete,
-    vpa_normalize_acceptance,
     vpa_run,
 )
 from .closures import (

@@ -3,16 +3,16 @@
 Regular operations return deterministic FSAs holding only the states a run
 reaches: products, complement and prefix read a missing move as a dead
 state, never a materialized sink, and nondeterministic intermediates are
-determinized over reached subsets.  VPL union/intersection/complement, and
-through `canonicalize` concatenation, star and reversal, come from one
-search (`machines.reached_vpa`): a worklist over (state, stack top) pairs
-that keeps only the states, stack symbols and moves a run can reach, and a
-return only at a pair it reaches.  Tags keep both stacks of a product in
-lockstep.  Intersection takes its inputs as they are; union and complement
-complete theirs and make acceptance state-only, normalizing only when some
-stack symbol is unacceptable.  Concatenation, star, and reversal return
-NVPAs whose membership is decided by the summary run (`nvpa_run`: one
-frame per pending call, mapping each entry to a bitmask of states, at any
+determinized over reached subsets.  Every VPL closure is one search
+(`machines.reached_vpa`) over lookups into its inputs, with no machine in
+between: a worklist over (state, stack top) pairs that keeps only the
+states, stack symbols and moves a run can reach, and a return only at a
+pair it reaches.  Tags keep both stacks of a product in lockstep.
+Intersection reads its inputs as they are; union and complement read a
+missing move as a dead state, and flag states only when some stack
+symbol is unacceptable.  Concatenation, star, and reversal return NVPAs
+whose membership is decided by the summary run (`nvpa_run`: one frame
+per pending call, mapping each entry to a bitmask of states, at any
 depth); prefix-closure membership is decided directly by saturation
 instead of building a machine, and the same summaries decide emptiness and
 equivalence of VPAs exactly (`vpa_is_empty`, `vpl_equivalent`).
@@ -23,7 +23,7 @@ names; those two keep their structured product states for callers to name.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 
 from .machines import (
@@ -31,14 +31,12 @@ from .machines import (
     Nfa,
     Nvpa,
     Vpa,
+    _repr_ordered,
     add_move,
-    canonicalize,
     fsa_determinize,
     reached_fsa,
     reached_vpa,
-    vpa_complete,
     vpa_lookup,
-    vpa_normalize_acceptance,
     vpa_run,
 )
 from .words import Tag, TaggedSymbol, TaggedWord, all_plain_words
@@ -79,8 +77,8 @@ def _reaching(targets, edges) -> frozenset:
 # regular closures
 
 
-# Where a run of a regular input has no move: a state of the completed
-# input that moves only to itself and accepts nothing.
+# Where a run of an input has no move: a state (and a VPA's stack symbol) of
+# the completed input that moves only to itself and accepts nothing.
 _DEAD = object()
 
 
@@ -162,77 +160,124 @@ def reg_prefix(m: Fsa) -> Fsa:
 
 
 # ---------------------------------------------------------------------------
-# VPL boolean closures (deterministic products, reachable part only)
+# VPL closures: one search (`reached_vpa`) over lookups into the inputs
 
 
-def _vpa_product(m1: Vpa, m2: Vpa, keep) -> Vpa:
-    """The reachable product: a move exists where both machines have one,
-    so a missing move on either side rejects.  A pair state accepts when
-    `keep` does on its two states' verdicts; a stack pair is acceptable
-    when both of its symbols are."""
-    alphabet = _require_same_alphabet(m1, m2)
-    c1, i1, r1 = m1.delta_c, m1.delta_i, m1.delta_r
-    c2, i2, r2 = m2.delta_c, m2.delta_i, m2.delta_r
+class _Memo(dict):
+    """A lookup that works out each key's choices once, then reads them
+    back as a dict does."""
 
-    def call(key) -> tuple:
-        (p, q), a = key
-        move1, move2 = c1.get((p, a)), c2.get((q, a))
-        if move1 is None or move2 is None:
-            return ()
-        return (((move1[0], move2[0]), (move1[1], move2[1])),)
+    def __init__(self, lookup):
+        self.lookup = lookup
 
-    def internal(key) -> tuple:
-        (p, q), a = key
-        d1, d2 = i1.get((p, a)), i2.get((q, a))
-        return () if d1 is None or d2 is None else ((d1, d2),)
+    def __missing__(self, key):
+        found = self[key] = self.lookup(key)
+        return found
 
-    def ret(key) -> tuple:
-        (p, q), a, (g1, g2) = key
-        d1, d2 = r1.get((p, a, g1)), r2.get((q, a, g2))
-        return () if d1 is None or d2 is None else ((d1, d2),)
 
-    return reached_vpa(
-        Vpa,
-        alphabet,
-        ((m1.initial, m2.initial),),
-        (m1.bottom, m2.bottom),
-        call,
-        internal,
-        ret,
-        lambda state: keep(state[0] in m1.accepts, state[1] in m2.accepts),
-        lambda top: top[0] in m1.accept_stack and top[1] in m2.accept_stack,
+def _anything(_) -> bool:
+    return True
+
+
+# A Vpa as reached_vpa reads it: its moves as lookups keyed as the tables are.
+_Lookups = namedtuple("_Lookups", "initial bottom calls internals returns accepting acceptable")
+
+
+def _as_is(m: Vpa) -> _Lookups:
+    return _Lookups(
+        m.initial, m.bottom, vpa_lookup(m.delta_c), vpa_lookup(m.delta_i), vpa_lookup(m.delta_r),
+        m.accepts.__contains__, m.accept_stack.__contains__,
     )
 
 
-def _total_state_acceptance(m: Vpa) -> Vpa:
-    """m completed, with state-only acceptance: normalized unless every
-    stack symbol is already acceptable."""
-    c = vpa_complete(m)
-    return c if c.accept_stack >= c.stack_alphabet else vpa_normalize_acceptance(c)
+def _state_only(m: Vpa) -> _Lookups:
+    """m completed, accepting by state alone: a missing move goes to
+    `_DEAD`, which accepts nothing, moves only to itself and pushes `_DEAD`,
+    an acceptable symbol.  When some stack symbol is unacceptable, states
+    and pushed symbols carry the flag of `_flagged_call`, and the bottom is
+    (m.bottom,), which no flagged symbol (g, ok) equals."""
+    c, i, r = m.delta_c.get, m.delta_i.get, m.delta_r.get
+    dead_call = (_DEAD, _DEAD)
+    if m.accept_stack >= m.stack_alphabet:
+        return _Lookups(
+            m.initial, m.bottom, lambda key: (c(key, dead_call),), lambda key: (i(key, _DEAD),),
+            lambda key: (r(key, _DEAD),), m.accepts.__contains__, _anything,
+        )
+    bottom = (m.bottom,)
+
+    def calls(key) -> tuple:
+        (q, ok), a = key
+        return (_flagged_call(m, q, ok, a) or ((_DEAD, ok), (_DEAD, ok)),)
+
+    def internals(key) -> tuple:
+        (q, ok), a = key
+        return ((i((q, a), _DEAD), ok),)
+
+    def returns(key) -> tuple:
+        (q, ok), a, top = key
+        g, ok = (m.bottom, ok) if top == bottom else top
+        return ((r((q, a, g), _DEAD), ok),)
+
+    return _Lookups(
+        (m.initial, True), bottom, calls, internals, returns,
+        lambda state: state[1] and state[0] in m.accepts, _anything,
+    )
+
+
+def _vpa_product(m1: Vpa, m2: Vpa, view, keep) -> Vpa:
+    """The reachable product of `view` of each input: a move exists where
+    both views have one (each has at most one, worked out once by `_Memo`
+    as pair states share states).  A pair state accepts when `keep` does on
+    its two verdicts; a stack pair is acceptable when both symbols are."""
+    alphabet = _require_same_alphabet(m1, m2)
+    v1, v2 = view(m1), view(m2)
+    c1, i1, r1, c2, i2, r2 = (
+        _Memo(lookup).__getitem__
+        for lookup in (v1.calls, v1.internals, v1.returns, v2.calls, v2.internals, v2.returns)
+    )
+
+    def calls(key) -> tuple:
+        (p, q), a = key
+        for (d1, g1), (d2, g2) in zip(c1((p, a)), c2((q, a))):
+            return (((d1, d2), (g1, g2)),)
+        return ()
+
+    def internals(key) -> tuple:
+        (p, q), a = key
+        d1, d2 = i1((p, a)), i2((q, a))
+        return ((d1[0], d2[0]),) if d1 and d2 else ()
+
+    def returns(key) -> tuple:
+        (p, q), a, (g1, g2) = key
+        d1, d2 = r1((p, a, g1)), r2((q, a, g2))
+        return ((d1[0], d2[0]),) if d1 and d2 else ()
+
+    return reached_vpa(
+        Vpa, alphabet, ((v1.initial, v2.initial),), (v1.bottom, v2.bottom), calls, internals, returns,
+        lambda state: keep(v1.accepting(state[0]), v2.accepting(state[1])),
+        lambda top: v1.acceptable(top[0]) and v2.acceptable(top[1]),
+    )
 
 
 def vpl_union(m1: Vpa, m2: Vpa) -> Vpa:
     """Both machines run to the end of every word, so each is completed;
     each accepts by state alone, so a pair accepts when either side does."""
-    return _vpa_product(
-        _total_state_acceptance(m1), _total_state_acceptance(m2), lambda a, b: a or b
-    )
+    return _vpa_product(m1, m2, _state_only, lambda a, b: a or b)
 
 
 def vpl_intersection(m1: Vpa, m2: Vpa) -> Vpa:
     """A run dying on either side rejects, and both stack conditions hold
     exactly when every pushed pair is acceptable on both sides, so the
-    inputs are used as they are."""
-    return _vpa_product(m1, m2, lambda a, b: a and b)
+    inputs are read as they are."""
+    return _vpa_product(m1, m2, _as_is, lambda a, b: a and b)
 
 
 def vpl_complement(m: Vpa) -> Vpa:
-    """Complete, make acceptance state-only, then swap accept states."""
-    n = _total_state_acceptance(m)
+    """m completed and accepting by state alone, its accept states swapped."""
+    v = _state_only(m)
     return reached_vpa(
-        Vpa, n.alphabet, (n.initial,), n.bottom,
-        vpa_lookup(n.delta_c), vpa_lookup(n.delta_i), vpa_lookup(n.delta_r),
-        lambda q: q not in n.accepts, n.accept_stack.__contains__,
+        Vpa, m.alphabet, (v.initial,), v.bottom, v.calls, v.internals, v.returns,
+        lambda q: not v.accepting(q), v.acceptable,
     )
 
 
@@ -240,149 +285,120 @@ def vpl_complement(m: Vpa) -> Vpa:
 # VPL concatenation / star / reversal (nondeterministic gluings)
 
 
+def _glued(followed, step):
+    """A reached_vpa lookup for states that each follow some runs of the
+    inputs (`followed`): a key's choices are what `step` gives each run
+    (None for no move), in repr order, as canonicalize would take them."""
+
+    def choices(key):
+        state, *rest = key
+        found = {step(run, *rest) for run in followed(state)}
+        found.discard(None)
+        return sorted(found, key=repr) if len(found) > 1 else tuple(found)
+
+    return choices
+
+
+def _flagged_call(m: Vpa, q, ok: bool, a):
+    """m's call from (q, ok) on a, or None, m read acceptance-normalized:
+    ok says "every pushed symbol is acceptable", a call saves it in the
+    symbol (g, ok) it pushes and the return popping that restores it, so
+    m accepts at (q, ok) when ok and q in m.accepts."""
+    move = m.delta_c.get((q, a))
+    if move is None:
+        return None
+    dst, g = move
+    return (dst, ok and g in m.accept_stack), (g, ok)
+
+
 def vpl_concat(m1: Vpa, m2: Vpa) -> Nvpa:
     """Guess the split point at accepting configurations of m1.
 
-    Both machines are acceptance-normalized, so "m1 accepts here" is a
-    state predicate.  Stack symbols carry their phase; once the run is in
-    phase 2, a return that finds a phase-1 symbol (or the true bottom)
-    behaves as m2 reading its own bottom, popping the dead symbol.
+    States and stack symbols are (phase, flagged label).  The split is
+    folded into the next symbol: an accepting phase-1 state also moves as
+    m2 would from its initial state.  Once the run is in phase 2, a
+    return that finds a phase-1 symbol (or the true bottom) behaves as m2
+    reading its own bottom, popping the dead symbol; a phase-1 state never
+    has a phase-2 symbol on top.
     """
     alphabet = _require_same_alphabet(m1, m2)
-    n1 = vpa_normalize_acceptance(m1)
-    n2 = vpa_normalize_acceptance(m2)
-    bottom = "$"
-    delta_c: dict = {}
-    delta_i: dict = {}
-    delta_r: dict = {}
+    machine = {"1": m1, "2": m2}
+    start1, start2 = ("1", (m1.initial, True)), ("2", (m2.initial, True))
 
-    for (q, a), (dst, g) in n1.delta_c.items():
-        add_move(delta_c, (("1", q), a), (("1", dst), ("1", g)))
-    for (q, a), dst in n1.delta_i.items():
-        add_move(delta_i, (("1", q), a), ("1", dst))
-    for (q, a, g), dst in n1.delta_r.items():
-        top = bottom if g == n1.bottom else ("1", g)
-        add_move(delta_r, (("1", q), a, top), ("1", dst))
+    def followed(state) -> tuple:
+        phase, (q, ok) = state
+        return (state, start2) if phase == "1" and ok and q in m1.accepts else (state,)
 
-    for (q, a), (dst, g) in n2.delta_c.items():
-        add_move(delta_c, (("2", q), a), (("2", dst), ("2", g)))
-    for (q, a), dst in n2.delta_i.items():
-        add_move(delta_i, (("2", q), a), ("2", dst))
-    for (q, a, g), dst in n2.delta_r.items():
-        if g == n2.bottom:
-            # m2 at its virtual bottom: the true bottom or any dead phase-1 symbol.
-            add_move(delta_r, (("2", q), a, bottom), ("2", dst))
-            for g1 in n1.stack_alphabet:
-                add_move(delta_r, (("2", q), a, ("1", g1)), ("2", dst))
-        else:
-            add_move(delta_r, (("2", q), a, ("2", g)), ("2", dst))
+    def call(run, a):
+        phase, (q, ok) = run
+        move = _flagged_call(machine[phase], q, ok, a)
+        return None if move is None else ((phase, move[0]), (phase, move[1]))
 
-    # Split folded into the next symbol: from an accepting phase-1 state,
-    # also move as m2 would from its initial state.
-    for y in n1.accepts:
-        for a in alphabet:
-            move = n2.delta_c.get((n2.initial, a))
-            if move is not None:
-                add_move(delta_c, (("1", y), a), (("2", move[0]), ("2", move[1])))
-            dst = n2.delta_i.get((n2.initial, a))
-            if dst is not None:
-                add_move(delta_i, (("1", y), a), ("2", dst))
-            dst = n2.delta_r.get((n2.initial, a, n2.bottom))
-            if dst is not None:
-                add_move(delta_r, (("1", y), a, bottom), ("2", dst))
-                for g1 in n1.stack_alphabet:
-                    add_move(delta_r, (("1", y), a, ("1", g1)), ("2", dst))
+    def internal(run, a):
+        phase, (q, ok) = run
+        dst = machine[phase].delta_i.get((q, a))
+        return None if dst is None else (phase, (dst, ok))
 
-    states = {("1", q) for q in n1.states} | {("2", q) for q in n2.states}
-    stack = {("1", g) for g in n1.stack_alphabet} | {("2", g) for g in n2.stack_alphabet}
-    initials = {("1", n1.initial)}
-    if n1.initial in n1.accepts:
-        initials.add(("2", n2.initial))
-    accepts = {("2", y) for y in n2.accepts}
-    if n2.initial in n2.accepts:
-        accepts |= {("1", y) for y in n1.accepts}
-    return canonicalize(
-        Nvpa(
-            alphabet=alphabet,
-            states=frozenset(states),
-            stack_alphabet=frozenset(stack),
-            bottom=bottom,
-            initials=frozenset(initials),
-            accepts=frozenset(accepts),
-            accept_stack=frozenset(stack),
-            delta_c=delta_c,
-            delta_i=delta_i,
-            delta_r=delta_r,
-        )
+    def ret(run, a, top):
+        phase, (q, ok) = run
+        m = machine[phase]
+        g, flag = (m.bottom, ok) if top == "$" or top[0] != phase else top[1]
+        dst = m.delta_r.get((q, a, g))
+        return None if dst is None else (phase, (dst, flag))
+
+    def accepting(state) -> bool:
+        phase, (q, ok) = state
+        return ok and (q in m2.accepts if phase == "2" else q in m1.accepts and m2.initial in m2.accepts)
+
+    initials = (start1, start2) if m1.initial in m1.accepts else (start1,)
+    return reached_vpa(
+        Nvpa, alphabet, initials, "$", _glued(followed, call), _glued(followed, internal),
+        _glued(followed, ret), accepting, _anything,
     )
 
 
 def vpl_star(m: Vpa) -> Nvpa:
     """Iterated concatenation: restart at accepting states, nondeterministically.
 
-    States carry a bit "a restart happened since the symbol now on top was
-    pushed"; each push saves the current bit into the pushed symbol and a
-    pop ORs the saved bit back in.  A pop with bit 0 is a same-iteration
-    pop and uses the real symbol; with bit 1 the symbol is dead (pushed in
-    an earlier iteration), so the machine reads its bottom instead.
+    States are "start" and (s, b) for a flagged state s and a bit b, "a
+    restart happened since the symbol now on top was pushed"; each push
+    saves the current bit into the pushed symbol and a pop ORs the saved
+    bit back in.  A pop with bit 0 is a same-iteration pop and uses the
+    real symbol; with bit 1 the symbol is dead (pushed in an earlier
+    iteration), so the machine reads its bottom instead.  An accepting
+    state also moves as a fresh iteration would, with bit 1.
     """
-    n = vpa_normalize_acceptance(m)
-    bottom = "$"
-    start = "start"
-    delta_c: dict = {}
-    delta_i: dict = {}
-    delta_r: dict = {}
+    fresh = (m.initial, True)
 
-    def add_moves(src, q, b):
-        """Moves of simulated state q with restart bit b, installed under src."""
-        for a in n.alphabet:
-            move = n.delta_c.get((q, a))
-            if move is not None:
-                add_move(delta_c, (src, a), ((move[0], 0), (move[1], b)))
-            dst = n.delta_i.get((q, a))
-            if dst is not None:
-                add_move(delta_i, (src, a), (dst, b))
-            bottom_dst = n.delta_r.get((q, a, n.bottom))
-            if bottom_dst is not None:
-                add_move(delta_r, (src, a, bottom), (bottom_dst, b))
-            for g in n.stack_alphabet:
-                for saved in (0, 1):
-                    if b == 0:
-                        dst = n.delta_r.get((q, a, g))
-                        if dst is not None:
-                            add_move(delta_r, (src, a, (g, saved)), (dst, saved))
-                    else:
-                        # dead symbol: the current iteration sees its bottom
-                        if bottom_dst is not None:
-                            add_move(delta_r, (src, a, (g, saved)), (bottom_dst, 1))
+    def followed(state) -> tuple:
+        if state == "start":
+            return ((fresh, 0), (fresh, 1)) if m.initial in m.accepts else ((fresh, 0),)
+        (q, ok), _ = state
+        return (state, (fresh, 1)) if ok and q in m.accepts else (state,)
 
-    for q in n.states:
-        for b in (0, 1):
-            add_moves((q, b), q, b)
-            if q in n.accepts:
-                # restart: end the iteration here and process the symbol
-                # as the first of a fresh one (bit becomes 1)
-                add_moves((q, b), n.initial, 1)
-    add_moves(start, n.initial, 0)
-    if n.initial in n.accepts:
-        add_moves(start, n.initial, 1)
+    def call(run, a):
+        (q, ok), b = run
+        move = _flagged_call(m, q, ok, a)
+        return None if move is None else ((move[0], 0), (move[1], b))
 
-    states = {(q, b) for q in n.states for b in (0, 1)} | {start}
-    stack = {(g, b) for g in n.stack_alphabet for b in (0, 1)}
-    accepts = {(q, b) for q in n.accepts for b in (0, 1)} | {start}
-    return canonicalize(
-        Nvpa(
-            alphabet=n.alphabet,
-            states=frozenset(states),
-            stack_alphabet=frozenset(stack),
-            bottom=bottom,
-            initials=frozenset({start}),
-            accepts=frozenset(accepts),
-            accept_stack=frozenset(stack),
-            delta_c=delta_c,
-            delta_i=delta_i,
-            delta_r=delta_r,
-        )
+    def internal(run, a):
+        (q, ok), b = run
+        dst = m.delta_i.get((q, a))
+        return None if dst is None else ((dst, ok), b)
+
+    def ret(run, a, top):
+        (q, ok), b = run
+        if top == "$" or b:
+            dst, flag, bit = m.delta_r.get((q, a, m.bottom)), ok, b
+        else:
+            (g, flag), bit = top
+            dst = m.delta_r.get((q, a, g))
+        return None if dst is None else ((dst, flag), bit)
+
+    return reached_vpa(
+        Nvpa, m.alphabet, ("start",), "$", _glued(followed, call), _glued(followed, internal),
+        _glued(followed, ret), lambda state: state == "start" or state[0][1] and state[0][0] in m.accepts,
+        _anything,
     )
 
 
@@ -395,40 +411,23 @@ def vpl_reverse(m: Vpa) -> Nvpa:
     Pending calls of the input correspond to returns m never matched, so
     the marker is the only symbol allowed to survive; pending returns
     correspond to m's never-popped pushes, which must satisfy m's stack
-    acceptance condition.
+    acceptance condition.  The moves are indexed by target, each key's
+    choices taken in repr order.
     """
     mark = "mark"
-    bottom = "$"
-    delta_c: dict = {}
-    delta_i: dict = {}
-    delta_r: dict = {}
-
+    calls, internals, returns = {}, {}, {}
     for (q, a, g), dst in m.delta_r.items():
-        if g == m.bottom:
-            add_move(delta_c, (dst, a), (q, mark))
-        else:
-            add_move(delta_c, (dst, a), (q, ("sym", g)))
+        add_move(calls, (dst, a), (q, mark if g == m.bottom else ("sym", g)))
     for (q, a), dst in m.delta_i.items():
-        add_move(delta_i, (dst, a), q)
+        add_move(internals, (dst, a), q)
     for (q, a), (dst, g) in m.delta_c.items():
-        add_move(delta_r, (dst, a, ("sym", g)), q)
+        add_move(returns, (dst, a, ("sym", g)), q)
         if g in m.accept_stack:
-            add_move(delta_r, (dst, a, bottom), q)
-
-    stack = {("sym", g) for g in m.stack_alphabet} | {mark}
-    return canonicalize(
-        Nvpa(
-            alphabet=m.alphabet,
-            states=m.states,
-            stack_alphabet=frozenset(stack),
-            bottom=bottom,
-            initials=m.accepts,
-            accepts=frozenset({m.initial}),
-            accept_stack=frozenset({mark}),
-            delta_c=delta_c,
-            delta_i=delta_i,
-            delta_r=delta_r,
-        )
+            add_move(returns, (dst, a, "$"), q)
+    return reached_vpa(
+        Nvpa, m.alphabet, sorted(m.accepts, key=repr), "$",
+        _repr_ordered(calls), _repr_ordered(internals), _repr_ordered(returns),
+        {m.initial}.__contains__, {mark}.__contains__,
     )
 
 
@@ -548,10 +547,7 @@ def vpa_is_empty(m: Vpa) -> bool:
 def vpl_equivalent(m1: Vpa, m2: Vpa) -> bool:
     """Is L(m1) = L(m2)?  Decided exactly as emptiness of the product that
     accepts where exactly one side does."""
-    xor = _vpa_product(
-        _total_state_acceptance(m1), _total_state_acceptance(m2), lambda a, b: a != b
-    )
-    return vpa_is_empty(xor)
+    return vpa_is_empty(_vpa_product(m1, m2, _state_only, lambda a, b: a != b))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Mapping
 
-from .closures import NonDisjointAlphabets, Relabeling, shuffle
+from .closures import NonDisjointAlphabets, shuffle
 from .machines import Fsa, Vpa, machine_accepts, rename_machine
 from .words import (
     MatchingRelation,
@@ -186,18 +186,6 @@ def cyclic_group(k: int) -> FiniteGroupSpec:
 # permutations in one-line notation: sigma maps i to sigma[i-1]
 
 
-def perm_compose(s: tuple, t: tuple) -> tuple:
-    """(s . t)(i) = s(t(i)): apply t first."""
-    return tuple(s[t[i] - 1] for i in range(len(t)))
-
-
-def perm_inverse(s: tuple) -> tuple:
-    out = [0] * len(s)
-    for i, v in enumerate(s, start=1):
-        out[v - 1] = i
-    return tuple(out)
-
-
 def perm_name(s: tuple) -> str:
     return "p" + "".join(str(v) for v in s)
 
@@ -208,7 +196,8 @@ def symmetric_group(m: int) -> FiniteGroupSpec:
         raise ValueError("need m >= 1")
     perms = sorted(itertools.permutations(range(1, m + 1)))
     names = [perm_name(s) for s in perms]
-    # perm_compose(s, t) == after_t(s), the entries of s at t's positions.
+    # (s . t)(i) = s(t(i)), t applied first, is after_t(s): the entries of s
+    # at t's positions.
     # At m = 1 an itemgetter of one position returns a bare entry, so the
     # index is keyed through the identity's getter, which fits every m.
     getters = [operator.itemgetter(*[i - 1 for i in t]) for t in perms]
@@ -471,9 +460,9 @@ def _build_product(spec: ProductSpec) -> Recognizer:
     """The free-group VPA shuffled with the Cayley FSA of the finite factor,
     reading twisted letters: in state (p, g) a free letter b is read by the
     free part as twist[g][b], and a finite letter h moves g to g.h.  For
-    S_m this is the image of the shuffle under `semidirect_relabeling`,
-    whose pair state always equals g, built deterministically: (2n+1).|G|
-    states, all reachable.
+    S_m this is the image of the shuffle under the paper's relabeling, a
+    pair FSA tracking the prefix permutation, whose pair state always
+    equals g, built deterministically: (2n+1).|G| states, all reachable.
     """
     shuffled = shuffle(build_free_vpa(spec.n).automaton, build_finite_fsa(spec.finite).automaton)
     # reads[g][a]: the letter b with twist[g][b] = a
@@ -489,36 +478,6 @@ def _build_product(spec: ProductSpec) -> Recognizer:
 def build_direct_product(n: int, g: FiniteGroupSpec) -> Recognizer:
     """Shuffle the free-group VPA with the Cayley FSA of the finite factor."""
     return _build_product(DirectProductSpec(n, g))
-
-
-def semidirect_relabeling(n: int, m: int) -> Relabeling:
-    """Pair FSA tracking the prefix permutation: the paper's relabeling,
-    whose image of the shuffle `build_semidirect` builds directly.
-
-    Permutation letters must be copied unchanged and advance the tracked
-    product; a free-group letter read as `a` is emitted as psi(sigma)^-1(a),
-    undoing the twist accumulated so far.
-    """
-    perms = perm_by_name(m)
-    a_letters = free_letters(n)
-    state_names = sorted(perms)
-    pairs = []
-    delta = {}
-    for name in state_names:
-        sigma = perms[name]
-        inv = perm_inverse(sigma)
-        for b_name, tau in perms.items():
-            pair = (b_name, b_name)
-            pairs.append(pair)
-            delta[(name, pair)] = perm_name(perm_compose(sigma, tau))
-        for a in a_letters:
-            pair = (a, psi_action(inv, a))
-            pairs.append(pair)
-            delta[(name, pair)] = name
-    alphabet = tuple(dict.fromkeys(pairs))
-    identity = perm_name(tuple(range(1, m + 1)))
-    fsa = Fsa(alphabet, set(state_names), identity, set(state_names), delta)
-    return Relabeling(fsa)
 
 
 def build_semidirect(n: int, m: int) -> Recognizer:

@@ -202,16 +202,6 @@ def fsa_determinize(n: Nfa) -> Fsa:
     return reached_fsa(n.alphabet, start, step, lambda subset: not n.accepts.isdisjoint(subset))
 
 
-def _fresh(base: str, taken: Iterable[Hashable]) -> str:
-    taken = set(taken)
-    name = base
-    i = 0
-    while name in taken:
-        i += 1
-        name = f"{base}{i}"
-    return name
-
-
 # ---------------------------------------------------------------------------
 # pushdown machines
 
@@ -755,83 +745,6 @@ def rename_machine(m, names: dict, syms: dict):
             if q in names and g in syms
         },
         **start,
-    )
-
-
-# ---------------------------------------------------------------------------
-# structural transformations
-
-
-def vpa_complete(m: Vpa) -> Vpa:
-    """Make all three transition families total via a non-accepting sink.
-
-    Missing calls push a fresh sink symbol, which is added to accept_stack:
-    that symbol is only ever pushed on the way into the sink, which never
-    accepts and never leaves, so no accepting run has it on its stack and
-    the accepted language is unchanged.  A machine whose accept_stack
-    covers its stack alphabet keeps covering it, so its acceptance stays
-    state-only.
-    """
-    sink = _fresh("sink", m.states)
-    sink_sym = _fresh("sinksym", m.stack_alphabet | {m.bottom})
-    states = frozenset(m.states | {sink})
-    stack = frozenset(m.stack_alphabet | {sink_sym})
-    delta_c = dict(m.delta_c)
-    delta_i = dict(m.delta_i)
-    delta_r = dict(m.delta_r)
-    for q in states:
-        for base in m.alphabet:
-            delta_c.setdefault((q, base), (sink, sink_sym))
-            delta_i.setdefault((q, base), sink)
-            for g in stack | {m.bottom}:
-                delta_r.setdefault((q, base, g), sink)
-    return Vpa(
-        m.alphabet, states, stack, m.bottom, m.initial, m.accepts,
-        m.accept_stack | {sink_sym}, delta_c, delta_i, delta_r,
-    )
-
-
-def vpa_normalize_acceptance(m: Vpa) -> Vpa:
-    """Equivalent VPA whose acceptance condition is state-only.
-
-    States carry a flag "everything on the stack above the bottom is in
-    accept_stack"; each push saves the current flag into the pushed symbol
-    so a pop can restore it.  The new accept_stack is the whole new stack
-    alphabet, and the flag being true at an original accept state encodes
-    the original stack condition.
-    """
-    in_acc = m.accept_stack.__contains__
-    states = frozenset((q, ok) for q in m.states for ok in (True, False))
-    stack = frozenset((g, ok) for g in m.stack_alphabet for ok in (True, False))
-    bottom = m.bottom if m.bottom not in stack else ("bot", m.bottom)
-    delta_c = {}
-    delta_i = {}
-    delta_r = {}
-    for (q, base), (dst, g) in m.delta_c.items():
-        for ok in (True, False):
-            delta_c[((q, ok), base)] = ((dst, ok and in_acc(g)), (g, ok))
-    for (q, base), dst in m.delta_i.items():
-        for ok in (True, False):
-            delta_i[((q, ok), base)] = (dst, ok)
-    for (q, base, g), dst in m.delta_r.items():
-        if g == m.bottom:
-            for ok in (True, False):
-                delta_r[((q, ok), base, bottom)] = (dst, ok)
-        else:
-            for ok in (True, False):
-                for ok_below in (True, False):
-                    delta_r[((q, ok), base, (g, ok_below))] = (dst, ok_below)
-    return Vpa(
-        alphabet=m.alphabet,
-        states=states,
-        stack_alphabet=stack,
-        bottom=bottom,
-        initial=(m.initial, True),
-        accepts=frozenset((q, True) for q in m.accepts),
-        accept_stack=stack,
-        delta_c=delta_c,
-        delta_i=delta_i,
-        delta_r=delta_r,
     )
 
 

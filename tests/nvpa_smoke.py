@@ -6,8 +6,10 @@ interpreters that have no pytest:
 
 Runs every tagged word of length <= 4 over two letters, and 20 walks of
 up to 80 letters, on the reverse, star and concat closures and the NVPA
-embedding of seeded random VPAs; then checks that the golden closure,
-builder and regular machines dump to the pinned digests.  Exits 1 on the first
+embedding of seeded random VPAs; checks that each of the six VPL closures
+of those VPAs equals canonicalize of the whole machine its reference
+builder glues; then checks that the golden closure, builder and regular
+machines dump to the pinned digests.  Exits 1 on the first
 disagreement.  Run under two PYTHONHASHSEED values, it also shows that no
 canonical name depends on hashing.
 """
@@ -22,6 +24,7 @@ from oracles import (  # noqa: E402
     GOLDEN_BUILDER_DIGEST,
     GOLDEN_CLOSURE_DIGEST,
     GOLDEN_REGULAR_DIGEST,
+    VPL_CLOSURE_REFERENCES,
     dumps_digest,
     golden_builder_machines,
     golden_closure_machines,
@@ -33,13 +36,13 @@ from oracles import (  # noqa: E402
 )
 
 from nestword.closures import vpl_concat, vpl_reverse, vpl_star  # noqa: E402
-from nestword.machines import nvpa_run  # noqa: E402
+from nestword.machines import canonicalize, nvpa_run  # noqa: E402
 from nestword.words import all_tagged_words  # noqa: E402
 
 
 def main() -> int:
     words = list(all_tagged_words(("a", "b"), 4))
-    runs = accepted = 0
+    runs = accepted = built = 0
     for seed in range(30):
         rng = random.Random(seed)
         m = random_vpa(rng, 1 + seed % 5, n_stack=1 + seed % 3)
@@ -53,6 +56,12 @@ def main() -> int:
                     return 1
                 runs += 1
                 accepted += got
+        for name, closure, reference, arity in VPL_CLOSURE_REFERENCES:
+            args = (m, p)[:arity]
+            if closure(*args) != canonicalize(reference(*args)):
+                print(f"seed {seed}: vpl_{name} differs from canonicalize of its reference builder")
+                return 1
+            built += 1
     for what, machines, pinned in (
         ("closure", golden_closure_machines(), GOLDEN_CLOSURE_DIGEST),
         ("builder", golden_builder_machines(), GOLDEN_BUILDER_DIGEST),
@@ -62,7 +71,10 @@ def main() -> int:
         if digest != pinned:
             print(f"golden {what} machines dump to {digest}, pinned {pinned}")
             return 1
-    print(f"Python {sys.version.split()[0]}: {runs} runs agree ({accepted} accepted); golden digests match")
+    print(
+        f"Python {sys.version.split()[0]}: {runs} runs agree ({accepted} accepted); "
+        f"{built} closures equal their references; golden digests match"
+    )
     return 0
 
 

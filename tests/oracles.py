@@ -7,11 +7,13 @@ it is used to check.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
 import random
 from collections import deque
+from typing import Hashable, Iterable
 
 from nestword.closures import (
     NonDisjointAlphabets,
@@ -45,7 +47,6 @@ from nestword.groups import (
     invert_letter,
     is_identity,
     perm_by_name,
-    perm_compose,
     perm_name,
     psi_action,
 )
@@ -56,12 +57,12 @@ from nestword.machines import (
     Pda,
     Vpa,
     _eps_closure,
+    add_move,
     canonicalize,
     fsa_determinize,
     fsa_run,
     rename_machine,
     transition_rows,
-    vpa_normalize_acceptance,
     vpa_run,
 )
 from nestword.serialize import SerializationError, dumps
@@ -622,6 +623,52 @@ def semidirect_oracle(n: int, m: int, word) -> bool:
     return not stack and sigma == tuple(range(1, m + 1))
 
 
+# -- permutations in one-line notation (sigma maps i to sigma[i-1]), and the
+# paper's relabeling for F_n x| S_m, which build_semidirect builds directly
+
+
+def perm_compose(s: tuple, t: tuple) -> tuple:
+    """(s . t)(i) = s(t(i)): apply t first."""
+    return tuple(s[t[i] - 1] for i in range(len(t)))
+
+
+def perm_inverse(s: tuple) -> tuple:
+    out = [0] * len(s)
+    for i, v in enumerate(s, start=1):
+        out[v - 1] = i
+    return tuple(out)
+
+
+def semidirect_relabeling(n: int, m: int) -> Relabeling:
+    """Pair FSA tracking the prefix permutation: the paper's relabeling,
+    whose image of the shuffle `build_semidirect` builds directly.
+
+    Permutation letters must be copied unchanged and advance the tracked
+    product; a free-group letter read as `a` is emitted as psi(sigma)^-1(a),
+    undoing the twist accumulated so far.
+    """
+    perms = perm_by_name(m)
+    a_letters = free_letters(n)
+    state_names = sorted(perms)
+    pairs = []
+    delta = {}
+    for name in state_names:
+        sigma = perms[name]
+        inv = perm_inverse(sigma)
+        for b_name, tau in perms.items():
+            pair = (b_name, b_name)
+            pairs.append(pair)
+            delta[(name, pair)] = perm_name(perm_compose(sigma, tau))
+        for a in a_letters:
+            pair = (a, psi_action(inv, a))
+            pairs.append(pair)
+            delta[(name, pair)] = name
+    alphabet = tuple(dict.fromkeys(pairs))
+    identity = perm_name(tuple(range(1, m + 1)))
+    fsa = Fsa(alphabet, set(state_names), identity, set(state_names), delta)
+    return Relabeling(fsa)
+
+
 # -- VPL Boolean closures as full products of completed, normalized machines
 
 
@@ -688,6 +735,307 @@ def full_vpl_complement(m: Vpa) -> Vpa:
             n.states - n.accepts, n.accept_stack, n.delta_c, n.delta_i, n.delta_r,
         )
     )
+
+
+# -- the VPL closures as whole machines: completion, acceptance
+# normalization and the raw concat, star and reverse gluings.  canonicalize
+# of each reference_vpl_* equals the library's closure, machine for machine.
+
+
+def _fresh(base: str, taken: Iterable[Hashable]) -> str:
+    taken = set(taken)
+    name = base
+    i = 0
+    while name in taken:
+        i += 1
+        name = f"{base}{i}"
+    return name
+
+
+def vpa_complete(m: Vpa) -> Vpa:
+    """Make all three transition families total via a non-accepting sink.
+
+    Missing calls push a fresh sink symbol, which is added to accept_stack:
+    that symbol is only ever pushed on the way into the sink, which never
+    accepts and never leaves, so no accepting run has it on its stack and
+    the accepted language is unchanged.  A machine whose accept_stack
+    covers its stack alphabet keeps covering it, so its acceptance stays
+    state-only.
+    """
+    sink = _fresh("sink", m.states)
+    sink_sym = _fresh("sinksym", m.stack_alphabet | {m.bottom})
+    states = frozenset(m.states | {sink})
+    stack = frozenset(m.stack_alphabet | {sink_sym})
+    delta_c = dict(m.delta_c)
+    delta_i = dict(m.delta_i)
+    delta_r = dict(m.delta_r)
+    for q in states:
+        for base in m.alphabet:
+            delta_c.setdefault((q, base), (sink, sink_sym))
+            delta_i.setdefault((q, base), sink)
+            for g in stack | {m.bottom}:
+                delta_r.setdefault((q, base, g), sink)
+    return Vpa(
+        m.alphabet, states, stack, m.bottom, m.initial, m.accepts,
+        m.accept_stack | {sink_sym}, delta_c, delta_i, delta_r,
+    )
+
+
+def vpa_normalize_acceptance(m: Vpa) -> Vpa:
+    """Equivalent VPA whose acceptance condition is state-only.
+
+    States carry a flag "everything on the stack above the bottom is in
+    accept_stack"; each push saves the current flag into the pushed symbol
+    so a pop can restore it.  The new accept_stack is the whole new stack
+    alphabet, and the flag being true at an original accept state encodes
+    the original stack condition.
+    """
+    in_acc = m.accept_stack.__contains__
+    states = frozenset((q, ok) for q in m.states for ok in (True, False))
+    stack = frozenset((g, ok) for g in m.stack_alphabet for ok in (True, False))
+    bottom = m.bottom if m.bottom not in stack else ("bot", m.bottom)
+    delta_c = {}
+    delta_i = {}
+    delta_r = {}
+    for (q, base), (dst, g) in m.delta_c.items():
+        for ok in (True, False):
+            delta_c[((q, ok), base)] = ((dst, ok and in_acc(g)), (g, ok))
+    for (q, base), dst in m.delta_i.items():
+        for ok in (True, False):
+            delta_i[((q, ok), base)] = (dst, ok)
+    for (q, base, g), dst in m.delta_r.items():
+        if g == m.bottom:
+            for ok in (True, False):
+                delta_r[((q, ok), base, bottom)] = (dst, ok)
+        else:
+            for ok in (True, False):
+                for ok_below in (True, False):
+                    delta_r[((q, ok), base, (g, ok_below))] = (dst, ok_below)
+    return Vpa(
+        alphabet=m.alphabet,
+        states=states,
+        stack_alphabet=stack,
+        bottom=bottom,
+        initial=(m.initial, True),
+        accepts=frozenset((q, True) for q in m.accepts),
+        accept_stack=stack,
+        delta_c=delta_c,
+        delta_i=delta_i,
+        delta_r=delta_r,
+    )
+
+
+def reference_state_only(m: Vpa) -> Vpa:
+    """m completed, with state-only acceptance: normalized unless every
+    stack symbol is already acceptable."""
+    c = vpa_complete(m)
+    return c if c.accept_stack >= c.stack_alphabet else vpa_normalize_acceptance(c)
+
+
+def reference_vpl_union(m1: Vpa, m2: Vpa) -> Vpa:
+    return pair_product(reference_state_only(m1), reference_state_only(m2), lambda a, b: a or b)
+
+
+def reference_vpl_intersection(m1: Vpa, m2: Vpa) -> Vpa:
+    return pair_product(m1, m2, lambda a, b: a and b)
+
+
+def reference_vpl_complement(m: Vpa) -> Vpa:
+    n = reference_state_only(m)
+    return dataclasses.replace(n, accepts=n.states - n.accepts)
+
+
+def reference_vpl_concat(m1: Vpa, m2: Vpa) -> Nvpa:
+    """Guess the split point at accepting configurations of m1.
+
+    Both machines are acceptance-normalized, so "m1 accepts here" is a
+    state predicate.  Stack symbols carry their phase; once the run is in
+    phase 2, a return that finds a phase-1 symbol (or the true bottom)
+    behaves as m2 reading its own bottom, popping the dead symbol.
+    """
+    alphabet = m1.alphabet
+    n1 = vpa_normalize_acceptance(m1)
+    n2 = vpa_normalize_acceptance(m2)
+    bottom = "$"
+    delta_c: dict = {}
+    delta_i: dict = {}
+    delta_r: dict = {}
+
+    for (q, a), (dst, g) in n1.delta_c.items():
+        add_move(delta_c, (("1", q), a), (("1", dst), ("1", g)))
+    for (q, a), dst in n1.delta_i.items():
+        add_move(delta_i, (("1", q), a), ("1", dst))
+    for (q, a, g), dst in n1.delta_r.items():
+        top = bottom if g == n1.bottom else ("1", g)
+        add_move(delta_r, (("1", q), a, top), ("1", dst))
+
+    for (q, a), (dst, g) in n2.delta_c.items():
+        add_move(delta_c, (("2", q), a), (("2", dst), ("2", g)))
+    for (q, a), dst in n2.delta_i.items():
+        add_move(delta_i, (("2", q), a), ("2", dst))
+    for (q, a, g), dst in n2.delta_r.items():
+        if g == n2.bottom:
+            # m2 at its virtual bottom: the true bottom or any dead phase-1 symbol.
+            add_move(delta_r, (("2", q), a, bottom), ("2", dst))
+            for g1 in n1.stack_alphabet:
+                add_move(delta_r, (("2", q), a, ("1", g1)), ("2", dst))
+        else:
+            add_move(delta_r, (("2", q), a, ("2", g)), ("2", dst))
+
+    # Split folded into the next symbol: from an accepting phase-1 state,
+    # also move as m2 would from its initial state.
+    for y in n1.accepts:
+        for a in alphabet:
+            move = n2.delta_c.get((n2.initial, a))
+            if move is not None:
+                add_move(delta_c, (("1", y), a), (("2", move[0]), ("2", move[1])))
+            dst = n2.delta_i.get((n2.initial, a))
+            if dst is not None:
+                add_move(delta_i, (("1", y), a), ("2", dst))
+            dst = n2.delta_r.get((n2.initial, a, n2.bottom))
+            if dst is not None:
+                add_move(delta_r, (("1", y), a, bottom), ("2", dst))
+                for g1 in n1.stack_alphabet:
+                    add_move(delta_r, (("1", y), a, ("1", g1)), ("2", dst))
+
+    states = {("1", q) for q in n1.states} | {("2", q) for q in n2.states}
+    stack = {("1", g) for g in n1.stack_alphabet} | {("2", g) for g in n2.stack_alphabet}
+    initials = {("1", n1.initial)}
+    if n1.initial in n1.accepts:
+        initials.add(("2", n2.initial))
+    accepts = {("2", y) for y in n2.accepts}
+    if n2.initial in n2.accepts:
+        accepts |= {("1", y) for y in n1.accepts}
+    return Nvpa(
+        alphabet=alphabet,
+        states=frozenset(states),
+        stack_alphabet=frozenset(stack),
+        bottom=bottom,
+        initials=frozenset(initials),
+        accepts=frozenset(accepts),
+        accept_stack=frozenset(stack),
+        delta_c=delta_c,
+        delta_i=delta_i,
+        delta_r=delta_r,
+    )
+
+
+def reference_vpl_star(m: Vpa) -> Nvpa:
+    """Iterated concatenation: restart at accepting states, nondeterministically.
+
+    States carry a bit "a restart happened since the symbol now on top was
+    pushed"; each push saves the current bit into the pushed symbol and a
+    pop ORs the saved bit back in.  A pop with bit 0 is a same-iteration
+    pop and uses the real symbol; with bit 1 the symbol is dead (pushed in
+    an earlier iteration), so the machine reads its bottom instead.
+    """
+    n = vpa_normalize_acceptance(m)
+    bottom = "$"
+    start = "start"
+    delta_c: dict = {}
+    delta_i: dict = {}
+    delta_r: dict = {}
+
+    def add_moves(src, q, b):
+        """Moves of simulated state q with restart bit b, installed under src."""
+        for a in n.alphabet:
+            move = n.delta_c.get((q, a))
+            if move is not None:
+                add_move(delta_c, (src, a), ((move[0], 0), (move[1], b)))
+            dst = n.delta_i.get((q, a))
+            if dst is not None:
+                add_move(delta_i, (src, a), (dst, b))
+            bottom_dst = n.delta_r.get((q, a, n.bottom))
+            if bottom_dst is not None:
+                add_move(delta_r, (src, a, bottom), (bottom_dst, b))
+            for g in n.stack_alphabet:
+                for saved in (0, 1):
+                    if b == 0:
+                        dst = n.delta_r.get((q, a, g))
+                        if dst is not None:
+                            add_move(delta_r, (src, a, (g, saved)), (dst, saved))
+                    else:
+                        # dead symbol: the current iteration sees its bottom
+                        if bottom_dst is not None:
+                            add_move(delta_r, (src, a, (g, saved)), (bottom_dst, 1))
+
+    for q in n.states:
+        for b in (0, 1):
+            add_moves((q, b), q, b)
+            if q in n.accepts:
+                # restart: end the iteration here and process the symbol
+                # as the first of a fresh one (bit becomes 1)
+                add_moves((q, b), n.initial, 1)
+    add_moves(start, n.initial, 0)
+    if n.initial in n.accepts:
+        add_moves(start, n.initial, 1)
+
+    states = {(q, b) for q in n.states for b in (0, 1)} | {start}
+    stack = {(g, b) for g in n.stack_alphabet for b in (0, 1)}
+    accepts = {(q, b) for q in n.accepts for b in (0, 1)} | {start}
+    return Nvpa(
+        alphabet=n.alphabet,
+        states=frozenset(states),
+        stack_alphabet=frozenset(stack),
+        bottom=bottom,
+        initials=frozenset({start}),
+        accepts=frozenset(accepts),
+        accept_stack=frozenset(stack),
+        delta_c=delta_c,
+        delta_i=delta_i,
+        delta_r=delta_r,
+    )
+
+
+def reference_vpl_reverse(m: Vpa) -> Nvpa:
+    """Run m backwards: reversed transitions with call and return roles swapped.
+
+    Reading a call of the reversed word undoes a return step of m, pushing
+    a guess of the symbol that step popped (or a marker when it read m's
+    bottom); reading a return undoes a call step and checks the guess.
+    """
+    mark = "mark"
+    bottom = "$"
+    delta_c: dict = {}
+    delta_i: dict = {}
+    delta_r: dict = {}
+
+    for (q, a, g), dst in m.delta_r.items():
+        if g == m.bottom:
+            add_move(delta_c, (dst, a), (q, mark))
+        else:
+            add_move(delta_c, (dst, a), (q, ("sym", g)))
+    for (q, a), dst in m.delta_i.items():
+        add_move(delta_i, (dst, a), q)
+    for (q, a), (dst, g) in m.delta_c.items():
+        add_move(delta_r, (dst, a, ("sym", g)), q)
+        if g in m.accept_stack:
+            add_move(delta_r, (dst, a, bottom), q)
+
+    stack = {("sym", g) for g in m.stack_alphabet} | {mark}
+    return Nvpa(
+        alphabet=m.alphabet,
+        states=m.states,
+        stack_alphabet=frozenset(stack),
+        bottom=bottom,
+        initials=m.accepts,
+        accepts=frozenset({m.initial}),
+        accept_stack=frozenset({mark}),
+        delta_c=delta_c,
+        delta_i=delta_i,
+        delta_r=delta_r,
+    )
+
+
+# (name, closure, reference builder, arity) of the six VPL closures
+VPL_CLOSURE_REFERENCES = (
+    ("union", vpl_union, reference_vpl_union, 2),
+    ("intersection", vpl_intersection, reference_vpl_intersection, 2),
+    ("complement", vpl_complement, reference_vpl_complement, 1),
+    ("concat", vpl_concat, reference_vpl_concat, 2),
+    ("star", vpl_star, reference_vpl_star, 1),
+    ("reverse", vpl_reverse, reference_vpl_reverse, 1),
+)
 
 
 def exact_state_tops(m: Vpa) -> set:

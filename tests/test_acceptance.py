@@ -18,6 +18,7 @@ from oracles import (
     random_vpa,
     reverse_oracle,
     semidirect_oracle,
+    semidirect_relabeling,
     shuffle_oracle,
     star_oracle,
 )
@@ -39,7 +40,6 @@ from nestword.groups import (
     free_letters,
     free_reduce,
     group_spec_from_doc,
-    semidirect_relabeling,
     symmetric_group,
 )
 from nestword.machines import (

@@ -1,5 +1,6 @@
 """Closure constructions against brute-force set-theoretic oracles."""
 
+import dataclasses
 import itertools
 import random
 import time
@@ -7,6 +8,7 @@ import time
 import pytest
 
 from oracles import (
+    VPL_CLOSURE_REFERENCES,
     ExtensionOracle,
     astar_bstar_fsa,
     concat_oracle,
@@ -26,7 +28,14 @@ from oracles import (
     reference_reg_intersection,
     reference_reg_prefix,
     reference_reg_union,
+    reference_state_only,
+    reference_vpl_complement,
+    reference_vpl_concat,
+    reference_vpl_intersection,
+    reference_vpl_star,
+    reference_vpl_union,
     reverse_oracle,
+    semidirect_relabeling,
     shuffle_oracle,
     star_oracle,
     vpa_language,
@@ -71,7 +80,7 @@ from nestword.machines import (
     vpa_run,
 )
 from nestword.serialize import dumps
-from nestword.groups import build_free_vpa, semidirect_relabeling
+from nestword.groups import build_free_vpa
 from nestword.words import Tag, TaggedSymbol, all_tagged_words, decode, parse_word, reverse as reverse_word
 
 
@@ -450,13 +459,74 @@ def test_reachable_search_keeps_every_return_a_run_can_take():
 
 def test_boolean_products_keep_every_return_a_run_can_take():
     for m1, m2 in random_vpa_pairs(7007, 12) + [_seed_pair()]:
-        n1, n2 = closures._total_state_acceptance(m1), closures._total_state_acceptance(m2)
         for out, machine in (
-            (vpl_union(m1, m2), pair_product(n1, n2, lambda a, b: a or b)),
-            (vpl_intersection(m1, m2), pair_product(m1, m2, lambda a, b: a and b)),
-            (vpl_complement(m1), n1),
+            (vpl_union(m1, m2), reference_vpl_union(m1, m2)),
+            (vpl_intersection(m1, m2), reference_vpl_intersection(m1, m2)),
+            (vpl_complement(m1), reference_state_only(m1)),
         ):
             _assert_keeps_every_return_a_run_can_take(out, machine)
+
+
+def _reference_inputs():
+    """120 seeded pairs (1-6 states, 1-3 letters, densities 0.3-1), then a
+    1-state machine, one with no moves, and a machine made to accept on
+    every stack and on none, each with a random partner and with itself."""
+    pairs = []
+    for seed in range(120):
+        rng = random.Random(seed)
+        letters = ("a", "b", "c")[: 1 + seed % 3]
+        density = 0.3 + 0.1 * (seed % 8)
+        pairs.append((
+            random_vpa(rng, 1 + seed % 6, letters, 1 + seed % 3, density),
+            random_vpa(rng, 1 + seed % 4, letters, 1 + (seed // 3) % 3, density),
+        ))
+    one_state = Vpa(
+        ("a", "b"), {"q"}, {"g"}, "$", "q", {"q"}, set(),
+        {("q", "a"): ("q", "g")}, {("q", "b"): "q"}, {("q", "a", "g"): "q", ("q", "b", "$"): "q"},
+    )
+    no_moves = Vpa(("a", "b"), {"p", "q"}, {"g"}, "$", "p", {"q"}, {"g"}, {}, {}, {})
+    m = random_vpa(random.Random(121), 4, n_stack=3)
+    all_acceptable = dataclasses.replace(m, accept_stack=m.stack_alphabet)
+    none_acceptable = dataclasses.replace(m, accept_stack=frozenset())
+    for special in (one_state, no_moves, all_acceptable, none_acceptable):
+        pairs += [(special, random_vpa(random.Random(122), 3)), (special, special)]
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "closure, reference, arity", [entry[1:] for entry in VPL_CLOSURE_REFERENCES],
+    ids=[entry[0] for entry in VPL_CLOSURE_REFERENCES],
+)
+def test_vpl_closures_equal_canonicalize_of_their_reference_builders(closure, reference, arity):
+    # the lookups into each input against the whole machine the reference
+    # builds (completed, normalized, glued), searched by canonicalize
+    for pair in _reference_inputs():
+        args = pair[:arity]
+        assert closure(*args) == canonicalize(reference(*args)), args
+
+
+def _bottom_like_a_flagged_symbol() -> Vpa:
+    # the bottom ("g", True) is what the flag makes of the unacceptable g
+    return Vpa(
+        ("a",), {"p", "q"}, {"g"}, ("g", True), "p", {"p"}, set(),
+        {("p", "a"): ("q", "g")}, {("q", "a"): "p"},
+        {("q", "a", "g"): "p", ("p", "a", ("g", True)): "q"},
+    )
+
+
+def test_state_only_view_keeps_the_bottom_apart_from_flagged_symbols():
+    m = _bottom_like_a_flagged_symbol()
+    other = dataclasses.replace(m, accepts={"q"})
+    assert vpl_union(m, other) == canonicalize(reference_vpl_union(m, other))
+    assert vpl_complement(m) == canonicalize(reference_vpl_complement(m))
+    assert vpl_concat(m, other) == canonicalize(reference_vpl_concat(m, other))
+    assert vpl_star(m) == canonicalize(reference_vpl_star(m))
+    for m2 in (m, other):
+        xor = pair_product(reference_state_only(m), reference_state_only(m2), lambda a, b: a != b)
+        assert vpl_equivalent(m, m2) == vpa_is_empty(xor)
+    assert vpl_equivalent(m, m) and not vpl_equivalent(m, other)
+    for tw in all_tagged_words(("a",), 6):
+        assert vpa_run(vpl_complement(m), tw).accepted != vpa_run(m, tw).accepted, tw
 
 
 def test_vpl_union_keeps_at_most_half_the_returns_of_the_all_tops_search():

@@ -10,10 +10,13 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     direct_oracle,
     group_letters,
+    perm_compose,
+    perm_inverse,
     reference_annotate_word,
     reference_finite_fsa,
     reference_symmetric_group,
     semidirect_oracle,
+    semidirect_relabeling,
 )
 from nestword import serialize
 from nestword.closures import NonDisjointAlphabets, relabel_image, shuffle
@@ -38,12 +41,9 @@ from nestword.groups import (
     group_spec_from_doc,
     invert_letter,
     is_identity,
-    perm_compose,
-    perm_inverse,
     perm_by_name,
     perm_name,
     psi_action,
-    semidirect_relabeling,
     symmetric_group,
 )
 from nestword.machines import Vpa, canonicalize, nvpa_run, vpa_run

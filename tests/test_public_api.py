@@ -50,9 +50,7 @@ PUBLIC_NAMES = [
     "reverse",
     "shuffle",
     "validate_matching",
-    "vpa_complete",
     "vpa_is_empty",
-    "vpa_normalize_acceptance",
     "vpa_run",
     "vpl_complement",
     "vpl_concat",
