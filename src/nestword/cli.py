@@ -24,7 +24,6 @@ from .machines import (
     Nvpa,
     Pda,
     Vpa,
-    canonicalize,
     fsa_run,
     machine_accepts,
     vpa_from_fsa,
@@ -169,12 +168,12 @@ def _closure_result(op: str, machines: list):
     if op == "shuffle":
         if kinds != (Vpa, Fsa):
             raise ValueError("shuffle takes a VPA and an FSA, in that order")
-        return canonicalize(closures.shuffle(machines[0], machines[1]))
+        return closures.shuffle(machines[0], machines[1])
     if op == "relabel":
         if kinds != (Vpa, Fsa):
             raise ValueError("relabel takes a VPA and a pair FSA, in that order")
         phi = closures.Relabeling(machines[1])
-        return canonicalize(closures.relabel_image(machines[0], phi))
+        return closures.relabel_image(machines[0], phi)
     if all(k is Fsa for k in kinds):
         table = {
             "union": closures.reg_union,

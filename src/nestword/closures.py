@@ -3,22 +3,24 @@
 Regular operations return deterministic FSAs holding only the states a run
 reaches: products, complement and prefix read a missing move as a dead
 state, never a materialized sink, and nondeterministic intermediates are
-determinized over reached subsets.  Every VPL closure is one search
-(`machines.reached_vpa`) over lookups into its inputs, with no machine in
-between: a worklist over (state, stack top) pairs that keeps only the
-states, stack symbols and moves a run can reach, and a return only at a
-pair it reaches.  Tags keep both stacks of a product in lockstep.
-Intersection reads its inputs as they are; union and complement read a
-missing move as a dead state, and flag states only when some stack
-symbol is unacceptable.  Concatenation, star, and reversal return NVPAs
-whose membership is decided by the summary run (`nvpa_run`: one frame
-per pending call, mapping each entry to a bitmask of states, at any
-depth); prefix-closure membership is decided directly by saturation
-instead of building a machine, and the same summaries decide emptiness and
-equivalence of VPAs exactly (`vpa_is_empty`, `vpl_equivalent`).
+determinized over reached subsets.  Every VPL closure, shuffle and
+re-labeling included, is one search (`machines.reached_vpa`) over lookups
+into its inputs, with no machine in between: a worklist over (state,
+stack top) pairs that keeps only the states, stack symbols and moves a
+run can reach, and a return only at a pair it reaches.  Tags keep both
+stacks of a product in lockstep.  Intersection reads its inputs as they
+are; union and complement read a missing move as a dead state, and flag
+each state with "every pushed symbol is acceptable".  Shuffle pairs a
+run of the VPA with one of the FSA, and a re-labeling image a run with
+one of the pair FSA.  Concatenation, star, reversal and re-labeling
+return NVPAs whose membership is decided by the summary run (`nvpa_run`:
+one frame per pending call, mapping each entry to a bitmask of states,
+at any depth); prefix-closure membership is decided directly by
+saturation instead of building a machine, and the same summaries decide
+emptiness and equivalence of VPAs exactly (`vpa_is_empty`,
+`vpl_equivalent`).
 
-Every output but `shuffle`'s and `relabel_image`'s has canonical q0/q1...
-names; those two keep their structured product states for callers to name.
+Every output has canonical q0/q1... names.
 """
 
 from __future__ import annotations
@@ -193,16 +195,10 @@ def _as_is(m: Vpa) -> _Lookups:
 def _state_only(m: Vpa) -> _Lookups:
     """m completed, accepting by state alone: a missing move goes to
     `_DEAD`, which accepts nothing, moves only to itself and pushes `_DEAD`,
-    an acceptable symbol.  When some stack symbol is unacceptable, states
-    and pushed symbols carry the flag of `_flagged_call`, and the bottom is
-    (m.bottom,), which no flagged symbol (g, ok) equals."""
-    c, i, r = m.delta_c.get, m.delta_i.get, m.delta_r.get
-    dead_call = (_DEAD, _DEAD)
-    if m.accept_stack >= m.stack_alphabet:
-        return _Lookups(
-            m.initial, m.bottom, lambda key: (c(key, dead_call),), lambda key: (i(key, _DEAD),),
-            lambda key: (r(key, _DEAD),), m.accepts.__contains__, _anything,
-        )
+    an acceptable symbol.  States and pushed symbols carry the flag of
+    `_flagged_call`, and the bottom is (m.bottom,), which no flagged symbol
+    (g, ok) equals."""
+    i, r = m.delta_i.get, m.delta_r.get
     bottom = (m.bottom,)
 
     def calls(key) -> tuple:
@@ -285,16 +281,20 @@ def vpl_complement(m: Vpa) -> Vpa:
 # VPL concatenation / star / reversal (nondeterministic gluings)
 
 
+def _in_repr_order(found: set):
+    """An Nvpa key's choices, None (no move) dropped, in repr order, as
+    canonicalize would take them."""
+    found.discard(None)
+    return sorted(found, key=repr) if len(found) > 1 else tuple(found)
+
+
 def _glued(followed, step):
     """A reached_vpa lookup for states that each follow some runs of the
-    inputs (`followed`): a key's choices are what `step` gives each run
-    (None for no move), in repr order, as canonicalize would take them."""
+    inputs (`followed`): a key's choices are what `step` gives each run."""
 
     def choices(key):
         state, *rest = key
-        found = {step(run, *rest) for run in followed(state)}
-        found.discard(None)
-        return sorted(found, key=repr) if len(found) > 1 else tuple(found)
+        return _in_repr_order({step(run, *rest) for run in followed(state)})
 
     return choices
 
@@ -555,41 +555,35 @@ def vpl_equivalent(m1: Vpa, m2: Vpa) -> bool:
 
 
 def shuffle(m: Vpa, r: Fsa) -> Vpa:
-    """Product machine for the interleavings of L(m) with the all-internal
-    image of L(r); the regular letters never touch the stack."""
+    """The interleavings of L(m) with the all-internal image of L(r): runs
+    of m paired with runs of r, whose letters never touch the stack."""
     if set(m.alphabet) & set(r.alphabet):
         raise NonDisjointAlphabets(f"{m.alphabet!r} overlaps {r.alphabet!r}")
-    alphabet = tuple(m.alphabet) + tuple(r.alphabet)
-    states = {(s, t) for s in m.states for t in r.states}
-    delta_c = {}
-    delta_i = {}
-    delta_r = {}
-    for s, t in states:
-        for a in m.alphabet:
-            move = m.delta_c.get((s, a))
-            if move is not None:
-                delta_c[((s, t), a)] = ((move[0], t), move[1])
-            dst = m.delta_i.get((s, a))
-            if dst is not None:
-                delta_i[((s, t), a)] = (dst, t)
-        for b in r.alphabet:
-            dst = r.delta.get((t, b))
-            if dst is not None:
-                delta_i[((s, t), b)] = (s, dst)
-    for (s, a, g), dst in m.delta_r.items():
-        for t in r.states:
-            delta_r[((s, t), a, g)] = (dst, t)
-    return Vpa(
-        alphabet=alphabet,
-        states=frozenset(states),
-        stack_alphabet=m.stack_alphabet,
-        bottom=m.bottom,
-        initial=(m.initial, r.initial),
-        accepts=frozenset((y, yr) for y in m.accepts for yr in r.accepts),
-        accept_stack=m.accept_stack,
-        delta_c=delta_c,
-        delta_i=delta_i,
-        delta_r=delta_r,
+    c, i, ret, step = m.delta_c.get, m.delta_i.get, m.delta_r.get, r.delta.get
+    regular = frozenset(r.alphabet)
+
+    def calls(key) -> tuple:
+        (s, t), a = key
+        move = c((s, a))
+        return () if move is None else (((move[0], t), move[1]),)
+
+    def internals(key) -> tuple:
+        (s, t), a = key
+        if a in regular:
+            dst = step((t, a))
+            return () if dst is None else ((s, dst),)
+        dst = i((s, a))
+        return () if dst is None else ((dst, t),)
+
+    def returns(key) -> tuple:
+        (s, t), a, top = key
+        dst = ret((s, a, top))
+        return () if dst is None else ((dst, t),)
+
+    return reached_vpa(
+        Vpa, m.alphabet + r.alphabet, ((m.initial, r.initial),), m.bottom,
+        calls, internals, returns, lambda state: state[0] in m.accepts and state[1] in r.accepts,
+        m.accept_stack.__contains__,
     )
 
 
@@ -659,43 +653,35 @@ class Relabeling:
 def relabel_image(m: Vpa, phi: Relabeling) -> Nvpa:
     """Machine for the image of L(m) under phi, reading output letters.
 
-    A transition on output letter b exists wherever some input letter a with
-    the same tag has both a pair-FSA move on (a, b) and an m-move on a.
+    States pair a state of m with one of the pair FSA.  A move on output
+    letter b exists wherever some input letter a with the same tag has both
+    a pair-FSA move on (a, b) and an m-move on a.
     """
     pfsa = phi.pair_fsa
-    alphabet = tuple(m.alphabet)
-    letters = set(alphabet)
+    letters = set(m.alphabet)
     for a_in, b_out in pfsa.alphabet:
         if a_in not in letters or b_out not in letters:
             raise AlphabetMismatch(f"pair ({a_in!r},{b_out!r}) outside machine alphabet")
-    pair_moves = phi._edges
-    delta_c: dict = {}
-    delta_i: dict = {}
-    delta_r: dict = {}
+    sources: dict = {}  # (pair state, output letter) -> [(input letter, next pair state)]
+    for (p, (a_in, b_out)), p_next in pfsa.delta.items():
+        sources.setdefault((p, b_out), []).append((a_in, p_next))
 
-    for (q, a), (dst, g) in m.delta_c.items():
-        for p in pfsa.states:
-            for b_out, pdst in pair_moves.get((p, a), ()):
-                add_move(delta_c, ((q, p), b_out), ((dst, pdst), g))
-    for (q, a), dst in m.delta_i.items():
-        for p in pfsa.states:
-            for b_out, pdst in pair_moves.get((p, a), ()):
-                add_move(delta_i, ((q, p), b_out), (dst, pdst))
-    for (q, a, g), dst in m.delta_r.items():
-        for p in pfsa.states:
-            for b_out, pdst in pair_moves.get((p, a), ()):
-                add_move(delta_r, ((q, p), b_out, g), (dst, pdst))
+    def image(table: dict, pushes: bool):
+        """The choices on output letter b: the moves of `table` on each
+        input letter that the pair FSA turns into b, paired with its move."""
 
-    states = {(q, p) for q in m.states for p in pfsa.states}
-    return Nvpa(
-        alphabet=alphabet,
-        states=frozenset(states),
-        stack_alphabet=m.stack_alphabet,
-        bottom=m.bottom,
-        initials=frozenset({(m.initial, pfsa.initial)}),
-        accepts=frozenset((y, p) for y in m.accepts for p in pfsa.accepts),
-        accept_stack=m.accept_stack,
-        delta_c=delta_c,
-        delta_i=delta_i,
-        delta_r=delta_r,
+        def choices(key):
+            (q, p), b, *top = key
+            moves = ((table.get((q, a, *top)), p_next) for a, p_next in sources.get((p, b), ()))
+            return _in_repr_order({
+                ((move[0], p_next), move[1]) if pushes else (move, p_next)
+                for move, p_next in moves if move is not None
+            })
+
+        return choices
+
+    return reached_vpa(
+        Nvpa, m.alphabet, ((m.initial, pfsa.initial),), m.bottom, image(m.delta_c, True),
+        image(m.delta_i, False), image(m.delta_r, False),
+        lambda pair: pair[0] in m.accepts and pair[1] in pfsa.accepts, m.accept_stack.__contains__,
     )

@@ -8,6 +8,9 @@ Both products are F_n x| G for a finite factor G and a twist: the letter
 each free letter acts as after a prefix of a given finite value (itself,
 in a direct product).  They share one brute-force identity evaluator
 (never touching automata), one recognizer builder and one annotator.
+The builder writes its VPA straight from the tables of the free-group
+VPA, the finite factor and the twist; its language is the twisted
+shuffle of the free-group VPA with the Cayley FSA.
 Builder languages hit every trivial word in exactly one tagging: the
 canonical matching traced by stack cancellation.
 
@@ -21,12 +24,12 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .closures import NonDisjointAlphabets, shuffle
-from .machines import Fsa, Vpa, machine_accepts, rename_machine
+from .closures import NonDisjointAlphabets
+from .machines import Fsa, Vpa, machine_accepts
 from .words import (
     MatchingRelation,
     Tag,
@@ -448,31 +451,39 @@ def build_finite_fsa(g: FiniteGroupSpec) -> Recognizer:
     return Recognizer(fsa)
 
 
-def _flatten_states(m: Vpa) -> Vpa:
-    """m, a shuffle of the free-group VPA, with each state pair (p, t)
-    renamed to 'p|t'; no free-group state holds a '|', so names stay
-    distinct."""
-    names = {q: "|".join(q) for q in m.states}
-    return rename_machine(m, names, {g: g for g in m.stack_alphabet | {m.bottom}})
-
-
 def _build_product(spec: ProductSpec) -> Recognizer:
     """The free-group VPA shuffled with the Cayley FSA of the finite factor,
-    reading twisted letters: in state (p, g) a free letter b is read by the
-    free part as twist[g][b], and a finite letter h moves g to g.h.  For
-    S_m this is the image of the shuffle under the paper's relabeling, a
-    pair FSA tracking the prefix permutation, whose pair state always
-    equals g, built deterministically: (2n+1).|G| states, all reachable.
+    reading twisted letters: in state 'p|g' a free letter b moves as the
+    free VPA's state p reading twist[g][b], and a finite letter h moves g
+    to g.h.  For S_m this is the image of the shuffle under the paper's
+    relabeling, a pair FSA tracking the prefix permutation, whose pair
+    state always equals g, built deterministically: (2n+1).|G| states, all
+    reachable.  No free-group state holds a '|', so names stay distinct.
     """
-    shuffled = shuffle(build_free_vpa(spec.n).automaton, build_finite_fsa(spec.finite).automaton)
+    free, finite = build_free_vpa(spec.n).automaton, spec.finite
+    # one string per state, so the run's lookups compare states by identity
+    name = {(p, g): f"{p}|{g}" for p in free.states for g in finite.elements}
     # reads[g][a]: the letter b with twist[g][b] = a
     reads = {g: {a: b for b, a in t.items()} for g, t in spec.twist.items()}
-    twisted = replace(
-        shuffled,
-        delta_c={(q, reads[q[1]][a]): v for (q, a), v in shuffled.delta_c.items()},
-        delta_r={(q, reads[q[1]][a], g): v for (q, a, g), v in shuffled.delta_r.items()},
-    )
-    return Recognizer(_flatten_states(twisted))
+    start = name[free.initial, finite.identity]
+    return Recognizer(Vpa(
+        alphabet=free.alphabet + finite.elements,
+        states=name.values(),
+        stack_alphabet=free.stack_alphabet,
+        bottom=free.bottom,
+        initial=start,
+        accepts={start},
+        accept_stack=free.accept_stack,
+        delta_c={
+            (name[p, g], by[a]): (name[dst, g], pushed)
+            for (p, a), (dst, pushed) in free.delta_c.items() for g, by in reads.items()
+        },
+        delta_i={(name[p, g], h): name[p, gh] for p in free.states for (g, h), gh in finite.table.items()},
+        delta_r={
+            (name[p, g], by[a], top): name[dst, g]
+            for (p, a, top), dst in free.delta_r.items() for g, by in reads.items()
+        },
+    ))
 
 
 def build_direct_product(n: int, g: FiniteGroupSpec) -> Recognizer:

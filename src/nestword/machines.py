@@ -680,7 +680,7 @@ def machine_accepts(m, tw: TaggedWord) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# transition rows and renaming, shared by Vpa and Nvpa
+# transition rows, shared by Vpa and Nvpa
 
 
 def add_move(table: dict, key, value) -> None:
@@ -702,49 +702,6 @@ def transition_rows(m) -> tuple:
         ((q, b, dst, g) for (q, b), moves in m.delta_c.items() for dst, g in moves),
         ((q, b, dst) for (q, b), dsts in m.delta_i.items() for dst in dsts),
         ((q, b, g, dst) for (q, b, g), dsts in m.delta_r.items() for dst in dsts),
-    )
-
-
-def rename_machine(m, names: dict, syms: dict):
-    """m (a Vpa or Nvpa) with its states renamed through `names` and its
-    stack symbols, bottom included, through `syms`.
-
-    Transitions out of states missing from `names`, and returns reading
-    symbols missing from `syms`, are dropped, as are missing accept states
-    and stack symbols.  The targets of every kept transition must be named.
-    """
-    if isinstance(m, Vpa):
-        state = names.__getitem__
-
-        def call(move):
-            return names[move[0]], syms[move[1]]
-
-        start = {"initial": names[m.initial]}
-    else:
-        rename = names.__getitem__
-
-        def state(dsts):
-            return frozenset(map(rename, dsts))
-
-        def call(moves):
-            return frozenset([(names[d], syms[g]) for d, g in moves])
-
-        start = {"initials": frozenset(map(rename, m.initials))}
-    return type(m)(
-        alphabet=m.alphabet,
-        states=frozenset(names.values()),
-        stack_alphabet=frozenset(syms[g] for g in m.stack_alphabet if g in syms),
-        bottom=syms[m.bottom],
-        accepts=frozenset(names[q] for q in m.accepts if q in names),
-        accept_stack=frozenset(syms[g] for g in m.accept_stack if g in syms),
-        delta_c={(names[q], b): call(v) for (q, b), v in m.delta_c.items() if q in names},
-        delta_i={(names[q], b): state(v) for (q, b), v in m.delta_i.items() if q in names},
-        delta_r={
-            (names[q], b, syms[g]): state(v)
-            for (q, b, g), v in m.delta_r.items()
-            if q in names and g in syms
-        },
-        **start,
     )
 
 

@@ -35,10 +35,14 @@ from nestword.closures import (
     vpl_union,
 )
 from nestword.groups import (
+    DirectProductSpec,
     FiniteGroupSpec,
     FreeGroupSpec,
+    Recognizer,
+    SemidirectProductSpec,
     _cancellations,
     build_direct_product,
+    build_finite_fsa,
     build_free_vpa,
     build_semidirect,
     cyclic_group,
@@ -49,6 +53,7 @@ from nestword.groups import (
     perm_by_name,
     perm_name,
     psi_action,
+    symmetric_group,
 )
 from nestword.machines import (
     Fsa,
@@ -61,7 +66,6 @@ from nestword.machines import (
     canonicalize,
     fsa_determinize,
     fsa_run,
-    rename_machine,
     transition_rows,
     vpa_run,
 )
@@ -160,6 +164,14 @@ def identity_relabeling(alphabet) -> Relabeling:
     state = "p"
     delta = {(state, pair): state for pair in pairs}
     return Relabeling(Fsa(pairs, {state}, state, {state}, delta))
+
+
+def forked_relabeling() -> Relabeling:
+    """a -> a or b, b -> b, through two pair states: not functional, so
+    its image machine has keys with two choices."""
+    pairs = (("a", "a"), ("a", "b"), ("b", "b"))
+    delta = {("p", ("a", "a")): "p", ("p", ("a", "b")): "r", ("p", ("b", "b")): "p", ("r", ("b", "b")): "r"}
+    return Relabeling(Fsa(pairs, {"p", "r"}, "p", {"p", "r"}, delta))
 
 
 def random_vpa(rng: random.Random, n_states=4, alphabet=("a", "b"), n_stack=2, density=0.8) -> Vpa:
@@ -669,6 +681,114 @@ def semidirect_relabeling(n: int, m: int) -> Relabeling:
     return Relabeling(fsa)
 
 
+# -- shuffle, re-labeling and the product builder as whole tables: every
+# state pair and every move, tuple states kept.  canonicalize of each
+# reference equals the library's closure; the flattened builder reference
+# equals the library's builder.
+
+
+def reference_shuffle(m: Vpa, r: Fsa) -> Vpa:
+    """Every pair (s, t) of states of m and r, with m's moves on its letters
+    and r's on the regular letters, which never touch the stack."""
+    if set(m.alphabet) & set(r.alphabet):
+        raise NonDisjointAlphabets(f"{m.alphabet!r} overlaps {r.alphabet!r}")
+    states = {(s, t) for s in m.states for t in r.states}
+    delta_c, delta_i, delta_r = {}, {}, {}
+    for s, t in states:
+        for a in m.alphabet:
+            move = m.delta_c.get((s, a))
+            if move is not None:
+                delta_c[((s, t), a)] = ((move[0], t), move[1])
+            dst = m.delta_i.get((s, a))
+            if dst is not None:
+                delta_i[((s, t), a)] = (dst, t)
+        for b in r.alphabet:
+            dst = r.delta.get((t, b))
+            if dst is not None:
+                delta_i[((s, t), b)] = (s, dst)
+    for (s, a, g), dst in m.delta_r.items():
+        for t in r.states:
+            delta_r[((s, t), a, g)] = (dst, t)
+    return Vpa(
+        alphabet=tuple(m.alphabet) + tuple(r.alphabet),
+        states=frozenset(states),
+        stack_alphabet=m.stack_alphabet,
+        bottom=m.bottom,
+        initial=(m.initial, r.initial),
+        accepts=frozenset((y, yr) for y in m.accepts for yr in r.accepts),
+        accept_stack=m.accept_stack,
+        delta_c=delta_c,
+        delta_i=delta_i,
+        delta_r=delta_r,
+    )
+
+
+def reference_relabel_image(m: Vpa, phi: Relabeling) -> Nvpa:
+    """Every pair (q, p) of states of m and the pair FSA: a move on output
+    letter b wherever some input letter a has a pair-FSA move on (a, b)
+    and an m-move with the same tag."""
+    pfsa = phi.pair_fsa
+    pair_moves: dict = {}  # (pair state, input letter) -> [(output letter, next pair state)]
+    for (p, (a_in, b_out)), dst in pfsa.delta.items():
+        pair_moves.setdefault((p, a_in), []).append((b_out, dst))
+    delta_c: dict = {}
+    delta_i: dict = {}
+    delta_r: dict = {}
+    for (q, a), (dst, g) in m.delta_c.items():
+        for p in pfsa.states:
+            for b_out, pdst in pair_moves.get((p, a), ()):
+                add_move(delta_c, ((q, p), b_out), ((dst, pdst), g))
+    for (q, a), dst in m.delta_i.items():
+        for p in pfsa.states:
+            for b_out, pdst in pair_moves.get((p, a), ()):
+                add_move(delta_i, ((q, p), b_out), (dst, pdst))
+    for (q, a, g), dst in m.delta_r.items():
+        for p in pfsa.states:
+            for b_out, pdst in pair_moves.get((p, a), ()):
+                add_move(delta_r, ((q, p), b_out, g), (dst, pdst))
+    return Nvpa(
+        alphabet=tuple(m.alphabet),
+        states=frozenset((q, p) for q in m.states for p in pfsa.states),
+        stack_alphabet=m.stack_alphabet,
+        bottom=m.bottom,
+        initials=frozenset({(m.initial, pfsa.initial)}),
+        accepts=frozenset((y, p) for y in m.accepts for p in pfsa.accepts),
+        accept_stack=m.accept_stack,
+        delta_c=delta_c,
+        delta_i=delta_i,
+        delta_r=delta_r,
+    )
+
+
+# the product specs whose builder outputs are compared with the reference
+PRODUCT_SPECS = tuple(
+    DirectProductSpec(n, g) for n in range(1, 5) for g in (cyclic_group(2), cyclic_group(3), symmetric_group(3))
+) + tuple(SemidirectProductSpec(n, m) for n, m in ((1, 1), (2, 2), (3, 3), (4, 3), (5, 4)))
+
+
+def _flatten_states(m: Vpa) -> Vpa:
+    """m, a shuffle of the free-group VPA, with each state pair (p, t)
+    renamed to 'p|t'; no free-group state holds a '|', so names stay
+    distinct."""
+    names = {q: "|".join(q) for q in m.states}
+    return rename_machine(m, names, {g: g for g in m.stack_alphabet | {m.bottom}})
+
+
+def reference_build_product(spec) -> Recognizer:
+    """The whole shuffle of the free-group VPA with the Cayley FSA of the
+    finite factor, its free letters re-keyed through the twist of the
+    state's finite value, then its state pairs flattened to 'p|g'."""
+    shuffled = reference_shuffle(build_free_vpa(spec.n).automaton, build_finite_fsa(spec.finite).automaton)
+    # reads[g][a]: the letter b with twist[g][b] = a
+    reads = {g: {a: b for b, a in t.items()} for g, t in spec.twist.items()}
+    twisted = dataclasses.replace(
+        shuffled,
+        delta_c={(q, reads[q[1]][a]): v for (q, a), v in shuffled.delta_c.items()},
+        delta_r={(q, reads[q[1]][a], g): v for (q, a, g), v in shuffled.delta_r.items()},
+    )
+    return Recognizer(_flatten_states(twisted))
+
+
 # -- VPL Boolean closures as full products of completed, normalized machines
 
 
@@ -1117,6 +1237,49 @@ def well_matched_pairs_sweep(m: Vpa) -> dict:
 # agree with, element order and dict order included
 
 
+def rename_machine(m, names: dict, syms: dict):
+    """m (a Vpa or Nvpa) with its states renamed through `names` and its
+    stack symbols, bottom included, through `syms`.
+
+    Transitions out of states missing from `names`, and returns reading
+    symbols missing from `syms`, are dropped, as are missing accept states
+    and stack symbols.  The targets of every kept transition must be named.
+    """
+    if isinstance(m, Vpa):
+        state = names.__getitem__
+
+        def call(move):
+            return names[move[0]], syms[move[1]]
+
+        start = {"initial": names[m.initial]}
+    else:
+        rename = names.__getitem__
+
+        def state(dsts):
+            return frozenset(map(rename, dsts))
+
+        def call(moves):
+            return frozenset([(names[d], syms[g]) for d, g in moves])
+
+        start = {"initials": frozenset(map(rename, m.initials))}
+    return type(m)(
+        alphabet=m.alphabet,
+        states=frozenset(names.values()),
+        stack_alphabet=frozenset(syms[g] for g in m.stack_alphabet if g in syms),
+        bottom=syms[m.bottom],
+        accepts=frozenset(names[q] for q in m.accepts if q in names),
+        accept_stack=frozenset(syms[g] for g in m.accept_stack if g in syms),
+        delta_c={(names[q], b): call(v) for (q, b), v in m.delta_c.items() if q in names},
+        delta_i={(names[q], b): state(v) for (q, b), v in m.delta_i.items() if q in names},
+        delta_r={
+            (names[q], b, syms[g]): state(v)
+            for (q, b, g), v in m.delta_r.items()
+            if q in names and g in syms
+        },
+        **start,
+    )
+
+
 def reference_bfs_names(m) -> tuple[dict, dict]:
     """Breadth-first names of a Vpa or Nvpa, the bottom named "$": from the
     initial state(s), taken in repr order, every move of a state on a
@@ -1321,8 +1484,8 @@ def golden_closure_machines():
         yield vpl_concat(m1, m2)
         yield vpl_star(m1)
         yield vpl_reverse(m1)
-        yield canonicalize(shuffle(m1, r))
-        yield canonicalize(relabel_image(m1, identity_relabeling(m1.alphabet)))
+        yield shuffle(m1, r)
+        yield relabel_image(m1, identity_relabeling(m1.alphabet))
         yield canonicalize(nvpa_from_vpa(m2))
 
 

@@ -13,6 +13,7 @@ from oracles import (
     astar_bstar_fsa,
     concat_oracle,
     exact_state_tops,
+    forked_relabeling,
     full_vpa_product,
     full_vpl_complement,
     identity_relabeling,
@@ -28,12 +29,15 @@ from oracles import (
     reference_reg_intersection,
     reference_reg_prefix,
     reference_reg_union,
+    reference_relabel_image,
+    reference_shuffle,
     reference_state_only,
     reference_vpl_complement,
     reference_vpl_concat,
     reference_vpl_intersection,
     reference_vpl_star,
     reference_vpl_union,
+    rename_machine,
     reverse_oracle,
     semidirect_relabeling,
     shuffle_oracle,
@@ -76,7 +80,6 @@ from nestword.machines import (
     fsa_determinize,
     fsa_run,
     nvpa_run,
-    rename_machine,
     vpa_run,
 )
 from nestword.serialize import dumps
@@ -875,6 +878,16 @@ def test_shuffle_requires_disjoint_alphabets():
         shuffle(singleton_vpa("a"), astar_bstar_fsa())
 
 
+def test_shuffle_keeps_only_reached_canonically_named_states():
+    # the regular factor's state "dead" is unreachable, so no pair holds it
+    m = singleton_vpa("<a b>")
+    r = Fsa(("c",), {"r", "dead"}, "r", {"r"}, {("r", "c"): "r", ("dead", "c"): "r"})
+    sh = shuffle(m, r)
+    assert sh.states == {f"q{i}" for i in range(len(m.states))}
+    assert sh.initial == "q0" and sh.bottom == "$"
+    assert sh == canonicalize(reference_shuffle(m, r))
+
+
 # ---------------------------------------------------------------------------
 # finite re-labeling
 
@@ -914,6 +927,20 @@ def test_relabeling_apply_on_a_long_word():
     (out,) = phi.apply(tw)
     assert len(out) == len(tw)
     assert [s.tag for s in out] == [s.tag for s in tw]
+
+
+def test_shuffle_and_relabel_equal_canonicalize_of_their_references():
+    # one search over lookups into the inputs against the whole product
+    # table, searched by canonicalize, byte for byte
+    for seed in range(200):
+        rng = random.Random(9100 + seed)
+        m = random_vpa(
+            rng, n_states=rng.randrange(1, 6), n_stack=rng.randrange(1, 4), density=rng.choice((0.3, 0.6, 0.9)),
+        )
+        r = random_fsa(rng, n_states=rng.randrange(1, 5), density=rng.choice((0.3, 0.6, 1.0)))
+        assert dumps(shuffle(m, r)) == dumps(canonicalize(reference_shuffle(m, r))), seed
+        for phi in (identity_relabeling(m.alphabet), swap_relabeling(), forked_relabeling()):
+            assert dumps(relabel_image(m, phi)) == dumps(canonicalize(reference_relabel_image(m, phi))), seed
 
 
 def test_relabeling_functional_check():
