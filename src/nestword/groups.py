@@ -6,8 +6,9 @@ F_n x| S_m where the symmetric group permutes the first m free generators.
 
 Both products are F_n x| G for a finite factor G and a twist: the letter
 each free letter acts as after a prefix of a given finite value (itself,
-in a direct product).  They share one brute-force identity evaluator
-(never touching automata), one recognizer builder and one annotator.
+in a direct product).  Every spec kind shares one reduction pass (never
+touching automata), which decides triviality and writes the canonical
+tagging as it reads, and the products share one recognizer builder.
 The builder writes its VPA straight from the tables of the free-group
 VPA, the finite factor and the twist; its language is the twisted
 shuffle of the free-group VPA with the Cayley FSA.
@@ -105,8 +106,17 @@ def canonical_matching(word) -> MatchingRelation | None:
 # finite groups
 
 
+class _Reducible:
+    """What every group spec shares: its reduction rows, compiled on the
+    first word it reads (see _reduction_rows)."""
+
+    @functools.cached_property
+    def _reduction(self) -> tuple:
+        return _reduction_rows(self)
+
+
 @dataclass
-class FiniteGroupSpec:
+class FiniteGroupSpec(_Reducible):
     """A finite group as an explicit multiplication table.
 
     `table` maps exactly the element pairs to elements; that, associativity,
@@ -237,7 +247,7 @@ def psi_action(sigma: tuple, a: str) -> str:
 
 
 @dataclass(frozen=True)
-class FreeGroupSpec:
+class FreeGroupSpec(_Reducible):
     n: int
 
     def __post_init__(self):
@@ -246,7 +256,7 @@ class FreeGroupSpec:
 
 
 @dataclass(frozen=True)
-class DirectProductSpec:
+class DirectProductSpec(_Reducible):
     n: int
     finite: FiniteGroupSpec
 
@@ -264,7 +274,7 @@ class DirectProductSpec:
 
 
 @dataclass(frozen=True)
-class SemidirectProductSpec:
+class SemidirectProductSpec(_Reducible):
     n: int
     m: int
 
@@ -351,48 +361,78 @@ def group_spec_from_doc(doc: dict) -> GroupSpec:
 
 
 # ---------------------------------------------------------------------------
-# brute-force identity evaluators (never consult automata)
+# free reduction with tagging (never consults automata)
 
 
-def _cancellations(spec: FreeGroupSpec | ProductSpec, word) -> tuple:
-    """One pass over a word of F_n or of a product F_n x| G: each free
-    letter is read through the twist of its prefix's finite value and
-    cancelled against the stack top; each finite letter multiplies that
-    value through the table.  Returns the cancellation edges (i, j) and
-    whether the word is trivial."""
-    if isinstance(spec, FreeGroupSpec):  # every letter read as itself; no finite letters
-        reads, twist, table, g = {a: a for a in free_letters(spec.n)}, {}, {}, None
+def _reduction_rows(spec: GroupSpec) -> tuple:
+    """The start row of spec's reduction and the name of its alphabet.
+
+    A row stands for the finite value g of the prefix read so far: a free
+    group has one row, and a finite group's rows hold no free letters.  For
+    a free letter c, row[c] is (b, the inverse of b, c's tagged symbols)
+    where b is the letter c acts as after g; for a finite letter h it is
+    (None, the row of g.h, h's tagged symbols).  Every free letter in the
+    rows is one object, so the reduction stack compares letters by identity.
+    """
+    if isinstance(spec, FreeGroupSpec):
+        letters = free_letters(spec.n)
+        identity, table, twist = None, {}, {None: dict(zip(letters, letters))}
+        outside = "the alphabet"
+    elif isinstance(spec, FiniteGroupSpec):
+        letters, identity, table = (), spec.identity, spec.table
+        twist = dict.fromkeys(spec.elements, {})
         outside = "the alphabet"
     else:
-        twist, table, g = spec.twist, spec.finite.table, spec.finite.identity
-        reads, outside = twist[g], "the combined alphabet"
-    unit = g
-    inverse = {b: invert_letter(b) for b in reads}
-    stack: list = []  # (position, twisted letter) awaiting cancellation
-    edges = []
-    for pos, c in enumerate(word, start=1):
-        b = reads.get(c)
-        if b is not None:
-            if stack and stack[-1][1] == inverse[b]:
-                edges.append((stack.pop()[0], pos))
-            else:
-                stack.append((pos, b))
-            continue
-        g = table.get((g, c))
-        if g is None:
+        letters, finite, twist = free_letters(spec.n), spec.finite, spec.twist
+        identity, table = finite.identity, finite.table
+        outside = "the combined alphabet"
+    one = dict(zip(letters, letters))
+    rows: dict = {g: {} for g in twist}
+    for g, row in rows.items():
+        for c, b in twist[g].items():
+            row[c] = (one[b], one[invert_letter(b)], _tagged(c))
+    for (g, h), gh in table.items():
+        rows[g][h] = (None, rows[gh], _tagged(h))
+    return rows[identity], outside
+
+
+def _reduce(spec: GroupSpec, word) -> TaggedWord | None:
+    """One pass over a word of any group spec: the canonical tagging if the
+    word is trivial, else None.
+
+    Each free letter is read through the twist of its prefix's finite value
+    and cancelled against the stack top, or pushed; each finite letter
+    multiplies that value.  A symbol is written as it is read: a pushed
+    letter as a call, a cancelling one as a return, a finite one as an
+    internal.  A trivial word ends with an empty stack, so every call
+    written was matched.  A letter outside the alphabet raises ValueError.
+    """
+    row, outside = spec._reduction
+    start = row
+    stack: list = [None]  # a bottom no letter is
+    out: list = []
+    push, pop, emit = stack.append, stack.pop, out.append
+    for c in word:
+        move = row.get(c)
+        if move is None:
             raise ValueError(f"letter {c!r} outside {outside}")
-        reads = twist[g]
-    return edges, not stack and g == unit
+        b, inverse, symbols = move
+        if b is None:
+            row = inverse
+            emit(symbols[1])
+        elif stack[-1] is inverse:
+            pop()
+            emit(symbols[2])
+        else:
+            push(b)
+            emit(symbols[0])
+    if row is not start or len(stack) > 1:
+        return None
+    return tuple(out)
 
 
 def is_identity(spec: GroupSpec, word) -> bool:
-    if isinstance(spec, FiniteGroupSpec):
-        elements = set(spec.elements)
-        for c in word:
-            if c not in elements:
-                raise ValueError(f"letter {c!r} outside the alphabet")
-        return spec.product(word) == spec.identity
-    return _cancellations(spec, word)[1]
+    return _reduce(spec, word) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -521,23 +561,9 @@ def annotate_word(spec: GroupSpec, word) -> TaggedWord | None:
 
     Free-group letters get the canonical cancellation matching (computed on
     the twisted letters of a product); finite-group letters stay internal.
-    One pass decides triviality and pairs the cancellations; the tags are
-    written straight from its edges.
+    The one reduction pass that decides triviality writes the tags.
     """
-    word = tuple(word)
-    if isinstance(spec, FiniteGroupSpec):
-        if not is_identity(spec, word):
-            return None
-        edges = ()
-    else:
-        edges, trivial = _cancellations(spec, word)
-        if not trivial:
-            return None
-    tags = [Tag.INTERNAL] * len(word)
-    for i, j in edges:
-        tags[i - 1] = Tag.CALL
-        tags[j - 1] = Tag.RETURN
-    return tuple(map(operator.getitem, map(_tagged, word), tags))
+    return _reduce(spec, word)
 
 
 def enumerate_taggings(word, bound: int = 12):

@@ -442,6 +442,52 @@ def _stack_ok(stack: tuple, accept_stack: frozenset) -> bool:
     return all(sym in accept_stack for sym in stack[1:])
 
 
+def _dead(m: Vpa, base, reason: str) -> str:
+    """The reason a run dies where it finds no move on base.  The tables
+    hold alphabet letters only, so a letter outside the alphabet ends a
+    run here, and raises ValueError."""
+    if base not in m._alpha:
+        raise ValueError(f"letter {base!r} not in alphabet")
+    return reason
+
+
+def _vpa_end(m: Vpa, tw: TaggedWord, trace: list | None = None) -> tuple:
+    """The run of m on a tagged word: (state, stack, None) where it ends, the
+    stack a list, bottom first, or (state, None, reason) where a missing
+    move kills it.  A given trace list gets one Configuration per step,
+    the start included."""
+    delta_c, delta_i, delta_r = m.delta_c, m.delta_i, m.delta_r
+    call, internal = Tag.CALL, Tag.INTERNAL
+    state, bottom = m.initial, m.bottom
+    stack = [bottom]
+    push, pop = stack.append, stack.pop
+    if trace is not None:
+        trace.append(Configuration(state, tuple(tw), (bottom,)))
+    for base, tag in tw:
+        if tag == call:
+            move = delta_c.get((state, base))
+            if move is None:
+                return state, None, _dead(m, base, f"no call transition from {state!r} on {base!r}")
+            state, pushed = move
+            push(pushed)
+        elif tag == internal:
+            nxt = delta_i.get((state, base))
+            if nxt is None:
+                return state, None, _dead(m, base, f"no internal transition from {state!r} on {base!r}")
+            state = nxt
+        else:
+            top = stack[-1]
+            nxt = delta_r.get((state, base, top))
+            if nxt is None:
+                return state, None, _dead(m, base, f"no return transition from {state!r} on {base!r}/{top!r}")
+            state = nxt
+            if top is not bottom:  # the bottom is never pushed, so it is only ever at the bottom
+                pop()
+        if trace is not None:
+            trace.append(Configuration(state, tuple(tw[len(trace):]), tuple(stack)))
+    return state, stack, None
+
+
 def vpa_run(m: Vpa, tw: TaggedWord, record_trace: bool = False) -> VpaRun:
     """Deterministic run of m on a tagged word.
 
@@ -450,43 +496,15 @@ def vpa_run(m: Vpa, tw: TaggedWord, record_trace: bool = False) -> VpaRun:
     when the run reaches it: a run that dies earlier rejects.  Tags are
     compared by value, so an int tag runs as the Tag it equals.
     """
-    alpha = m._alpha
-    delta_c, delta_i, delta_r = m.delta_c, m.delta_i, m.delta_r
-    call, internal = Tag.CALL, Tag.INTERNAL
-    state = m.initial
-    stack = [m.bottom]
-    trace = []
-    if record_trace:
-        trace.append(Configuration(state, tuple(tw), tuple(stack)))
-    for pos, sym in enumerate(tw):
-        base, tag = sym
-        if base not in alpha:
-            raise ValueError(f"letter {base!r} not in alphabet")
-        if tag == call:
-            move = delta_c.get((state, base))
-            if move is None:
-                return VpaRun(False, f"no call transition from {state!r} on {base!r}", tuple(trace), state)
-            state, pushed = move
-            stack.append(pushed)
-        elif tag == internal:
-            nxt = delta_i.get((state, base))
-            if nxt is None:
-                return VpaRun(False, f"no internal transition from {state!r} on {base!r}", tuple(trace), state)
-            state = nxt
-        else:
-            top = stack[-1]
-            nxt = delta_r.get((state, base, top))
-            if nxt is None:
-                return VpaRun(False, f"no return transition from {state!r} on {base!r}/{top!r}", tuple(trace), state)
-            state = nxt
-            if len(stack) > 1:
-                stack.pop()
-        if record_trace:
-            trace.append(Configuration(state, tuple(tw[pos + 1:]), tuple(stack)))
+    trace: list | None = [] if record_trace else None
+    state, stack, reason = _vpa_end(m, tw, trace)
+    trace = tuple(trace) if record_trace else ()
+    if reason is not None:
+        return VpaRun(False, reason, trace, state)
     stack = tuple(stack)
     if state in m.accepts and _stack_ok(stack, m.accept_stack):
-        return VpaRun(True, None, tuple(trace), state, stack)
-    return VpaRun(False, "final configuration not accepting", tuple(trace), state, stack)
+        return VpaRun(True, None, trace, state, stack)
+    return VpaRun(False, "final configuration not accepting", trace, state, stack)
 
 
 # Most images one Nvpa's summary rows store beyond the single-state images
@@ -668,12 +686,14 @@ def machine_accepts(m, tw: TaggedWord) -> bool:
     An FSA run goes as vpa_run(vpa_from_fsa(m), tw) would, in the loop
     fsa_run also takes: a call or return, or a missing move, rejects, and
     a letter outside the alphabet raises ValueError when the run reaches
-    it.  Tags are compared by value, as in vpa_run.
+    it.  A Vpa run goes through vpa_run's loop and reads only where it
+    ends.  Tags are compared by value, as in vpa_run.
     """
     if isinstance(m, Fsa):
         return _fsa_final(m, tw) in m.accepts
     if isinstance(m, Vpa):
-        return vpa_run(m, tw).accepted
+        state, stack, reason = _vpa_end(m, tw)
+        return reason is None and state in m.accepts and _stack_ok(stack, m.accept_stack)
     if isinstance(m, Nvpa):
         return nvpa_run(m, tw)
     raise TypeError(f"cannot run words on a {type(m).__name__}")

@@ -14,7 +14,6 @@ endpoints.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -95,14 +94,31 @@ def token_str(sym: TaggedSymbol) -> str:
     return base
 
 
+class _Memo(dict):
+    """memo[key] is compute(key), computed on the first lookup and kept until
+    the memo holds _TOKEN_CACHE_SIZE entries, when it starts afresh.  A
+    computation that raises stores nothing."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self.compute(key)
+        if len(self) >= _TOKEN_CACHE_SIZE:
+            self.clear()
+        self[key] = value
+        return value
+
+
 # A word has few distinct tokens, so parse_word and format_word read and
-# print each distinct one once per cache lifetime; a bad token raises on
-# every call, since a raise is never cached.  Symbols are immutable, and
+# print each distinct one once per memo lifetime; a bad token raises on
+# every call, since a raise is never stored.  Symbols are immutable, and
 # twins equal by value (TaggedSymbol("a", 0), TaggedSymbol("a", Tag.CALL))
 # hash alike and print alike, so sharing one answer between them is exact.
 _TOKEN_CACHE_SIZE = 4096
-_parse_token = functools.lru_cache(maxsize=_TOKEN_CACHE_SIZE)(parse_token)
-_token_str = functools.lru_cache(maxsize=_TOKEN_CACHE_SIZE)(token_str)
+_parse_token = _Memo(parse_token).__getitem__
+_token_str = _Memo(token_str).__getitem__
 
 
 def parse_word(text: str) -> TaggedWord:

@@ -1,21 +1,28 @@
-"""Standard-library-only smoke of nvpa_run against the reference summary
-run, and of the serialized bytes against the golden digests, for
-interpreters that have no pytest:
+"""Standard-library-only smoke of the run kernels and constructions
+against their references, and of the serialized bytes against the golden
+digests, for interpreters that have no pytest:
 
     PYTHONPATH=src python tests/nvpa_smoke.py
 
 Runs every tagged word of length <= 4 over two letters, and 20 walks of
 up to 80 letters, on the reverse, star and concat closures and the NVPA
-embedding of seeded random VPAs; checks that each of the six VPL closures
-of those VPAs, their shuffle with a random FSA and their images under an
-identity and a non-functional relabeling equal canonicalize of the whole
-machine its reference builder makes, and that each product builder
-dumps as its whole-table reference does; then checks that the golden
+embedding of seeded random VPAs; runs `vpa_run` (with and without a
+trace) and `machine_accepts` on each of those VPAs against the reference
+VPA run, over every tagged word of length <= 3 that may also hold a letter
+outside the alphabet, and those walks; checks that each of the six VPL
+closures of those VPAs, their shuffle with a random FSA and their images
+under an identity and a non-functional relabeling equal canonicalize of
+the whole machine its reference builder makes, and that each product
+builder dumps as its whole-table reference does; checks `is_identity`
+and `annotate_word` against the reference reduction on seeded words of
+a free, a finite, a direct and a semidirect product group, some trivial,
+some holding a letter outside the alphabet, and runs each tagging and a
+one-tag flip of it through the group's VPA by `vpa_run` and
+`machine_accepts` against the reference; then checks that the golden
 closure, builder and regular machines dump to the pinned digests.
 Exits 1 on the first disagreement.  Run under two PYTHONHASHSEED values,
 it also shows that no canonical name depends on hashing.
 """
-
 import os
 import random
 import sys
@@ -27,38 +34,96 @@ from oracles import (  # noqa: E402
     GOLDEN_CLOSURE_DIGEST,
     GOLDEN_REGULAR_DIGEST,
     PRODUCT_SPECS,
+    SPEC_KINDS,
     VPL_CLOSURE_REFERENCES,
     dumps_digest,
     forked_relabeling,
     golden_builder_machines,
     golden_closure_machines,
     golden_regular_machines,
+    group_letters,
     identity_relabeling,
     nvpa_from_vpa,
     random_fsa,
     random_vpa,
     random_walk,
+    reference_annotate_word,
     reference_build_product,
+    reference_is_identity,
     reference_nvpa_run,
     reference_relabel_image,
     reference_shuffle,
+    reference_vpa_run,
+    trivial_word,
 )
 
 from nestword.closures import relabel_image, shuffle, vpl_concat, vpl_reverse, vpl_star  # noqa: E402
-from nestword.groups import build_recognizer  # noqa: E402
-from nestword.machines import canonicalize, nvpa_run  # noqa: E402
+from nestword.groups import annotate_word, build_recognizer, is_identity  # noqa: E402
+from nestword.machines import Vpa, canonicalize, machine_accepts, nvpa_run, vpa_run  # noqa: E402
 from nestword.serialize import dumps  # noqa: E402
-from nestword.words import all_tagged_words  # noqa: E402
+from nestword.words import TaggedSymbol, all_tagged_words  # noqa: E402
+
+
+def outcome(f, *args):
+    """f(*args), or the text of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def vpa_disagreement(m, tw) -> str | None:
+    """What vpa_run (traced or not) or machine_accepts answers differently
+    from the reference VPA run on tw, if anything."""
+    for trace in (False, True):
+        got, want = outcome(vpa_run, m, tw, trace), outcome(reference_vpa_run, m, tw, trace)
+        if got != want:
+            return f"vpa_run(record_trace={trace}) gives {got}, the reference {want}"
+    want = outcome(lambda: reference_vpa_run(m, tw).accepted)
+    got = outcome(machine_accepts, m, tw)
+    return None if got == want else f"machine_accepts gives {got}, the reference {want}"
+
+
+def group_disagreement(spec, rec, word) -> str | None:
+    """What is_identity, annotate_word, or a run of the recognizer on the
+    tagging or on a one-tag flip of it, answers differently from the
+    references on word, if anything."""
+    tagged = outcome(annotate_word, spec, word)
+    for name, got, want in (
+        ("is_identity", outcome(is_identity, spec, word), outcome(reference_is_identity, spec, word)),
+        ("annotate_word", tagged, outcome(reference_annotate_word, spec, word)),
+    ):
+        if got != want:
+            return f"{name} gives {got}, the reference {want}"
+    if not isinstance(rec, Vpa) or not isinstance(tagged, tuple):
+        return None
+    runs = [tagged]
+    if tagged:
+        pos = len(word) // 2
+        base, tag = tagged[pos]
+        runs.append(tagged[:pos] + (TaggedSymbol(base, (tag + 1) % 3),) + tagged[pos + 1:])
+    for tw in runs:
+        problem = vpa_disagreement(rec, tw)
+        if problem is not None:
+            return problem
+    return None
 
 
 def main() -> int:
     words = list(all_tagged_words(("a", "b"), 4))
+    vpa_words = list(all_tagged_words(("a", "b", "x9"), 3))
     runs = accepted = built = 0
     for seed in range(30):
         rng = random.Random(seed)
         m = random_vpa(rng, 1 + seed % 5, n_stack=1 + seed % 3)
         p = random_vpa(rng, 3)
         walks = [random_walk(m, rng, 40) + random_walk(p, rng, 40) for _ in range(20)]
+        for tw in vpa_words + walks:
+            problem = vpa_disagreement(m, tw)
+            if problem is not None:
+                print(f"seed {seed}: on {tw}, {problem}")
+                return 1
+            runs += 1
         for n in (vpl_reverse(m), vpl_star(m), vpl_concat(m, p), nvpa_from_vpa(m)):
             for tw in words + walks:
                 got, want = nvpa_run(n, tw), reference_nvpa_run(n, tw)
@@ -82,6 +147,22 @@ def main() -> int:
                 print(f"seed {seed}: {name} differs from canonicalize of its reference builder")
                 return 1
             built += 1
+    for spec in SPEC_KINDS:
+        rng = random.Random(type(spec).__name__)
+        rec = build_recognizer(spec).automaton
+        letters = group_letters(spec)
+        for i in range(400):
+            if i % 2:
+                word = list(trivial_word(rng, spec, rng.randrange(0, 41, 2)))
+            else:
+                word = [rng.choice(letters) for _ in range(rng.randrange(13))]
+            if i % 5 == 4:  # one letter outside the alphabet, anywhere
+                word.insert(rng.randrange(len(word) + 1), "y1")
+            problem = group_disagreement(spec, rec, word)
+            if problem is not None:
+                print(f"{type(spec).__name__}: on {word}, {problem}")
+                return 1
+            runs += 1
     for spec in PRODUCT_SPECS:
         if dumps(build_recognizer(spec).automaton) != dumps(reference_build_product(spec).automaton):
             print(f"{type(spec).__name__}(n={spec.n}): the product builder differs from its reference")
@@ -97,7 +178,7 @@ def main() -> int:
             print(f"golden {what} machines dump to {digest}, pinned {pinned}")
             return 1
     print(
-        f"Python {sys.version.split()[0]}: {runs} runs agree ({accepted} accepted); "
+        f"Python {sys.version.split()[0]}: {runs} runs and words agree ({accepted} NVPA runs accepted); "
         f"{built} closures and builders equal their references; golden digests match"
     )
     return 0

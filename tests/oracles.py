@@ -40,7 +40,6 @@ from nestword.groups import (
     FreeGroupSpec,
     Recognizer,
     SemidirectProductSpec,
-    _cancellations,
     build_direct_product,
     build_finite_fsa,
     build_free_vpa,
@@ -49,18 +48,19 @@ from nestword.groups import (
     free_letters,
     free_reduce,
     invert_letter,
-    is_identity,
     perm_by_name,
     perm_name,
     psi_action,
     symmetric_group,
 )
 from nestword.machines import (
+    Configuration,
     Fsa,
     Nfa,
     Nvpa,
     Pda,
     Vpa,
+    VpaRun,
     _eps_closure,
     add_move,
     canonicalize,
@@ -287,6 +287,48 @@ def random_walk(m: Vpa, rng: random.Random, length: int) -> tuple:
     return tuple(word)
 
 
+def reference_vpa_run(m: Vpa, tw, record_trace: bool = False) -> VpaRun:
+    """vpa_run before its lean loop: every letter checked against the
+    alphabet as it is read, and a VpaRun built for every answer."""
+    alpha = m._alpha
+    delta_c, delta_i, delta_r = m.delta_c, m.delta_i, m.delta_r
+    call, internal = Tag.CALL, Tag.INTERNAL
+    state = m.initial
+    stack = [m.bottom]
+    trace = []
+    if record_trace:
+        trace.append(Configuration(state, tuple(tw), tuple(stack)))
+    for pos, sym in enumerate(tw):
+        base, tag = sym
+        if base not in alpha:
+            raise ValueError(f"letter {base!r} not in alphabet")
+        if tag == call:
+            move = delta_c.get((state, base))
+            if move is None:
+                return VpaRun(False, f"no call transition from {state!r} on {base!r}", tuple(trace), state)
+            state, pushed = move
+            stack.append(pushed)
+        elif tag == internal:
+            nxt = delta_i.get((state, base))
+            if nxt is None:
+                return VpaRun(False, f"no internal transition from {state!r} on {base!r}", tuple(trace), state)
+            state = nxt
+        else:
+            top = stack[-1]
+            nxt = delta_r.get((state, base, top))
+            if nxt is None:
+                return VpaRun(False, f"no return transition from {state!r} on {base!r}/{top!r}", tuple(trace), state)
+            state = nxt
+            if len(stack) > 1:
+                stack.pop()
+        if record_trace:
+            trace.append(Configuration(state, tuple(tw[pos + 1:]), tuple(stack)))
+    stack = tuple(stack)
+    if state in m.accepts and all(sym in m.accept_stack for sym in stack[1:]):
+        return VpaRun(True, None, tuple(trace), state, stack)
+    return VpaRun(False, "final configuration not accepting", tuple(trace), state, stack)
+
+
 def configuration_set_run(m: Nvpa, tw) -> bool:
     """Reference NVPA run: the set of reachable (state, whole stack)
     configurations, which can grow exponentially with nesting depth."""
@@ -501,6 +543,38 @@ def group_letters(spec) -> tuple:
     return free_letters(spec.n) + tuple(spec.finite.elements)
 
 
+# one spec of each kind: free, finite, direct and semidirect product
+SPEC_KINDS = [
+    FreeGroupSpec(2),
+    symmetric_group(3),
+    DirectProductSpec(3, cyclic_group(6)),
+    SemidirectProductSpec(3, 3),
+]
+
+
+def group_inverse(spec, c):
+    finite = spec if isinstance(spec, FiniteGroupSpec) else getattr(spec, "finite", None)
+    if finite is not None and c in finite.elements:
+        return next(b for b in finite.elements if finite.table[(c, b)] == finite.identity)
+    if c.startswith("p"):
+        return perm_name(perm_inverse(tuple(int(d) for d in c[1:])))
+    return invert_letter(c)
+
+
+def trivial_word(rng, spec, n):
+    """A random product of nested g . g^-1 blocks, n letters long."""
+    letters = group_letters(spec)
+    out, owed = [], []
+    while len(out) + len(owed) < n:
+        if owed and rng.random() < 0.45:
+            out.append(owed.pop())
+        else:
+            c = rng.choice(letters)
+            out.append(c)
+            owed.append(group_inverse(spec, c))
+    return tuple(out + owed[::-1])
+
+
 def internal_word(letters) -> tuple:
     return tuple(TaggedSymbol(c, Tag.INTERNAL) for c in letters)
 
@@ -580,10 +654,53 @@ def reference_decode(tw) -> NestedWord:
     return NestedWord._trusted(word, MatchingRelation(len(word), edges))
 
 
+def _cancellations(spec: FreeGroupSpec | DirectProductSpec | SemidirectProductSpec, word) -> tuple:
+    """One pass over a word of F_n or of a product F_n x| G: each free
+    letter is read through the twist of its prefix's finite value and
+    cancelled against the stack top; each finite letter multiplies that
+    value through the table.  Returns the cancellation edges (i, j) and
+    whether the word is trivial."""
+    if isinstance(spec, FreeGroupSpec):  # every letter read as itself; no finite letters
+        reads, twist, table, g = {a: a for a in free_letters(spec.n)}, {}, {}, None
+        outside = "the alphabet"
+    else:
+        twist, table, g = spec.twist, spec.finite.table, spec.finite.identity
+        reads, outside = twist[g], "the combined alphabet"
+    unit = g
+    inverse = {b: invert_letter(b) for b in reads}
+    stack: list = []  # (position, twisted letter) awaiting cancellation
+    edges = []
+    for pos, c in enumerate(word, start=1):
+        b = reads.get(c)
+        if b is not None:
+            if stack and stack[-1][1] == inverse[b]:
+                edges.append((stack.pop()[0], pos))
+            else:
+                stack.append((pos, b))
+            continue
+        g = table.get((g, c))
+        if g is None:
+            raise ValueError(f"letter {c!r} outside {outside}")
+        reads = twist[g]
+    return edges, not stack and g == unit
+
+
+def reference_is_identity(spec, word) -> bool:
+    """is_identity before its one reduction pass: a letter check and a
+    table product for a finite group, the cancellation edges otherwise."""
+    if isinstance(spec, FiniteGroupSpec):
+        elements = set(spec.elements)
+        for c in word:
+            if c not in elements:
+                raise ValueError(f"letter {c!r} outside the alphabet")
+        return spec.product(word) == spec.identity
+    return _cancellations(spec, word)[1]
+
+
 def reference_annotate_word(spec, word):
     word = tuple(word)
     if isinstance(spec, FiniteGroupSpec):
-        if not is_identity(spec, word):
+        if not reference_is_identity(spec, word):
             return None
         return tuple(TaggedSymbol(c, Tag.INTERNAL) for c in word)
     edges, trivial = _cancellations(spec, word)

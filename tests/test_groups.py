@@ -9,16 +9,20 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     PRODUCT_SPECS,
+    SPEC_KINDS,
     direct_oracle,
+    group_inverse,
     group_letters,
     perm_compose,
     perm_inverse,
     reference_annotate_word,
     reference_build_product,
     reference_finite_fsa,
+    reference_is_identity,
     reference_symmetric_group,
     semidirect_oracle,
     semidirect_relabeling,
+    trivial_word,
 )
 from nestword import serialize
 from nestword.closures import NonDisjointAlphabets, relabel_image, shuffle
@@ -44,7 +48,6 @@ from nestword.groups import (
     invert_letter,
     is_identity,
     perm_by_name,
-    perm_name,
     psi_action,
     symmetric_group,
 )
@@ -494,37 +497,6 @@ def test_annotate_word_accepted_by_recognizer():
         assert hits > 0
 
 
-SPEC_KINDS = [
-    FreeGroupSpec(2),
-    symmetric_group(3),
-    DirectProductSpec(3, cyclic_group(6)),
-    SemidirectProductSpec(3, 3),
-]
-
-
-def group_inverse(spec, c):
-    finite = spec if isinstance(spec, FiniteGroupSpec) else getattr(spec, "finite", None)
-    if finite is not None and c in finite.elements:
-        return next(b for b in finite.elements if finite.table[(c, b)] == finite.identity)
-    if c.startswith("p"):
-        return perm_name(perm_inverse(tuple(int(d) for d in c[1:])))
-    return invert_letter(c)
-
-
-def trivial_word(rng, spec, n):
-    """A random product of nested g . g^-1 blocks, n letters long."""
-    letters = group_letters(spec)
-    out, owed = [], []
-    while len(out) + len(owed) < n:
-        if owed and rng.random() < 0.45:
-            out.append(owed.pop())
-        else:
-            c = rng.choice(letters)
-            out.append(c)
-            owed.append(group_inverse(spec, c))
-    return tuple(out + owed[::-1])
-
-
 @pytest.mark.parametrize("spec", SPEC_KINDS, ids=lambda s: type(s).__name__)
 def test_annotate_and_decode_long_words_pass_public_validation(spec):
     # annotate_word and decode skip re-validating their stack-built matchings
@@ -582,10 +554,46 @@ def test_annotate_word_matches_reference_on_long_words(spec):
     assert annotate_word(spec, trivial) is not None
 
 
+@settings(max_examples=300)
+@given(
+    st.sampled_from(SPEC_KINDS),
+    st.lists(st.integers(min_value=0), max_size=16),
+    st.booleans(),
+    st.one_of(st.none(), st.tuples(st.integers(min_value=0), st.sampled_from(["y1", "x9", "p21", "t9"]))),
+)
+def test_is_identity_matches_reference_property(spec, picks, close, bad):
+    letters = group_letters(spec)
+    word = [letters[i % len(letters)] for i in picks]
+    if close:  # w . w^-1 is trivial
+        word += [group_inverse(spec, c) for c in reversed(word)]
+    if bad is not None:  # one letter outside the alphabet, anywhere
+        word.insert(bad[0] % (len(word) + 1), bad[1])
+
+    def outcome(decide):
+        try:
+            return decide(spec, word)
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(is_identity) == outcome(reference_is_identity)
+
+
+BAD_LETTER_TEXT = {
+    "FreeGroupSpec": "letter 'y1' outside the alphabet",
+    "FiniteGroupSpec": "letter 'y1' outside the alphabet",
+    "DirectProductSpec": "letter 'y1' outside the combined alphabet",
+    "SemidirectProductSpec": "letter 'y1' outside the combined alphabet",
+}
+
+
 @pytest.mark.parametrize("spec", SPEC_KINDS, ids=lambda s: type(s).__name__)
 def test_annotate_word_rejects_unknown_letters(spec):
-    with pytest.raises(ValueError, match="outside"):
-        annotate_word(spec, [group_letters(spec)[0], "y1"])
+    # the whole text, from both entry points, for a trivial and a non-trivial prefix
+    for word in ([group_letters(spec)[0], "y1"], ["y1"], [*trivial_word(random.Random(3), spec, 6), "y1"]):
+        for decide in (is_identity, annotate_word):
+            with pytest.raises(ValueError) as info:
+                decide(spec, word)
+            assert str(info.value) == BAD_LETTER_TEXT[type(spec).__name__]
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from oracles import (
     random_walk,
     reference_bfs_canonicalize,
     reference_nvpa_run,
+    reference_vpa_run,
     reference_vpl_concat,
     reference_vpl_reverse,
     reference_vpl_star,
@@ -281,6 +282,38 @@ def test_parallel_runs_share_machine():
     with ThreadPoolExecutor(max_workers=4) as pool:
         parallel = list(pool.map(lambda tw: vpa_run(m, tw).accepted, words))
     assert parallel == serial
+
+
+def test_vpa_run_and_machine_accepts_match_the_reference_run():
+    # the lean loop tests the alphabet only where a run dies; every field of
+    # the run, with and without a trace, and every error text stay the same
+    words = list(all_tagged_words(("a", "b", "x9"), 4))
+    words += [tuple(TaggedSymbol(base, int(tag)) for base, tag in tw) for tw in words if len(tw) == 3]
+    outcomes = set()
+    for seed in range(12):
+        rng = random.Random(seed)
+        m = random_vpa(rng, 1 + seed % 5, n_stack=1 + seed % 3, density=0.5 + seed % 4 * 0.15)
+        for tw in words:
+            for trace in (False, True):
+                try:
+                    want = reference_vpa_run(m, tw, record_trace=trace)
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as info:
+                        vpa_run(m, tw, record_trace=trace)
+                    assert str(info.value) == str(exc), (seed, tw)
+                    continue
+                assert vpa_run(m, tw, record_trace=trace) == want, (seed, tw, trace)
+            try:
+                want = reference_vpa_run(m, tw).accepted
+            except ValueError as exc:
+                want = str(exc)
+            try:
+                got = machine_accepts(m, tw)
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want, (seed, tw)
+            outcomes.add(want)
+    assert outcomes == {True, False, "letter 'x9' not in alphabet"}
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from oracles import (
     reference_parse_word,
 )
 
+from nestword import words
 from nestword.words import (
     NEG_INF,
     POS_INF,
@@ -392,3 +393,25 @@ def test_int_tags_print_and_decode_as_their_tag_twins():
         assert format_word(twin) == format_word(tw) == reference_format_word(tw)
         assert decode(twin) == decode(tw) == reference_decode(tw)
     assert format_word((TaggedSymbol("x1", 0), TaggedSymbol("x1'", 2))) == "<x1 x1'>"
+
+
+def test_bad_token_raises_on_every_call_and_is_never_stored():
+    memo = words._parse_token.__self__
+    for bad in BAD_TOKENS[1:]:  # "ε" alone is the empty word
+        for _ in range(3):
+            with pytest.raises(TokenError):
+                parse_word(f"a {bad}")
+        assert bad not in memo
+    assert "a" in memo
+
+
+def test_token_memos_stay_within_their_size():
+    parse_memo, print_memo = words._parse_token.__self__, words._token_str.__self__
+    for i in range(5000):
+        sym = TaggedSymbol(f"t{i}", Tag(i % 3))
+        assert parse_word(format_word((sym,))) == (sym,)
+        assert len(parse_memo) <= words._TOKEN_CACHE_SIZE
+        assert len(print_memo) <= words._TOKEN_CACHE_SIZE
+    # after the memos started afresh, an int tag still prints as its Tag twin
+    assert format_word((TaggedSymbol("a", 0),)) == "<a"
+    assert format_word((TaggedSymbol("a", Tag.CALL), TaggedSymbol("a", 2))) == "<a a>"
