@@ -2,44 +2,44 @@
 
 Regular operations return deterministic FSAs holding only the states a run
 reaches: products, complement and prefix read a missing move as a dead
-state, never a materialized sink, and nondeterministic intermediates are
-determinized over reached subsets.  Every VPL closure, shuffle and
-re-labeling included, is one search (`machines.reached_vpa`) over lookups
-into its inputs, with no machine in between: a worklist over (state,
-stack top) pairs that keeps only the states, stack symbols and moves a
-run can reach, and a return only at a pair it reaches.  Tags keep both
-stacks of a product in lockstep.  Intersection reads its inputs as they
-are; union and complement read a missing move as a dead state, and flag
-each state with "every pushed symbol is acceptable".  Shuffle pairs a
-run of the VPA with one of the FSA, and a re-labeling image a run with
-one of the pair FSA.  Concatenation, star, reversal and re-labeling
-return NVPAs whose membership is decided by the summary run (`nvpa_run`:
-one frame per pending call, mapping each entry to a bitmask of states,
-at any depth); prefix-closure membership is decided directly by
-saturation instead of building a machine, and the same summaries decide
-emptiness and equivalence of VPAs exactly (`vpa_is_empty`,
-`vpl_equivalent`).
+state, never a materialized sink, and concatenation, star and reversal are
+subset constructions that read their inputs' tables directly, with no NFA
+in between.  Every VPL closure, shuffle and re-labeling included, is one
+search (`machines.reached_vpa`) over lookups into its inputs, each called
+with a state, a letter and, for a return, the stack top, with no machine
+in between: a worklist over (state, stack top) pairs that keeps only the
+states, stack symbols and moves a run can reach, and a return only at a
+pair it reaches.  Tags keep both stacks of a product in lockstep.
+Intersection reads its inputs as they are; union and complement read a
+missing move as a dead state, and flag each state with "every pushed
+symbol is acceptable".  Shuffle pairs a run of the VPA with one of the
+FSA, and a re-labeling image a run with one of the pair FSA.
+Concatenation, star, reversal and re-labeling return NVPAs whose
+membership is decided by the summary run (`nvpa_run`: one frame per
+pending call, mapping each entry to a bitmask of states, at any depth);
+prefix-closure membership is decided directly by saturation instead of
+building a machine, and the same summaries decide emptiness and
+equivalence of VPAs exactly (`vpa_is_empty`, `vpl_equivalent`).
 
 Every output has canonical q0/q1... names.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque, namedtuple
 from dataclasses import dataclass
 
 from .machines import (
     Fsa,
-    Nfa,
     Nvpa,
     Vpa,
     _repr_ordered,
+    _vpa_end,
     add_move,
-    fsa_determinize,
     reached_fsa,
     reached_vpa,
     vpa_lookup,
-    vpa_run,
 )
 from .words import Tag, TaggedSymbol, TaggedWord, all_plain_words
 
@@ -110,49 +110,54 @@ def reg_complement(m: Fsa) -> Fsa:
     )
 
 
+def _moved(delta: dict, states, a) -> set:
+    """Where an FSA's moves on a take `states`, missing moves dropped."""
+    return {dst for q in states if (dst := delta.get((q, a))) is not None}
+
+
 def reg_concat(m1: Fsa, m2: Fsa) -> Fsa:
+    """Subsets of the runs of m1 and then m2: a state is m1's state, or
+    None once its run dies, and the set of states m2's runs are in.  An
+    accepting m1 state starts a run of m2."""
     alphabet = _require_same_alphabet(m1, m2)
-    states = {("1", q) for q in m1.states} | {("2", q) for q in m2.states}
-    delta: dict = {}
-    for (q, a), dst in m1.delta.items():
-        delta[(("1", q), a)] = {("1", dst)}
-    for (q, a), dst in m2.delta.items():
-        delta[(("2", q), a)] = {("2", dst)}
-    for y in m1.accepts:
-        add_move(delta, (("1", y), None), ("2", m2.initial))
-    nfa = Nfa(
-        alphabet,
-        frozenset(states),
-        frozenset({("1", m1.initial)}),
-        frozenset(("2", y) for y in m2.accepts),
-        delta,
-    )
-    return fsa_determinize(nfa)
+
+    def glued(p, runs: set):
+        if p in m1.accepts:
+            runs.add(m2.initial)
+        return (p, frozenset(runs)) if p is not None or runs else None
+
+    def step(state, a):
+        p, runs = state
+        return glued(m1.delta.get((p, a)), _moved(m2.delta, runs, a))
+
+    return reached_fsa(alphabet, glued(m1.initial, set()), step, lambda state: not m2.accepts.isdisjoint(state[1]))
 
 
 def reg_star(m: Fsa) -> Fsa:
-    start = ("star", None)
-    states = {("m", q) for q in m.states} | {start}
-    delta: dict = {((("m", q)), a): {("m", dst)} for (q, a), dst in m.delta.items()}
-    delta[(start, None)] = {("m", m.initial)}
-    for y in m.accepts:
-        add_move(delta, (("m", y), None), ("m", m.initial))
-    nfa = Nfa(
-        m.alphabet,
-        frozenset(states),
-        frozenset({start}),
-        frozenset({start} | {("m", y) for y in m.accepts}),
-        delta,
-    )
-    return fsa_determinize(nfa)
+    """Subsets of m's runs, a fresh run starting wherever one accepts.  The
+    start is a state of its own, which accepts."""
+    start = object()
+
+    def step(runs, a):
+        runs = _moved(m.delta, (m.initial,) if runs is start else runs, a)
+        if not m.accepts.isdisjoint(runs):
+            runs.add(m.initial)
+        return frozenset(runs) or None
+
+    return reached_fsa(m.alphabet, start, step, lambda runs: runs is start or not m.accepts.isdisjoint(runs))
 
 
 def reg_reverse(m: Fsa) -> Fsa:
-    delta: dict = {}
+    """Subsets of m's runs read backwards from its accept states; a subset
+    accepts when it holds m's initial state."""
+    back: dict = {}  # (state, letter) -> the states whose move on it leads there
     for (q, a), dst in m.delta.items():
-        add_move(delta, (dst, a), q)
-    nfa = Nfa(m.alphabet, m.states, m.accepts, frozenset({m.initial}), delta)
-    return fsa_determinize(nfa)
+        add_move(back, (dst, a), q)
+
+    def step(runs, a):
+        return frozenset(q for dst in runs for q in back.get((dst, a), ())) or None
+
+    return reached_fsa(m.alphabet, m.accepts, step, lambda runs: m.initial in runs)
 
 
 def reg_prefix(m: Fsa) -> Fsa:
@@ -165,23 +170,11 @@ def reg_prefix(m: Fsa) -> Fsa:
 # VPL closures: one search (`reached_vpa`) over lookups into the inputs
 
 
-class _Memo(dict):
-    """A lookup that works out each key's choices once, then reads them
-    back as a dict does."""
-
-    def __init__(self, lookup):
-        self.lookup = lookup
-
-    def __missing__(self, key):
-        found = self[key] = self.lookup(key)
-        return found
-
-
 def _anything(_) -> bool:
     return True
 
 
-# A Vpa as reached_vpa reads it: its moves as lookups keyed as the tables are.
+# A Vpa as reached_vpa reads it: its moves as lookups on a key's parts.
 _Lookups = namedtuple("_Lookups", "initial bottom calls internals returns accepting acceptable")
 
 
@@ -201,16 +194,16 @@ def _state_only(m: Vpa) -> _Lookups:
     i, r = m.delta_i.get, m.delta_r.get
     bottom = (m.bottom,)
 
-    def calls(key) -> tuple:
-        (q, ok), a = key
+    def calls(state, a) -> tuple:
+        q, ok = state
         return (_flagged_call(m, q, ok, a) or ((_DEAD, ok), (_DEAD, ok)),)
 
-    def internals(key) -> tuple:
-        (q, ok), a = key
+    def internals(state, a) -> tuple:
+        q, ok = state
         return ((i((q, a), _DEAD), ok),)
 
-    def returns(key) -> tuple:
-        (q, ok), a, top = key
+    def returns(state, a, top) -> tuple:
+        q, ok = state
         g, ok = (m.bottom, ok) if top == bottom else top
         return ((r((q, a, g), _DEAD), ok),)
 
@@ -222,30 +215,29 @@ def _state_only(m: Vpa) -> _Lookups:
 
 def _vpa_product(m1: Vpa, m2: Vpa, view, keep) -> Vpa:
     """The reachable product of `view` of each input: a move exists where
-    both views have one (each has at most one, worked out once by `_Memo`
-    as pair states share states).  A pair state accepts when `keep` does on
-    its two verdicts; a stack pair is acceptable when both symbols are."""
+    both views have one (each has at most one, cached per key, as pair
+    states share states).  A pair state accepts when `keep` does on its
+    two verdicts; a stack pair is acceptable when both symbols are."""
     alphabet = _require_same_alphabet(m1, m2)
     v1, v2 = view(m1), view(m2)
-    c1, i1, r1, c2, i2, r2 = (
-        _Memo(lookup).__getitem__
-        for lookup in (v1.calls, v1.internals, v1.returns, v2.calls, v2.internals, v2.returns)
+    c1, i1, r1, c2, i2, r2 = map(
+        functools.cache, (v1.calls, v1.internals, v1.returns, v2.calls, v2.internals, v2.returns)
     )
 
-    def calls(key) -> tuple:
-        (p, q), a = key
-        for (d1, g1), (d2, g2) in zip(c1((p, a)), c2((q, a))):
+    def calls(state, a) -> tuple:
+        p, q = state
+        for (d1, g1), (d2, g2) in zip(c1(p, a), c2(q, a)):
             return (((d1, d2), (g1, g2)),)
         return ()
 
-    def internals(key) -> tuple:
-        (p, q), a = key
-        d1, d2 = i1((p, a)), i2((q, a))
+    def internals(state, a) -> tuple:
+        p, q = state
+        d1, d2 = i1(p, a), i2(q, a)
         return ((d1[0], d2[0]),) if d1 and d2 else ()
 
-    def returns(key) -> tuple:
-        (p, q), a, (g1, g2) = key
-        d1, d2 = r1((p, a, g1)), r2((q, a, g2))
+    def returns(state, a, top) -> tuple:
+        (p, q), (g1, g2) = state, top
+        d1, d2 = r1(p, a, g1), r2(q, a, g2)
         return ((d1[0], d2[0]),) if d1 and d2 else ()
 
     return reached_vpa(
@@ -292,8 +284,7 @@ def _glued(followed, step):
     """A reached_vpa lookup for states that each follow some runs of the
     inputs (`followed`): a key's choices are what `step` gives each run."""
 
-    def choices(key):
-        state, *rest = key
+    def choices(state, *rest):
         return _in_repr_order({step(run, *rest) for run in followed(state)})
 
     return choices
@@ -492,15 +483,15 @@ class PrefixDecider:
             q, q1 = todo.pop()
             for dst in internals.get(q1, ()):
                 add(q, dst)
-            for key in calls.get(q1, ()):
-                if key not in exits:
-                    inner, g = key
-                    exits[key] = {d for p in reach[inner] for d in returns.get((p, g), ())}
-                    callers[key] = set()
+            for move in calls.get(q1, ()):
+                if move not in exits:
+                    inner, g = move
+                    exits[move] = {d for p in reach[inner] for d in returns.get((p, g), ())}
+                    callers[move] = set()
                     pushed.setdefault(inner, []).append(g)
-                if q not in callers[key]:
-                    callers[key].add(q)
-                    for dst in exits[key]:
+                if q not in callers[move]:
+                    callers[move].add(q)
+                    for dst in exits[move]:
                         add(q, dst)
             for g in pushed.get(q, ()):
                 found = exits[(q, g)]
@@ -512,16 +503,16 @@ class PrefixDecider:
         return reach
 
     def member(self, tw: TaggedWord) -> bool:
-        run = vpa_run(self.m, tw)
-        if run.stack is None:
+        state, stack, reason = _vpa_end(self.m, tw)
+        if reason is not None:
             return False
-        state, stack = run.state, run.stack
         current = set(self.summaries[state])
-        acceptable_below = [True]
-        for g in stack[1:]:
-            acceptable_below.append(acceptable_below[-1] and g in self.m.accept_stack)
+        # the symbols at levels 1 to `level` are all acceptable exactly when level < unacceptable
+        unacceptable = next(
+            (level for level, g in enumerate(stack) if level and g not in self.m.accept_stack), len(stack)
+        )
         for level in range(len(stack) - 1, 0, -1):
-            if acceptable_below[level] and current & self.tail:
+            if level < unacceptable and current & self.tail:
                 return True
             popped = set()
             for q in current:
@@ -562,21 +553,21 @@ def shuffle(m: Vpa, r: Fsa) -> Vpa:
     c, i, ret, step = m.delta_c.get, m.delta_i.get, m.delta_r.get, r.delta.get
     regular = frozenset(r.alphabet)
 
-    def calls(key) -> tuple:
-        (s, t), a = key
+    def calls(state, a) -> tuple:
+        s, t = state
         move = c((s, a))
         return () if move is None else (((move[0], t), move[1]),)
 
-    def internals(key) -> tuple:
-        (s, t), a = key
+    def internals(state, a) -> tuple:
+        s, t = state
         if a in regular:
             dst = step((t, a))
             return () if dst is None else ((s, dst),)
         dst = i((s, a))
         return () if dst is None else ((dst, t),)
 
-    def returns(key) -> tuple:
-        (s, t), a, top = key
+    def returns(state, a, top) -> tuple:
+        s, t = state
         dst = ret((s, a, top))
         return () if dst is None else ((dst, t),)
 
@@ -670,8 +661,8 @@ def relabel_image(m: Vpa, phi: Relabeling) -> Nvpa:
         """The choices on output letter b: the moves of `table` on each
         input letter that the pair FSA turns into b, paired with its move."""
 
-        def choices(key):
-            (q, p), b, *top = key
+        def choices(state, b, *top):
+            q, p = state
             moves = ((table.get((q, a, *top)), p_next) for a, p_next in sources.get((p, b), ()))
             return _in_repr_order({
                 ((move[0], p_next), move[1]) if pushes else (move, p_next)

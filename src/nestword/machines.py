@@ -253,50 +253,55 @@ class Pda:
         return f"Pda(states={len(self.states)}, alphabet={self.alphabet!r})"
 
 
+def _pda_move(m: Pda, state, stack, letter):
+    """pda_step's move at `state`, `stack` (top last) and next `letter` (None
+    at the end of the word): ((dst, push), whether it reads), or None."""
+    if stack:
+        for sym in (None, letter):  # an epsilon move first
+            move = m.delta.get((state, sym, stack[-1]))
+            if move is not None:
+                return move, sym is not None
+    return None
+
+
 def pda_step(c: Configuration, m: Pda) -> Configuration | None:
     """Apply the unique enabled transition; None when no transition is enabled.
 
     An epsilon transition takes priority (and excludes input moves by the
     determinism condition).  An empty stack enables nothing.
     """
-    if not c.stack:
+    found = _pda_move(m, c.state, c.stack, c.remaining[0] if c.remaining else None)
+    if found is None:
         return None
-    top = c.stack[-1]
-    move = m.delta.get((c.state, None, top))
-    if move is not None:
-        dst, push = move
-        return Configuration(dst, c.remaining, c.stack[:-1] + push)
-    if c.remaining:
-        move = m.delta.get((c.state, c.remaining[0], top))
-        if move is not None:
-            dst, push = move
-            return Configuration(dst, c.remaining[1:], c.stack[:-1] + push)
-    return None
+    (dst, push), reads = found
+    return Configuration(dst, c.remaining[1:] if reads else c.remaining, c.stack[:-1] + push)
 
 
 def pda_run(m: Pda, word: Iterable[str]) -> bool:
-    """Accept iff the run reaches an accept state with all input consumed.
-    A run that takes more than 10·|Q|·|Γ|·(|w| + 1) epsilon moves raises
-    EpsilonBudgetExceeded."""
+    """Accept iff the run reaches an accept state with all input consumed,
+    moving as pda_step does in time linear in its steps.  A run that takes
+    more than 10·|Q|·|Γ|·(|w| + 1) epsilon moves raises EpsilonBudgetExceeded."""
     word = tuple(word)
     alpha = set(m.alphabet)
     for sym in word:
         if sym not in alpha:
             raise ValueError(f"letter {sym!r} not in alphabet")
     eps_budget = 10 * len(m.states) * len(m.stack_alphabet) * (len(word) + 1)
-    config = Configuration(m.initial, word, (m.bottom,))
+    state, stack, read = m.initial, [m.bottom], 0
     eps_used = 0
     while True:
-        if not config.remaining and config.state in m.accepts:
+        if read == len(word) and state in m.accepts:
             return True
-        nxt = pda_step(config, m)
-        if nxt is None:
+        found = _pda_move(m, state, stack, word[read] if read < len(word) else None)
+        if found is None:
             return False
-        if len(nxt.remaining) == len(config.remaining):
+        (state, push), reads = found
+        stack[-1:] = push
+        read += reads
+        if not reads:
             eps_used += 1
             if eps_used > eps_budget:
                 raise EpsilonBudgetExceeded(f"more than {eps_budget} epsilon steps")
-        config = nxt
 
 
 # ---------------------------------------------------------------------------
@@ -734,21 +739,21 @@ def reached_vpa(cls, alphabet, initials, bottom, calls, internals, returns, acce
     states named q0, q1, ..., pushed symbols g0, g1, ... in the order the
     search first meets them, and its bottom "$".
 
-    `calls`, `internals` and `returns` give the sequence of choices of a
-    key, keyed as the tables are (at most one for a Vpa).  The search is
-    the summary reachability of Alur and Madhusudan over (state, top)
-    pairs, by worklist as in Reps, Horwitz and Sagiv; a state is expanded
-    with all its tops found since it last was, its internal and call moves
-    looked up once.  A call from (q, t) pushing g reaches (dst, g) and
-    records t in `under[g]`.  A return row is looked up, and kept, only for
-    a reached pair: one popping g to r reaches (r, t) for every t in
-    `under[g]`, now or later, and one reading the bottom reaches (r,
-    bottom).  Every configuration a run reaches has its (state, top) pair
-    in the search and each adjacent stack pair in `under`, so this
-    over-approximates only which caller pushed g, never the language.
-    Every set the search walks is an insertion-ordered dict, so no name
-    depends on hashing.  `accepting` and `acceptable` are the predicates
-    on states and pushed symbols.
+    calls(state, a), internals(state, a) and returns(state, a, top) give
+    the sequence of choices a table would hold under that key (at most one
+    for a Vpa).  The search is the summary reachability of Alur and
+    Madhusudan over (state, top) pairs, by worklist as in Reps, Horwitz
+    and Sagiv; a state is expanded with all its tops found since it last
+    was, its internal and call moves looked up once.  A call from (q, t)
+    pushing g reaches (dst, g) and records t in `under[g]`.  A return row
+    is looked up, and kept, only for a reached pair: one popping g to r
+    reaches (r, t) for every t in `under[g]`, now or later, and one
+    reading the bottom reaches (r, bottom).  Every configuration a run
+    reaches has its (state, top) pair in the search and each adjacent
+    stack pair in `under`, so this over-approximates only which caller
+    pushed g, never the language.  Every set the search walks is an
+    insertion-ordered dict, so no name depends on hashing.  `accepting`
+    and `acceptable` are the predicates on states and pushed symbols.
     """
     single = cls is Vpa
     names: dict = {}  # state -> its name
@@ -788,11 +793,11 @@ def reached_vpa(cls, alphabet, initials, bottom, calls, internals, returns, acce
         if state not in moves:
             targets, pushes = moves[state] = [], []
             for a in alphabet:
-                dsts = internals((state, a))
+                dsts = internals(state, a)
                 if dsts:
                     store(delta_i, (src, a), [name(dst) for dst in dsts])
                     targets.extend(dsts)
-                choices = calls((state, a))
+                choices = calls(state, a)
                 if choices:
                     named = []
                     for dst, pushed in choices:
@@ -816,7 +821,7 @@ def reached_vpa(cls, alphabet, initials, bottom, calls, internals, returns, acce
         for top in tops:
             found = exits.get(top)  # None for the bottom, which a return reads in place
             for a in alphabet:
-                dsts = returns((state, a, top))
+                dsts = returns(state, a, top)
                 if not dsts:
                     continue
                 store(delta_r, (src, a, syms[top]), [name(dst) for dst in dsts])
@@ -844,12 +849,12 @@ def reached_vpa(cls, alphabet, initials, bottom, calls, internals, returns, acce
 
 def vpa_lookup(table: dict):
     """A Vpa table as a reached_vpa lookup: a key's entry is its only choice."""
-    return lambda key: () if (move := table.get(key)) is None else (move,)
+    return lambda *key: () if (move := table.get(key)) is None else (move,)
 
 
 def _repr_ordered(table: dict):
     """An Nvpa table as a reached_vpa lookup: a key's choices in repr order."""
-    return lambda key: sorted(table.get(key, ()), key=repr)
+    return lambda *key: sorted(table.get(key, ()), key=repr)
 
 
 def canonicalize(m):

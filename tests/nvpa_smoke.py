@@ -13,7 +13,10 @@ outside the alphabet, and those walks; checks that each of the six VPL
 closures of those VPAs, their shuffle with a random FSA and their images
 under an identity and a non-functional relabeling equal canonicalize of
 the whole machine its reference builder makes, and that each product
-builder dumps as its whole-table reference does; checks `is_identity`
+builder dumps as its whole-table reference does; checks that the
+regular concatenation, star and reversal of seeded FSAs (some with no
+accept states, some with an accepting initial state) dump as their
+determinized epsilon-NFA references do; checks `is_identity`
 and `annotate_word` against the reference reduction on seeded words of
 a free, a finite, a direct and a semidirect product group, some trivial,
 some holding a letter outside the alphabet, and runs each tagging and a
@@ -34,6 +37,7 @@ from oracles import (  # noqa: E402
     GOLDEN_CLOSURE_DIGEST,
     GOLDEN_REGULAR_DIGEST,
     PRODUCT_SPECS,
+    REGULAR_GLUING_REFERENCES,
     SPEC_KINDS,
     VPL_CLOSURE_REFERENCES,
     dumps_digest,
@@ -41,6 +45,7 @@ from oracles import (  # noqa: E402
     golden_builder_machines,
     golden_closure_machines,
     golden_regular_machines,
+    gluing_inputs,
     group_letters,
     identity_relabeling,
     nvpa_from_vpa,
@@ -145,6 +150,13 @@ def main() -> int:
         for name, got, reference in pairs:
             if dumps(got) != dumps(canonicalize(reference)):
                 print(f"seed {seed}: {name} differs from canonicalize of its reference builder")
+                return 1
+            built += 1
+    for pair in gluing_inputs():
+        for name, gluing, reference, arity in REGULAR_GLUING_REFERENCES:
+            args = pair[:arity]
+            if dumps(gluing(*args)) != dumps(reference(*args)):
+                print(f"reg_{name} differs from its NFA reference on {args}")
                 return 1
             built += 1
     for spec in SPEC_KINDS:

@@ -55,6 +55,7 @@ from nestword.groups import (
 )
 from nestword.machines import (
     Configuration,
+    EpsilonBudgetExceeded,
     Fsa,
     Nfa,
     Nvpa,
@@ -66,6 +67,7 @@ from nestword.machines import (
     canonicalize,
     fsa_determinize,
     fsa_run,
+    pda_step,
     transition_rows,
     vpa_run,
 )
@@ -114,6 +116,42 @@ def anbn_pda() -> Pda:
                     continue
                 delta.setdefault((s, sym, g), ("sf", (g,)))
     return Pda(("a", "b"), states, {"0", "1"}, "s0", "0", {"s0", "sy"}, delta)
+
+
+def random_pda(rng: random.Random, n_states=3, alphabet=("a", "b"), density=0.6) -> Pda:
+    """A Pda on states p0, p1, ... over stack symbols 0 (the bottom) and 1:
+    each (state, top) has an epsilon move with probability 0.2, and
+    otherwise a move on each letter drawn with probability `density`;
+    each move pushes a word of 0-2 symbols."""
+    states = [f"p{i}" for i in range(n_states)]
+    delta = {}
+    for q in states:
+        for g in ("0", "1"):
+            letters = (None,) if rng.random() < 0.2 else [a for a in alphabet if rng.random() < density]
+            for sym in letters:
+                push = tuple(rng.choice("01") for _ in range(rng.randrange(3)))
+                delta[(q, sym, g)] = (rng.choice(states), push)
+    accepts = {q for q in states if rng.random() < 0.4}
+    return Pda(alphabet, states, {"0", "1"}, states[0], "0", accepts, delta)
+
+
+def reference_pda_run(m: Pda, word) -> bool:
+    """pda_run as the composition of pda_step on whole configurations."""
+    word = tuple(word)
+    eps_budget = 10 * len(m.states) * len(m.stack_alphabet) * (len(word) + 1)
+    config = Configuration(m.initial, word, (m.bottom,))
+    eps_used = 0
+    while True:
+        if not config.remaining and config.state in m.accepts:
+            return True
+        nxt = pda_step(config, m)
+        if nxt is None:
+            return False
+        if len(nxt.remaining) == len(config.remaining):
+            eps_used += 1
+            if eps_used > eps_budget:
+                raise EpsilonBudgetExceeded(f"more than {eps_budget} epsilon steps")
+        config = nxt
 
 
 def astar_bstar_fsa() -> Fsa:
@@ -1544,6 +1582,84 @@ def reference_reg_prefix(m: Fsa) -> Fsa:
                 reach.add(q)
                 grew = True
     return reference_canonicalize_fsa(Fsa(m.alphabet, m.states, m.initial, reach, m.delta))
+
+
+def reference_reg_concat(m1: Fsa, m2: Fsa) -> Fsa:
+    """The epsilon-NFA gluing of m1 to m2, determinized."""
+    states = {("1", q) for q in m1.states} | {("2", q) for q in m2.states}
+    delta: dict = {}
+    for (q, a), dst in m1.delta.items():
+        delta[(("1", q), a)] = {("1", dst)}
+    for (q, a), dst in m2.delta.items():
+        delta[(("2", q), a)] = {("2", dst)}
+    for y in m1.accepts:
+        add_move(delta, (("1", y), None), ("2", m2.initial))
+    nfa = Nfa(
+        m1.alphabet,
+        frozenset(states),
+        frozenset({("1", m1.initial)}),
+        frozenset(("2", y) for y in m2.accepts),
+        delta,
+    )
+    return reference_fsa_determinize(nfa)
+
+
+def reference_reg_star(m: Fsa) -> Fsa:
+    """The epsilon-NFA for m's star, with an accepting start state of its
+    own, determinized."""
+    start = ("star", None)
+    states = {("m", q) for q in m.states} | {start}
+    delta: dict = {(("m", q), a): {("m", dst)} for (q, a), dst in m.delta.items()}
+    delta[(start, None)] = {("m", m.initial)}
+    for y in m.accepts:
+        add_move(delta, (("m", y), None), ("m", m.initial))
+    nfa = Nfa(
+        m.alphabet,
+        frozenset(states),
+        frozenset({start}),
+        frozenset({start} | {("m", y) for y in m.accepts}),
+        delta,
+    )
+    return reference_fsa_determinize(nfa)
+
+
+def reference_reg_reverse(m: Fsa) -> Fsa:
+    """The NFA of m's moves reversed, from its accept states to its
+    initial state, determinized."""
+    delta: dict = {}
+    for (q, a), dst in m.delta.items():
+        add_move(delta, (dst, a), q)
+    nfa = Nfa(m.alphabet, m.states, m.accepts, frozenset({m.initial}), delta)
+    return reference_fsa_determinize(nfa)
+
+
+# (name, gluing, reference builder, arity) of the three regular gluings
+REGULAR_GLUING_REFERENCES = (
+    ("concat", reg_concat, reference_reg_concat, 2),
+    ("star", reg_star, reference_reg_star, 1),
+    ("reverse", reg_reverse, reference_reg_reverse, 1),
+)
+
+
+def gluing_inputs():
+    """240 seeded FSA pairs over 1-3 letters, of 1-5 states, moves drawn
+    with densities from 0.3 to 1; in about a quarter each, the first has
+    no accept states, the first's initial state accepts, or the second
+    has no accept states."""
+    rng = random.Random(20261020)
+    for i in range(240):
+        alphabet = ("a", "b", "c")[: 1 + i % 3]
+        density = 0.3 + 0.7 * (i % 8) / 7
+        m1 = random_fsa(rng, 1 + i % 5, alphabet=alphabet, density=density)
+        m2 = random_fsa(rng, 1 + rng.randrange(5), alphabet=alphabet, density=density)
+        shape = rng.randrange(4)
+        if shape == 1:
+            m1 = Fsa(alphabet, m1.states, m1.initial, frozenset(), m1.delta)
+        elif shape == 2:
+            m1 = Fsa(alphabet, m1.states, m1.initial, m1.accepts | {m1.initial}, m1.delta)
+        elif shape == 3:
+            m2 = Fsa(alphabet, m2.states, m2.initial, frozenset(), m2.delta)
+        yield m1, m2
 
 
 def reference_fsa_determinize(n: Nfa) -> Fsa:

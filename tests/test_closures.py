@@ -8,6 +8,7 @@ import time
 import pytest
 
 from oracles import (
+    REGULAR_GLUING_REFERENCES,
     VPL_CLOSURE_REFERENCES,
     ExtensionOracle,
     astar_bstar_fsa,
@@ -16,6 +17,7 @@ from oracles import (
     forked_relabeling,
     full_vpa_product,
     full_vpl_complement,
+    gluing_inputs,
     identity_relabeling,
     interleavings,
     internal_word,
@@ -26,8 +28,11 @@ from oracles import (
     reference_canonicalize_fsa,
     reference_fsa_determinize,
     reference_reg_complement,
+    reference_reg_concat,
     reference_reg_intersection,
     reference_reg_prefix,
+    reference_reg_reverse,
+    reference_reg_star,
     reference_reg_union,
     reference_relabel_image,
     reference_shuffle,
@@ -46,7 +51,6 @@ from oracles import (
     well_matched_pairs_sweep,
 )
 
-from nestword import closures
 from nestword.groups import build_finite_fsa, symmetric_group
 from nestword.closures import (
     AlphabetMismatch,
@@ -216,9 +220,8 @@ REGULAR_LIBRARY = {
 REGULAR_REFERENCE = {
     "union": reference_reg_union, "intersection": reference_reg_intersection,
     "complement": reference_reg_complement, "prefix": reference_reg_prefix,
-    "canonicalize": reference_canonicalize_fsa,
-    # the library's NFA constructions, determinized by the reference
-    "concat": reg_concat, "star": reg_star, "reverse": reg_reverse,
+    "canonicalize": reference_canonicalize_fsa, "concat": reference_reg_concat,
+    "star": reference_reg_star, "reverse": reference_reg_reverse,
 }
 BINARY_REGULAR = ("union", "intersection", "concat")
 
@@ -231,16 +234,14 @@ def _regular_texts(builders: dict, names, m1: Fsa, m2: Fsa) -> dict:
     }
 
 
-def _assert_regular_matches_references(m1: Fsa, m2: Fsa, monkeypatch, names=tuple(REGULAR_LIBRARY)) -> None:
+def _assert_regular_matches_references(m1: Fsa, m2: Fsa, names=tuple(REGULAR_LIBRARY)) -> None:
     got = _regular_texts(REGULAR_LIBRARY, names, m1, m2)
-    with monkeypatch.context() as patched:
-        patched.setattr(closures, "fsa_determinize", reference_fsa_determinize)
-        want = _regular_texts(REGULAR_REFERENCE, names, m1, m2)
+    want = _regular_texts(REGULAR_REFERENCE, names, m1, m2)
     for name in names:
         assert got[name] == want[name], name
 
 
-def test_regular_outputs_match_reference_builders(monkeypatch):
+def test_regular_outputs_match_reference_builders():
     # seeded pairs of 1-5 states, moves drawn with density 0.3-1.0
     rng = random.Random(20261019)
     for i in range(150):
@@ -248,12 +249,25 @@ def test_regular_outputs_match_reference_builders(monkeypatch):
         density = 0.3 + 0.7 * (i % 8) / 7
         m1 = random_fsa(rng, 1 + i % 5, alphabet=alphabet, density=density)
         m2 = random_fsa(rng, 1 + rng.randrange(5), alphabet=alphabet, density=density)
-        _assert_regular_matches_references(m1, m2, monkeypatch)
+        _assert_regular_matches_references(m1, m2)
         nested = reg_complement(reg_union(m1, reg_star(m2)))
-        _assert_regular_matches_references(nested, reg_intersection(m2, m1), monkeypatch)
+        _assert_regular_matches_references(nested, reg_intersection(m2, m1))
 
 
-def test_regular_edge_cases_match_reference_builders(monkeypatch):
+@pytest.mark.parametrize(
+    "gluing, reference, arity", [entry[1:] for entry in REGULAR_GLUING_REFERENCES],
+    ids=[entry[0] for entry in REGULAR_GLUING_REFERENCES],
+)
+def test_regular_gluings_match_their_nfa_references(gluing, reference, arity):
+    # subset constructions read from the input tables against the
+    # determinized epsilon-NFA gluings, on inputs with no accept states
+    # and with an accepting initial state among them
+    for pair in gluing_inputs():
+        args = pair[:arity]
+        assert dumps(gluing(*args)) == dumps(reference(*args)), args
+
+
+def test_regular_edge_cases_match_reference_builders():
     ab = ("a", "b")
     one_state = Fsa(ab, {"x"}, "x", {"x"}, {})
     no_moves = Fsa(ab, {0, 1, 2}, 0, {1}, {})
@@ -262,13 +276,12 @@ def test_regular_edge_cases_match_reference_builders(monkeypatch):
     loop = Fsa(ab, {"u"}, "u", {"u"}, {("u", a): "u" for a in ab})
     for m1 in (one_state, no_moves, every_move, no_accepts, loop):
         for m2 in (one_state, no_moves, every_move, no_accepts, loop):
-            _assert_regular_matches_references(m1, m2, monkeypatch)
+            _assert_regular_matches_references(m1, m2)
     # the S4 Cayley FSA under every op but concat and star, kept out to
     # keep the test short
     s4 = build_finite_fsa(symmetric_group(4)).automaton
     _assert_regular_matches_references(
-        s4, s4, monkeypatch,
-        names=("union", "intersection", "complement", "reverse", "prefix", "canonicalize"),
+        s4, s4, names=("union", "intersection", "complement", "reverse", "prefix", "canonicalize")
     )
 
 
@@ -796,6 +809,16 @@ def test_prefix_free_vpa_call_extends():
     assert not member(parse_word("<x1 <x1'"))
     # an internal letter kills the run for every extension
     assert not member(parse_word("x1"))
+
+
+def test_prefix_needs_a_way_to_pop_an_unacceptable_symbol():
+    # "<a" leaves the unacceptable g above the accepting state q: only a
+    # machine that can move to r, whose return pops g, extends it
+    calls, returns = {("q", "a"): ("q", "g")}, {("r", "a", "g"): "q"}
+    for internals, expected in (({}, False), ({("q", "b"): "r"}, True)):
+        m = Vpa(("a", "b"), {"q", "r"}, {"g"}, "$", "q", {"q"}, set(), calls, internals, returns)
+        assert PrefixDecider(m).member(parse_word("<a")) == expected
+        assert ExtensionOracle(m).member(parse_word("<a")) == expected
 
 
 def test_prefix_against_extension_oracle_random():

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import itertools
 import pickle
+import signal
 import sys
 
 import pytest
@@ -24,10 +25,12 @@ from oracles import (
     nfa_run,
     nvpa_from_vpa,
     random_fsa,
+    random_pda,
     random_vpa,
     random_walk,
     reference_bfs_canonicalize,
     reference_nvpa_run,
+    reference_pda_run,
     reference_vpa_run,
     reference_vpl_concat,
     reference_vpl_reverse,
@@ -145,6 +148,45 @@ def test_pda_anbn_language_small():
     for n in range(6):
         for k in range(6):
             assert pda_run(m, "a" * n + "b" * k) == (n == k)
+
+
+def test_pda_run_is_linear_in_the_word():
+    # a^n b^n with n = 100,000: a run that copies the rest of the word and
+    # the stack on every step takes minutes, a linear one well under a second
+    def expire(signum, frame):
+        raise TimeoutError("pda_run took more than 10 s on 200,000 letters")
+
+    m = anbn_pda()
+    word = "a" * 100_000 + "b" * 100_000
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        assert pda_run(m, word)
+        assert not pda_run(m, word + "b")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_pda_run_matches_stepping_by_pda_step():
+    # epsilon priority, popping the bottom, running on an empty stack and
+    # the epsilon budget, against whole configurations stepped by pda_step
+    def outcome(run, m, w):
+        try:
+            return run(m, w)
+        except EpsilonBudgetExceeded as exc:
+            return str(exc)
+
+    rng = random.Random(31)
+    words = [w for n in range(6) for w in itertools.product("ab", repeat=n)]
+    outcomes = set()
+    for _ in range(60):
+        m = random_pda(rng, n_states=rng.randrange(1, 5))
+        for w in words:
+            got = outcome(pda_run, m, w)
+            assert got == outcome(reference_pda_run, m, w), w
+            outcomes.add(got if isinstance(got, bool) else "budget")
+    assert outcomes == {True, False, "budget"}
 
 
 def test_pda_epsilon_budget():
