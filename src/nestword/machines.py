@@ -3,8 +3,10 @@
 All machines are plain dataclasses validated on construction and treated as
 immutable afterwards; runs keep their own private configuration state, so
 machines may be shared freely between threads.  The one thing a run adds to
-a machine is an Nvpa's image rows, a cache no answer, comparison or
-document depends on.
+a machine is its run rows, compiled from its tables on its first run: a
+Vpa's rows per tagged letter (`_RunRows`) and an Nvpa's image rows
+(`_SummaryRows`).  They are a cache no answer, comparison, copy or document
+depends on.
 
 Stack conventions: stacks are tuples with the bottom symbol at index 0.
 For a VPA the bottom symbol is not part of the (pushable) stack alphabet
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Hashable, Iterable, NamedTuple
 
-from .words import Tag, TaggedWord, check_alphabet
+from .words import Tag, TaggedSymbol, TaggedWord, check_alphabet
 
 State = Hashable
 StackSym = Hashable
@@ -56,6 +58,22 @@ def _state_set(states: Iterable[State]) -> frozenset:
     if None in states:
         raise ValueError("None is not a state label: a table reads it as a missing move")
     return states
+
+
+_TAGS = tuple(Tag)
+
+
+def _check_symbol(m, base, tag) -> None:
+    """Raise ValueError if a symbol a run finds no move on is itself at
+    fault: its letter lies outside the alphabet, or its tag equals no Tag.
+    A run's tables and rows hold well-formed symbols only, so it checks a
+    symbol only where it finds no move, and a well-formed word pays
+    nothing for the check.  A run may check in its KeyError handler, so
+    the error hides that context."""
+    if base not in m._alpha:
+        raise ValueError(f"letter {base!r} not in alphabet") from None
+    if tag not in _TAGS:
+        raise ValueError(f"tag {tag!r} on {base!r} is not a call, internal or return tag") from None
 
 
 # ---------------------------------------------------------------------------
@@ -135,16 +153,15 @@ class Nfa:
 
 def _fsa_final(m: Fsa, tw: TaggedWord) -> State | None:
     """The state the run of m on a tagged word ends in, or None once a call,
-    a return or a missing move kills it.  A letter outside the alphabet
-    raises ValueError when the run reaches it."""
-    alpha, delta, state = m._alpha, m.delta, m.initial
+    a return or a missing move kills it.  A letter outside the alphabet, or
+    a tag that equals no Tag, raises ValueError when the run reaches it."""
+    delta, state = m.delta, m.initial
     internal = Tag.INTERNAL
     for base, tag in tw:
         state = delta.get((state, base)) if tag == internal else None
         if state is None:
             # the table holds alphabet letters only: one outside it ends here
-            if base not in alpha:
-                raise ValueError(f"letter {base!r} not in alphabet")
+            _check_symbol(m, base, tag)
             return None
     return state
 
@@ -355,6 +372,11 @@ class _VisiblyPushdown:
             f"stack={len(self.stack_alphabet)})"
         )
 
+    def __getstate__(self):
+        """The fields without the run rows: a copy or an unpickled machine
+        compiles its own."""
+        return {key: value for key, value in self.__dict__.items() if key not in _RUN_ROWS}
+
 
 @dataclass(repr=False)
 class Vpa(_VisiblyPushdown):
@@ -389,6 +411,11 @@ class Vpa(_VisiblyPushdown):
         self.delta_r = dict(self.delta_r)
         self._check({self.initial})
 
+    @functools.cached_property
+    def _run_rows(self) -> _RunRows:
+        """_vpa_end's rows, compiled on the first run."""
+        return _RunRows(self)
+
 
 @dataclass(repr=False)
 class Nvpa(_VisiblyPushdown):
@@ -419,12 +446,9 @@ class Nvpa(_VisiblyPushdown):
         """nvpa_run's image rows, compiled on the first run."""
         return _SummaryRows(self)
 
-    def __getstate__(self):
-        """The fields without the image rows: a copy or an unpickled
-        machine compiles its own."""
-        state = dict(self.__dict__)
-        state.pop("_summary_rows", None)
-        return state
+
+# the cached run rows of a Vpa and an Nvpa, which no copy or pickle keeps
+_RUN_ROWS = frozenset({"_run_rows", "_summary_rows"})
 
 
 @dataclass
@@ -447,49 +471,75 @@ def _stack_ok(stack: tuple, accept_stack: frozenset) -> bool:
     return all(sym in accept_stack for sym in stack[1:])
 
 
-def _dead(m: Vpa, base, reason: str) -> str:
-    """The reason a run dies where it finds no move on base.  The tables
-    hold alphabet letters only, so a letter outside the alphabet ends a
-    run here, and raises ValueError."""
-    if base not in m._alpha:
-        raise ValueError(f"letter {base!r} not in alphabet")
-    return reason
+class _RunRows:
+    """A Vpa's transition tables as rows for _vpa_end, one per tagged letter
+    of its alphabet: `symbols[a, tag]` is (tag, row), where a call row maps
+    a state to its (target, pushed symbol), an internal row a state to its
+    target, and a return row a stack top to a row from state to target.
+    Each state and stack symbol is one object throughout the rows, so a run
+    compares labels by identity, on a machine read from a document as on a
+    built one."""
+
+    __slots__ = ("symbols", "initial", "bottom")
+
+    def __init__(self, m: Vpa):
+        same = {label: label for label in chain(m.states, m.stack_alphabet)}
+        self.initial = same[m.initial]
+        self.bottom = same.setdefault(m.bottom, m.bottom)
+        calls, internals, returns = ({a: {} for a in m.alphabet} for _ in range(3))
+        for (q, a), (dst, g) in m.delta_c.items():
+            calls[a][same[q]] = (same[dst], same[g])
+        for (q, a), dst in m.delta_i.items():
+            internals[a][same[q]] = same[dst]
+        for (q, a, g), dst in m.delta_r.items():
+            returns[a].setdefault(same[g], {})[same[q]] = same[dst]
+        self.symbols = {
+            TaggedSymbol(a, tag): (tag, row)
+            for tag, family in zip(_TAGS, (calls, internals, returns))
+            for a, row in family.items()
+        }
+
+
+def _dead(m: Vpa, sym, state, stack: list) -> str:
+    """The reason a run dies at state and stack, before sym, where its rows
+    have no move: ValueError if sym itself is at fault."""
+    base, tag = sym
+    _check_symbol(m, base, tag)
+    if tag == Tag.RETURN:
+        return f"no return transition from {state!r} on {base!r}/{stack[-1]!r}"
+    return f"no {'call' if tag == Tag.CALL else 'internal'} transition from {state!r} on {base!r}"
 
 
 def _vpa_end(m: Vpa, tw: TaggedWord, trace: list | None = None) -> tuple:
     """The run of m on a tagged word: (state, stack, None) where it ends, the
     stack a list, bottom first, or (state, None, reason) where a missing
     move kills it.  A given trace list gets one Configuration per step,
-    the start included."""
-    delta_c, delta_i, delta_r = m.delta_c, m.delta_i, m.delta_r
+    the start included.  Each step reads the machine's rows (`_RunRows`);
+    a move they lack raises KeyError, which ends the run."""
+    rows = m._run_rows
+    symbols, state, bottom = rows.symbols, rows.initial, rows.bottom
     call, internal = Tag.CALL, Tag.INTERNAL
-    state, bottom = m.initial, m.bottom
     stack = [bottom]
     push, pop = stack.append, stack.pop
     if trace is not None:
         trace.append(Configuration(state, tuple(tw), (bottom,)))
-    for base, tag in tw:
-        if tag == call:
-            move = delta_c.get((state, base))
-            if move is None:
-                return state, None, _dead(m, base, f"no call transition from {state!r} on {base!r}")
-            state, pushed = move
-            push(pushed)
-        elif tag == internal:
-            nxt = delta_i.get((state, base))
-            if nxt is None:
-                return state, None, _dead(m, base, f"no internal transition from {state!r} on {base!r}")
-            state = nxt
-        else:
-            top = stack[-1]
-            nxt = delta_r.get((state, base, top))
-            if nxt is None:
-                return state, None, _dead(m, base, f"no return transition from {state!r} on {base!r}/{top!r}")
-            state = nxt
-            if top is not bottom:  # the bottom is never pushed, so it is only ever at the bottom
-                pop()
-        if trace is not None:
-            trace.append(Configuration(state, tuple(tw[len(trace):]), tuple(stack)))
+    try:
+        for sym in tw:
+            family, row = symbols[sym]
+            if family is call:
+                state, pushed = row[state]
+                push(pushed)
+            elif family is internal:
+                state = row[state]
+            else:
+                top = stack[-1]
+                state = row[top][state]
+                if top is not bottom:  # the bottom is never pushed, so it is only ever at the bottom
+                    pop()
+            if trace is not None:
+                trace.append(Configuration(state, tuple(tw[len(trace):]), tuple(stack)))
+    except KeyError:
+        return state, None, _dead(m, sym, state, stack)
     return state, stack, None
 
 
@@ -497,9 +547,10 @@ def vpa_run(m: Vpa, tw: TaggedWord, record_trace: bool = False) -> VpaRun:
     """Deterministic run of m on a tagged word.
 
     A missing transition rejects (recorded as the reason) rather than
-    raising.  A base letter outside the alphabet raises ValueError only
-    when the run reaches it: a run that dies earlier rejects.  Tags are
-    compared by value, so an int tag runs as the Tag it equals.
+    raising.  A base letter outside the alphabet, or a tag that equals no
+    Tag, raises ValueError only when the run reaches it: a run that dies
+    earlier rejects.  Tags are compared by value, so an int tag runs as
+    the Tag it equals.
     """
     trace: list | None = [] if record_trace else None
     state, stack, reason = _vpa_end(m, tw, trace)
@@ -519,9 +570,6 @@ def vpa_run(m: Vpa, tw: TaggedWord, record_trace: bool = False) -> VpaRun:
 # so the rows of one machine stay within a few megabytes.
 MAX_STORED_IMAGES = 1 << 15
 
-_NO_ROWS: dict = {}
-
-
 class _Budget:
     """How many images one machine's rows have stored.  The rows hold it
     rather than their owner, so they form no reference cycle."""
@@ -534,10 +582,9 @@ class _Budget:
 
 
 class _ImageRow(dict):
-    """One letter's row of images, keyed by a state mask (by (mask, ok) in
-    a call row).  The image of a mask is the union of its states' images;
-    one not compiled in is stored the first time a run asks for it, while
-    the machine's budget lasts."""
+    """One letter's row of images, keyed by a state mask.  The image of a
+    mask is the union of its states' images; one not compiled in is stored
+    the first time a run asks for it, while the machine's budget lasts."""
 
     __slots__ = ("join", "budget")
 
@@ -565,22 +612,27 @@ def _join_states(row: _ImageRow, mask: int) -> int:
     return image
 
 
-def _join_calls(row: _ImageRow, key: tuple) -> tuple:
-    mask, ok = key
+def _join_calls(row: _ImageRow, mask: int) -> tuple:
     items = []
     while mask:
         low = mask & -mask
-        items.extend(row.get((low, ok), ()))  # entries hold the caller bit, so never repeat
+        items.extend(row.get(low, ()))  # entries hold the caller bit, so never repeat
         mask ^= low
     return tuple(items)
 
 
 class _SummaryRows:
     """An Nvpa's transition tables as image rows over state bitmasks, for
-    nvpa_run: `internals[base]` and `returns[base][top]` map a mask to the
-    mask of its successors, `calls[base]` maps (mask, ok) to the new
-    frame's (entry, mask) items.  Compiled rows hold the single states
-    that have moves; `budget` counts the images added since."""
+    nvpa_run.  A frame entry is a small int: 0 for the bottom, and one for
+    each (caller bit, pushed symbol, ok) a call can open, with its caller
+    bit in `callers` and its ok flag in `oks`.  `internals[base]` maps a
+    mask to the mask of its successors.  `calls[base]` is a pair of rows,
+    for callers whose entry is not ok and for those whose entry is, each
+    mapping a mask to the new frame's (entry, mask) items.
+    `returns[base][e]` is the row of the symbol under entry e (the bottom
+    under entry 0), or None where base pops nothing off it.  `families`
+    maps each Tag to the family of rows it reads.  Compiled rows hold the
+    single states that have moves; `budget` counts the images added since."""
 
     def __init__(self, m: Nvpa):
         bit = {q: 1 << i for i, q in enumerate(m.states)}
@@ -594,88 +646,108 @@ class _SummaryRows:
                 found = table[key] = _ImageRow(join, self.budget)
             return found
 
-        self.budget = _Budget()
+        self.budget = budget = _Budget()
         self.initial = mask(m.initials)
         self.accepts = mask(m.accepts)
         self.internals: dict = {}
         for (q, base), dsts in m.delta_i.items():
             row(self.internals, base, _join_states)[bit[q]] = mask(dsts)
-        self.returns: dict = {}
-        for (q, base, g), dsts in m.delta_r.items():
-            row(self.returns.setdefault(base, {}), g, _join_states)[bit[q]] = mask(dsts)
+        entries: dict = {}  # (caller bit, pushed symbol, ok) -> its entry
+        self.callers, self.oks, tops = [0], [True], [m.bottom]
         self.calls: dict = {}
         for (q, base), moves in m.delta_c.items():
-            calls = row(self.calls, base, _join_calls)
-            for ok in (True, False):
+            pair = self.calls.get(base)
+            if pair is None:
+                pair = self.calls[base] = (_ImageRow(_join_calls, budget), _ImageRow(_join_calls, budget))
+            for ok in (False, True):
                 frame: dict = {}
                 for dst, g in moves:
-                    entry = (bit[q], g, ok and g in m.accept_stack)
+                    key = (bit[q], g, ok and g in m.accept_stack)
+                    entry = entries.get(key)
+                    if entry is None:
+                        entry = entries[key] = len(tops)
+                        self.callers.append(bit[q])
+                        self.oks.append(key[2])
+                        tops.append(g)
                     frame[entry] = frame.get(entry, 0) | bit[dst]
-                calls[bit[q], ok] = tuple(frame.items())
+                pair[ok][bit[q]] = tuple(frame.items())
+        by_top: dict = {}
+        for (q, base, g), dsts in m.delta_r.items():
+            row(by_top.setdefault(base, {}), g, _join_states)[bit[q]] = mask(dsts)
+        self.returns = {base: [rows.get(g) for g in tops] for base, rows in by_top.items()}
+        self.families = {Tag.CALL: self.calls, Tag.INTERNAL: self.internals, Tag.RETURN: self.returns}
 
 
 def nvpa_run(m: Nvpa, tw: TaggedWord) -> bool:
     """Summary run (Alur and Madhusudan): one frame per pending call.
 
     A frame maps each entry to a bitmask of the states the run can be in
-    under it.  The bottom frame's only entry is None; a call from state q
-    pushing g opens a frame whose entries are (bit of q, g, ok), where ok
-    says every pending symbol, g included, is in accept_stack.  A return
-    joins the top frame with the saved caller frame: an entry's image goes
-    to every caller entry whose mask holds its caller bit.  A frame holds
-    at most 2|Q||stack| entries of |Q| bits at any depth, so the run is
-    linear in the word.  Each step is one lookup per entry in the machine's
-    image rows (`_SummaryRows`), which store at most MAX_STORED_IMAGES
-    images besides their compiled single-state ones.  A letter outside the
-    alphabet raises ValueError when the run reaches it.  Tags are compared
-    by value, as in vpa_run.
+    under it.  The bottom frame's only entry is 0; a call from state q
+    pushing g opens a frame whose entries stand for (bit of q, g, ok),
+    where ok says every pending symbol, g included, is in accept_stack.  A
+    return joins the top frame with the saved caller frame: an entry's
+    image goes to every caller entry whose mask holds its caller bit.  A
+    frame holds at most 2|Q||stack| entries of |Q| bits at any depth, so
+    the run is linear in the word.  Each step is one lookup per entry in
+    the machine's image rows (`_SummaryRows`), which store at most
+    MAX_STORED_IMAGES images besides their compiled single-state ones.  A
+    letter outside the alphabet, or a tag that equals no Tag, raises
+    ValueError when the run reaches it.  Tags are compared by value, as in
+    vpa_run.
     """
     rows = m._summary_rows
-    calls, internals, returns, bottom = rows.calls, rows.internals, rows.returns, m.bottom
-    call, internal = Tag.CALL, Tag.INTERNAL
-    frame = {None: rows.initial} if rows.initial else {}
+    families, calls, internals, returns = rows.families, rows.calls, rows.internals, rows.returns
+    callers, oks = rows.callers, rows.oks
+    frame = {0: rows.initial} if rows.initial else {}
     saved = []
-    for base, tag in tw:
-        nxt = {}
-        if tag == call:
-            row = calls.get(base)
-            if row is not None:
-                saved.append(frame)
-                for e, mask in frame.items():
-                    for entry, image in row[mask, e is None or e[2]]:
-                        nxt[entry] = nxt.get(entry, 0) | image
-        elif tag == internal:
-            row = internals.get(base)
-            if row is not None:
-                for e, mask in frame.items():
-                    image = row[mask]
-                    if image:
-                        nxt[e] = image
-        else:
-            tops = returns.get(base, _NO_ROWS)
-            if saved:
-                caller = saved.pop()
-                for (caller_bit, g, _), mask in frame.items():
-                    row = tops.get(g)
-                    image = row[mask] if row is not None else 0
-                    if image:
-                        for e, held in caller.items():
-                            if held & caller_bit:
-                                nxt[e] = nxt.get(e, 0) | image
-            elif frame:
-                row = tops.get(bottom)
-                image = row[frame[None]] if row is not None else 0
-                if image:
-                    nxt[None] = image
-        if not nxt:
-            # the rows hold alphabet letters only, so a letter outside it
-            # has left the frame empty here
-            if base not in m._alpha:
-                raise ValueError(f"letter {base!r} not in alphabet")
-            return False
-        frame = nxt
+    try:
+        for base, tag in tw:
+            family = families[tag]
+            nxt = {}
+            if family is calls:
+                pair = calls.get(base)
+                if pair is not None:
+                    saved.append(frame)
+                    for e, mask in frame.items():
+                        for entry, image in pair[oks[e]][mask]:
+                            nxt[entry] = nxt.get(entry, 0) | image
+            elif family is internals:
+                row = internals.get(base)
+                if row is not None:
+                    for e, mask in frame.items():
+                        image = row[mask]
+                        if image:
+                            nxt[e] = image
+            else:
+                tops = returns.get(base)
+                if tops is not None:
+                    if saved:
+                        caller = saved.pop()
+                        for e, mask in frame.items():
+                            row = tops[e]
+                            image = row[mask] if row is not None else 0
+                            if image:
+                                bit = callers[e]
+                                for c, held in caller.items():
+                                    if held & bit:
+                                        nxt[c] = nxt.get(c, 0) | image
+                    elif frame:
+                        row = tops[0]
+                        image = row[frame[0]] if row is not None else 0
+                        if image:
+                            nxt[0] = image
+            if not nxt:
+                # the rows hold alphabet letters only, so a letter outside
+                # it has left the frame empty here
+                _check_symbol(m, base, tag)
+                return False
+            frame = nxt
+    except KeyError:
+        # `families` holds the three Tags only: a tag that equals none
+        _check_symbol(m, base, tag)
+        raise
     accepts = rows.accepts
-    return any(mask & accepts and (e is None or e[2]) for e, mask in frame.items())
+    return any(mask & accepts and oks[e] for e, mask in frame.items())
 
 
 def vpa_from_fsa(m: Fsa) -> Vpa:
@@ -690,9 +762,10 @@ def machine_accepts(m, tw: TaggedWord) -> bool:
 
     An FSA run goes as vpa_run(vpa_from_fsa(m), tw) would, in the loop
     fsa_run also takes: a call or return, or a missing move, rejects, and
-    a letter outside the alphabet raises ValueError when the run reaches
-    it.  A Vpa run goes through vpa_run's loop and reads only where it
-    ends.  Tags are compared by value, as in vpa_run.
+    a letter outside the alphabet, or a tag that equals no Tag, raises
+    ValueError when the run reaches it.  A Vpa run goes through vpa_run's
+    loop and reads only where it ends.  Tags are compared by value, as in
+    vpa_run.
     """
     if isinstance(m, Fsa):
         return _fsa_final(m, tw) in m.accepts

@@ -9,10 +9,13 @@ up to 80 letters, on the reverse, star and concat closures and the NVPA
 embedding of seeded random VPAs; runs `vpa_run` (with and without a
 trace) and `machine_accepts` on each of those VPAs against the reference
 VPA run, over every tagged word of length <= 3 that may also hold a letter
-outside the alphabet, and those walks; checks that each of the six VPL
-closures of those VPAs, their shuffle with a random FSA and their images
-under an identity and a non-functional relabeling equal canonicalize of
-the whole machine its reference builder makes, and that each product
+outside the alphabet, and those walks; runs both kernels the same way on
+each machine's twin read back from its document, and on words ending in
+a symbol whose tag equals no Tag, which must raise as the references do;
+checks that each of the six VPL closures of those VPAs, their shuffle
+with a random FSA and their images under an identity and a
+non-functional relabeling equal canonicalize of the whole machine its
+reference builder makes, and that each product
 builder dumps as its whole-table reference does; checks that the
 regular concatenation, star and reversal of seeded FSAs (some with no
 accept states, some with an accepting initial state) dump as their
@@ -65,7 +68,7 @@ from oracles import (  # noqa: E402
 from nestword.closures import relabel_image, shuffle, vpl_concat, vpl_reverse, vpl_star  # noqa: E402
 from nestword.groups import annotate_word, build_recognizer, is_identity  # noqa: E402
 from nestword.machines import Vpa, canonicalize, machine_accepts, nvpa_run, vpa_run  # noqa: E402
-from nestword.serialize import dumps  # noqa: E402
+from nestword.serialize import dumps, loads  # noqa: E402
 from nestword.words import TaggedSymbol, all_tagged_words  # noqa: E402
 
 
@@ -117,26 +120,30 @@ def group_disagreement(spec, rec, word) -> str | None:
 def main() -> int:
     words = list(all_tagged_words(("a", "b"), 4))
     vpa_words = list(all_tagged_words(("a", "b", "x9"), 3))
+    bad_tags = [tw + (TaggedSymbol(base, tag),) for tw in all_tagged_words(("a", "b"), 2)
+                for base in ("a", "x9") for tag in (3, -1)]
     runs = accepted = built = 0
     for seed in range(30):
         rng = random.Random(seed)
         m = random_vpa(rng, 1 + seed % 5, n_stack=1 + seed % 3)
         p = random_vpa(rng, 3)
         walks = [random_walk(m, rng, 40) + random_walk(p, rng, 40) for _ in range(20)]
-        for tw in vpa_words + walks:
-            problem = vpa_disagreement(m, tw)
-            if problem is not None:
-                print(f"seed {seed}: on {tw}, {problem}")
-                return 1
-            runs += 1
-        for n in (vpl_reverse(m), vpl_star(m), vpl_concat(m, p), nvpa_from_vpa(m)):
-            for tw in words + walks:
-                got, want = nvpa_run(n, tw), reference_nvpa_run(n, tw)
-                if got != want:
-                    print(f"seed {seed}: nvpa_run says {got}, the reference {want}, on {tw}")
+        for twin in (m, loads(dumps(m))):
+            for tw in vpa_words + bad_tags + walks:
+                problem = vpa_disagreement(twin, tw)
+                if problem is not None:
+                    print(f"seed {seed}: on {tw}, {problem}")
                     return 1
                 runs += 1
-                accepted += got
+        for n in (vpl_reverse(m), vpl_star(m), vpl_concat(m, p), nvpa_from_vpa(m)):
+            for twin in (n, loads(dumps(n))):
+                for tw in words + bad_tags + walks:
+                    got, want = outcome(nvpa_run, twin, tw), outcome(reference_nvpa_run, twin, tw)
+                    if got != want:
+                        print(f"seed {seed}: nvpa_run says {got}, the reference {want}, on {tw}")
+                        return 1
+                    runs += 1
+                    accepted += got is True
         for name, closure, reference, arity in VPL_CLOSURE_REFERENCES:
             args = (m, p)[:arity]
             if closure(*args) != canonicalize(reference(*args)):

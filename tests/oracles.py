@@ -327,7 +327,8 @@ def random_walk(m: Vpa, rng: random.Random, length: int) -> tuple:
 
 def reference_vpa_run(m: Vpa, tw, record_trace: bool = False) -> VpaRun:
     """vpa_run before its lean loop: every letter checked against the
-    alphabet as it is read, and a VpaRun built for every answer."""
+    alphabet, and every tag against the three Tags, as it is read, and a
+    VpaRun built for every answer."""
     alpha = m._alpha
     delta_c, delta_i, delta_r = m.delta_c, m.delta_i, m.delta_r
     call, internal = Tag.CALL, Tag.INTERNAL
@@ -340,6 +341,8 @@ def reference_vpa_run(m: Vpa, tw, record_trace: bool = False) -> VpaRun:
         base, tag = sym
         if base not in alpha:
             raise ValueError(f"letter {base!r} not in alphabet")
+        if tag not in tuple(Tag):
+            raise ValueError(f"tag {tag!r} on {base!r} is not a call, internal or return tag")
         if tag == call:
             move = delta_c.get((state, base))
             if move is None:
@@ -396,8 +399,9 @@ def reference_nvpa_run(m: Nvpa, tw) -> bool:
     (entry, state) pairs.  The bottom frame's entry is None; a call from q
     pushing g opens a frame of entries (q, g, ok), ok saying every pending
     symbol is in accept_stack; a return joins the top frame with the saved
-    caller frame through the caller state.  A letter outside the alphabet
-    raises ValueError where the run reaches it."""
+    caller frame through the caller state.  A letter outside the alphabet,
+    or a tag that equals no Tag, raises ValueError where the run reaches
+    it."""
     alpha, accept_stack = m._alpha, m.accept_stack
     delta_c, delta_i, delta_r = m.delta_c, m.delta_i, m.delta_r
     call, internal = Tag.CALL, Tag.INTERNAL
@@ -406,6 +410,8 @@ def reference_nvpa_run(m: Nvpa, tw) -> bool:
     for base, tag in tw:
         if base not in alpha:
             raise ValueError(f"letter {base!r} not in alphabet")
+        if tag not in tuple(Tag):
+            raise ValueError(f"tag {tag!r} on {base!r} is not a call, internal or return tag")
         nxt = set()
         if tag == call:
             saved.append(frame)

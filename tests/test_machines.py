@@ -59,10 +59,10 @@ from nestword.machines import (
     vpa_from_fsa,
     vpa_run,
 )
-from nestword import machines, serialize
+from nestword import closures, machines, serialize
 from nestword.closures import vpl_concat, vpl_reverse, vpl_star, vpl_union
-from nestword.words import TaggedSymbol, all_tagged_words, decode, parse_word, reverse as reverse_word
-from nestword.groups import build_finite_fsa, build_free_vpa, cyclic_group
+from nestword.words import Tag, TaggedSymbol, all_tagged_words, decode, parse_word, reverse as reverse_word
+from nestword.groups import build_finite_fsa, build_free_vpa, build_semidirect, cyclic_group
 
 
 # ---------------------------------------------------------------------------
@@ -316,46 +316,74 @@ def test_free_vpa_trace_example():
 
 
 def test_parallel_runs_share_machine():
+    # eight threads share one machine from before its rows are compiled
     from concurrent.futures import ThreadPoolExecutor
 
-    m = build_free_vpa(2).automaton
-    words = list(all_tagged_words(m.alphabet, 3))
-    serial = [vpa_run(m, tw).accepted for tw in words]
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        parallel = list(pool.map(lambda tw: vpa_run(m, tw).accepted, words))
+    rng = random.Random(17)
+    m = random_vpa(rng, 5, ("a", "b", "c"), 3, density=0.7)
+    words = [random_walk(m, rng, 80) for _ in range(400)]
+    words += [w[:-1] + (TaggedSymbol(w[-1].base, (w[-1].tag + 1) % 3),) for w in words[:200] if w]
+    serial = [reference_vpa_run(m, w) for w in words]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            parallel = list(pool.map(lambda w: vpa_run(m, w), words, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
     assert parallel == serial
+    assert {run.accepted for run in serial} == {True, False}
+
+
+def _bad_tag_words() -> list:
+    """Words whose last or only symbol has a tag that equals no Tag, on a
+    letter of the test machines' alphabet and on one outside it."""
+    return [tw + (TaggedSymbol(base, tag),) for tw in all_tagged_words(("a", "b"), 2)
+            for base in ("a", "x9") for tag in (3, -1)]
 
 
 def test_vpa_run_and_machine_accepts_match_the_reference_run():
-    # the lean loop tests the alphabet only where a run dies; every field of
-    # the run, with and without a trace, and every error text stay the same
+    # the row loop tests a symbol only where a run dies; every field of the
+    # run, with and without a trace, and every error text stay the same, on
+    # a machine as built and as read back from its document
     words = list(all_tagged_words(("a", "b", "x9"), 4))
     words += [tuple(TaggedSymbol(base, int(tag)) for base, tag in tw) for tw in words if len(tw) == 3]
+    words += _bad_tag_words()
     outcomes = set()
     for seed in range(12):
         rng = random.Random(seed)
         m = random_vpa(rng, 1 + seed % 5, n_stack=1 + seed % 3, density=0.5 + seed % 4 * 0.15)
-        for tw in words:
-            for trace in (False, True):
+        walks = [random_walk(m, rng, 40) for _ in range(10)]
+        twins = (m, serialize.loads(serialize.dumps(m)))
+        for twin in twins:
+            for tw in words + walks:
+                for trace in (False, True):
+                    try:
+                        want = reference_vpa_run(twin, tw, record_trace=trace)
+                    except ValueError as exc:
+                        with pytest.raises(ValueError) as info:
+                            vpa_run(twin, tw, record_trace=trace)
+                        assert str(info.value) == str(exc), (seed, tw)
+                        continue
+                    assert vpa_run(twin, tw, record_trace=trace) == want, (seed, tw, trace)
                 try:
-                    want = reference_vpa_run(m, tw, record_trace=trace)
+                    want = reference_vpa_run(twin, tw).accepted
                 except ValueError as exc:
-                    with pytest.raises(ValueError) as info:
-                        vpa_run(m, tw, record_trace=trace)
-                    assert str(info.value) == str(exc), (seed, tw)
-                    continue
-                assert vpa_run(m, tw, record_trace=trace) == want, (seed, tw, trace)
-            try:
-                want = reference_vpa_run(m, tw).accepted
-            except ValueError as exc:
-                want = str(exc)
-            try:
-                got = machine_accepts(m, tw)
-            except ValueError as exc:
-                got = str(exc)
-            assert got == want, (seed, tw)
-            outcomes.add(want)
-    assert outcomes == {True, False, "letter 'x9' not in alphabet"}
+                    want = str(exc)
+                try:
+                    got = machine_accepts(twin, tw)
+                except ValueError as exc:
+                    got = str(exc)
+                assert got == want, (seed, tw)
+                outcomes.add(want)
+        built, loaded = (closures.PrefixDecider(twin) for twin in twins)
+        for tw in words + walks:
+            assert _outcome(lambda d, w: d.member(w), built, tw) == _outcome(lambda d, w: d.member(w), loaded, tw)
+    assert outcomes == {
+        True, False, "letter 'x9' not in alphabet",
+        "tag 3 on 'a' is not a call, internal or return tag",
+        "tag -1 on 'a' is not a call, internal or return tag",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +575,9 @@ def test_threads_sharing_an_nvpa_store_each_image_once():
 
     m, p, n = _concat_with_states(20)
     rows = n._summary_rows
-    tables = [*rows.internals.values(), *rows.calls.values()]
-    tables += [row for tops in rows.returns.values() for row in tops.values()]
+    # a return row serves every entry over its symbol, so count each row once
+    distinct = {id(row): row for tops in rows.returns.values() for row in tops if row is not None}
+    tables = [*rows.internals.values(), *itertools.chain.from_iterable(rows.calls.values()), *distinct.values()]
     compiled = sum(map(len, tables))
     rng = random.Random(13)
     words = [_concat_words(m, p, rng, 80) for _ in range(400)]
@@ -573,6 +602,109 @@ def test_nvpa_answers_do_not_depend_on_the_image_cap(cap, monkeypatch):
         w = random_walk(m, rng, 60) + random_walk(p, rng, 60)
         assert nvpa_run(n, w) == reference_nvpa_run(n, w)
     assert n._summary_rows.budget.stored == cap
+
+
+# ---------------------------------------------------------------------------
+# compiled run rows: agreement, bad symbols, shared labels, lifecycle
+
+
+def test_nvpa_run_on_loaded_twins_matches_the_reference():
+    # letters outside the alphabet, int tags and tags that equal no Tag, on
+    # closure outputs as built and as read back from their documents
+    words = list(all_tagged_words(("a", "b", "x9"), 3))
+    words += [_int_tagged(tw) for tw in words if len(tw) == 3]
+    words += _bad_tag_words()
+    outcomes = set()
+    for seed in range(12):
+        m, p, nvpas = _closure_nvpas(seed)
+        rng = random.Random(seed)
+        walks = [random_walk(m, rng, 30) + random_walk(p, rng, 30) for _ in range(10)]
+        for n in nvpas:
+            for twin in (n, serialize.loads(serialize.dumps(n))):
+                for tw in words + walks:
+                    want = _outcome(reference_nvpa_run, twin, tw)
+                    assert _outcome(nvpa_run, twin, tw) == want, (seed, tw)
+                    outcomes.add(want if isinstance(want, bool) else want[1])
+    assert outcomes == {
+        True, False, "letter 'x9' not in alphabet",
+        "tag 3 on 'a' is not a call, internal or return tag",
+        "tag -1 on 'a' is not a call, internal or return tag",
+    }
+
+
+@pytest.mark.parametrize("tag", [7, 3, -1, "x", None])
+def test_a_tag_equal_to_no_tag_raises_in_every_kernel(tag):
+    m = build_free_vpa(1).automaton
+    fsa = build_finite_fsa(cyclic_group(2)).automaton
+    word = (TaggedSymbol("x1", 0), TaggedSymbol("x1'", tag))
+    kernels = {
+        "vpa_run": lambda w: vpa_run(m, w).accepted,
+        "traced vpa_run": lambda w: vpa_run(m, w, record_trace=True).accepted,
+        "machine_accepts": lambda w: machine_accepts(m, w),
+        "PrefixDecider.member": closures.PrefixDecider(m).member,
+        "nvpa_run": lambda w: nvpa_run(nvpa_from_vpa(m), w),
+        "nvpa_run on a reversal": lambda w: nvpa_run(vpl_reverse(m), w),
+    }
+    for name, run in kernels.items():
+        run(word[:1])  # the well-tagged prefix runs
+        with pytest.raises(ValueError, match="is not a call, internal or return tag"):
+            run(word)
+        # a run that dies before the symbol rejects
+        assert not run((TaggedSymbol("x1'", 2),) + word[1:]), name
+    with pytest.raises(ValueError, match="is not a call, internal or return tag"):
+        machine_accepts(fsa, (TaggedSymbol("t", 1), TaggedSymbol("t", tag)))
+    with pytest.raises(ValueError, match="letter 'x9' not in alphabet"):
+        vpa_run(m, (TaggedSymbol("x9", tag),))
+
+
+def test_rows_of_a_loaded_machine_hold_one_object_per_label():
+    m = serialize.loads(serialize.dumps(build_semidirect(3, 3).automaton))
+    assert vpa_run(m, ()).accepted
+    rows = m._run_rows
+    labels = [rows.initial, rows.bottom]
+    for family, row in rows.symbols.values():
+        for key, move in row.items():
+            labels.append(key)
+            if family is Tag.CALL:
+                labels.extend(move)
+            elif family is Tag.RETURN:
+                labels.extend(itertools.chain.from_iterable(move.items()))
+            else:
+                labels.append(move)
+    assert len(labels) > 1000
+    first: dict = {}
+    for label in labels:
+        assert first.setdefault(label, label) is label, label
+    assert set(first) == m.states | m.stack_alphabet | {m.bottom}
+
+
+def test_vpa_run_rows_are_invisible():
+    m, twin = build_semidirect(2, 2).automaton, build_semidirect(2, 2).automaton
+    before = (repr(m), serialize.dumps(m))
+    words = list(all_tagged_words(m.alphabet[:3], 3))
+    verdicts = [vpa_run(m, tw).accepted for tw in words]
+    assert "_run_rows" in vars(m) and "_run_rows" not in vars(twin)
+    assert m == twin and twin == m
+    assert (repr(m), serialize.dumps(m)) == before
+    for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert clone == m and "_run_rows" not in vars(clone)
+        assert [vpa_run(clone, tw).accepted for tw in words] == verdicts
+
+
+def test_replaced_vpa_gets_fresh_run_rows():
+    m = build_semidirect(2, 2).automaton
+    words = list(all_tagged_words(m.alphabet[:3], 4))
+    accepted = [tw for tw in words if vpa_run(m, tw).accepted]
+    assert accepted
+    twin = dataclasses.replace(m)
+    assert twin == m and twin._run_rows is not m._run_rows
+    none_accept = dataclasses.replace(m, accepts=frozenset())
+    assert not any(machine_accepts(none_accept, tw) for tw in accepted)
+    opening = [tw for tw in accepted if tw and tw[0].tag == Tag.CALL]
+    assert opening
+    no_calls = dataclasses.replace(m, delta_c={})
+    for tw in opening:
+        assert vpa_run(no_calls, tw).reason == f"no call transition from {m.initial!r} on {tw[0].base!r}"
 
 
 # ---------------------------------------------------------------------------
