@@ -26,7 +26,6 @@ from .machines import (
     Vpa,
     fsa_run,
     machine_accepts,
-    vpa_from_fsa,
     vpa_run,
 )
 from .words import (
@@ -111,8 +110,7 @@ def cmd_check(args) -> int:
             "(or pass --internal to mean internal symbols)"
         )
     if args.trace and not isinstance(machine, Nvpa):
-        vpa = machine if isinstance(machine, Vpa) else vpa_from_fsa(machine)
-        result = vpa_run(vpa, word, record_trace=True)
+        result = vpa_run(machine, word, record_trace=True)
         for config in result.trace:
             stack = " ".join(str(s) for s in config.stack)
             rest = format_word(config.remaining)

@@ -3,10 +3,11 @@
 All machines are plain dataclasses validated on construction and treated as
 immutable afterwards; runs keep their own private configuration state, so
 machines may be shared freely between threads.  The one thing a run adds to
-a machine is its run rows, compiled from its tables on its first run: a
-Vpa's rows per tagged letter (`_RunRows`) and an Nvpa's image rows
-(`_SummaryRows`).  They are a cache no answer, comparison, copy or document
-depends on.
+a machine is its run rows, compiled from its tables on its first run: an
+Fsa's or a Vpa's rows per tagged letter (`_RunRows`) and an Nvpa's image
+rows (`_SummaryRows`).  They are a cache no answer, comparison, copy or
+document depends on.  An Fsa runs as its all-internal VPA reading, so one
+deterministic loop (`_vpa_end`) serves fsa_run, vpa_run and membership.
 
 Stack conventions: stacks are tuples with the bottom symbol at index 0.
 For a VPA the bottom symbol is not part of the (pushable) stack alphabet
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Hashable, Iterable, NamedTuple
 
-from .words import Tag, TaggedSymbol, TaggedWord, check_alphabet
+from .words import Tag, TaggedSymbol, TaggedWord, check_alphabet, check_tag
 
 State = Hashable
 StackSym = Hashable
@@ -60,20 +61,23 @@ def _state_set(states: Iterable[State]) -> frozenset:
     return states
 
 
-_TAGS = tuple(Tag)
-
-
 def _check_symbol(m, base, tag) -> None:
     """Raise ValueError if a symbol a run finds no move on is itself at
     fault: its letter lies outside the alphabet, or its tag equals no Tag.
-    A run's tables and rows hold well-formed symbols only, so it checks a
-    symbol only where it finds no move, and a well-formed word pays
-    nothing for the check.  A run may check in its KeyError handler, so
-    the error hides that context."""
+    Rows hold well-formed symbols only, so a run checks a symbol only where
+    it finds no move, and a well-formed word pays nothing for the check."""
     if base not in m._alpha:
         raise ValueError(f"letter {base!r} not in alphabet") from None
-    if tag not in _TAGS:
-        raise ValueError(f"tag {tag!r} on {base!r} is not a call, internal or return tag") from None
+    check_tag(base, tag)
+
+
+class _Machine:
+    """What Fsa, Vpa and Nvpa share: run rows, which no copy or pickle keeps."""
+
+    def __getstate__(self):
+        """The fields without the run rows: a copy or an unpickled machine
+        compiles its own."""
+        return {key: value for key, value in vars(self).items() if key not in ("_run_rows", "_summary_rows")}
 
 
 # ---------------------------------------------------------------------------
@@ -81,11 +85,12 @@ def _check_symbol(m, base, tag) -> None:
 
 
 @dataclass(repr=False)
-class Fsa:
+class Fsa(_Machine):
     """Deterministic finite automaton with a partial transition map.
 
     A missing transition kills the run (the word is rejected); an explicit
-    fail state is a builder choice, not a requirement.
+    fail state is a builder choice, not a requirement.  A run reads it as
+    its all-internal VPA (`_RunRows`).
     """
 
     kind = "fsa"
@@ -119,6 +124,11 @@ class Fsa:
     def __repr__(self):
         return f"Fsa(states={len(self.states)}, alphabet={self.alphabet!r})"
 
+    @functools.cached_property
+    def _run_rows(self) -> _RunRows:
+        """_vpa_end's rows of the all-internal reading, compiled on the first run."""
+        return _RunRows(self)
+
 
 @dataclass(repr=False)
 class Nfa:
@@ -149,26 +159,6 @@ class Nfa:
 
     def __repr__(self):
         return f"Nfa(states={len(self.states)}, alphabet={self.alphabet!r})"
-
-
-def _fsa_final(m: Fsa, tw: TaggedWord) -> State | None:
-    """The state the run of m on a tagged word ends in, or None once a call,
-    a return or a missing move kills it.  A letter outside the alphabet, or
-    a tag that equals no Tag, raises ValueError when the run reaches it."""
-    delta, state = m.delta, m.initial
-    internal = Tag.INTERNAL
-    for base, tag in tw:
-        state = delta.get((state, base)) if tag == internal else None
-        if state is None:
-            # the table holds alphabet letters only: one outside it ends here
-            _check_symbol(m, base, tag)
-            return None
-    return state
-
-
-def fsa_run(m: Fsa, word: Iterable) -> bool:
-    """Accept iff the unique (possibly dying) run ends in an accept state."""
-    return _fsa_final(m, zip(word, repeat(Tag.INTERNAL))) in m.accepts
 
 
 def _eps_closure(n: Nfa, states: frozenset) -> frozenset:
@@ -325,7 +315,7 @@ def pda_run(m: Pda, word: Iterable[str]) -> bool:
 # visibly pushdown machines
 
 
-class _VisiblyPushdown:
+class _VisiblyPushdown(_Machine):
     """What Vpa and Nvpa share: field normalization, validation and repr."""
 
     def _check(self, initials) -> None:
@@ -371,11 +361,6 @@ class _VisiblyPushdown:
             f"{type(self).__name__}(states={len(self.states)}, alphabet={self.alphabet!r}, "
             f"stack={len(self.stack_alphabet)})"
         )
-
-    def __getstate__(self):
-        """The fields without the run rows: a copy or an unpickled machine
-        compiles its own."""
-        return {key: value for key, value in self.__dict__.items() if key not in _RUN_ROWS}
 
 
 @dataclass(repr=False)
@@ -447,10 +432,6 @@ class Nvpa(_VisiblyPushdown):
         return _SummaryRows(self)
 
 
-# the cached run rows of a Vpa and an Nvpa, which no copy or pickle keeps
-_RUN_ROWS = frozenset({"_run_rows", "_summary_rows"})
-
-
 @dataclass
 class VpaRun:
     """Outcome of a deterministic run.
@@ -476,31 +457,37 @@ class _RunRows:
     of its alphabet: `symbols[a, tag]` is (tag, row), where a call row maps
     a state to its (target, pushed symbol), an internal row a state to its
     target, and a return row a stack top to a row from state to target.
-    Each state and stack symbol is one object throughout the rows, so a run
-    compares labels by identity, on a machine read from a document as on a
-    built one."""
+    `acceptable` holds the pushed symbols an accepting stack may hold.  An
+    Fsa's rows are those of its all-internal reading: internal rows from
+    its delta, empty call and return rows, the bottom "$" and no
+    acceptable pushed symbol.  Each state and stack symbol is one object
+    throughout the rows, so a run compares labels by identity, on a
+    machine read from a document as on a built one."""
 
-    __slots__ = ("symbols", "initial", "bottom")
+    __slots__ = ("symbols", "initial", "bottom", "acceptable")
 
-    def __init__(self, m: Vpa):
-        same = {label: label for label in chain(m.states, m.stack_alphabet)}
+    def __init__(self, m: Fsa | Vpa):
+        fsa = isinstance(m, Fsa)
+        delta_c, delta_i, delta_r = ({}, m.delta, {}) if fsa else (m.delta_c, m.delta_i, m.delta_r)
+        bottom, self.acceptable = ("$", frozenset()) if fsa else (m.bottom, m.accept_stack)
+        same = {label: label for label in chain(m.states, () if fsa else m.stack_alphabet)}
         self.initial = same[m.initial]
-        self.bottom = same.setdefault(m.bottom, m.bottom)
+        self.bottom = same.setdefault(bottom, bottom)
         calls, internals, returns = ({a: {} for a in m.alphabet} for _ in range(3))
-        for (q, a), (dst, g) in m.delta_c.items():
+        for (q, a), (dst, g) in delta_c.items():
             calls[a][same[q]] = (same[dst], same[g])
-        for (q, a), dst in m.delta_i.items():
+        for (q, a), dst in delta_i.items():
             internals[a][same[q]] = same[dst]
-        for (q, a, g), dst in m.delta_r.items():
+        for (q, a, g), dst in delta_r.items():
             returns[a].setdefault(same[g], {})[same[q]] = same[dst]
         self.symbols = {
             TaggedSymbol(a, tag): (tag, row)
-            for tag, family in zip(_TAGS, (calls, internals, returns))
+            for tag, family in zip(Tag, (calls, internals, returns))
             for a, row in family.items()
         }
 
 
-def _dead(m: Vpa, sym, state, stack: list) -> str:
+def _dead(m: Fsa | Vpa, sym, state, stack: list) -> str:
     """The reason a run dies at state and stack, before sym, where its rows
     have no move: ValueError if sym itself is at fault."""
     base, tag = sym
@@ -510,7 +497,7 @@ def _dead(m: Vpa, sym, state, stack: list) -> str:
     return f"no {'call' if tag == Tag.CALL else 'internal'} transition from {state!r} on {base!r}"
 
 
-def _vpa_end(m: Vpa, tw: TaggedWord, trace: list | None = None) -> tuple:
+def _vpa_end(m: Fsa | Vpa, tw: TaggedWord, trace: list | None = None) -> tuple:
     """The run of m on a tagged word: (state, stack, None) where it ends, the
     stack a list, bottom first, or (state, None, reason) where a missing
     move kills it.  A given trace list gets one Configuration per step,
@@ -522,7 +509,8 @@ def _vpa_end(m: Vpa, tw: TaggedWord, trace: list | None = None) -> tuple:
     stack = [bottom]
     push, pop = stack.append, stack.pop
     if trace is not None:
-        trace.append(Configuration(state, tuple(tw), (bottom,)))
+        tw = tuple(tw)  # read whole for each configuration, and once more step by step
+        trace.append(Configuration(state, tw, (bottom,)))
     try:
         for sym in tw:
             family, row = symbols[sym]
@@ -537,14 +525,15 @@ def _vpa_end(m: Vpa, tw: TaggedWord, trace: list | None = None) -> tuple:
                 if top is not bottom:  # the bottom is never pushed, so it is only ever at the bottom
                     pop()
             if trace is not None:
-                trace.append(Configuration(state, tuple(tw[len(trace):]), tuple(stack)))
+                trace.append(Configuration(state, tw[len(trace):], tuple(stack)))
     except KeyError:
         return state, None, _dead(m, sym, state, stack)
     return state, stack, None
 
 
-def vpa_run(m: Vpa, tw: TaggedWord, record_trace: bool = False) -> VpaRun:
-    """Deterministic run of m on a tagged word.
+def vpa_run(m: Vpa | Fsa, tw: TaggedWord, record_trace: bool = False) -> VpaRun:
+    """Deterministic run of m on a tagged word; an Fsa runs as its
+    all-internal VPA reading, on the stack ("$",).
 
     A missing transition rejects (recorded as the reason) rather than
     raising.  A base letter outside the alphabet, or a tag that equals no
@@ -558,7 +547,7 @@ def vpa_run(m: Vpa, tw: TaggedWord, record_trace: bool = False) -> VpaRun:
     if reason is not None:
         return VpaRun(False, reason, trace, state)
     stack = tuple(stack)
-    if state in m.accepts and _stack_ok(stack, m.accept_stack):
+    if state in m.accepts and _stack_ok(stack, m._run_rows.acceptable):
         return VpaRun(True, None, trace, state, stack)
     return VpaRun(False, "final configuration not accepting", trace, state, stack)
 
@@ -750,31 +739,23 @@ def nvpa_run(m: Nvpa, tw: TaggedWord) -> bool:
     return any(mask & accepts and oks[e] for e, mask in frame.items())
 
 
-def vpa_from_fsa(m: Fsa) -> Vpa:
-    """The all-internal reading of an FSA: its moves on internal letters,
-    no call or return moves, and nothing to push."""
-    return Vpa(m.alphabet, m.states, frozenset(), "$", m.initial, m.accepts, frozenset(), {}, m.delta, {})
-
-
 def machine_accepts(m, tw: TaggedWord) -> bool:
-    """Membership of a tagged word in L(m) for an Fsa, Vpa or Nvpa; an FSA
-    is read as the all-internal image of its plain language.
-
-    An FSA run goes as vpa_run(vpa_from_fsa(m), tw) would, in the loop
-    fsa_run also takes: a call or return, or a missing move, rejects, and
-    a letter outside the alphabet, or a tag that equals no Tag, raises
-    ValueError when the run reaches it.  A Vpa run goes through vpa_run's
-    loop and reads only where it ends.  Tags are compared by value, as in
-    vpa_run.
-    """
-    if isinstance(m, Fsa):
-        return _fsa_final(m, tw) in m.accepts
-    if isinstance(m, Vpa):
+    """Membership of a tagged word in L(m) for an Fsa, Vpa or Nvpa, with
+    vpa_run's errors; an FSA is read as the all-internal image of its plain
+    language.  An Fsa or Vpa run goes through vpa_run's loop and reads only
+    where it ends."""
+    if isinstance(m, (Fsa, Vpa)):
         state, stack, reason = _vpa_end(m, tw)
-        return reason is None and state in m.accepts and _stack_ok(stack, m.accept_stack)
+        return reason is None and state in m.accepts and _stack_ok(stack, m._run_rows.acceptable)
     if isinstance(m, Nvpa):
         return nvpa_run(m, tw)
     raise TypeError(f"cannot run words on a {type(m).__name__}")
+
+
+def fsa_run(m: Fsa, word: Iterable) -> bool:
+    """Accept iff the unique (possibly dying) run ends in an accept state:
+    machine_accepts on the word's letters read as internal symbols."""
+    return machine_accepts(m, zip(word, repeat(Tag.INTERNAL)))
 
 
 # ---------------------------------------------------------------------------

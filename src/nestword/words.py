@@ -30,6 +30,9 @@ class Tag(enum.IntEnum):
     RETURN = 2
 
 
+_TAGS = tuple(Tag)
+
+
 class TaggedSymbol(NamedTuple):
     base: str
     tag: Tag
@@ -71,6 +74,13 @@ def check_alphabet(symbols: Iterable[str]) -> tuple[str, ...]:
     return names
 
 
+def check_tag(base: str, tag) -> None:
+    """Raise ValueError if tag equals no Tag; callers ask only where a tag
+    is neither a call nor a return tag."""
+    if tag not in _TAGS:
+        raise ValueError(f"tag {tag!r} on {base!r} is not a call, internal or return tag") from None
+
+
 # ---------------------------------------------------------------------------
 # token syntax: `<a` call, `a>` return, `a` internal
 
@@ -85,12 +95,13 @@ def parse_token(token: str) -> TaggedSymbol:
 
 def token_str(sym: TaggedSymbol) -> str:
     """The token text of a symbol, chosen by the value of its tag, so an
-    int tag prints as the Tag it equals."""
+    int tag prints as the Tag it equals (and one equal to no Tag raises)."""
     base, tag = sym
     if tag == Tag.CALL:
         return "<" + base
     if tag == Tag.RETURN:
         return base + ">"
+    check_tag(base, tag)
     return base
 
 
@@ -291,8 +302,9 @@ def encode(nw: NestedWord) -> TaggedWord:
 def decode(tw: TaggedWord) -> NestedWord:
     """Pair calls and returns by stack discipline; unmatched ones pend.
 
-    Tags are compared by value, so an int tag reads as the Tag it equals."""
-    call, ret = Tag.CALL, Tag.RETURN
+    Tags are compared by value, so an int tag reads as the Tag it equals;
+    a tag that equals no Tag raises ValueError."""
+    call, ret, internal = Tag.CALL, Tag.RETURN, Tag.INTERNAL
     word = []
     edges = []
     open_calls: list[int] = []
@@ -304,6 +316,8 @@ def decode(tw: TaggedWord) -> NestedWord:
             open_calls.append(pos)
         elif tag == ret:
             edges.append((open_calls.pop() if open_calls else NEG_INF, pos))
+        elif tag != internal:
+            check_tag(base, tag)
     edges.extend((i, POS_INF) for i in open_calls)
     return NestedWord._trusted(tuple(word), MatchingRelation._trusted(pos, frozenset(edges)))
 
@@ -317,8 +331,13 @@ _REVERSED_TAG = {Tag.CALL: Tag.RETURN, Tag.RETURN: Tag.CALL, Tag.INTERNAL: Tag.I
 
 
 def reverse(tw: TaggedWord) -> TaggedWord:
-    """Reverse the symbol order, swapping call and return tags."""
-    return tuple(TaggedSymbol(s.base, _REVERSED_TAG[s.tag]) for s in reversed(tw))
+    """Reverse the symbol order, swapping call and return tags; a tag equal to no Tag raises."""
+    try:
+        return tuple(TaggedSymbol(s.base, _REVERSED_TAG[s.tag]) for s in reversed(tw))
+    except KeyError:
+        for base, tag in reversed(tw):
+            check_tag(base, tag)
+        raise
 
 
 def prefix(tw: TaggedWord, i: int) -> TaggedWord:

@@ -12,6 +12,11 @@ VPA run, over every tagged word of length <= 3 that may also hold a letter
 outside the alphabet, and those walks; runs both kernels the same way on
 each machine's twin read back from its document, and on words ending in
 a symbol whose tag equals no Tag, which must raise as the references do;
+runs `vpa_run` (with and without a trace) and `machine_accepts` on
+seeded random FSAs and their twins read back from their documents
+against the reference VPA run of their all-internal VPA reading, over
+the same kinds of words, and `fsa_run` against a walk of the FSA's table
+over every plain word of length <= 3 that may hold an outside letter;
 checks that each of the six VPL closures of those VPAs, their shuffle
 with a random FSA and their images under an identity and a
 non-functional relabeling equal canonicalize of the whole machine its
@@ -29,6 +34,7 @@ closure, builder and regular machines dump to the pinned digests.
 Exits 1 on the first disagreement.  Run under two PYTHONHASHSEED values,
 it also shows that no canonical name depends on hashing.
 """
+import itertools
 import os
 import random
 import sys
@@ -57,17 +63,19 @@ from oracles import (  # noqa: E402
     random_walk,
     reference_annotate_word,
     reference_build_product,
+    reference_fsa_run,
     reference_is_identity,
     reference_nvpa_run,
     reference_relabel_image,
     reference_shuffle,
+    reference_vpa_from_fsa,
     reference_vpa_run,
     trivial_word,
 )
 
 from nestword.closures import relabel_image, shuffle, vpl_concat, vpl_reverse, vpl_star  # noqa: E402
 from nestword.groups import annotate_word, build_recognizer, is_identity  # noqa: E402
-from nestword.machines import Vpa, canonicalize, machine_accepts, nvpa_run, vpa_run  # noqa: E402
+from nestword.machines import Vpa, canonicalize, fsa_run, machine_accepts, nvpa_run, vpa_run  # noqa: E402
 from nestword.serialize import dumps, loads  # noqa: E402
 from nestword.words import TaggedSymbol, all_tagged_words  # noqa: E402
 
@@ -80,14 +88,16 @@ def outcome(f, *args):
         return str(exc)
 
 
-def vpa_disagreement(m, tw) -> str | None:
+def vpa_disagreement(m, tw, reference=None) -> str | None:
     """What vpa_run (traced or not) or machine_accepts answers differently
-    from the reference VPA run on tw, if anything."""
+    on m from the reference VPA run on tw of `reference` (m itself, if
+    None), if anything."""
+    reference = m if reference is None else reference
     for trace in (False, True):
-        got, want = outcome(vpa_run, m, tw, trace), outcome(reference_vpa_run, m, tw, trace)
+        got, want = outcome(vpa_run, m, tw, trace), outcome(reference_vpa_run, reference, tw, trace)
         if got != want:
             return f"vpa_run(record_trace={trace}) gives {got}, the reference {want}"
-    want = outcome(lambda: reference_vpa_run(m, tw).accepted)
+    want = outcome(lambda: reference_vpa_run(reference, tw).accepted)
     got = outcome(machine_accepts, m, tw)
     return None if got == want else f"machine_accepts gives {got}, the reference {want}"
 
@@ -122,6 +132,10 @@ def main() -> int:
     vpa_words = list(all_tagged_words(("a", "b", "x9"), 3))
     bad_tags = [tw + (TaggedSymbol(base, tag),) for tw in all_tagged_words(("a", "b"), 2)
                 for base in ("a", "x9") for tag in (3, -1)]
+    fsa_words = list(all_tagged_words(("c", "d", "x9"), 3))
+    fsa_words += [tw + (TaggedSymbol(base, tag),) for tw in all_tagged_words(("c", "d"), 2)
+                  for base in ("c", "x9") for tag in (3, -1)]
+    plain_words = [w for n in range(4) for w in itertools.product(("c", "d", "x9"), repeat=n)]
     runs = accepted = built = 0
     for seed in range(30):
         rng = random.Random(seed)
@@ -151,6 +165,20 @@ def main() -> int:
                 return 1
             built += 1
         r = random_fsa(rng, 1 + seed % 4)
+        for twin in (r, loads(dumps(r))):
+            reading = reference_vpa_from_fsa(twin)
+            for tw in fsa_words:
+                problem = vpa_disagreement(twin, tw, reading)
+                if problem is not None:
+                    print(f"seed {seed}: on the FSA and {tw}, {problem}")
+                    return 1
+                runs += 1
+            for w in plain_words:
+                got, want = outcome(fsa_run, twin, w), outcome(reference_fsa_run, twin, w)
+                if got != want:
+                    print(f"seed {seed}: fsa_run says {got}, the reference {want}, on {w}")
+                    return 1
+                runs += 1
         pairs = [("shuffle", shuffle(m, r), reference_shuffle(m, r))]
         for phi in (identity_relabeling(m.alphabet), forked_relabeling()):
             pairs.append(("relabel_image", relabel_image(m, phi), reference_relabel_image(m, phi)))

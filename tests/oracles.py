@@ -197,6 +197,27 @@ def nvpa_from_vpa(m: Vpa) -> Nvpa:
     )
 
 
+def reference_vpa_from_fsa(m: Fsa) -> Vpa:
+    """The all-internal reading of an FSA as a Vpa of its own: its moves on
+    internal letters, no call or return moves, bottom "$" and nothing to
+    push."""
+    return Vpa(m.alphabet, m.states, frozenset(), "$", m.initial, m.accepts, frozenset(), {}, m.delta, {})
+
+
+def reference_fsa_run(m: Fsa, word) -> bool:
+    """fsa_run as a walk of the FSA's own table: a missing move rejects,
+    and a letter outside the alphabet raises ValueError where the run
+    reaches it."""
+    state = m.initial
+    for letter in word:
+        state = m.delta.get((state, letter))
+        if state is None:
+            if letter not in m.alphabet:
+                raise ValueError(f"letter {letter!r} not in alphabet")
+            return False
+    return state in m.accepts
+
+
 def identity_relabeling(alphabet) -> Relabeling:
     pairs = tuple((a, a) for a in alphabet)
     state = "p"

@@ -29,9 +29,11 @@ from oracles import (
     random_vpa,
     random_walk,
     reference_bfs_canonicalize,
+    reference_fsa_run,
     reference_nvpa_run,
     reference_pda_run,
     reference_vpa_run,
+    reference_vpa_from_fsa,
     reference_vpl_concat,
     reference_vpl_reverse,
     reference_vpl_star,
@@ -56,13 +58,12 @@ from nestword.machines import (
     pda_run,
     pda_step,
     transition_rows,
-    vpa_from_fsa,
     vpa_run,
 )
 from nestword import closures, machines, serialize
 from nestword.closures import vpl_concat, vpl_reverse, vpl_star, vpl_union
 from nestword.words import Tag, TaggedSymbol, all_tagged_words, decode, parse_word, reverse as reverse_word
-from nestword.groups import build_finite_fsa, build_free_vpa, build_semidirect, cyclic_group
+from nestword.groups import build_finite_fsa, build_free_vpa, build_semidirect, cyclic_group, symmetric_group
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +97,7 @@ def test_fsa_symbol_outside_alphabet_raises():
 def test_machine_accepts_on_fsa_runs_like_its_vpa_reading():
     # same verdict as the all-internal VPA reading, and the same error where it raises
     m = build_finite_fsa(cyclic_group(2)).automaton
-    vpa = vpa_from_fsa(m)
+    vpa = reference_vpa_from_fsa(m)
 
     def outcome(run, tw):
         try:
@@ -386,6 +387,49 @@ def test_vpa_run_and_machine_accepts_match_the_reference_run():
     }
 
 
+def test_fsa_runs_match_the_reference_vpa_reading():
+    # an Fsa runs in the VPA loop on its own rows: every field of the run,
+    # with and without a trace, every error text, and fsa_run's verdicts
+    # stay those of its all-internal Vpa and of a walk of its table
+    outcomes, plain = set(), set()
+    for seed in range(12):
+        rng = random.Random(seed)
+        m = random_fsa(rng, 1 + seed % 4, density=0.5 + seed % 4 * 0.15)
+        letters = m.alphabet + ("x9",)
+        words = list(all_tagged_words(letters, 3))
+        words += [tw + (TaggedSymbol(base, tag),) for tw in all_tagged_words(m.alphabet, 2)
+                  for base in ("c", "x9") for tag in (3, -1)]
+        for twin in (m, serialize.loads(serialize.dumps(m))):
+            vpa = reference_vpa_from_fsa(twin)
+            for tw in words:
+                for trace in (False, True):
+                    want = _outcome(lambda v, w: reference_vpa_run(v, w, trace), vpa, tw)
+                    assert _outcome(lambda v, w: vpa_run(v, w, trace), twin, tw) == want, (seed, tw, trace)
+                want = _outcome(lambda v, w: reference_vpa_run(v, w).accepted, vpa, tw)
+                assert _outcome(machine_accepts, twin, tw) == want, (seed, tw)
+                outcomes.add(want if isinstance(want, bool) else want[1])
+            for w in itertools.chain.from_iterable(itertools.product(letters, repeat=n) for n in range(4)):
+                want = _outcome(reference_fsa_run, twin, w)
+                assert _outcome(fsa_run, twin, w) == want, (seed, w)
+                plain.add(want if isinstance(want, bool) else want[1])
+    assert outcomes == {
+        True, False, "letter 'x9' not in alphabet",
+        "tag 3 on 'c' is not a call, internal or return tag",
+        "tag -1 on 'c' is not a call, internal or return tag",
+    }
+    assert plain == {True, False, "letter 'x9' not in alphabet"}
+
+
+def test_traced_run_reads_a_one_shot_word_once():
+    free, fsa = build_free_vpa(1).automaton, build_finite_fsa(cyclic_group(2)).automaton
+    for m, text in ((free, "<x1"), (free, "<x1 x1'>"), (fsa, "t t"), (fsa, "t")):
+        word = parse_word(text)
+        for trace in (False, True):
+            assert vpa_run(m, iter(word), trace) == vpa_run(m, word, trace), (text, trace)
+    assert not vpa_run(free, iter(parse_word("<x1")), True).accepted
+    assert len(vpa_run(fsa, iter(parse_word("t t")), True).trace) == 3
+
+
 # ---------------------------------------------------------------------------
 # NVPA
 
@@ -651,8 +695,9 @@ def test_a_tag_equal_to_no_tag_raises_in_every_kernel(tag):
             run(word)
         # a run that dies before the symbol rejects
         assert not run((TaggedSymbol("x1'", 2),) + word[1:]), name
-    with pytest.raises(ValueError, match="is not a call, internal or return tag"):
-        machine_accepts(fsa, (TaggedSymbol("t", 1), TaggedSymbol("t", tag)))
+    for run in (lambda w: machine_accepts(fsa, w), lambda w: vpa_run(fsa, w, record_trace=True)):
+        with pytest.raises(ValueError, match="is not a call, internal or return tag"):
+            run((TaggedSymbol("t", 1), TaggedSymbol("t", tag)))
     with pytest.raises(ValueError, match="letter 'x9' not in alphabet"):
         vpa_run(m, (TaggedSymbol("x9", tag),))
 
@@ -678,33 +723,46 @@ def test_rows_of_a_loaded_machine_hold_one_object_per_label():
     assert set(first) == m.states | m.stack_alphabet | {m.bottom}
 
 
+def _deterministic_builders() -> tuple:
+    """A Vpa and an Fsa builder, each with the table whose emptying kills
+    a run at its first symbol of a tag."""
+    return (
+        (lambda: build_semidirect(2, 2).automaton, "delta_c", Tag.CALL),
+        (lambda: build_finite_fsa(symmetric_group(3)).automaton, "delta", Tag.INTERNAL),
+    )
+
+
 def test_vpa_run_rows_are_invisible():
-    m, twin = build_semidirect(2, 2).automaton, build_semidirect(2, 2).automaton
-    before = (repr(m), serialize.dumps(m))
-    words = list(all_tagged_words(m.alphabet[:3], 3))
-    verdicts = [vpa_run(m, tw).accepted for tw in words]
-    assert "_run_rows" in vars(m) and "_run_rows" not in vars(twin)
-    assert m == twin and twin == m
-    assert (repr(m), serialize.dumps(m)) == before
-    for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
-        assert clone == m and "_run_rows" not in vars(clone)
-        assert [vpa_run(clone, tw).accepted for tw in words] == verdicts
+    for build, _, _ in _deterministic_builders():
+        m, twin = build(), build()
+        before = (repr(m), serialize.dumps(m))
+        words = list(all_tagged_words(m.alphabet[:3], 3))
+        verdicts = [vpa_run(m, tw).accepted for tw in words]
+        assert any(verdicts)
+        assert "_run_rows" in vars(m) and "_run_rows" not in vars(twin)
+        assert m == twin and twin == m
+        assert (repr(m), serialize.dumps(m)) == before
+        for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert clone == m and "_run_rows" not in vars(clone)
+            assert [vpa_run(clone, tw).accepted for tw in words] == verdicts
 
 
 def test_replaced_vpa_gets_fresh_run_rows():
-    m = build_semidirect(2, 2).automaton
-    words = list(all_tagged_words(m.alphabet[:3], 4))
-    accepted = [tw for tw in words if vpa_run(m, tw).accepted]
-    assert accepted
-    twin = dataclasses.replace(m)
-    assert twin == m and twin._run_rows is not m._run_rows
-    none_accept = dataclasses.replace(m, accepts=frozenset())
-    assert not any(machine_accepts(none_accept, tw) for tw in accepted)
-    opening = [tw for tw in accepted if tw and tw[0].tag == Tag.CALL]
-    assert opening
-    no_calls = dataclasses.replace(m, delta_c={})
-    for tw in opening:
-        assert vpa_run(no_calls, tw).reason == f"no call transition from {m.initial!r} on {tw[0].base!r}"
+    for build, table, tag in _deterministic_builders():
+        m = build()
+        words = list(all_tagged_words(m.alphabet[:3], 4))
+        accepted = [tw for tw in words if vpa_run(m, tw).accepted]
+        assert accepted
+        twin = dataclasses.replace(m)
+        assert twin == m and twin._run_rows is not m._run_rows
+        none_accept = dataclasses.replace(m, accepts=frozenset())
+        assert not any(machine_accepts(none_accept, tw) for tw in accepted)
+        opening = [tw for tw in accepted if tw and tw[0].tag == tag]
+        assert opening
+        emptied = dataclasses.replace(m, **{table: {}})
+        kind = "call" if tag == Tag.CALL else "internal"
+        for tw in opening:
+            assert vpa_run(emptied, tw).reason == f"no {kind} transition from {m.initial!r} on {tw[0].base!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -1045,8 +1103,8 @@ def _kernels(kind: str):
         m = vpl_reverse(build_free_vpa(1).automaton)
         return m, (lambda tw: nvpa_run(m, tw),)
     m = build_finite_fsa(cyclic_group(2)).automaton
-    vpa = vpa_from_fsa(m)
-    return m, (lambda tw: vpa_run(vpa, tw),)
+    vpa = reference_vpa_from_fsa(m)
+    return m, (lambda tw: vpa_run(m, tw), lambda tw: vpa_run(vpa, tw))
 
 
 @pytest.mark.parametrize("kind", ["vpa", "nvpa", "fsa"])

@@ -395,6 +395,23 @@ def test_int_tags_print_and_decode_as_their_tag_twins():
     assert format_word((TaggedSymbol("x1", 0), TaggedSymbol("x1'", 2))) == "<x1 x1'>"
 
 
+@pytest.mark.parametrize("tag", [7, 3, -1, "x", None])
+def test_a_tag_equal_to_no_tag_raises_in_every_word_routine(tag):
+    # the error the run kernels raise, wherever the symbol sits
+    message = f"tag {tag!r} on \"x1'\" is not a call, internal or return tag"
+    bad = TaggedSymbol("x1'", tag)
+    memo = words._token_str.__self__
+    for word in ((TaggedSymbol("x1", 0), bad), (bad,), (bad, TaggedSymbol("x1", 2))):
+        for routine in (format_word, decode, reverse):
+            for _ in range(2):  # a raise is never stored
+                with pytest.raises(ValueError) as info:
+                    routine(word)
+                assert str(info.value) == message, routine
+        assert bad not in memo
+    with pytest.raises(ValueError, match="is not a call, internal or return tag"):
+        token_str(bad)
+
+
 def test_bad_token_raises_on_every_call_and_is_never_stored():
     memo = words._parse_token.__self__
     for bad in BAD_TOKENS[1:]:  # "ε" alone is the empty word
