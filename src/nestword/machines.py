@@ -3,11 +3,14 @@
 All machines are plain dataclasses validated on construction and treated as
 immutable afterwards; runs keep their own private configuration state, so
 machines may be shared freely between threads.  The one thing a run adds to
-a machine is its run rows, compiled from its tables on its first run: an
-Fsa's or a Vpa's rows per tagged letter (`_RunRows`) and an Nvpa's image
-rows (`_SummaryRows`).  They are a cache no answer, comparison, copy or
-document depends on.  An Fsa runs as its all-internal VPA reading, so one
-deterministic loop (`_vpa_end`) serves fsa_run, vpa_run and membership.
+a machine is its run rows (`_rows`), compiled from its tables on its first
+run: an Fsa's or a Vpa's rows of moves (`_RunRows`) and an Nvpa's rows of
+images (`_SummaryRows`).  Both kernels read them in one layout,
+`symbols[a, tag]`, which holds every tagged letter of the alphabet, so a
+symbol they lack is at fault itself.  The rows are a cache no answer,
+comparison, copy or document depends on.  An Fsa runs as its all-internal
+VPA reading, so one deterministic loop (`_vpa_end`) serves fsa_run,
+vpa_run and membership.
 
 Stack conventions: stacks are tuples with the bottom symbol at index 0.
 For a VPA the bottom symbol is not part of the (pushable) stack alphabet
@@ -74,10 +77,16 @@ def _check_symbol(m, base, tag) -> None:
 class _Machine:
     """What Fsa, Vpa and Nvpa share: run rows, which no copy or pickle keeps."""
 
+    @functools.cached_property
+    def _rows(self) -> _RunRows | _SummaryRows:
+        """The rows a run reads, compiled on the first run: nvpa_run's
+        `_SummaryRows` for an Nvpa, _vpa_end's `_RunRows` otherwise."""
+        return _SummaryRows(self) if isinstance(self, Nvpa) else _RunRows(self)
+
     def __getstate__(self):
         """The fields without the run rows: a copy or an unpickled machine
         compiles its own."""
-        return {key: value for key, value in vars(self).items() if key not in ("_run_rows", "_summary_rows")}
+        return {key: value for key, value in vars(self).items() if key != "_rows"}
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +132,6 @@ class Fsa(_Machine):
 
     def __repr__(self):
         return f"Fsa(states={len(self.states)}, alphabet={self.alphabet!r})"
-
-    @functools.cached_property
-    def _run_rows(self) -> _RunRows:
-        """_vpa_end's rows of the all-internal reading, compiled on the first run."""
-        return _RunRows(self)
 
 
 @dataclass(repr=False)
@@ -396,11 +400,6 @@ class Vpa(_VisiblyPushdown):
         self.delta_r = dict(self.delta_r)
         self._check({self.initial})
 
-    @functools.cached_property
-    def _run_rows(self) -> _RunRows:
-        """_vpa_end's rows, compiled on the first run."""
-        return _RunRows(self)
-
 
 @dataclass(repr=False)
 class Nvpa(_VisiblyPushdown):
@@ -425,11 +424,6 @@ class Nvpa(_VisiblyPushdown):
         self.delta_i = {k: frozenset(v) for k, v in self.delta_i.items()}
         self.delta_r = {k: frozenset(v) for k, v in self.delta_r.items()}
         self._check(self.initials)
-
-    @functools.cached_property
-    def _summary_rows(self) -> _SummaryRows:
-        """nvpa_run's image rows, compiled on the first run."""
-        return _SummaryRows(self)
 
 
 @dataclass
@@ -462,7 +456,9 @@ class _RunRows:
     its delta, empty call and return rows, the bottom "$" and no
     acceptable pushed symbol.  Each state and stack symbol is one object
     throughout the rows, so a run compares labels by identity, on a
-    machine read from a document as on a built one."""
+    machine read from a document as on a built one.  States and stack
+    symbols are interned apart, the bottom as given, so a label never
+    comes back as an equal label of the other kind (a state 1 as True)."""
 
     __slots__ = ("symbols", "initial", "bottom", "acceptable")
 
@@ -470,16 +466,17 @@ class _RunRows:
         fsa = isinstance(m, Fsa)
         delta_c, delta_i, delta_r = ({}, m.delta, {}) if fsa else (m.delta_c, m.delta_i, m.delta_r)
         bottom, self.acceptable = ("$", frozenset()) if fsa else (m.bottom, m.accept_stack)
-        same = {label: label for label in chain(m.states, () if fsa else m.stack_alphabet)}
-        self.initial = same[m.initial]
-        self.bottom = same.setdefault(bottom, bottom)
+        states = {q: q for q in m.states}
+        tops = {g: g for g in chain(() if fsa else m.stack_alphabet, (bottom,))}
+        self.initial = states[m.initial]
+        self.bottom = bottom
         calls, internals, returns = ({a: {} for a in m.alphabet} for _ in range(3))
         for (q, a), (dst, g) in delta_c.items():
-            calls[a][same[q]] = (same[dst], same[g])
+            calls[a][states[q]] = (states[dst], tops[g])
         for (q, a), dst in delta_i.items():
-            internals[a][same[q]] = same[dst]
+            internals[a][states[q]] = states[dst]
         for (q, a, g), dst in delta_r.items():
-            returns[a].setdefault(same[g], {})[same[q]] = same[dst]
+            returns[a].setdefault(tops[g], {})[states[q]] = states[dst]
         self.symbols = {
             TaggedSymbol(a, tag): (tag, row)
             for tag, family in zip(Tag, (calls, internals, returns))
@@ -503,7 +500,7 @@ def _vpa_end(m: Fsa | Vpa, tw: TaggedWord, trace: list | None = None) -> tuple:
     move kills it.  A given trace list gets one Configuration per step,
     the start included.  Each step reads the machine's rows (`_RunRows`);
     a move they lack raises KeyError, which ends the run."""
-    rows = m._run_rows
+    rows = m._rows
     symbols, state, bottom = rows.symbols, rows.initial, rows.bottom
     call, internal = Tag.CALL, Tag.INTERNAL
     stack = [bottom]
@@ -539,7 +536,9 @@ def vpa_run(m: Vpa | Fsa, tw: TaggedWord, record_trace: bool = False) -> VpaRun:
     raising.  A base letter outside the alphabet, or a tag that equals no
     Tag, raises ValueError only when the run reaches it: a run that dies
     earlier rejects.  Tags are compared by value, so an int tag runs as
-    the Tag it equals.
+    the Tag it equals.  A trace stores each configuration's remaining word
+    and whole stack, so a traced run of n symbols takes time and memory
+    O(n·(n + depth)); an untraced one is linear.
     """
     trace: list | None = [] if record_trace else None
     state, stack, reason = _vpa_end(m, tw, trace)
@@ -547,7 +546,7 @@ def vpa_run(m: Vpa | Fsa, tw: TaggedWord, record_trace: bool = False) -> VpaRun:
     if reason is not None:
         return VpaRun(False, reason, trace, state)
     stack = tuple(stack)
-    if state in m.accepts and _stack_ok(stack, m._run_rows.acceptable):
+    if state in m.accepts and _stack_ok(stack, m._rows.acceptable):
         return VpaRun(True, None, trace, state, stack)
     return VpaRun(False, "final configuration not accepting", trace, state, stack)
 
@@ -612,16 +611,18 @@ def _join_calls(row: _ImageRow, mask: int) -> tuple:
 
 class _SummaryRows:
     """An Nvpa's transition tables as image rows over state bitmasks, for
-    nvpa_run.  A frame entry is a small int: 0 for the bottom, and one for
-    each (caller bit, pushed symbol, ok) a call can open, with its caller
-    bit in `callers` and its ok flag in `oks`.  `internals[base]` maps a
-    mask to the mask of its successors.  `calls[base]` is a pair of rows,
-    for callers whose entry is not ok and for those whose entry is, each
-    mapping a mask to the new frame's (entry, mask) items.
-    `returns[base][e]` is the row of the symbol under entry e (the bottom
-    under entry 0), or None where base pops nothing off it.  `families`
-    maps each Tag to the family of rows it reads.  Compiled rows hold the
-    single states that have moves; `budget` counts the images added since."""
+    nvpa_run, in _RunRows's layout: `symbols[a, tag]` is (tag, rows) for
+    every tagged letter of the alphabet.  A frame entry is a small int: 0
+    for the bottom, and one for each (caller bit, pushed symbol, ok) a
+    call can open, with its caller bit in `callers` and its ok flag in
+    `oks`.  An internal's rows are one row, mapping a mask to the mask of
+    its successors.  A call's rows are a pair, for callers whose entry is
+    not ok and for those whose entry is, each mapping a mask to the new
+    frame's (entry, mask) items.  A return's rows are a list by entry:
+    the row of the symbol under entry e (the bottom under entry 0), empty
+    where the letter pops nothing off it.  A letter with no moves of a tag
+    gets empty rows.  Compiled rows hold the single states that have
+    moves; `budget` counts the images added since."""
 
     def __init__(self, m: Nvpa):
         bit = {q: 1 << i for i, q in enumerate(m.states)}
@@ -629,25 +630,16 @@ class _SummaryRows:
         def mask(states) -> int:
             return sum(bit[q] for q in states)
 
-        def row(table: dict, key, join) -> _ImageRow:
-            found = table.get(key)
-            if found is None:
-                found = table[key] = _ImageRow(join, self.budget)
-            return found
-
         self.budget = budget = _Budget()
         self.initial = mask(m.initials)
         self.accepts = mask(m.accepts)
-        self.internals: dict = {}
+        internals = {a: _ImageRow(_join_states, budget) for a in m.alphabet}
         for (q, base), dsts in m.delta_i.items():
-            row(self.internals, base, _join_states)[bit[q]] = mask(dsts)
+            internals[base][bit[q]] = mask(dsts)
         entries: dict = {}  # (caller bit, pushed symbol, ok) -> its entry
         self.callers, self.oks, tops = [0], [True], [m.bottom]
-        self.calls: dict = {}
+        calls = {a: (_ImageRow(_join_calls, budget), _ImageRow(_join_calls, budget)) for a in m.alphabet}
         for (q, base), moves in m.delta_c.items():
-            pair = self.calls.get(base)
-            if pair is None:
-                pair = self.calls[base] = (_ImageRow(_join_calls, budget), _ImageRow(_join_calls, budget))
             for ok in (False, True):
                 frame: dict = {}
                 for dst, g in moves:
@@ -659,12 +651,20 @@ class _SummaryRows:
                         self.oks.append(key[2])
                         tops.append(g)
                     frame[entry] = frame.get(entry, 0) | bit[dst]
-                pair[ok][bit[q]] = tuple(frame.items())
-        by_top: dict = {}
+                calls[base][ok][bit[q]] = tuple(frame.items())
+        by_top: dict = {a: {} for a in m.alphabet}  # letter -> popped symbol -> row
         for (q, base, g), dsts in m.delta_r.items():
-            row(by_top.setdefault(base, {}), g, _join_states)[bit[q]] = mask(dsts)
-        self.returns = {base: [rows.get(g) for g in tops] for base, rows in by_top.items()}
-        self.families = {Tag.CALL: self.calls, Tag.INTERNAL: self.internals, Tag.RETURN: self.returns}
+            rows = by_top[base]
+            if g not in rows:
+                rows[g] = _ImageRow(_join_states, budget)
+            rows[g][bit[q]] = mask(dsts)
+        empty = _ImageRow(_join_states, budget)
+        returns = {a: [rows.get(g, empty) for g in tops] for a, rows in by_top.items()}
+        self.symbols = {
+            TaggedSymbol(a, tag): (tag, rows)
+            for tag, family in zip(Tag, (calls, internals, returns))
+            for a, rows in family.items()
+        }
 
 
 def nvpa_run(m: Nvpa, tw: TaggedWord) -> bool:
@@ -684,56 +684,44 @@ def nvpa_run(m: Nvpa, tw: TaggedWord) -> bool:
     ValueError when the run reaches it.  Tags are compared by value, as in
     vpa_run.
     """
-    rows = m._summary_rows
-    families, calls, internals, returns = rows.families, rows.calls, rows.internals, rows.returns
-    callers, oks = rows.callers, rows.oks
-    frame = {0: rows.initial} if rows.initial else {}
+    rows = m._rows
+    symbols, callers, oks = rows.symbols, rows.callers, rows.oks
+    call, internal = Tag.CALL, Tag.INTERNAL
+    frame = {0: rows.initial}  # with no initials, the empty mask, which every row maps to nothing
     saved = []
     try:
-        for base, tag in tw:
-            family = families[tag]
+        for sym in tw:
+            family, row = symbols[sym]
             nxt = {}
-            if family is calls:
-                pair = calls.get(base)
-                if pair is not None:
-                    saved.append(frame)
-                    for e, mask in frame.items():
-                        for entry, image in pair[oks[e]][mask]:
-                            nxt[entry] = nxt.get(entry, 0) | image
-            elif family is internals:
-                row = internals.get(base)
-                if row is not None:
-                    for e, mask in frame.items():
-                        image = row[mask]
-                        if image:
-                            nxt[e] = image
-            else:
-                tops = returns.get(base)
-                if tops is not None:
-                    if saved:
-                        caller = saved.pop()
-                        for e, mask in frame.items():
-                            row = tops[e]
-                            image = row[mask] if row is not None else 0
-                            if image:
-                                bit = callers[e]
-                                for c, held in caller.items():
-                                    if held & bit:
-                                        nxt[c] = nxt.get(c, 0) | image
-                    elif frame:
-                        row = tops[0]
-                        image = row[frame[0]] if row is not None else 0
-                        if image:
-                            nxt[0] = image
+            if family is call:
+                saved.append(frame)
+                for e, mask in frame.items():
+                    for entry, image in row[oks[e]][mask]:
+                        nxt[entry] = nxt.get(entry, 0) | image
+            elif family is internal:
+                for e, mask in frame.items():
+                    image = row[mask]
+                    if image:
+                        nxt[e] = image
+            elif saved:
+                caller = saved.pop()
+                for e, mask in frame.items():
+                    image = row[e][mask]
+                    if image:
+                        bit = callers[e]
+                        for c, held in caller.items():
+                            if held & bit:
+                                nxt[c] = nxt.get(c, 0) | image
+            else:  # the bottom frame, whose only entry is 0, reads the bottom in place
+                image = row[0][frame[0]]
+                if image:
+                    nxt[0] = image
             if not nxt:
-                # the rows hold alphabet letters only, so a letter outside
-                # it has left the frame empty here
-                _check_symbol(m, base, tag)
                 return False
             frame = nxt
     except KeyError:
-        # `families` holds the three Tags only: a tag that equals none
-        _check_symbol(m, base, tag)
+        # the rows hold every tagged letter of the alphabet: sym is at fault
+        _check_symbol(m, *sym)
         raise
     accepts = rows.accepts
     return any(mask & accepts and oks[e] for e, mask in frame.items())
@@ -746,7 +734,7 @@ def machine_accepts(m, tw: TaggedWord) -> bool:
     where it ends."""
     if isinstance(m, (Fsa, Vpa)):
         state, stack, reason = _vpa_end(m, tw)
-        return reason is None and state in m.accepts and _stack_ok(stack, m._run_rows.acceptable)
+        return reason is None and state in m.accepts and _stack_ok(stack, m._rows.acceptable)
     if isinstance(m, Nvpa):
         return nvpa_run(m, tw)
     raise TypeError(f"cannot run words on a {type(m).__name__}")

@@ -17,6 +17,10 @@ seeded random FSAs and their twins read back from their documents
 against the reference VPA run of their all-internal VPA reading, over
 the same kinds of words, and `fsa_run` against a walk of the FSA's table
 over every plain word of length <= 3 that may hold an outside letter;
+runs `vpa_run` and `machine_accepts` the same way on a VPA whose states
+0 and 1, pushable True and bottom False are equal by value across kinds,
+and on its twin, where a result whose repr differs from the reference's
+(a state 1 reported as True) counts as a disagreement;
 checks that each of the six VPL closures of those VPAs, their shuffle
 with a random FSA and their images under an identity and a
 non-functional relabeling equal canonicalize of the whole machine its
@@ -57,6 +61,7 @@ from oracles import (  # noqa: E402
     gluing_inputs,
     group_letters,
     identity_relabeling,
+    mixed_label_vpa,
     nvpa_from_vpa,
     random_fsa,
     random_vpa,
@@ -91,12 +96,14 @@ def outcome(f, *args):
 def vpa_disagreement(m, tw, reference=None) -> str | None:
     """What vpa_run (traced or not) or machine_accepts answers differently
     on m from the reference VPA run on tw of `reference` (m itself, if
-    None), if anything."""
+    None), if anything.  Answers that are equal but differ in repr
+    disagree too: a label of another type (True for the state 1) is
+    equal to the right one."""
     reference = m if reference is None else reference
     for trace in (False, True):
         got, want = outcome(vpa_run, m, tw, trace), outcome(reference_vpa_run, reference, tw, trace)
-        if got != want:
-            return f"vpa_run(record_trace={trace}) gives {got}, the reference {want}"
+        if got != want or repr(got) != repr(want):
+            return f"vpa_run(record_trace={trace}) gives {got!r}, the reference {want!r}"
     want = outcome(lambda: reference_vpa_run(reference, tw).accepted)
     got = outcome(machine_accepts, m, tw)
     return None if got == want else f"machine_accepts gives {got}, the reference {want}"
@@ -194,6 +201,14 @@ def main() -> int:
                 print(f"reg_{name} differs from its NFA reference on {args}")
                 return 1
             built += 1
+    mixed = mixed_label_vpa()
+    for twin in (mixed, loads(dumps(mixed))):
+        for tw in vpa_words + bad_tags:
+            problem = vpa_disagreement(twin, tw)
+            if problem is not None:
+                print(f"on the VPA with labels equal across kinds and {tw}, {problem}")
+                return 1
+            runs += 1
     for spec in SPEC_KINDS:
         rng = random.Random(type(spec).__name__)
         rec = build_recognizer(spec).automaton

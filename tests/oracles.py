@@ -169,6 +169,17 @@ def astar_bstar_fsa() -> Fsa:
     return Fsa(("a", "b"), {"s0", "s1", "s2", "sf"}, "s0", {"s0", "s1", "s2"}, delta)
 
 
+def mixed_label_vpa() -> Vpa:
+    """A Vpa whose labels are equal by value across kinds: the states 0
+    and 1, the pushable True (== 1) and the bottom False (== 0)."""
+    return Vpa(
+        ("a", "b"), {0, 1}, {True}, False, 1, {0}, {True},
+        delta_c={(0, "a"): (1, True), (1, "a"): (0, True)},
+        delta_i={(0, "b"): 1, (1, "b"): 0},
+        delta_r={(0, "a", True): 1, (1, "a", True): 0, (0, "b", False): 0, (1, "b", False): 1},
+    )
+
+
 def nfa_run(m: Nfa, word) -> bool:
     current = _eps_closure(m, m.initials)
     for sym in word:

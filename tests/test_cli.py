@@ -18,7 +18,7 @@ from nestword.groups import (
 )
 from nestword.machines import vpa_run
 from nestword.words import format_word, reverse as reverse_word
-from oracles import astar_bstar_fsa, deep_walk, group_letters, random_vpa
+from oracles import astar_bstar_fsa, deep_walk, group_letters, mixed_label_vpa, random_vpa
 
 FREE1 = {"kind": "free", "n": 1}
 FREE2 = {"kind": "free", "n": 2}
@@ -124,6 +124,21 @@ def test_check_trace_on_fsa(tmp_path):
     code, out, _ = run_cli("check", "--automaton", aut, "--trace", "t")
     assert code == 1
     assert out.splitlines()[-2:] == ["note: final configuration not accepting", "reject"]
+
+
+def test_check_trace_prints_labels_as_the_file_gives_them(tmp_path):
+    # states 0 and 1 beside the stack symbol true and the bottom false
+    aut = tmp_path / "mixed.json"
+    aut.write_text(serialize.dumps(mixed_label_vpa()))
+    code, out, _ = run_cli("check", "--automaton", aut, "--trace", "b", "<a")
+    assert code == 1
+    assert out.splitlines() == [
+        "state=1 remaining=b <a stack=[False]",
+        "state=0 remaining=<a stack=[False]",
+        "state=1 remaining=ε stack=[False True]",
+        "note: final configuration not accepting",
+        "reject",
+    ]
 
 
 def test_check_trace_on_semidirect(tmp_path):

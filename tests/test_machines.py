@@ -22,6 +22,7 @@ from oracles import (
     golden_builder_machines,
     golden_closure_machines,
     golden_regular_machines,
+    mixed_label_vpa,
     nfa_run,
     nvpa_from_vpa,
     random_fsa,
@@ -585,7 +586,7 @@ def test_nvpa_stored_images_stay_under_the_cap_on_long_runs():
     for _ in range(300):
         verdicts.add(nvpa_run(n, _concat_words(m, p, rng, 150)))
     assert verdicts == {True, False}
-    assert 0 < n._summary_rows.budget.stored < machines.MAX_STORED_IMAGES
+    assert 0 < n._rows.budget.stored < machines.MAX_STORED_IMAGES
 
 
 def test_nvpa_image_rows_are_invisible():
@@ -595,11 +596,11 @@ def test_nvpa_image_rows_are_invisible():
     rng = random.Random(3)
     for _ in range(50):
         nvpa_run(n, random_walk(m, rng, 60) + random_walk(p, rng, 60))
-    assert n._summary_rows.budget.stored > 0
+    assert n._rows.budget.stored > 0
     assert n == twin and twin == n
     assert (repr(n), serialize.dumps(n)) == before
     for clone in (copy.copy(n), copy.deepcopy(n), pickle.loads(pickle.dumps(n))):
-        assert clone == n and "_summary_rows" not in vars(clone)
+        assert clone == n and "_rows" not in vars(clone)
 
 
 def test_replaced_nvpa_gets_fresh_image_rows():
@@ -609,7 +610,7 @@ def test_replaced_nvpa_gets_fresh_image_rows():
     accepted = [w for w in words if nvpa_run(n, w)]
     assert accepted
     twin = dataclasses.replace(n)
-    assert twin == n and twin._summary_rows is not n._summary_rows
+    assert twin == n and twin._rows is not n._rows
     none_accept = dataclasses.replace(n, accepts=frozenset())
     assert not any(nvpa_run(none_accept, w) for w in accepted)
 
@@ -618,10 +619,15 @@ def test_threads_sharing_an_nvpa_store_each_image_once():
     from concurrent.futures import ThreadPoolExecutor
 
     m, p, n = _concat_with_states(20)
-    rows = n._summary_rows
-    # a return row serves every entry over its symbol, so count each row once
-    distinct = {id(row): row for tops in rows.returns.values() for row in tops if row is not None}
-    tables = [*rows.internals.values(), *itertools.chain.from_iterable(rows.calls.values()), *distinct.values()]
+    rows = n._rows
+    # a return row serves every entry over its symbol, and the empty row
+    # every symbol a letter pops nothing off, so count each row once
+    distinct = {
+        id(row): row
+        for family, found in rows.symbols.values()
+        for row in ([found] if family is Tag.INTERNAL else found)
+    }
+    tables = list(distinct.values())
     compiled = sum(map(len, tables))
     rng = random.Random(13)
     words = [_concat_words(m, p, rng, 80) for _ in range(400)]
@@ -645,7 +651,7 @@ def test_nvpa_answers_do_not_depend_on_the_image_cap(cap, monkeypatch):
     for _ in range(60):
         w = random_walk(m, rng, 60) + random_walk(p, rng, 60)
         assert nvpa_run(n, w) == reference_nvpa_run(n, w)
-    assert n._summary_rows.budget.stored == cap
+    assert n._rows.budget.stored == cap
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +711,7 @@ def test_a_tag_equal_to_no_tag_raises_in_every_kernel(tag):
 def test_rows_of_a_loaded_machine_hold_one_object_per_label():
     m = serialize.loads(serialize.dumps(build_semidirect(3, 3).automaton))
     assert vpa_run(m, ()).accepted
-    rows = m._run_rows
+    rows = m._rows
     labels = [rows.initial, rows.bottom]
     for family, row in rows.symbols.values():
         for key, move in row.items():
@@ -721,6 +727,45 @@ def test_rows_of_a_loaded_machine_hold_one_object_per_label():
     for label in labels:
         assert first.setdefault(label, label) is label, label
     assert set(first) == m.states | m.stack_alphabet | {m.bottom}
+
+
+def test_runs_report_labels_equal_across_kinds_as_the_machine_gives_them():
+    # True == 1 and False == 0, and VpaRun equality cannot tell them
+    # apart, so reprs are compared: the states, stack, trace and reasons
+    m = mixed_label_vpa()
+    words = list(all_tagged_words(("a", "b"), 3))
+    for twin in (m, serialize.loads(serialize.dumps(m))):
+        run = vpa_run(twin, ())
+        assert repr((run.state, run.stack)) == "(1, (False,))"
+        run = vpa_run(twin, parse_word("<a"), record_trace=True)
+        assert repr((run.state, run.stack)) == "(0, (False, True))"
+        assert repr(run.trace[0].state) == "1"
+        for tw in words:
+            for trace in (False, True):
+                assert repr(vpa_run(twin, tw, trace)) == repr(reference_vpa_run(twin, tw, trace)), tw
+
+
+def test_an_nvpa_with_no_initials_rejects_every_word_and_raises_on_bad_symbols():
+    # its frame is empty from the start, so only the lookup of the first
+    # symbol can find fault with it, and every run dies there
+    n = dataclasses.replace(nvpa_from_vpa(random_vpa(random.Random(4), 3)), initials=frozenset())
+    words = list(all_tagged_words(("a", "b"), 3))
+    assert () in words
+    bad = {
+        TaggedSymbol("x9", Tag.CALL): "letter 'x9' not in alphabet",
+        TaggedSymbol("a", 3): "tag 3 on 'a' is not a call, internal or return tag",
+        TaggedSymbol("b", -1): "tag -1 on 'b' is not a call, internal or return tag",
+    }
+    for twin in (n, serialize.loads(serialize.dumps(n))):
+        assert not twin.initials
+        for run in (nvpa_run, machine_accepts):
+            assert not any(run(twin, tw) for tw in words)
+            for sym, text in bad.items():
+                for tw in words:
+                    with pytest.raises(ValueError, match=f"^{text}$"):
+                        run(twin, (sym,) + tw)
+                # the run dies on a well-formed first symbol, before sym
+                assert not run(twin, (TaggedSymbol("a", Tag.INTERNAL), sym))
 
 
 def _deterministic_builders() -> tuple:
@@ -739,11 +784,11 @@ def test_vpa_run_rows_are_invisible():
         words = list(all_tagged_words(m.alphabet[:3], 3))
         verdicts = [vpa_run(m, tw).accepted for tw in words]
         assert any(verdicts)
-        assert "_run_rows" in vars(m) and "_run_rows" not in vars(twin)
+        assert "_rows" in vars(m) and "_rows" not in vars(twin)
         assert m == twin and twin == m
         assert (repr(m), serialize.dumps(m)) == before
         for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
-            assert clone == m and "_run_rows" not in vars(clone)
+            assert clone == m and "_rows" not in vars(clone)
             assert [vpa_run(clone, tw).accepted for tw in words] == verdicts
 
 
@@ -754,7 +799,7 @@ def test_replaced_vpa_gets_fresh_run_rows():
         accepted = [tw for tw in words if vpa_run(m, tw).accepted]
         assert accepted
         twin = dataclasses.replace(m)
-        assert twin == m and twin._run_rows is not m._run_rows
+        assert twin == m and twin._rows is not m._rows
         none_accept = dataclasses.replace(m, accepts=frozenset())
         assert not any(machine_accepts(none_accept, tw) for tw in accepted)
         opening = [tw for tw in accepted if tw and tw[0].tag == tag]
