@@ -20,20 +20,24 @@ repeat, but two different rows for one key are an error.
 Byte contract: where `dumps(m)` succeeds it is exactly `json.dumps(doc,
 indent=2, sort_keys=True) + "\\n"` of the document, where label sets and
 transition rows are ordered by their compact JSON text (`json.dumps(value)`
-with the default separators), and the alphabet keeps the machine's order.
-The writer prints that layout itself in one pass, encoding each string
-label once per document, so parse-then-print is the identity on printed
-documents.
+with the default separators), and the alphabet keeps the machine's order,
+so parse-then-print is the identity on printed documents.  The writer
+prints that layout itself.  It encodes each string label once per
+document and each token once per letter.  When every label is a scalar,
+it prints the rows straight from the machine's tables: one string per
+row, which sorts as the row's compact text does (`_rows`), one sort, one
+join.  Tuple labels, and a pda's push words, are printed by `_printed`.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from operator import itemgetter
 
-from .machines import Fsa, Nvpa, Pda, Vpa, transition_rows
+from .machines import Fsa, Nvpa, Pda, Vpa
 from .words import Tag, parse_token
 
 
@@ -46,15 +50,13 @@ class SerializationError(ValueError):
 
 
 class _Texts(dict):
-    """label -> its compact JSON text.  String labels are encoded once per
-    document; others are encoded at each use, because labels that compare
-    equal (1, 1.0 and True) must keep their own text."""
-
-    nested = False  # set once a tuple label has been encoded
+    """label -> its compact JSON text: how a scalar label prints, and the
+    sort key of a tuple label or of a row of tuples.  String labels are
+    encoded once per document; others are encoded at each use, because
+    labels that compare equal (1, 1.0 and True) must keep their own text."""
 
     def __missing__(self, label) -> str:
         if isinstance(label, tuple):
-            self.nested = True
             return "[" + ", ".join([self[v] for v in label]) + "]"
         if isinstance(label, str):
             text = self[label] = encode_basestring_ascii(label)
@@ -84,21 +86,70 @@ def _printed(value, pad: str, texts: _Texts) -> str:
     return texts[value]
 
 
-def _rows(rows: list, texts: _Texts) -> str:
-    """Transition rows, ordered by their compact text."""
-    encode = texts.__getitem__
-    pieces = [[*map(encode, row)] for row in rows]
-    keys = ["[" + ", ".join(p) + "]" for p in pieces]
+def _rows(keys: list) -> str:
+    """The transitions field of a machine whose labels are all scalars,
+    from its rows' keys.  A row's key is its printed text with its closing
+    line cut to a bare "]".  Keys sort as the rows' compact texts do.  A
+    key differs from the compact text only in its opening, which every key
+    shares, and in what follows each "," between labels.  A comparison
+    reaches that part of one key only where the other key has a "," at
+    the same place, and then the other key is between labels too: no
+    scalar's text is a proper prefix of another's followed by ",".  The
+    "]" after the last label sorts [1, 12] before [1, 1], as compact text
+    does."""
+    if not keys:
+        return "[]"
+    keys.sort()
+    rows = [key[:-1] for key in keys]
+    rows[0] = "[\n    " + rows[0]
+    rows[-1] += "\n    ]\n  ]"
+    return "\n    ],\n    ".join(rows)
+
+
+def _printed_rows(rows: list, texts: _Texts) -> str:
+    """Transition rows that may hold a tuple label (a pda's push words are
+    tuples), ordered by their compact text."""
+    keys = [texts[row] for row in rows]
     order = sorted(range(len(rows)), key=keys.__getitem__)
-    if texts.nested:
-        printed = [_printed(rows[i], "\n    ", texts) for i in order]
-    else:  # every label is a scalar: _printed without the recursion
-        printed = ["[\n      " + ",\n      ".join(pieces[i]) + "\n    ]" for i in order]
-    return _array(printed, "\n  ")
+    return _array([_printed(rows[i], "\n    ", texts) for i in order], "\n  ")
+
+
+def _fsa_rows(m: Fsa, texts: _Texts, nested: bool) -> str:
+    if nested:
+        return _printed_rows([(q, a, dst) for (q, a), dst in m.delta.items()], texts)
+    t = texts
+    return _rows([f"[\n      {t[q]},\n      {t[a]},\n      {t[dst]}]" for (q, a), dst in m.delta.items()])
+
+
+def _vpa_rows(m, texts: _Texts, nested: bool) -> str:
+    """A Vpa's or an Nvpa's rows, the tokens' texts made once per letter."""
+    calls, internals, returns = (
+        (m.delta_c.items(), m.delta_i.items(), m.delta_r.items()) if isinstance(m, Vpa)
+        else ([(key, move) for key, moves in table.items() for move in moves]
+              for table in (m.delta_c, m.delta_i, m.delta_r))
+    )
+    if nested:
+        rows = [(q, "<" + a, dst, g) for (q, a), (dst, g) in calls]
+        rows += [(q, a, dst) for (q, a), dst in internals]
+        rows += [(q, a + ">", g, dst) for (q, a, g), dst in returns]
+        return _printed_rows(rows, texts)
+    t = texts
+    call = {a: encode_basestring_ascii("<" + a) for a in m.alphabet}
+    ret = {a: encode_basestring_ascii(a + ">") for a in m.alphabet}
+    keys = [f"[\n      {t[q]},\n      {call[a]},\n      {t[dst]},\n      {t[g]}]" for (q, a), (dst, g) in calls]
+    keys += [f"[\n      {t[q]},\n      {t[a]},\n      {t[dst]}]" for (q, a), dst in internals]
+    keys += [f"[\n      {t[q]},\n      {ret[a]},\n      {t[g]},\n      {t[dst]}]" for (q, a, g), dst in returns]
+    return _rows(keys)
 
 
 def _fields(m, texts: _Texts) -> dict:
     """Each top-level field of m's document, printed."""
+    if not isinstance(m, (Fsa, Pda, Vpa, Nvpa)):
+        raise SerializationError(f"cannot serialize {type(m).__name__}")
+    # each row label is equal to a letter, a state, a stack symbol or the
+    # bottom, and only a tuple is equal to a tuple
+    sets = (m.alphabet, m.states) if isinstance(m, Fsa) else (m.alphabet, m.states, m.stack_alphabet, (m.bottom,))
+    nested = any(isinstance(v, tuple) for v in chain.from_iterable(sets))
 
     def label(v):
         return _printed(v, "\n  ", texts)
@@ -115,10 +166,9 @@ def _fields(m, texts: _Texts) -> dict:
             "states": labels(m.states),
             "initial": label(m.initial),
             "accepts": labels(m.accepts),
-            "transitions": _rows([(q, sym, dst) for (q, sym), dst in m.delta.items()], texts),
+            "transitions": _fsa_rows(m, texts, nested),
         }
     if isinstance(m, Pda):
-        rows = [(q, sym, g, dst, push) for (q, sym, g), (dst, push) in m.delta.items()]
         return {
             "alphabet": alphabet(),
             "states": labels(m.states),
@@ -126,35 +176,34 @@ def _fields(m, texts: _Texts) -> dict:
             "initial": label(m.initial),
             "bottom": label(m.bottom),
             "accepts": labels(m.accepts),
-            "transitions": _rows(rows, texts),
+            "transitions": _printed_rows([(q, a, g, dst, push) for (q, a, g), (dst, push) in m.delta.items()], texts),
         }
-    if isinstance(m, (Vpa, Nvpa)):
-        calls, internals, returns = transition_rows(m)
-        rows = [(q, "<" + base, dst, g) for q, base, dst, g in calls]
-        rows += internals
-        rows += [(q, base + ">", g, dst) for q, base, g, dst in returns]
-        fields = {
-            "alphabet": alphabet(),
-            "states": labels(m.states),
-            "stack_alphabet": labels(m.stack_alphabet),
-            "bottom": label(m.bottom),
-            "accepts": labels(m.accepts),
-            "accept_stack": labels(m.accept_stack),
-            "transitions": _rows(rows, texts),
-        }
-        if isinstance(m, Vpa):
-            fields["initial"] = label(m.initial)
-        else:
-            fields["initials"] = labels(m.initials)
-        return fields
-    raise SerializationError(f"cannot serialize {type(m).__name__}")
+    fields = {
+        "alphabet": alphabet(),
+        "states": labels(m.states),
+        "stack_alphabet": labels(m.stack_alphabet),
+        "bottom": label(m.bottom),
+        "accepts": labels(m.accepts),
+        "accept_stack": labels(m.accept_stack),
+        "transitions": _vpa_rows(m, texts, nested),
+    }
+    if isinstance(m, Vpa):
+        fields["initial"] = label(m.initial)
+    else:
+        fields["initials"] = labels(m.initials)
+    return fields
 
 
 def dumps(m) -> str:
     texts = _Texts()
     fields = _fields(m, texts)
     fields["kind"] = texts[m.kind]
-    return "{\n" + ",\n".join(f'  "{name}": {fields[name]}' for name in sorted(fields)) + "\n}\n"
+    parts = []
+    for name in sorted(fields):
+        parts += (',\n  "', name, '": ', fields[name])
+    parts[0] = '{\n  "'
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -189,16 +238,14 @@ def _alphabet(values) -> tuple:
     return tuple(map(_label, _array_of(values)))
 
 
-def _row_arrays(rows) -> list:
-    """The transition rows, each a JSON array, with array labels as tuples.
-    Each check runs once over the whole document."""
+def _row_arrays(rows, tuples: bool) -> list:
+    """The transition rows, each a JSON array, checked once over the whole
+    document; with `tuples`, their array labels become tuples."""
     rows = _array_of(rows)
     if not {*map(type, rows)} <= {list}:
         bad = next(row for row in rows if type(row) is not list)
         raise TypeError(f"transition row {bad!r} is not an array")
-    try:
-        hash(tuple(map(tuple, rows)))  # fails only on an array or object label
-    except TypeError:
+    if tuples:
         rows = [[_tuple(v) if type(v) is list else v for v in row] if list in map(type, row) else row for row in rows]
     return rows
 
@@ -230,8 +277,8 @@ def _deterministic(moves: list, kind: str) -> dict:
     return table
 
 
-def _fsa_delta(rows) -> dict:
-    rows = _row_arrays(rows)
+def _fsa_delta(rows, tuples: bool) -> dict:
+    rows = _row_arrays(rows, tuples)
     delta = {(q, sym): dst for q, sym, dst in rows}
     if len(delta) < len(rows):  # a key repeats: a conflict, or rows that repeat
         delta = _deterministic([((q, sym), dst) for q, sym, dst in rows], "fsa")
@@ -240,19 +287,19 @@ def _fsa_delta(rows) -> dict:
 
 def _pda_delta(rows) -> dict:
     moves = []
-    for q, sym, g, dst, push in _row_arrays(rows):
+    for q, sym, g, dst, push in _row_arrays(rows, True):  # every push word is an array
         if type(push) is not tuple:
             raise TypeError(f"push word {push!r} is not an array")
         moves.append(((q, sym, g), (_label(dst), _label(push))))
     return _deterministic(moves, "pda")
 
 
-def _vpa_deltas(rows, single: bool) -> tuple:
+def _vpa_deltas(rows, single: bool, tuples: bool) -> tuple:
     """Call, internal and return tables, built a token at a time.  A
     `single` (vpa) table maps each key to its one target, and a second,
     different target is an error; an nvpa table maps each key to a set of
     targets."""
-    rows = _row_arrays(rows)
+    rows = _row_arrays(rows, tuples)
     tokens = [*map(itemgetter(1), rows)]
     if not {*map(type, tokens)} <= {str}:
         bad = next(token for token in tokens if type(token) is not str)
@@ -287,7 +334,9 @@ def _vpa_deltas(rows, single: bool) -> tuple:
     return delta_c, delta_i, delta_r
 
 
-def _machine(doc: dict):
+def _machine(doc: dict, tuples: bool):
+    """The machine doc describes; with `tuples`, array labels in its rows
+    are read as tuples."""
     kind = doc["kind"]
     if kind == "fsa":
         return Fsa(
@@ -295,7 +344,7 @@ def _machine(doc: dict):
             states=_field(doc, "states", _labels),
             initial=_field(doc, "initial"),
             accepts=_field(doc, "accepts", _labels),
-            delta=_field(doc, "transitions", _fsa_delta),
+            delta=_field(doc, "transitions", lambda rows: _fsa_delta(rows, tuples)),
         )
     if kind == "pda":
         return Pda(
@@ -309,7 +358,7 @@ def _machine(doc: dict):
         )
     if kind in ("vpa", "nvpa"):
         single = kind == "vpa"
-        delta_c, delta_i, delta_r = _field(doc, "transitions", lambda rows: _vpa_deltas(rows, single))
+        delta_c, delta_i, delta_r = _field(doc, "transitions", lambda rows: _vpa_deltas(rows, single, tuples))
         common = dict(
             alphabet=_field(doc, "alphabet", _alphabet),
             states=_field(doc, "states", _labels),
@@ -335,7 +384,14 @@ def from_doc(doc: dict):
     except (TypeError, KeyError):
         raise SerializationError("document has no 'kind' field") from None
     try:
-        return _machine(doc)
+        try:
+            return _machine(doc, False)
+        except (TypeError, ValueError):
+            # A row label is hashed or looked up in a label set, so a row
+            # that holds an array fails above.  Reading the rows again with
+            # array labels as tuples loads such a document or names its
+            # fault; documents with no array in their rows skip that pass.
+            return _machine(doc, True)
     except SerializationError:
         raise
     except RecursionError:  # _tuple on a label nested deeper than Python recurses

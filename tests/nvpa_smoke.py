@@ -33,8 +33,14 @@ and `annotate_word` against the reference reduction on seeded words of
 a free, a finite, a direct and a semidirect product group, some trivial,
 some holding a letter outside the alphabet, and runs each tagging and a
 one-tag flip of it through the group's VPA by `vpa_run` and
-`machine_accepts` against the reference; then checks that the golden
-closure, builder and regular machines dump to the pinned digests.
+`machine_accepts` against the reference; checks that `dumps` prints
+seeded machines labelled with numbers whose texts extend one another, with
+strings holding ", ", "]", a quote or a backslash, with pairs, and with
+labels equal to a state but of another type (1.0 and True for 1), and the
+VPA above, as the reference writer does, that `loads` reads each document
+back as the reference reader does, and that `dumps` of what it reads is
+the document again; then checks that the golden closure, builder and
+regular machines dump to the pinned digests.
 Exits 1 on the first disagreement.  Run under two PYTHONHASHSEED values,
 it also shows that no canonical name depends on hashing.
 """
@@ -68,13 +74,16 @@ from oracles import (  # noqa: E402
     random_walk,
     reference_annotate_word,
     reference_build_product,
+    reference_dumps,
     reference_fsa_run,
     reference_is_identity,
+    reference_loads,
     reference_nvpa_run,
     reference_relabel_image,
     reference_shuffle,
     reference_vpa_from_fsa,
     reference_vpa_run,
+    tricky_label_machines,
     trivial_word,
 )
 
@@ -107,6 +116,18 @@ def vpa_disagreement(m, tw, reference=None) -> str | None:
     want = outcome(lambda: reference_vpa_run(reference, tw).accepted)
     got = outcome(machine_accepts, m, tw)
     return None if got == want else f"machine_accepts gives {got}, the reference {want}"
+
+
+def serialize_disagreement(m) -> str | None:
+    """Where dumps or loads differs from the reference writer or reader on
+    m, or printing what loads reads changes the text, if anywhere."""
+    text = dumps(m)
+    if text != reference_dumps(m):
+        return "dumps differs from the reference"
+    got, want = loads(text), reference_loads(text)
+    if type(got) is not type(want) or got != want:
+        return "loads differs from the reference"
+    return None if dumps(got) == text else "dumps of what loads reads differs from the document"
 
 
 def group_disagreement(spec, rec, word) -> str | None:
@@ -143,7 +164,7 @@ def main() -> int:
     fsa_words += [tw + (TaggedSymbol(base, tag),) for tw in all_tagged_words(("c", "d"), 2)
                   for base in ("c", "x9") for tag in (3, -1)]
     plain_words = [w for n in range(4) for w in itertools.product(("c", "d", "x9"), repeat=n)]
-    runs = accepted = built = 0
+    runs = accepted = built = documents = 0
     for seed in range(30):
         rng = random.Random(seed)
         m = random_vpa(rng, 1 + seed % 5, n_stack=1 + seed % 3)
@@ -225,6 +246,13 @@ def main() -> int:
                 print(f"{type(spec).__name__}: on {word}, {problem}")
                 return 1
             runs += 1
+    for seed in range(200):
+        for m in [*tricky_label_machines(random.Random(seed)), mixed]:
+            problem = serialize_disagreement(m)
+            if problem is not None:
+                print(f"seed {seed}: on {m!r}, {problem}")
+                return 1
+            documents += 1
     for spec in PRODUCT_SPECS:
         if dumps(build_recognizer(spec).automaton) != dumps(reference_build_product(spec).automaton):
             print(f"{type(spec).__name__}(n={spec.n}): the product builder differs from its reference")
@@ -241,7 +269,8 @@ def main() -> int:
             return 1
     print(
         f"Python {sys.version.split()[0]}: {runs} runs and words agree ({accepted} NVPA runs accepted); "
-        f"{built} closures and builders equal their references; golden digests match"
+        f"{built} closures and builders equal their references; {documents} documents print and read "
+        f"as the reference's; golden digests match"
     )
     return 0
 

@@ -276,6 +276,43 @@ def random_fsa(rng: random.Random, n_states=3, alphabet=("c", "d"), density=0.85
     return Fsa(alphabet, states, states[0], accepts, delta)
 
 
+# labels whose texts stress the JSON writer's row order and escaping:
+# numbers whose texts extend one another, so that in compact text "]"
+# meets a digit, "." or "e" at the end of a row, and strings that hold
+# ", ", "]", a quote or a backslash
+TRICKY_LABELS = [1, 12, 1.5, -1, -12, 1e16, 0, ", ", "]", "\\", "a, b]", "[1, 12]", '"']
+# labels equal to a tricky number, of another type, each printed as itself
+EQUAL_LABELS = {1: [1.0, True], 0: [0.0, -0.0, False], 12: [12.0]}
+
+
+def tricky_label_machines(rng: random.Random) -> list:
+    """A seeded Vpa, an Nvpa and an Fsa labelled from TRICKY_LABELS and, at
+    random, pairs.  Some moves of the Vpa target a state through an
+    EQUAL_LABELS label, and the Nvpa has several targets per key, so its
+    rows differ in their last label only."""
+    pool = TRICKY_LABELS + ([("p", ", "), ("p",)] if rng.random() < 0.3 else [])
+    m = random_vpa(rng, 1 + rng.randrange(6), n_stack=1 + rng.randrange(3))
+    names = dict(zip(sorted(m.states), rng.sample(pool, len(m.states))))
+    stack = sorted(m.stack_alphabet) + [m.bottom]
+    m = rename_machine(m, names, dict(zip(stack, rng.sample(pool, len(stack)))))
+
+    def retyped(table: dict) -> dict:
+        return {key: rng.choice([dst, *EQUAL_LABELS.get(dst, ())]) for key, dst in table.items()}
+
+    m = dataclasses.replace(m, delta_i=retyped(m.delta_i), delta_r=retyped(m.delta_r))
+    states = list(names.values())
+    n = nvpa_from_vpa(m)
+    n = dataclasses.replace(
+        n, delta_i={key: dsts | set(rng.sample(states, rng.randrange(len(states) + 1)))
+                    for key, dsts in n.delta_i.items()})
+    letters = (("c", 1), ("c", "]")) if rng.random() < 0.3 else ("c", "d")
+    r = random_fsa(rng, 1 + rng.randrange(4), alphabet=letters)
+    rename = dict(zip(sorted(r.states), rng.sample(pool, len(r.states)))).__getitem__
+    r = Fsa(r.alphabet, map(rename, r.states), rename(r.initial), map(rename, r.accepts),
+            {(rename(q), a): rename(dst) for (q, a), dst in r.delta.items()})
+    return [m, n, r]
+
+
 def random_nfa(rng: random.Random, n_states=3, alphabet=("c", "d"), density=0.4) -> Nfa:
     """An Nfa on states s0, s1, ...: each move, epsilon moves included,
     drawn with probability `density`; initials and accepts may be empty."""

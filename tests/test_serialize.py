@@ -17,6 +17,7 @@ from oracles import (
     random_vpa,
     reference_dumps,
     reference_loads,
+    tricky_label_machines,
 )
 from nestword import serialize
 from nestword.cli import main as cli_main
@@ -152,6 +153,15 @@ def test_dumps_names_a_nan_or_infinite_label(bad):
             serialize.dumps(m)
 
 
+def _round_trips_as_the_reference(m) -> str:
+    text = serialize.dumps(m)
+    assert text == reference_dumps(m)
+    got = serialize.loads(text)
+    assert got == reference_loads(text) == m
+    assert serialize.dumps(got) == text
+    return text
+
+
 def test_dumps_matches_the_reference_on_seeded_machines():
     rng = random.Random(5)
     pairs = Fsa((("a", "a"), ("a", "b")), {"p"}, "p", {"p"}, {("p", ("a", "a")): "p", ("p", ("a", "b")): "p"})
@@ -162,9 +172,44 @@ def test_dumps_matches_the_reference_on_seeded_machines():
         m = random_vpa(rng, 1 + rng.randrange(6), n_stack=1 + rng.randrange(3))
         ms += [m, nvpa_from_vpa(m), random_fsa(rng, 1 + rng.randrange(4))]
     for m in ms:
-        text = serialize.dumps(m)
-        assert text == reference_dumps(m)
-        assert serialize.loads(text) == reference_loads(text) == m
+        _round_trips_as_the_reference(m)
+
+
+def test_dumps_orders_rows_that_differ_in_their_last_label_as_the_reference():
+    # in compact text "]" sorts after a digit and ".", before "e": the row
+    # ending in 12 comes before the one ending in 1, and 1e+16 after it
+    numbers = [1, 12, 1.5, -1, -12, 1e16]
+    m = Nvpa(("a",), set(numbers), {"g"}, "$", {1}, {12}, set(),
+             {(1, "a"): {(q, "g") for q in numbers}}, {(1, "a"): set(numbers)},
+             {(1, "a", "g"): set(numbers), (1, "a", "$"): set(numbers)})
+    text = _round_trips_as_the_reference(m)
+    internals = [row for row in json.loads(text)["transitions"] if row[1] == "a"]
+    assert [row[2] for row in internals] == [-12, -1, 1.5, 12, 1, 1e16]
+
+
+def test_dumps_prints_each_row_with_its_own_label_objects():
+    # 1.0 and True are equal to the state 1 but print as themselves
+    m = Vpa(("a", "b"), {1, 2}, {"g"}, "$", 1, {2}, set(),
+            {(1, "b"): (True, "g")}, {(1, "a"): 1.0, (2, "a"): True}, {(2, "b", "g"): 1.0, (1, "b", "$"): 2})
+    text = _round_trips_as_the_reference(m)
+    assert "1.0" in text and "true" in text
+
+
+def test_dumps_matches_the_reference_on_tricky_labels():
+    for seed in range(100):
+        for m in tricky_label_machines(random.Random(seed)):
+            _round_trips_as_the_reference(m)
+
+
+def test_dumps_prints_string_and_tuple_labels_as_the_reference():
+    strings = Vpa(("a", "b"), {", ", "]", "\\", "a, b]"}, {"g, h", "]\\"}, ", ", "]", {"\\"}, {"]\\"},
+                  {("]", "a"): ("a, b]", "g, h"), (", ", "a"): ("\\", "]\\")},
+                  {("\\", "b"): ", ", ("a, b]", "b"): "]"},
+                  {("a, b]", "b", "g, h"): "\\", (", ", "a", ", "): "]", ("]", "b", "]\\"): "a, b]"})
+    pairs = Fsa((("a", 1), ("a", "]")), {("p", ", "), ("q",), "r"}, ("q",), {"r"},
+                {(("q",), ("a", 1)): ("p", ", "), (("p", ", "), ("a", "]")): "r", ("r", ("a", 1)): "r"})
+    for m in (strings, pairs):
+        _round_trips_as_the_reference(m)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +345,23 @@ ROW_ERRORS = [
 def test_loads_names_the_faulty_row(doc, rows, message):
     with pytest.raises(serialize.SerializationError) as error:
         serialize.loads(json.dumps({**doc, "transitions": rows}))
+    assert str(error.value) == message
+
+
+# (document, its rows, the whole message of the error): an array label that
+# no label set holds, reported as the tuple it reads as
+ARRAY_LABEL_ERRORS = [
+    (VPA, [["p", "a", ["q"]]], "invalid vpa document: transition into unknown state ('q',)"),
+    (VPA, [[["p"], "a", "q"]], "invalid vpa document: bad internal transition (('p',), 'a')"),
+    (FSA, [["p", "a", ["q"]]], "invalid fsa document: transition ('p','a')->('q',) leaves state set"),
+    (NVPA, [["p", "<a", "q", ["g"]]], "invalid nvpa document: call pushes unknown symbol ('g',)"),
+]
+
+
+@pytest.mark.parametrize("doc, rows, message", ARRAY_LABEL_ERRORS)
+def test_loads_names_an_array_label_no_set_holds(doc, rows, message):
+    with pytest.raises(serialize.SerializationError) as error:
+        serialize.loads(json.dumps({**doc, "transitions": [["p", "b", "q"], *rows]}))
     assert str(error.value) == message
 
 
