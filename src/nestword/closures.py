@@ -39,7 +39,6 @@ from .machines import (
     add_move,
     reached_fsa,
     reached_vpa,
-    vpa_lookup,
 )
 from .words import Tag, TaggedSymbol, TaggedWord, all_plain_words
 
@@ -174,13 +173,14 @@ def _anything(_) -> bool:
     return True
 
 
-# A Vpa as reached_vpa reads it: its moves as lookups on a key's parts.
+# A Vpa as the Boolean closures read it: each table as a getter from a
+# key to its one move, or None where the view has none.
 _Lookups = namedtuple("_Lookups", "initial bottom calls internals returns accepting acceptable")
 
 
 def _as_is(m: Vpa) -> _Lookups:
     return _Lookups(
-        m.initial, m.bottom, vpa_lookup(m.delta_c), vpa_lookup(m.delta_i), vpa_lookup(m.delta_r),
+        m.initial, m.bottom, m.delta_c.get, m.delta_i.get, m.delta_r.get,
         m.accepts.__contains__, m.accept_stack.__contains__,
     )
 
@@ -190,22 +190,22 @@ def _state_only(m: Vpa) -> _Lookups:
     `_DEAD`, which accepts nothing, moves only to itself and pushes `_DEAD`,
     an acceptable symbol.  States and pushed symbols carry the flag of
     `_flagged_call`, and the bottom is (m.bottom,), which no flagged symbol
-    (g, ok) equals."""
+    (g, ok) equals.  Every key has a move."""
     i, r = m.delta_i.get, m.delta_r.get
     bottom = (m.bottom,)
 
-    def calls(state, a) -> tuple:
-        q, ok = state
-        return (_flagged_call(m, q, ok, a) or ((_DEAD, ok), (_DEAD, ok)),)
+    def calls(key) -> tuple:
+        (q, ok), a = key
+        return _flagged_call(m, q, ok, a) or ((_DEAD, ok), (_DEAD, ok))
 
-    def internals(state, a) -> tuple:
-        q, ok = state
-        return ((i((q, a), _DEAD), ok),)
+    def internals(key) -> tuple:
+        (q, ok), a = key
+        return i((q, a), _DEAD), ok
 
-    def returns(state, a, top) -> tuple:
-        q, ok = state
+    def returns(key) -> tuple:
+        (q, ok), a, top = key
         g, ok = (m.bottom, ok) if top == bottom else top
-        return ((r((q, a, g), _DEAD), ok),)
+        return r((q, a, g), _DEAD), ok
 
     return _Lookups(
         (m.initial, True), bottom, calls, internals, returns,
@@ -213,32 +213,39 @@ def _state_only(m: Vpa) -> _Lookups:
     )
 
 
+def _state_only_cached(m: Vpa) -> _Lookups:
+    """`_state_only(m)`, each move computed once per key: the pair states
+    of a product share their states."""
+    v = _state_only(m)
+    return v._replace(
+        calls=functools.cache(v.calls), internals=functools.cache(v.internals), returns=functools.cache(v.returns)
+    )
+
+
 def _vpa_product(m1: Vpa, m2: Vpa, view, keep) -> Vpa:
     """The reachable product of `view` of each input: a move exists where
-    both views have one (each has at most one, cached per key, as pair
-    states share states).  A pair state accepts when `keep` does on its
-    two verdicts; a stack pair is acceptable when both symbols are."""
+    both views have one.  A pair state accepts when `keep` does on its two
+    verdicts; a stack pair is acceptable when both symbols are."""
     alphabet = _require_same_alphabet(m1, m2)
     v1, v2 = view(m1), view(m2)
-    c1, i1, r1, c2, i2, r2 = map(
-        functools.cache, (v1.calls, v1.internals, v1.returns, v2.calls, v2.internals, v2.returns)
-    )
+    c1, i1, r1, c2, i2, r2 = v1.calls, v1.internals, v1.returns, v2.calls, v2.internals, v2.returns
 
     def calls(state, a) -> tuple:
         p, q = state
-        for (d1, g1), (d2, g2) in zip(c1(p, a), c2(q, a)):
-            return (((d1, d2), (g1, g2)),)
-        return ()
+        move1, move2 = c1((p, a)), c2((q, a))
+        if move1 is None or move2 is None:
+            return ()
+        return (((move1[0], move2[0]), (move1[1], move2[1])),)
 
     def internals(state, a) -> tuple:
         p, q = state
-        d1, d2 = i1(p, a), i2(q, a)
-        return ((d1[0], d2[0]),) if d1 and d2 else ()
+        d1, d2 = i1((p, a)), i2((q, a))
+        return () if d1 is None or d2 is None else ((d1, d2),)
 
     def returns(state, a, top) -> tuple:
         (p, q), (g1, g2) = state, top
-        d1, d2 = r1(p, a, g1), r2(q, a, g2)
-        return ((d1[0], d2[0]),) if d1 and d2 else ()
+        d1, d2 = r1((p, a, g1)), r2((q, a, g2))
+        return () if d1 is None or d2 is None else ((d1, d2),)
 
     return reached_vpa(
         Vpa, alphabet, ((v1.initial, v2.initial),), (v1.bottom, v2.bottom), calls, internals, returns,
@@ -250,7 +257,7 @@ def _vpa_product(m1: Vpa, m2: Vpa, view, keep) -> Vpa:
 def vpl_union(m1: Vpa, m2: Vpa) -> Vpa:
     """Both machines run to the end of every word, so each is completed;
     each accepts by state alone, so a pair accepts when either side does."""
-    return _vpa_product(m1, m2, _state_only, lambda a, b: a or b)
+    return _vpa_product(m1, m2, _state_only_cached, lambda a, b: a or b)
 
 
 def vpl_intersection(m1: Vpa, m2: Vpa) -> Vpa:
@@ -264,7 +271,8 @@ def vpl_complement(m: Vpa) -> Vpa:
     """m completed and accepting by state alone, its accept states swapped."""
     v = _state_only(m)
     return reached_vpa(
-        Vpa, m.alphabet, (v.initial,), v.bottom, v.calls, v.internals, v.returns,
+        Vpa, m.alphabet, (v.initial,), v.bottom, lambda q, a: (v.calls((q, a)),),
+        lambda q, a: (v.internals((q, a)),), lambda q, a, top: (v.returns((q, a, top)),),
         lambda q: not v.accepting(q), v.acceptable,
     )
 
@@ -285,7 +293,11 @@ def _glued(followed, step):
     inputs (`followed`): a key's choices are what `step` gives each run."""
 
     def choices(state, *rest):
-        return _in_repr_order({step(run, *rest) for run in followed(state)})
+        runs = followed(state)
+        if len(runs) == 1:
+            move = step(runs[0], *rest)
+            return () if move is None else (move,)
+        return _in_repr_order({step(run, *rest) for run in runs})
 
     return choices
 
@@ -538,7 +550,7 @@ def vpa_is_empty(m: Vpa) -> bool:
 def vpl_equivalent(m1: Vpa, m2: Vpa) -> bool:
     """Is L(m1) = L(m2)?  Decided exactly as emptiness of the product that
     accepts where exactly one side does."""
-    return vpa_is_empty(_vpa_product(m1, m2, _state_only, lambda a, b: a != b))
+    return vpa_is_empty(_vpa_product(m1, m2, _state_only_cached, lambda a, b: a != b))
 
 
 # ---------------------------------------------------------------------------

@@ -747,7 +747,7 @@ def fsa_run(m: Fsa, word: Iterable) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# transition rows, shared by Vpa and Nvpa
+# set-valued transition tables
 
 
 def add_move(table: dict, key, value) -> None:
@@ -755,25 +755,16 @@ def add_move(table: dict, key, value) -> None:
     table.setdefault(key, set()).add(value)
 
 
-def transition_rows(m) -> tuple:
-    """The transitions of a Vpa or Nvpa as (calls, internals, returns), one
-    row per choice: calls (src, base, dst, pushed), internals (src, base,
-    dst), returns (src, base, top, dst)."""
-    if isinstance(m, Vpa):
-        return (
-            ((q, b, dst, g) for (q, b), (dst, g) in m.delta_c.items()),
-            ((q, b, dst) for (q, b), dst in m.delta_i.items()),
-            ((q, b, g, dst) for (q, b, g), dst in m.delta_r.items()),
-        )
-    return (
-        ((q, b, dst, g) for (q, b), moves in m.delta_c.items() for dst, g in moves),
-        ((q, b, dst) for (q, b), dsts in m.delta_i.items() for dst in dsts),
-        ((q, b, g, dst) for (q, b, g), dsts in m.delta_r.items() for dst in dsts),
-    )
-
-
 # ---------------------------------------------------------------------------
 # canonical relabeling (deterministic names, reachable part only)
+
+
+class _Names(dict):
+    """state -> its name, q0, q1, ... in the order states are first looked up."""
+
+    def __missing__(self, state) -> str:
+        name = self[state] = f"q{len(self)}"
+        return name
 
 
 def reached_vpa(cls, alphabet, initials, bottom, calls, internals, returns, accepting, acceptable):
@@ -796,9 +787,19 @@ def reached_vpa(cls, alphabet, initials, bottom, calls, internals, returns, acce
     pushed g, never the language.  Every set the search walks is an
     insertion-ordered dict, so no name depends on hashing.  `accepting`
     and `acceptable` are the predicates on states and pushed symbols.
+
+    The visiting order is part of the contract: canonical names, and so
+    every printed document and golden digest, depend on the order in which
+    the search meets states, stack symbols and moves, and any change to it
+    is a change of every output.  The worklist is first in, first out, and
+    a waiting state that gains a top keeps its place.  An expansion looks
+    up the letters in alphabet order, each letter's internal moves before
+    its calls, then returns top by top in the order the tops were found;
+    a key's choices are named in the order the lookup gives them.
     """
     single = cls is Vpa
-    names: dict = {}  # state -> its name
+    names = _Names()  # state -> its name
+    name = names.__getitem__
     syms: dict = {bottom: "$"}  # stack symbol -> its name
     moves: dict = {}  # state -> (internal targets, pushed symbols)
     under: dict = {}  # pushed symbol -> tops found directly beneath it
@@ -809,25 +810,40 @@ def reached_vpa(cls, alphabet, initials, bottom, calls, internals, returns, acce
     delta_i: dict = {}
     delta_r: dict = {}
 
-    def name(state) -> str:
-        found = names.get(state)
-        if found is None:
-            found = names[state] = f"q{len(names)}"
-        return found
+    def reach(state, top) -> None:
+        """`state` reached with `top`."""
+        known = tops_of.get(state)
+        if known is None:
+            tops_of[state] = {top: None}
+            pending[state] = {top: None}
+        elif top not in known:
+            known[top] = None
+            waiting = pending.get(state)
+            if waiting is None:
+                pending[state] = {top: None}
+            else:
+                waiting[top] = None
 
-    def reach(state, tops) -> None:
-        known = tops_of.setdefault(state, {})
-        fresh = {top: None for top in tops if top not in known}
-        if fresh:
-            known.update(fresh)
-            pending.setdefault(state, {}).update(fresh)
-
-    def store(table: dict, key, named: list) -> None:
-        table[key] = named[0] if single else named
+    def reach_all(state, tops: dict) -> None:
+        """`state` reached with each of `tops`, which is never empty."""
+        known = tops_of.get(state)
+        if known is None:
+            tops_of[state] = tops.copy()
+            pending[state] = tops.copy()
+            return
+        waiting = None
+        for top in tops:
+            if top not in known:
+                known[top] = None
+                if waiting is None:
+                    waiting = pending.get(state)
+                    if waiting is None:
+                        waiting = pending[state] = {}
+                waiting[top] = None
 
     for q in initials:
-        name(q)
-        reach(q, (bottom,))
+        names[q]
+        reach(q, bottom)
     while pending:
         state = next(iter(pending))
         tops = pending.pop(state)
@@ -837,42 +853,50 @@ def reached_vpa(cls, alphabet, initials, bottom, calls, internals, returns, acce
             for a in alphabet:
                 dsts = internals(state, a)
                 if dsts:
-                    store(delta_i, (src, a), [name(dst) for dst in dsts])
-                    targets.extend(dsts)
+                    delta_i[src, a] = names[dsts[0]] if single else frozenset(map(name, dsts))
+                    targets += dsts
                 choices = calls(state, a)
                 if choices:
                     named = []
                     for dst, pushed in choices:
-                        if pushed not in syms:
-                            syms[pushed] = f"g{len(syms) - 1}"
+                        sym = syms.get(pushed)
+                        if sym is None:
+                            sym = syms[pushed] = f"g{len(syms) - 1}"
                             under[pushed], exits[pushed] = {}, {}
-                        named.append((name(dst), syms[pushed]))
+                        named.append((names[dst], sym))
                         pushes.append(pushed)
-                        reach(dst, (pushed,))
-                    store(delta_c, (src, a), named)
+                        reach(dst, pushed)
+                    delta_c[src, a] = named[0] if single else frozenset(named)
         targets, pushes = moves[state]
         for dst in targets:
-            reach(dst, tops)
+            reach_all(dst, tops)
         for pushed in pushes:
             below = under[pushed]
-            fresh = {top: None for top in tops if top not in below}
-            if fresh:
-                below.update(fresh)
+            fresh = None
+            for top in tops:
+                if top not in below:
+                    below[top] = None
+                    if fresh is None:
+                        fresh = {top: None}
+                    else:
+                        fresh[top] = None
+            if fresh is not None:
                 for dst in exits[pushed]:
-                    reach(dst, fresh)
+                    reach_all(dst, fresh)
         for top in tops:
             found = exits.get(top)  # None for the bottom, which a return reads in place
+            sym = syms[top]
             for a in alphabet:
                 dsts = returns(state, a, top)
                 if not dsts:
                     continue
-                store(delta_r, (src, a, syms[top]), [name(dst) for dst in dsts])
+                delta_r[src, a, sym] = names[dsts[0]] if single else frozenset(map(name, dsts))
                 for dst in dsts:
                     if found is None:
-                        reach(dst, (top,))
+                        reach(dst, top)
                     elif dst not in found:
                         found[dst] = None
-                        reach(dst, under[top])
+                        reach_all(dst, under[top])
 
     start = {"initial": "q0"} if single else {"initials": frozenset(map(names.get, initials))}
     return cls(

@@ -22,11 +22,12 @@ indent=2, sort_keys=True) + "\\n"` of the document, where label sets and
 transition rows are ordered by their compact JSON text (`json.dumps(value)`
 with the default separators), and the alphabet keeps the machine's order,
 so parse-then-print is the identity on printed documents.  The writer
-prints that layout itself.  It encodes each string label once per
-document and each token once per letter.  When every label is a scalar,
-it prints the rows straight from the machine's tables: one string per
-row, which sorts as the row's compact text does (`_rows`), one sort, one
-join.  Tuple labels, and a pda's push words, are printed by `_printed`.
+prints that layout itself.  It encodes each label once per document,
+floats (0.0 equals -0.0) and tuples excepted, and each token once per
+letter.  When every label is a scalar, it prints the rows straight from
+the machine's tables: one string per row, which sorts as the row's
+compact text does (`_rows`), one sort, one join.  Tuple labels, and a
+pda's push words, are printed by `_printed`.
 """
 
 from __future__ import annotations
@@ -51,20 +52,32 @@ class SerializationError(ValueError):
 
 class _Texts(dict):
     """label -> its compact JSON text: how a scalar label prints, and the
-    sort key of a tuple label or of a row of tuples.  String labels are
-    encoded once per document; others are encoded at each use, because
-    labels that compare equal (1, 1.0 and True) must keep their own text."""
+    sort key of a tuple label or of a row of tuples.  A string label's
+    text is cached under the label; an integer's, boolean's or None's in
+    `typed` under (exact type, label), because labels that compare equal
+    (1 and True) must keep their own text.  Floats are not cached, as 0.0
+    and -0.0 are equal and of one type, nor are tuples."""
+
+    def __init__(self):
+        super().__init__()
+        self.typed: dict = {}  # (type, label) -> text
 
     def __missing__(self, label) -> str:
+        text = self.typed.get((type(label), label))
+        if text is not None:
+            return text
         if isinstance(label, tuple):
             return "[" + ", ".join([self[v] for v in label]) + "]"
         if isinstance(label, str):
             text = self[label] = encode_basestring_ascii(label)
             return text
-        if isinstance(label, float) and not isfinite(label):
-            raise SerializationError(f"label {label!r} has no JSON form: NaN and infinities are not JSON")
-        if isinstance(label, (int, float)) or label is None:
+        if isinstance(label, float):
+            if not isfinite(label):
+                raise SerializationError(f"label {label!r} has no JSON form: NaN and infinities are not JSON")
             return json.dumps(label)
+        if isinstance(label, int) or label is None:
+            text = self.typed[type(label), label] = json.dumps(label)
+            return text
         raise SerializationError(
             f"label {label!r} is not JSON-serializable; canonicalize() the machine first"
         )

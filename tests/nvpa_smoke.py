@@ -39,8 +39,11 @@ strings holding ", ", "]", a quote or a backslash, with pairs, and with
 labels equal to a state but of another type (1.0 and True for 1), and the
 VPA above, as the reference writer does, that `loads` reads each document
 back as the reference reader does, and that `dumps` of what it reads is
-the document again; then checks that the golden closure, builder and
-regular machines dump to the pinned digests.
+the document again; checks that every search the VPL closures, shuffle,
+re-labelings and canonicalize make on 200 seeded cases (`search_cases`)
+names, orders and keeps exactly what the reference search does on the
+same lookups; then checks that the golden closure, builder and regular
+machines dump to the pinned digests.
 Exits 1 on the first disagreement.  Run under two PYTHONHASHSEED values,
 it also shows that no canonical name depends on hashing.
 """
@@ -83,6 +86,8 @@ from oracles import (  # noqa: E402
     reference_shuffle,
     reference_vpa_from_fsa,
     reference_vpa_run,
+    search_cases,
+    search_disagreement,
     tricky_label_machines,
     trivial_word,
 )
@@ -164,7 +169,7 @@ def main() -> int:
     fsa_words += [tw + (TaggedSymbol(base, tag),) for tw in all_tagged_words(("c", "d"), 2)
                   for base in ("c", "x9") for tag in (3, -1)]
     plain_words = [w for n in range(4) for w in itertools.product(("c", "d", "x9"), repeat=n)]
-    runs = accepted = built = documents = 0
+    runs = accepted = built = documents = searched = 0
     for seed in range(30):
         rng = random.Random(seed)
         m = random_vpa(rng, 1 + seed % 5, n_stack=1 + seed % 3)
@@ -253,6 +258,13 @@ def main() -> int:
                 print(f"seed {seed}: on {m!r}, {problem}")
                 return 1
             documents += 1
+    for seed in range(200):
+        for name, build in search_cases(seed):
+            problem = search_disagreement(build)
+            if problem is not None:
+                print(f"seed {seed}: {name}: {problem}")
+                return 1
+            searched += 1
     for spec in PRODUCT_SPECS:
         if dumps(build_recognizer(spec).automaton) != dumps(reference_build_product(spec).automaton):
             print(f"{type(spec).__name__}(n={spec.n}): the product builder differs from its reference")
@@ -270,7 +282,7 @@ def main() -> int:
     print(
         f"Python {sys.version.split()[0]}: {runs} runs and words agree ({accepted} NVPA runs accepted); "
         f"{built} closures and builders equal their references; {documents} documents print and read "
-        f"as the reference's; golden digests match"
+        f"as the reference's; {searched} builds search as the reference search does; golden digests match"
     )
     return 0
 

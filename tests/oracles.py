@@ -15,6 +15,7 @@ import random
 from collections import deque
 from typing import Hashable, Iterable
 
+from nestword import closures, machines
 from nestword.closures import (
     NonDisjointAlphabets,
     Relabeling,
@@ -68,7 +69,6 @@ from nestword.machines import (
     fsa_determinize,
     fsa_run,
     pda_step,
-    transition_rows,
     vpa_run,
 )
 from nestword.serialize import SerializationError, dumps
@@ -1458,6 +1458,234 @@ def well_matched_pairs_sweep(m: Vpa) -> dict:
                                 reach[q].add(dst)
                                 changed = True
     return reach
+
+
+# ---------------------------------------------------------------------------
+# reference search: the transition rows of a Vpa or Nvpa, and the summary
+# search behind every VPL closure and canonicalize in a plainer form,
+# which the library's search must match name for name
+
+
+def transition_rows(m) -> tuple:
+    """The transitions of a Vpa or Nvpa as (calls, internals, returns), one
+    row per choice: calls (src, base, dst, pushed), internals (src, base,
+    dst), returns (src, base, top, dst)."""
+    if isinstance(m, Vpa):
+        return (
+            ((q, b, dst, g) for (q, b), (dst, g) in m.delta_c.items()),
+            ((q, b, dst) for (q, b), dst in m.delta_i.items()),
+            ((q, b, g, dst) for (q, b, g), dst in m.delta_r.items()),
+        )
+    return (
+        ((q, b, dst, g) for (q, b), moves in m.delta_c.items() for dst, g in moves),
+        ((q, b, dst) for (q, b), dsts in m.delta_i.items() for dst in dsts),
+        ((q, b, g, dst) for (q, b, g), dsts in m.delta_r.items() for dst in dsts),
+    )
+
+
+def reference_reached_vpa(cls, alphabet, initials, bottom, calls, internals, returns, accepting, acceptable):
+    """machines.reached_vpa in a plainer form, with a helper call per move
+    and a comprehension per new-top test: the reference whose names,
+    visiting order and tables the library's search must match.
+
+    The Vpa or Nvpa (`cls`) of what runs from `initials` reach, its
+    states named q0, q1, ..., pushed symbols g0, g1, ... in the order the
+    search first meets them, and its bottom "$".
+
+    calls(state, a), internals(state, a) and returns(state, a, top) give
+    the sequence of choices a table would hold under that key (at most one
+    for a Vpa).  The search is the summary reachability of Alur and
+    Madhusudan over (state, top) pairs, by worklist as in Reps, Horwitz
+    and Sagiv; a state is expanded with all its tops found since it last
+    was, its internal and call moves looked up once.  A call from (q, t)
+    pushing g reaches (dst, g) and records t in `under[g]`.  A return row
+    is looked up, and kept, only for a reached pair: one popping g to r
+    reaches (r, t) for every t in `under[g]`, now or later, and one
+    reading the bottom reaches (r, bottom).  Every configuration a run
+    reaches has its (state, top) pair in the search and each adjacent
+    stack pair in `under`, so this over-approximates only which caller
+    pushed g, never the language.  Every set the search walks is an
+    insertion-ordered dict, so no name depends on hashing.  `accepting`
+    and `acceptable` are the predicates on states and pushed symbols.
+    """
+    single = cls is Vpa
+    names: dict = {}  # state -> its name
+    syms: dict = {bottom: "$"}  # stack symbol -> its name
+    moves: dict = {}  # state -> (internal targets, pushed symbols)
+    under: dict = {}  # pushed symbol -> tops found directly beneath it
+    exits: dict = {}  # pushed symbol -> states a return popping it leads to
+    tops_of: dict = {}  # state -> the tops it is reached with
+    pending: dict = {}  # state -> those of its tops not yet expanded
+    delta_c: dict = {}
+    delta_i: dict = {}
+    delta_r: dict = {}
+
+    def name(state) -> str:
+        found = names.get(state)
+        if found is None:
+            found = names[state] = f"q{len(names)}"
+        return found
+
+    def reach(state, tops) -> None:
+        known = tops_of.setdefault(state, {})
+        fresh = {top: None for top in tops if top not in known}
+        if fresh:
+            known.update(fresh)
+            pending.setdefault(state, {}).update(fresh)
+
+    def store(table: dict, key, named: list) -> None:
+        table[key] = named[0] if single else named
+
+    for q in initials:
+        name(q)
+        reach(q, (bottom,))
+    while pending:
+        state = next(iter(pending))
+        tops = pending.pop(state)
+        src = names[state]
+        if state not in moves:
+            targets, pushes = moves[state] = [], []
+            for a in alphabet:
+                dsts = internals(state, a)
+                if dsts:
+                    store(delta_i, (src, a), [name(dst) for dst in dsts])
+                    targets.extend(dsts)
+                choices = calls(state, a)
+                if choices:
+                    named = []
+                    for dst, pushed in choices:
+                        if pushed not in syms:
+                            syms[pushed] = f"g{len(syms) - 1}"
+                            under[pushed], exits[pushed] = {}, {}
+                        named.append((name(dst), syms[pushed]))
+                        pushes.append(pushed)
+                        reach(dst, (pushed,))
+                    store(delta_c, (src, a), named)
+        targets, pushes = moves[state]
+        for dst in targets:
+            reach(dst, tops)
+        for pushed in pushes:
+            below = under[pushed]
+            fresh = {top: None for top in tops if top not in below}
+            if fresh:
+                below.update(fresh)
+                for dst in exits[pushed]:
+                    reach(dst, fresh)
+        for top in tops:
+            found = exits.get(top)  # None for the bottom, which a return reads in place
+            for a in alphabet:
+                dsts = returns(state, a, top)
+                if not dsts:
+                    continue
+                store(delta_r, (src, a, syms[top]), [name(dst) for dst in dsts])
+                for dst in dsts:
+                    if found is None:
+                        reach(dst, (top,))
+                    elif dst not in found:
+                        found[dst] = None
+                        reach(dst, under[top])
+
+    start = {"initial": "q0"} if single else {"initials": frozenset(map(names.get, initials))}
+    return cls(
+        alphabet=alphabet,
+        states=frozenset(names.values()),
+        stack_alphabet=frozenset(syms[g] for g in under),
+        bottom="$",
+        accepts=frozenset(label for q, label in names.items() if accepting(q)),
+        accept_stack=frozenset(syms[g] for g in under if acceptable(g)),
+        delta_c=delta_c,
+        delta_i=delta_i,
+        delta_r=delta_r,
+        **start,
+    )
+
+
+def machine_difference(got, want) -> str | None:
+    """How `got` differs from `want` (two Vpas or two Nvpas), if at all: in
+    its dumped bytes, in a field, or in a table, key order included."""
+    if type(got) is not type(want):
+        return f"a {type(got).__name__}, not a {type(want).__name__}"
+    if dumps(got) != dumps(want):
+        return "dumps differs"
+    for field in dataclasses.fields(got):
+        mine, theirs = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(mine, dict):
+            mine, theirs = list(mine.items()), list(theirs.items())
+        if mine != theirs:
+            return f"{field.name} differs: {mine!r} against {theirs!r}"
+    return None
+
+
+def search_disagreement(build) -> str | None:
+    """How a search that build() makes through `machines.reached_vpa` (as
+    every VPL closure, shuffle, re-labeling and canonicalize do) differs
+    from reference_reached_vpa on the same arguments, if any does.  The
+    lookups are pure, so each search is run again on the reference."""
+    searches = []
+
+    def recorded(*search):
+        searches.append(search)
+        return library(*search)
+
+    library = machines.reached_vpa
+    closures.reached_vpa = machines.reached_vpa = recorded
+    try:
+        build()
+    finally:
+        closures.reached_vpa = machines.reached_vpa = library
+    if not searches:
+        return "no search was made"
+    for search in searches:
+        problem = machine_difference(library(*search), reference_reached_vpa(*search))
+        if problem is not None:
+            return f"{search[0].__name__} search from {search[2]!r}: {problem}"
+    return None
+
+
+def search_cases(seed: int) -> list:
+    """(name, build) pairs whose searches `search_disagreement` checks: the
+    VPL closures, shuffle and re-labelings (one with keys of several
+    choices) of a seeded random_vpa pair, canonicalize of the Vpa and of an
+    Nvpa with several choices under some keys, and a direct search of that
+    Nvpa from its initials listed twice.  The Vpa has a state with no moves
+    that a run reaches."""
+    rng = random.Random(seed)
+    density = 0.3 + 0.1 * (seed % 7)
+    m = random_vpa(rng, 1 + seed % 5, ("a", "b"), 1 + seed % 3, density)
+    p = random_vpa(rng, 1 + rng.randrange(4), ("a", "b"), 1 + rng.randrange(3), density)
+    m = dataclasses.replace(m, states=m.states | {"idle"}, delta_i={**m.delta_i, (m.initial, "a"): "idle"})
+    r = random_fsa(rng, 1 + seed % 3)
+    n = nvpa_from_vpa(p)
+    states = sorted(n.states)
+    n = dataclasses.replace(
+        n, initials=set(rng.sample(states, 1 + rng.randrange(len(states)))),
+        delta_i={key: dsts | set(rng.sample(states, rng.randrange(len(states) + 1)))
+                 for key, dsts in n.delta_i.items()},
+        delta_r={key: dsts | set(rng.sample(states, rng.randrange(len(states) + 1)))
+                 for key, dsts in n.delta_r.items()},
+    )
+
+    def lookup(table: dict):
+        return lambda *key: sorted(table.get(key, ()), key=repr)
+
+    initials = sorted(n.initials, key=repr)
+    return [
+        ("union", lambda: vpl_union(m, p)),
+        ("intersection", lambda: vpl_intersection(m, p)),
+        ("complement", lambda: vpl_complement(m)),
+        ("concat", lambda: vpl_concat(m, p)),
+        ("star", lambda: vpl_star(m)),
+        ("reverse", lambda: vpl_reverse(m)),
+        ("shuffle", lambda: shuffle(m, r)),
+        ("relabel_image", lambda: relabel_image(m, identity_relabeling(m.alphabet))),
+        ("forked relabel_image", lambda: relabel_image(m, forked_relabeling())),
+        ("canonicalize Vpa", lambda: canonicalize(m)),
+        ("canonicalize Nvpa", lambda: canonicalize(n)),
+        ("search from repeated initials", lambda: machines.reached_vpa(
+            Nvpa, n.alphabet, initials + initials, n.bottom, lookup(n.delta_c), lookup(n.delta_i),
+            lookup(n.delta_r), n.accepts.__contains__, n.accept_stack.__contains__,
+        )),
+    ]
 
 
 # ---------------------------------------------------------------------------

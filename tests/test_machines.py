@@ -38,6 +38,9 @@ from oracles import (
     reference_vpl_concat,
     reference_vpl_reverse,
     reference_vpl_star,
+    search_cases,
+    search_disagreement,
+    transition_rows,
     vpa_complete,
     vpa_normalize_acceptance,
 )
@@ -58,7 +61,6 @@ from nestword.machines import (
     nvpa_run,
     pda_run,
     pda_step,
-    transition_rows,
     vpa_run,
 )
 from nestword import closures, machines, serialize
@@ -1021,6 +1023,14 @@ def test_canonicalize_is_idempotent_on_a_vpa():
         m2 = random_vpa(rng, n_states=3, n_stack=2)
         for m in (vpl_union(m1, m2), canonicalize(m1)):
             assert canonicalize(m) == m
+
+
+def test_search_matches_the_reference_search():
+    # every search the closures and canonicalize make names, orders and
+    # keeps exactly what the reference search does on the same lookups
+    for seed in range(200):
+        for name, build in search_cases(seed):
+            assert search_disagreement(build) is None, (seed, name, search_disagreement(build))
 
 
 def test_nvpa_closures_keep_no_more_than_the_reference_naming():

@@ -3,6 +3,7 @@ bytes out, the same machines back, and nothing but SerializationError out
 of `loads` on a malformed document."""
 
 import copy
+import itertools
 import json
 import random
 
@@ -17,10 +18,12 @@ from oracles import (
     random_vpa,
     reference_dumps,
     reference_loads,
+    rename_machine,
     tricky_label_machines,
 )
 from nestword import serialize
 from nestword.cli import main as cli_main
+from nestword.groups import build_semidirect
 from nestword.machines import Fsa, Nvpa, Pda, Vpa
 from nestword.words import TokenError, check_letter
 
@@ -199,6 +202,21 @@ def test_dumps_matches_the_reference_on_tricky_labels():
     for seed in range(100):
         for m in tricky_label_machines(random.Random(seed)):
             _round_trips_as_the_reference(m)
+
+
+def test_dumps_prints_integer_labels_as_the_reference():
+    # integer, boolean and null texts are encoded once per document, each
+    # label keeping its own text beside equal labels of other types
+    m = build_semidirect(3, 3).automaton
+    stack = sorted(m.stack_alphabet) + [m.bottom]
+    numbered = rename_machine(m, dict(zip(sorted(m.states), itertools.count())), dict(zip(stack, itertools.count())))
+    _round_trips_as_the_reference(numbered)
+    mixed = Vpa(("a", "b"), {0, 1, 2}, {None, 7}, -1, 0, {1}, {None},
+                {(0, "a"): (1, None), (1, "a"): (True, 7), (2, "a"): (False, None)},
+                {(0, "b"): 0.0, (1, "b"): -0.0, (2, "b"): 1.0},
+                {(1, "b", None): False, (2, "b", 7): True, (0, "a", -1): 2, (1, "a", 7): 1})
+    text = _round_trips_as_the_reference(mixed)
+    assert all(word in text for word in ("true", "false", "null", "-0.0", "1.0"))
 
 
 def test_dumps_prints_string_and_tuple_labels_as_the_reference():
