@@ -515,8 +515,8 @@ class PrefixDecider:
         return reach
 
     def member(self, tw: TaggedWord) -> bool:
-        state, stack, reason = _vpa_end(self.m, tw)
-        if reason is not None:
+        state, stack, dead = _vpa_end(self.m, tw)
+        if dead is not None:
             return False
         current = set(self.summaries[state])
         # the symbols at levels 1 to `level` are all acceptable exactly when level < unacceptable

@@ -484,22 +484,14 @@ class _RunRows:
         }
 
 
-def _dead(m: Fsa | Vpa, sym, state, stack: list) -> str:
-    """The reason a run dies at state and stack, before sym, where its rows
-    have no move: ValueError if sym itself is at fault."""
-    base, tag = sym
-    _check_symbol(m, base, tag)
-    if tag == Tag.RETURN:
-        return f"no return transition from {state!r} on {base!r}/{stack[-1]!r}"
-    return f"no {'call' if tag == Tag.CALL else 'internal'} transition from {state!r} on {base!r}"
-
-
 def _vpa_end(m: Fsa | Vpa, tw: TaggedWord, trace: list | None = None) -> tuple:
-    """The run of m on a tagged word: (state, stack, None) where it ends, the
-    stack a list, bottom first, or (state, None, reason) where a missing
-    move kills it.  A given trace list gets one Configuration per step,
-    the start included.  Each step reads the machine's rows (`_RunRows`);
-    a move they lack raises KeyError, which ends the run."""
+    """The run of m on a tagged word: (state, stack, None) where it ends,
+    the stack a list, bottom first, or (state, stack, sym) where its rows
+    have no move on sym from state and the stack's top.  A given trace
+    list gets one Configuration per step, the start included.  Each step
+    reads the machine's rows (`_RunRows`); a move they lack raises
+    KeyError, which ends the run.  Only where the rows lack sym itself is
+    sym checked: ValueError if it is at fault."""
     rows = m._rows
     symbols, state, bottom = rows.symbols, rows.initial, rows.bottom
     call, internal = Tag.CALL, Tag.INTERNAL
@@ -524,7 +516,10 @@ def _vpa_end(m: Fsa | Vpa, tw: TaggedWord, trace: list | None = None) -> tuple:
             if trace is not None:
                 trace.append(Configuration(state, tw[len(trace):], tuple(stack)))
     except KeyError:
-        return state, None, _dead(m, sym, state, stack)
+        if sym not in symbols:
+            base, tag = sym
+            _check_symbol(m, base, tag)
+        return state, stack, sym
     return state, stack, None
 
 
@@ -541,9 +536,14 @@ def vpa_run(m: Vpa | Fsa, tw: TaggedWord, record_trace: bool = False) -> VpaRun:
     O(n·(n + depth)); an untraced one is linear.
     """
     trace: list | None = [] if record_trace else None
-    state, stack, reason = _vpa_end(m, tw, trace)
+    state, stack, dead = _vpa_end(m, tw, trace)
     trace = tuple(trace) if record_trace else ()
-    if reason is not None:
+    if dead is not None:
+        base, tag = dead
+        if tag == Tag.RETURN:
+            reason = f"no return transition from {state!r} on {base!r}/{stack[-1]!r}"
+        else:
+            reason = f"no {'call' if tag == Tag.CALL else 'internal'} transition from {state!r} on {base!r}"
         return VpaRun(False, reason, trace, state)
     stack = tuple(stack)
     if state in m.accepts and _stack_ok(stack, m._rows.acceptable):
@@ -733,8 +733,8 @@ def machine_accepts(m, tw: TaggedWord) -> bool:
     language.  An Fsa or Vpa run goes through vpa_run's loop and reads only
     where it ends."""
     if isinstance(m, (Fsa, Vpa)):
-        state, stack, reason = _vpa_end(m, tw)
-        return reason is None and state in m.accepts and _stack_ok(stack, m._rows.acceptable)
+        state, stack, dead = _vpa_end(m, tw)
+        return dead is None and state in m.accepts and _stack_ok(stack, m._rows.acceptable)
     if isinstance(m, Nvpa):
         return nvpa_run(m, tw)
     raise TypeError(f"cannot run words on a {type(m).__name__}")

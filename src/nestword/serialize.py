@@ -28,6 +28,13 @@ letter.  When every label is a scalar, it prints the rows straight from
 the machine's tables: one string per row, which sorts as the row's
 compact text does (`_rows`), one sort, one join.  Tuple labels, and a
 pda's push words, are printed by `_printed`.
+
+The reader (`from_doc`) reads a vpa's or an nvpa's rows in one pass, in
+document order (`_vpa_deltas`): each token goes through the token memo
+that `parse_word` uses, and each row is unpacked once and written
+straight into its table, so of several faulty rows the first is the one
+reported.  A vpa's rows are read again, keeping each key's first target,
+only where its tables end with fewer keys than there are rows.
 """
 
 from __future__ import annotations
@@ -36,10 +43,9 @@ import json
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import isfinite
-from operator import itemgetter
 
 from .machines import Fsa, Nvpa, Pda, Vpa
-from .words import Tag, parse_token
+from .words import Tag, _parse_token
 
 
 class SerializationError(ValueError):
@@ -307,43 +313,56 @@ def _pda_delta(rows) -> dict:
     return _deterministic(moves, "pda")
 
 
-def _vpa_deltas(rows, single: bool, tuples: bool) -> tuple:
-    """Call, internal and return tables, built a token at a time.  A
-    `single` (vpa) table maps each key to its one target, and a second,
-    different target is an error; an nvpa table maps each key to a set of
-    targets."""
+def _vpa_deltas(rows, single: bool, tuples: bool, first: bool = False) -> tuple:
+    """Call, internal and return tables, read in one pass over the rows in
+    document order.  Each row's token goes through the token memo
+    (`words._parse_token`), and the row is unpacked once and written
+    straight into its table, so the first row that cannot be read is the
+    one reported.  An nvpa table maps each key to the set of its targets.
+    A `single` (vpa) table maps each key to its one target, the last one
+    read.  Where those tables end with fewer keys than there are rows, a
+    key repeats, and the rows are read again with `first`, which keeps
+    each key's first target and raises at a second, different one, as
+    `_deterministic` does."""
     rows = _row_arrays(rows, tuples)
-    tokens = [*map(itemgetter(1), rows)]
-    if not {*map(type, tokens)} <= {str}:
-        bad = next(token for token in tokens if type(token) is not str)
-        raise TypeError(f"token {bad!r} is not a string")
-    groups: dict = {}  # token -> its rows, in document order
-    for token, row in zip(tokens, rows):
-        groups.setdefault(token, []).append(row)
     delta_c: dict = {}
     delta_i: dict = {}
     delta_r: dict = {}
-    for token, group in groups.items():
-        base, tag = parse_token(token)
-        if tag == Tag.CALL:
-            table, moves = delta_c, [((src, base), (dst, g)) for src, _, dst, g in group]
-        elif tag == Tag.INTERNAL:
-            table, moves = delta_i, [((src, base), dst) for src, _, dst in group]
-        else:
-            table, moves = delta_r, [((src, base, g), dst) for src, _, g, dst in group]
-        # distinct tokens give distinct keys, so a key repeats only within a group
-        if single:
-            size = len(table)
-            table.update(moves)
-            if len(table) - size < len(moves):  # a conflict, or rows that repeat
-                table.update(_deterministic(moves, "vpa"))
-        else:
-            for key, move in moves:
+    call, internal = Tag.CALL, Tag.INTERNAL
+    try:
+        for row in rows:
+            base, tag = _parse_token(row[1])
+            if tag is call:
+                src, _, dst, g = row
+                table, key, move = delta_c, (src, base), (dst, g)
+            elif tag is internal:
+                src, _, dst = row
+                table, key, move = delta_i, (src, base), dst
+            else:
+                src, _, g, dst = row
+                table, key, move = delta_r, (src, base, g), dst
+            if not single:
                 targets = table.get(key)
                 if targets is None:
                     table[key] = {move}
                 else:
                     targets.add(move)
+            elif not first:
+                table[key] = move
+            else:
+                old = table.setdefault(key, move)
+                if old is not move and old != move:
+                    raise SerializationError(f"vpa document is nondeterministic at {key!r}")
+    except (AttributeError, TypeError):
+        # a token that is not a string misses the memo, whose keys are all
+        # strings, and parse_token fails on it; an unhashable label fails
+        # as itself
+        token = row[1]
+        if type(token) is not str:
+            raise TypeError(f"token {token!r} is not a string") from None
+        raise
+    if single and not first and len(delta_c) + len(delta_i) + len(delta_r) < len(rows):
+        return _vpa_deltas(rows, True, False, first=True)  # rows that repeat, or a conflict
     return delta_c, delta_i, delta_r
 
 

@@ -36,13 +36,16 @@ one-tag flip of it through the group's VPA by `vpa_run` and
 `machine_accepts` against the reference; checks that `dumps` prints
 seeded machines labelled with numbers whose texts extend one another, with
 strings holding ", ", "]", a quote or a backslash, with pairs, and with
-labels equal to a state but of another type (1.0 and True for 1), and the
-VPA above, as the reference writer does, that `loads` reads each document
-back as the reference reader does, and that `dumps` of what it reads is
-the document again; checks that every search the VPL closures, shuffle,
-re-labelings and canonicalize make on 200 seeded cases (`search_cases`)
-names, orders and keeps exactly what the reference search does on the
-same lookups; then checks that the golden closure, builder and regular
+labels equal to a state but of another type (1.0 and True for 1), the
+VPA above, and a VPA and an NVPA whose documents hold more distinct
+tokens than the token memo keeps, as the reference writer does, that
+`loads` reads each document back as the reference reader does, keeping
+the same labels in every transition table, and that `dumps` of what it
+reads is the document again; checks that `loads` reads a VPA and an NVPA
+document whose keys repeat as the reference reader does; checks that
+every search the VPL closures, shuffle, re-labelings and canonicalize
+make on 200 seeded cases (`search_cases`) names, orders and keeps
+exactly what the reference search does on the same lookups; then checks that the golden closure, builder and regular
 machines dump to the pinned digests.
 Exits 1 on the first disagreement.  Run under two PYTHONHASHSEED values,
 it also shows that no canonical name depends on hashing.
@@ -60,6 +63,7 @@ from oracles import (  # noqa: E402
     GOLDEN_REGULAR_DIGEST,
     PRODUCT_SPECS,
     REGULAR_GLUING_REFERENCES,
+    REPEATED_KEY_DOCUMENTS,
     SPEC_KINDS,
     VPL_CLOSURE_REFERENCES,
     dumps_digest,
@@ -75,12 +79,12 @@ from oracles import (  # noqa: E402
     random_fsa,
     random_vpa,
     random_walk,
+    reader_disagreement,
     reference_annotate_word,
     reference_build_product,
     reference_dumps,
     reference_fsa_run,
     reference_is_identity,
-    reference_loads,
     reference_nvpa_run,
     reference_relabel_image,
     reference_shuffle,
@@ -90,6 +94,7 @@ from oracles import (  # noqa: E402
     search_disagreement,
     tricky_label_machines,
     trivial_word,
+    wide_alphabet_machines,
 )
 
 from nestword.closures import relabel_image, shuffle, vpl_concat, vpl_reverse, vpl_star  # noqa: E402
@@ -129,10 +134,10 @@ def serialize_disagreement(m) -> str | None:
     text = dumps(m)
     if text != reference_dumps(m):
         return "dumps differs from the reference"
-    got, want = loads(text), reference_loads(text)
-    if type(got) is not type(want) or got != want:
-        return "loads differs from the reference"
-    return None if dumps(got) == text else "dumps of what loads reads differs from the document"
+    problem = reader_disagreement(text)
+    if problem is not None:
+        return problem
+    return None if dumps(loads(text)) == text else "dumps of what loads reads differs from the document"
 
 
 def group_disagreement(spec, rec, word) -> str | None:
@@ -258,6 +263,18 @@ def main() -> int:
                 print(f"seed {seed}: on {m!r}, {problem}")
                 return 1
             documents += 1
+    for m in wide_alphabet_machines():
+        problem = serialize_disagreement(m)
+        if problem is not None:
+            print(f"on the {type(m).__name__} with 4,200 distinct tokens, {problem}")
+            return 1
+        documents += 1
+    for text in REPEATED_KEY_DOCUMENTS:
+        problem = reader_disagreement(text)
+        if problem is not None:
+            print(f"on a document whose keys repeat, {problem}")
+            return 1
+        documents += 1
     for seed in range(200):
         for name, build in search_cases(seed):
             problem = search_disagreement(build)

@@ -71,7 +71,7 @@ from nestword.machines import (
     pda_step,
     vpa_run,
 )
-from nestword.serialize import SerializationError, dumps
+from nestword.serialize import SerializationError, dumps, loads
 from nestword.words import (
     EMPTY_WORD_TOKEN,
     NEG_INF,
@@ -2247,3 +2247,55 @@ def reference_from_doc(doc: dict):
 
 def reference_loads(text: str):
     return reference_from_doc(json.loads(text))
+
+
+def wide_alphabet_machines() -> list:
+    """A Vpa over 1,400 letters and its Nvpa embedding.  The rows from
+    state "p" alone hold 4,200 distinct tokens, more than the token memo
+    keeps (4,096), so reading either document restarts the memo mid-read,
+    and the rows from "q" then parse again tokens read before."""
+    letters = tuple(f"w{i}" for i in range(1400))
+    m = Vpa(
+        letters, {"p", "q"}, {"g"}, "$", "p", {"q"}, {"g"},
+        delta_c={("p", a): ("q", "g") for a in letters},
+        delta_i={(q, a): dst for a in letters for q, dst in (("p", "q"), ("q", "p"))},
+        delta_r={(q, a, g): dst for a in letters for q, g, dst in (("p", "g", "q"), ("q", "$", "p"))},
+    )
+    return [m, nvpa_from_vpa(m)]
+
+
+# Documents whose keys repeat, each read alike by `loads` and the
+# reference reader: in the vpa every repeat targets a label equal to the
+# first (2 and 2.0, 1 and true), and the last row of a key holds the other
+# label, so only a reader that keeps the first target agrees; in the nvpa
+# a key repeats with equal and with different targets.
+_REPEAT_FIELDS = {"alphabet": ["a", "b"], "states": [1, 2], "stack_alphabet": ["g"], "bottom": "$",
+                  "accepts": [2], "accept_stack": []}
+REPEATED_KEY_DOCUMENTS = [
+    json.dumps({"kind": "vpa", **_REPEAT_FIELDS, "initial": 1, "transitions": [
+        [1, "<a", 2, "g"], [1, "a", 2], [1, "<a", 2, "g"], [1, "a", 2.0], [2, "b>", "g", 1],
+        [1, "a", 2], [2, "b>", "$", 1], [1, "a", 2.0], [2, "b>", "g", True],
+    ]}),
+    json.dumps({"kind": "nvpa", **_REPEAT_FIELDS, "initials": [1], "transitions": [
+        [1, "a", 2], [1, "a", 2.0], [1, "a", 1], [1, "a", 2], [1, "<a", 2, "g"], [1, "<a", 1, "g"],
+        [1, "<a", 2, "g"], [2, "a>", "g", 1], [2, "a>", "g", True], [2, "a>", "g", 2], [2, "b", 1],
+    ]}),
+]
+
+
+def reader_disagreement(text: str) -> str | None:
+    """Where `loads` reads text differently from the reference reader, if
+    anywhere: in the machine's type, its value, or the repr of a
+    transition table's moves, which tells a kept label from an equal one
+    of another type (1 from True)."""
+    got, want = loads(text), reference_loads(text)
+    if type(got) is not type(want) or got != want:
+        return "loads differs from the reference"
+
+    def moves(m, name) -> list:
+        return sorted(map(repr, getattr(m, name).items()))
+
+    for name in ("delta", "delta_c", "delta_i", "delta_r"):
+        if hasattr(got, name) and moves(got, name) != moves(want, name):
+            return f"loads keeps other labels in {name} than the reference"
+    return None

@@ -390,6 +390,38 @@ def test_vpa_run_and_machine_accepts_match_the_reference_run():
     }
 
 
+def test_dying_runs_give_the_reference_reason_and_check_only_a_reached_symbol():
+    # the run loop reports where a run dies and vpa_run alone words the
+    # reason; a bad symbol raises only where the run reaches it
+    bad = [TaggedSymbol("x9", Tag.CALL), TaggedSymbol("a", 3)]
+    reasons = set()
+    for seed in range(20):
+        rng = random.Random(seed)
+        m = random_vpa(rng, 2 + seed % 4, n_stack=1 + seed % 3, density=0.45)
+        for twin in (m, serialize.loads(serialize.dumps(m))):
+            decider = closures.PrefixDecider(twin)
+            for _ in range(15):
+                walk = random_walk(twin, rng, 30)
+                for sym in bad:  # the walk survives, so its run reaches sym
+                    want = _outcome(reference_vpa_run, twin, walk + (sym,))
+                    assert _outcome(vpa_run, twin, walk + (sym,)) == want and want[0] is ValueError
+                    assert _outcome(machine_accepts, twin, walk + (sym,)) == want
+                    assert _outcome(lambda d, w: d.member(w), decider, walk + (sym,)) == want
+                for tail in all_tagged_words(("a", "b"), 2):
+                    tw = walk + tail
+                    want = reference_vpa_run(twin, tw)
+                    if want.reason is None or not want.reason.startswith("no "):
+                        continue
+                    reasons.add(want.reason.split()[1])
+                    assert vpa_run(twin, tw) == want, (seed, tw)
+                    assert vpa_run(twin, tw, record_trace=True) == reference_vpa_run(twin, tw, record_trace=True)
+                    for sym in bad:  # past the death, never reached
+                        assert vpa_run(twin, tw + (sym,)) == want
+                        assert machine_accepts(twin, tw + (sym,)) is False
+                        assert decider.member(tw + (sym,)) is False
+    assert reasons == {"call", "internal", "return"}
+
+
 def test_fsa_runs_match_the_reference_vpa_reading():
     # an Fsa runs in the VPA loop on its own rows: every field of the run,
     # with and without a trace, every error text, and fsa_run's verdicts

@@ -11,17 +11,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    REPEATED_KEY_DOCUMENTS,
     anbn_pda,
     astar_bstar_fsa,
     nvpa_from_vpa,
     random_fsa,
     random_vpa,
+    reader_disagreement,
     reference_dumps,
     reference_loads,
     rename_machine,
     tricky_label_machines,
+    wide_alphabet_machines,
 )
-from nestword import serialize
+from nestword import serialize, words
 from nestword.cli import main as cli_main
 from nestword.groups import build_semidirect
 from nestword.machines import Fsa, Nvpa, Pda, Vpa
@@ -336,6 +339,59 @@ def test_vpa_document_repeated_row_loads_conflicting_row_raises():
     assert serialize.loads(json.dumps({**VPA, "transitions": calls})).delta_c == {("p", "a"): ("q", "g")}
     with pytest.raises(serialize.SerializationError, match="nondeterministic"):
         serialize.loads(json.dumps({**VPA, "transitions": [["p", "<a", "q", "g"], ["p", "<a", "p", "g"]]}))
+    # rows that repeat, then conflict: the first row in document order
+    # that conflicts is reported, whichever table its key is in
+    rows = [["p", "b", "q"], ["p", "b", "q"], ["p", "<a", "q", "g"], ["p", "b", "p"], ["p", "<a", "p", "g"]]
+    orders = [(rows, "('p', 'b')"), ([rows[2], rows[4], *rows[:4]], "('p', 'a')"),
+              ([rows[2], rows[0], rows[3], rows[4]], "('p', 'b')")]
+    for order, key in orders:
+        with pytest.raises(serialize.SerializationError) as error:
+            serialize.loads(json.dumps({**VPA, "transitions": order}))
+        assert str(error.value) == f"vpa document is nondeterministic at {key}"
+
+
+def test_loads_reads_repeated_keys_as_the_reference():
+    for text in REPEATED_KEY_DOCUMENTS:
+        assert reader_disagreement(text) is None, text
+    vpa, nvpa = map(serialize.loads, REPEATED_KEY_DOCUMENTS)
+    # a vpa keeps each key's first target, not an equal one read later
+    assert [type(vpa.delta_i[1, "a"]), type(vpa.delta_r[2, "b", "g"])] == [int, int]
+    assert vpa.delta_r[2, "b", "g"] is not True
+    assert nvpa.delta_i[1, "a"] == {1, 2} and {type(q) for q in nvpa.delta_i[1, "a"]} == {int}
+    assert nvpa.delta_c[1, "a"] == {(1, "g"), (2, "g")}
+    assert nvpa.delta_r[2, "a", "g"] == {1, 2} and {type(q) for q in nvpa.delta_r[2, "a", "g"]} == {int}
+
+
+def test_loads_reads_more_distinct_tokens_than_the_token_memo_keeps():
+    for m in wide_alphabet_machines():
+        text = _round_trips_as_the_reference(m)
+        tokens = {row[1] for row in json.loads(text)["transitions"]}
+        assert len(tokens) > words._TOKEN_CACHE_SIZE  # the memo restarts mid-read
+        assert reader_disagreement(text) is None
+
+
+# (document, two faulty rows, the message of the first, the message of the
+# second): each order reports its first faulty row
+TWO_FAULTS = [
+    (VPA, ["p", "<a", "q"], ["p", 5, "q"],
+     "not enough values to unpack (expected 4, got 3)", "token 5 is not a string"),
+    (NVPA, ["p", "<", "q"], ["p", "a>", "g"],
+     "bad letter name: ''", "not enough values to unpack (expected 4, got 3)"),
+    (VPA, ["p"], ["p", "a", "q", "q"], "list index out of range", "too many values to unpack (expected 3)"),
+    (NVPA, ["p", ["a"], "q"], ["p", "a b", "q"], "token ('a',) is not a string", "bad letter name: 'a b'"),
+]
+
+
+@pytest.mark.parametrize("doc, one, two, first, second", TWO_FAULTS)
+def test_loads_reports_the_first_faulty_row_in_document_order(doc, one, two, first, second):
+    prefix = f"bad 'transitions' field in {doc['kind']} document: "
+    for rows, message in (([one, two], first), ([two, one], second)):
+        text = json.dumps({**doc, "transitions": [["p", "b", "q"], *rows, ["q", "b", "p"]]})
+        with pytest.raises(Exception):
+            reference_loads(text)  # the reference rejects it too
+        with pytest.raises(serialize.SerializationError) as error:
+            serialize.loads(text)
+        assert str(error.value) == prefix + message
 
 
 # (document, its rows, the whole message of the error): one fault each
