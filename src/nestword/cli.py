@@ -10,12 +10,15 @@ any bad input (an unreadable or invalid file, a bad token, a letter
 outside the alphabet, a refused option), with one `error:` line and no
 traceback.  An unreadable `build --group` file and a failed `--out` write
 exit 1.  Commands raise; `main` alone maps a ValueError (each input error
-of the library is one) to 2 and an `_Exit` to its own code.
+of the library is one) to 2 and an `_Exit` to its own code.  A reader that
+closes standard output early (`nestword enum ... | head -1`) ends the
+command with exit 1, no further output and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import closures, groups, serialize
@@ -289,7 +292,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe is met here rather than at exit
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again on exit: point it at devnull first, so
+        # that flush writes nothing and reports no second broken pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except _Exit as exc:
         message, code = exc.args
     except ValueError as exc:

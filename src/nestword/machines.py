@@ -677,54 +677,109 @@ def nvpa_run(m: Nvpa, tw: TaggedWord) -> bool:
     return joins the top frame with the saved caller frame: an entry's
     image goes to every caller entry whose mask holds its caller bit.  A
     frame holds at most 2|Q||stack| entries of |Q| bits at any depth, so
-    the run is linear in the word.  Each step is one lookup per entry in
-    the machine's image rows (`_SummaryRows`), which store at most
-    MAX_STORED_IMAGES images besides their compiled single-state ones.  A
-    letter outside the alphabet, or a tag that equals no Tag, raises
-    ValueError when the run reaches it.  Tags are compared by value, as in
-    vpa_run.
+    the run is linear in the word.
+
+    Most frames hold one entry.  The run keeps such a frame in two locals,
+    `entry` and `mask`, and saves it as that pair; only a frame of two or
+    more entries is a dict, saved as (None, dict), and a step that leaves
+    one entry drops back to the locals.  A step on a one-entry frame is
+    one lookup in the machine's image rows (`_SummaryRows`).  On a larger
+    frame an internal or a return is one lookup per entry, and a call at
+    most two: the union of the masks whose entry is not ok, then of those
+    whose entry is, since the image of a mask is the union of its states'
+    images.  The rows store at most MAX_STORED_IMAGES images besides their
+    compiled single-state ones.  A letter outside the alphabet, or a tag
+    that equals no Tag, raises ValueError when the run reaches it.  Tags
+    are compared by value, as in vpa_run.
     """
     rows = m._rows
     symbols, callers, oks = rows.symbols, rows.callers, rows.oks
     call, internal = Tag.CALL, Tag.INTERNAL
-    frame = {0: rows.initial}  # with no initials, the empty mask, which every row maps to nothing
+    entry, mask = 0, rows.initial  # with no initials, the empty mask, which every row maps to nothing
+    frame = None  # the dict of a frame of two or more entries, else None
     saved = []
     try:
         for sym in tw:
             family, row = symbols[sym]
-            nxt = {}
-            if family is call:
-                saved.append(frame)
-                for e, mask in frame.items():
-                    for entry, image in row[oks[e]][mask]:
-                        nxt[entry] = nxt.get(entry, 0) | image
-            elif family is internal:
-                for e, mask in frame.items():
-                    image = row[mask]
+            if frame is None:
+                if family is internal:
+                    mask = row[mask]
+                    if not mask:
+                        return False
+                elif family is call:
+                    saved.append((entry, mask))
+                    items = row[oks[entry]][mask]
+                    if len(items) == 1:
+                        (entry, mask), = items
+                    elif items:
+                        frame = dict(items)  # entries hold their caller bit, so none repeats
+                    else:
+                        return False
+                else:
+                    mask = row[entry][mask]
+                    if not mask:
+                        return False
+                    if saved:  # else the bottom frame, whose only entry is 0, reads the bottom in place
+                        c, caller = saved.pop()
+                        if c is not None:
+                            entry = c  # the caller's mask holds the caller bit of every entry above it
+                        else:
+                            bit = callers[entry]
+                            frame = {c: mask for c, held in caller.items() if held & bit}
+                            if len(frame) == 1:
+                                (entry, mask), = frame.items()
+                                frame = None
+                continue
+            if family is internal:
+                nxt = {}
+                for e, held in frame.items():
+                    image = row[held]
                     if image:
                         nxt[e] = image
-            elif saved:
-                caller = saved.pop()
-                for e, mask in frame.items():
-                    image = row[e][mask]
+            elif family is call:
+                saved.append((None, frame))
+                not_ok = ok = 0
+                for e, held in frame.items():
+                    if oks[e]:
+                        ok |= held
+                    else:
+                        not_ok |= held
+                nxt = dict(row[False][not_ok]) if not_ok else {}
+                if ok:  # an entry both rows give has one image: its caller's moves pushing its symbol
+                    nxt.update(row[True][ok])
+            else:
+                c, caller = saved.pop()  # a frame of two or more entries is never the bottom one
+                if c is not None:  # one caller entry, whose mask holds every caller bit here
+                    mask = 0
+                    for e, held in frame.items():
+                        mask |= row[e][held]
+                    if not mask:
+                        return False
+                    entry, frame = c, None
+                    continue
+                nxt = {}
+                for e, held in frame.items():
+                    image = row[e][held]
                     if image:
                         bit = callers[e]
-                        for c, held in caller.items():
-                            if held & bit:
+                        for c, under in caller.items():
+                            if under & bit:
                                 nxt[c] = nxt.get(c, 0) | image
-            else:  # the bottom frame, whose only entry is 0, reads the bottom in place
-                image = row[0][frame[0]]
-                if image:
-                    nxt[0] = image
-            if not nxt:
+            if len(nxt) == 1:
+                (entry, mask), = nxt.items()
+                frame = None
+            elif nxt:
+                frame = nxt
+            else:
                 return False
-            frame = nxt
     except KeyError:
         # the rows hold every tagged letter of the alphabet: sym is at fault
         _check_symbol(m, *sym)
         raise
     accepts = rows.accepts
-    return any(mask & accepts and oks[e] for e, mask in frame.items())
+    if frame is None:
+        return bool(mask & accepts) and oks[entry]
+    return any(held & accepts and oks[e] for e, held in frame.items())
 
 
 def machine_accepts(m, tw: TaggedWord) -> bool:

@@ -4,14 +4,18 @@ digests, for interpreters that have no pytest:
 
     PYTHONPATH=src python tests/nvpa_smoke.py
 
-Runs every tagged word of length <= 4 over two letters, and 20 walks of
-up to 80 letters, on the reverse, star and concat closures and the NVPA
-embedding of seeded random VPAs; runs `vpa_run` (with and without a
-trace) and `machine_accepts` on each of those VPAs against the reference
-VPA run, over every tagged word of length <= 3 that may also hold a letter
-outside the alphabet, and those walks; runs both kernels the same way on
-each machine's twin read back from its document, and on words ending in
-a symbol whose tag equals no Tag, which must raise as the references do;
+Runs every tagged word of length <= 4 over two letters, 20 walks of up
+to 80 letters, and walks that go 22 calls deep whose frames fork to
+several entries and rejoin to one (`fork_walks`), on the reverse, star
+and concat closures and the NVPA embedding of seeded random VPAs, and
+`fork_nvpa_words` on `fork_nvpa`, checking that those runs take every
+path of the summary run (`summary_lanes`); runs `vpa_run` (with and
+without a trace) and `machine_accepts` on each of those VPAs against the
+reference VPA run, over every tagged word of length <= 3 that may also
+hold a letter outside the alphabet, and those walks; runs both kernels
+the same way on each machine's twin read back from its document, and on
+words ending in a symbol whose tag equals no Tag, which must raise as
+the references do;
 runs `vpa_run` (with and without a trace) and `machine_accepts` on
 seeded random FSAs and their twins read back from their documents
 against the reference VPA run of their all-internal VPA reading, over
@@ -65,8 +69,12 @@ from oracles import (  # noqa: E402
     REGULAR_GLUING_REFERENCES,
     REPEATED_KEY_DOCUMENTS,
     SPEC_KINDS,
+    SUMMARY_LANES,
     VPL_CLOSURE_REFERENCES,
     dumps_digest,
+    fork_nvpa,
+    fork_nvpa_words,
+    fork_walks,
     forked_relabeling,
     golden_builder_machines,
     golden_closure_machines,
@@ -92,6 +100,7 @@ from oracles import (  # noqa: E402
     reference_vpa_run,
     search_cases,
     search_disagreement,
+    summary_lanes,
     tricky_label_machines,
     trivial_word,
     wide_alphabet_machines,
@@ -175,6 +184,17 @@ def main() -> int:
                   for base in ("c", "x9") for tag in (3, -1)]
     plain_words = [w for n in range(4) for w in itertools.product(("c", "d", "x9"), repeat=n)]
     runs = accepted = built = documents = searched = 0
+    lanes = set()
+    fork = fork_nvpa()
+    for twin in (fork, loads(dumps(fork))):
+        for tw in fork_nvpa_words():
+            lanes |= summary_lanes(twin, tw)
+            got, want = nvpa_run(twin, tw), reference_nvpa_run(twin, tw)
+            if got != want:
+                print(f"fork_nvpa: nvpa_run says {got}, the reference {want}, on {tw}")
+                return 1
+            runs += 1
+            accepted += got
     for seed in range(30):
         rng = random.Random(seed)
         m = random_vpa(rng, 1 + seed % 5, n_stack=1 + seed % 3)
@@ -187,9 +207,12 @@ def main() -> int:
                     print(f"seed {seed}: on {tw}, {problem}")
                     return 1
                 runs += 1
+        forks = fork_walks(m, p, random.Random(f"fork {seed}"))
         for n in (vpl_reverse(m), vpl_star(m), vpl_concat(m, p), nvpa_from_vpa(m)):
+            for tw in forks:
+                lanes |= summary_lanes(n, tw)
             for twin in (n, loads(dumps(n))):
-                for tw in words + bad_tags + walks:
+                for tw in words + bad_tags + walks + forks:
                     got, want = outcome(nvpa_run, twin, tw), outcome(reference_nvpa_run, twin, tw)
                     if got != want:
                         print(f"seed {seed}: nvpa_run says {got}, the reference {want}, on {tw}")
@@ -225,6 +248,9 @@ def main() -> int:
                 print(f"seed {seed}: {name} differs from canonicalize of its reference builder")
                 return 1
             built += 1
+    if lanes != SUMMARY_LANES:
+        print(f"the NVPA runs never took {sorted(SUMMARY_LANES - lanes)}")
+        return 1
     for pair in gluing_inputs():
         for name, gluing, reference, arity in REGULAR_GLUING_REFERENCES:
             args = pair[:arity]

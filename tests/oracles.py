@@ -84,6 +84,7 @@ from nestword.words import (
     all_tagged_words,
     encode,
     parse_token,
+    parse_word,
     reverse as reverse_word,
     token_str,
 )
@@ -463,19 +464,22 @@ def configuration_set_run(m: Nvpa, tw) -> bool:
     )
 
 
-def reference_nvpa_run(m: Nvpa, tw) -> bool:
-    """Reference summary run: one frame per pending call, each a set of
-    (entry, state) pairs.  The bottom frame's entry is None; a call from q
-    pushing g opens a frame of entries (q, g, ok), ok saying every pending
-    symbol is in accept_stack; a return joins the top frame with the saved
-    caller frame through the caller state.  A letter outside the alphabet,
-    or a tag that equals no Tag, raises ValueError where the run reaches
-    it."""
+def reference_summary_frames(m: Nvpa, tw):
+    """The frames of the reference summary run, one per pending call, each
+    a set of (entry, state) pairs.  The bottom frame's entry is None; a
+    call from q pushing g opens a frame of entries (q, g, ok), ok saying
+    every pending symbol is in accept_stack; a return joins the top frame
+    with the saved caller frame through the caller state.  Yields (frame,
+    saved) at the start and after each symbol, `saved` being the live list
+    of caller frames, bottom first; stops after the first empty frame.  A
+    letter outside the alphabet, or a tag that equals no Tag, raises
+    ValueError where the run reaches it."""
     alpha, accept_stack = m._alpha, m.accept_stack
     delta_c, delta_i, delta_r = m.delta_c, m.delta_i, m.delta_r
     call, internal = Tag.CALL, Tag.INTERNAL
     frame = {(None, q) for q in m.initials}
     saved = []
+    yield frame, saved
     for base, tag in tw:
         if base not in alpha:
             raise ValueError(f"letter {base!r} not in alphabet")
@@ -504,10 +508,108 @@ def reference_nvpa_run(m: Nvpa, tw) -> bool:
             for e, q in frame:
                 for dst in delta_r.get((q, base, m.bottom), ()):
                     nxt.add((e, dst))
-        if not nxt:
-            return False
         frame = nxt
+        yield frame, saved
+        if not frame:
+            return
+
+
+def reference_nvpa_run(m: Nvpa, tw) -> bool:
+    """Reference summary run: the last of `reference_summary_frames`
+    accepts iff it pairs an accept state with the bottom entry or with
+    an entry whose pending symbols are all in accept_stack."""
+    for frame, _ in reference_summary_frames(m, tw):
+        pass
     return any(q in m.accepts and (e is None or e[2]) for e, q in frame)
+
+
+# the ways nvpa_run steps through a word (`summary_lanes`)
+SUMMARY_LANES = frozenset({
+    "fork", "rejoin at depth", "call on mixed ok flags", "one top under one", "one top under dict",
+    "dict top under one", "dict top under dict", "bottom read", "bottom read after a dict",
+})
+
+
+def _entries(frame) -> int:
+    return len({e for e, _ in frame})
+
+
+def summary_lanes(m: Nvpa, tw) -> set:
+    """The ways nvpa_run steps through tw, read off the reference frames,
+    whose entries are nvpa_run's: a "fork" from one entry to more, a
+    "rejoin" to one entry at depth 20 or more, a call from a frame whose
+    entries differ in their ok flag, each return by the sizes of its top
+    and caller frames ("one" entry or a "dict" of more), and a return
+    that reads the bottom, after a return to the bottom frame from one
+    entry or from a dict."""
+    lanes = set()
+    steps = reference_summary_frames(m, tw)
+    frame, saved = next(steps)
+    from_dict = False  # the last return to the bottom frame came from a dict
+    for _, tag in tw:
+        size, depth = _entries(frame), len(saved)
+        below = _entries(saved[-1]) if saved else 0
+        oks = {e is None or e[2] for e, _ in frame}
+        frame, saved = next(steps)
+        after = _entries(frame)
+        if size == 1 and after > 1:
+            lanes.add("fork")
+        if size > 1 and after == 1 and depth >= 20:
+            lanes.add("rejoin at depth")
+        if tag == Tag.CALL and size > 1 and len(oks) == 2:
+            lanes.add("call on mixed ok flags")
+        if tag == Tag.RETURN:
+            if not depth:
+                lanes.add("bottom read after a dict" if from_dict else "bottom read")
+            elif depth == 1:
+                from_dict = size > 1
+            else:
+                lanes.add(f"{'dict' if size > 1 else 'one'} top under {'dict' if below > 1 else 'one'}")
+        if not frame:
+            break
+    return lanes
+
+
+def fork_nvpa() -> Nvpa:
+    """An NVPA whose call on a from p opens two entries, one over g (which
+    accept_stack holds) and one over h (which it does not), whose internal
+    b keeps only the first, and whose returns on c map the two to
+    different states."""
+    return Nvpa(
+        ("a", "b", "c"), {"p", "q", "r"}, {"g", "h"}, "$", {"p"}, {"p", "r"}, {"g"},
+        delta_c={("p", "a"): {("p", "g"), ("q", "h")}, ("q", "a"): {("q", "g"), ("r", "h")},
+                 ("r", "a"): {("p", "g")}},
+        delta_i={("p", "b"): {"p"}, ("r", "b"): {"q"}, ("q", "c"): {"p", "r"}},
+        delta_r={("p", "c", "g"): {"p"}, ("q", "c", "h"): {"r"}, ("r", "c", "h"): {"p"},
+                 ("r", "c", "g"): {"q"}, ("p", "c", "$"): {"p", "q"}, ("q", "b", "$"): {"r"}},
+    )
+
+
+def fork_nvpa_words() -> list:
+    """Words for `fork_nvpa`: every tagged word of length <= 3 and four
+    that tell its entries apart, each alone and after 20 "<a b", each of
+    which forks to two entries and rejoins to one."""
+    words = list(all_tagged_words(("a", "b", "c"), 3)) + [parse_word(text) for text in (
+        "<a <a <a c",  # calls on entries of both ok flags, which c then tells apart
+        "<a <a <a <a",  # the same, decided by the flags of the pending entries
+        "<a <a c c> c",  # a two-entry top returns under a caller whose entries hold different states
+        "<a <a b c c>",  # the same for a one-entry top
+    )]
+    deep = parse_word("<a b " * 20)
+    return words + [deep + w for w in words]
+
+
+def fork_walks(m: Vpa, p: Vpa, rng: random.Random) -> list:
+    """Words of depth 22 for the closures of m (and p): a walk of m and one
+    of p that go 22 calls deep and back, reversed, doubled and joined;
+    each of those followed by returns at the bottom, and cut where calls
+    are pending, so that the ok flags decide.  Empty where a walk gets
+    stuck."""
+    u, v = deep_walk(m, rng, 22), deep_walk(p, rng, 22)
+    if u is None or v is None:
+        return []
+    words = [reverse_word(u), u + u, u + v, reverse_word(v + u)]
+    return words + [w + parse_word("a> b> a>") for w in words] + [w[:rng.randrange(21, 40)] for w in words]
 
 
 # -- set-theoretic membership formulas over input-machine membership tables

@@ -16,7 +16,7 @@ from nestword.groups import (
     group_spec_from_doc,
     enumerate_taggings,
 )
-from nestword.machines import vpa_run
+from nestword.machines import Fsa, vpa_run
 from nestword.words import format_word, reverse as reverse_word
 from oracles import astar_bstar_fsa, deep_walk, group_letters, mixed_label_vpa, random_vpa
 
@@ -500,6 +500,27 @@ def test_console_entry_subprocess(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "accept"
+
+
+def test_enum_into_a_pipe_its_reader_closes_exits_1_without_a_traceback(tmp_path):
+    # every word of length <= 7 over four letters, about 230 kB: more than a
+    # pipe holds, so enum is still writing when its reader goes away
+    path = tmp_path / "everything.json"
+    serialize.save(Fsa(tuple("abcd"), {"s"}, "s", {"s"}, {("s", a): "s" for a in "abcd"}), path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nestword", "enum", "--automaton", str(path), "--max-len", "7"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline().endswith(b"\n")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 1
+    assert err == b"", err.decode(errors="replace")
 
 
 def test_group_spec_field_errors_name_the_field(tmp_path):

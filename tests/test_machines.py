@@ -14,11 +14,15 @@ from oracles import (
     GOLDEN_BUILDER_DIGEST,
     GOLDEN_CLOSURE_DIGEST,
     GOLDEN_REGULAR_DIGEST,
+    SUMMARY_LANES,
     anbn_pda,
     astar_bstar_fsa,
     configuration_set_run,
     deep_walk,
     dumps_digest,
+    fork_nvpa,
+    fork_nvpa_words,
+    fork_walks,
     golden_builder_machines,
     golden_closure_machines,
     golden_regular_machines,
@@ -40,6 +44,7 @@ from oracles import (
     reference_vpl_star,
     search_cases,
     search_disagreement,
+    summary_lanes,
     transition_rows,
     vpa_complete,
     vpa_normalize_acceptance,
@@ -561,6 +566,45 @@ def test_nvpa_run_agrees_with_the_reference_at_depth(seed, flip):
     for n in nvpas:
         for w in words:
             assert nvpa_run(n, w) == reference_nvpa_run(n, w), (seed, w)
+
+
+def test_nvpa_run_forks_and_rejoins_at_depth_as_the_reference_does():
+    # frames that fork to several entries and rejoin to one, 20 and more
+    # calls deep, under callers of one entry and of several; calls on
+    # frames whose entries differ in their ok flag, since accept_stack
+    # holds only some stack symbols; and returns at the bottom after both.
+    # Int tags run as the Tags they equal.
+    lanes, verdicts = set(), set()
+    fork = fork_nvpa()
+    for w in fork_nvpa_words():
+        lanes |= summary_lanes(fork, w)
+        for tw in (w, _int_tagged(w)):
+            want = reference_nvpa_run(fork, tw)
+            assert nvpa_run(fork, tw) == want, tw
+            verdicts.add(want)
+    for seed in range(24):
+        rng = random.Random(seed)
+        m = random_vpa(rng, 2 + seed % 4, n_stack=1 + seed % 3)
+        p = random_vpa(rng, 3)
+        for n in (vpl_reverse(m), vpl_star(m), vpl_concat(m, p), nvpa_from_vpa(m)):
+            for w in fork_walks(m, p, rng):
+                lanes |= summary_lanes(n, w)
+                for tw in (w, _int_tagged(w)):
+                    want = reference_nvpa_run(n, tw)
+                    assert nvpa_run(n, tw) == want, (seed, w)
+                    verdicts.add(want)
+    assert verdicts == {True, False}
+    assert lanes == SUMMARY_LANES
+
+
+def test_an_nvpa_with_no_initials_fails_on_a_bad_letter_as_the_reference_does():
+    n = dataclasses.replace(fork_nvpa(), initials=frozenset())
+    for text in ("x9", "<a x9", "b x9", "c> x9"):
+        tw = parse_word(text)
+        want = _outcome(reference_nvpa_run, n, tw)
+        assert _outcome(nvpa_run, n, tw) == want, text
+        assert _outcome(nvpa_run, n, _int_tagged(tw)) == want, text
+    assert _outcome(nvpa_run, n, parse_word("x9")) == (ValueError, "letter 'x9' not in alphabet")
 
 
 def test_nvpa_run_edge_cases_match_the_reference():
