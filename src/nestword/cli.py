@@ -290,8 +290,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit:  # --help or a usage error: its text is buffered
+            sys.stdout.flush()
+            raise
         code = args.func(args)
         sys.stdout.flush()  # so a closed pipe is met here rather than at exit
         return code

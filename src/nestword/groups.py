@@ -22,6 +22,7 @@ digits (p21 is the transposition of S_2).
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import operator
@@ -369,10 +370,11 @@ def _reduction_rows(spec: GroupSpec) -> tuple:
 
     A row stands for the finite value g of the prefix read so far: a free
     group has one row, and a finite group's rows hold no free letters.  For
-    a free letter c, row[c] is (b, the inverse of b, c's tagged symbols)
-    where b is the letter c acts as after g; for a finite letter h it is
-    (None, the row of g.h, h's tagged symbols).  Every free letter in the
-    rows is one object, so the reduction stack compares letters by identity.
+    a free letter c, row[c] is (b, the inverse of b, c's call, internal and
+    return symbols) where b is the letter c acts as after g; for a finite
+    letter h it is (None, the row of g.h, h's three symbols).  Every free
+    letter in the rows is one object, so the reduction stack compares
+    letters by identity.
     """
     if isinstance(spec, FreeGroupSpec):
         letters = free_letters(spec.n)
@@ -390,49 +392,50 @@ def _reduction_rows(spec: GroupSpec) -> tuple:
     rows: dict = {g: {} for g in twist}
     for g, row in rows.items():
         for c, b in twist[g].items():
-            row[c] = (one[b], one[invert_letter(b)], _tagged(c))
+            row[c] = (one[b], one[invert_letter(b)], *_tagged(c))
     for (g, h), gh in table.items():
-        rows[g][h] = (None, rows[gh], _tagged(h))
+        rows[g][h] = (None, rows[gh], *_tagged(h))
     return rows[identity], outside
 
 
-def _reduce(spec: GroupSpec, word) -> TaggedWord | None:
-    """One pass over a word of any group spec: the canonical tagging if the
-    word is trivial, else None.
+def _reduce(spec: GroupSpec, word, emit) -> bool:
+    """One pass over a word of any group spec: whether it is trivial.
 
     Each free letter is read through the twist of its prefix's finite value
     and cancelled against the stack top, or pushed; each finite letter
-    multiplies that value.  A symbol is written as it is read: a pushed
-    letter as a call, a cancelling one as a return, a finite one as an
-    internal.  A trivial word ends with an empty stack, so every call
-    written was matched.  A letter outside the alphabet raises ValueError.
+    multiplies that value.  A symbol is passed to emit as it is read: a
+    pushed letter as a call, a cancelling one as a return, a finite one as
+    an internal.  A trivial word ends with an empty stack, so every call
+    emitted was matched.  A letter outside the alphabet raises ValueError.
     """
     row, outside = spec._reduction
     start = row
-    stack: list = [None]  # a bottom no letter is
-    out: list = []
-    push, pop, emit = stack.append, stack.pop, out.append
+    top = None  # the stack top; None at the bottom, which no letter is
+    stack: list = []
+    push, pop = stack.append, stack.pop
     for c in word:
-        move = row.get(c)
-        if move is None:
-            raise ValueError(f"letter {c!r} outside {outside}")
-        b, inverse, symbols = move
+        try:
+            b, inverse, call, internal, ret = row[c]
+        except KeyError:
+            raise ValueError(f"letter {c!r} outside {outside}") from None
         if b is None:
             row = inverse
-            emit(symbols[1])
-        elif stack[-1] is inverse:
-            pop()
-            emit(symbols[2])
+            emit(internal)
+        elif top is inverse:
+            top = pop()
+            emit(ret)
         else:
-            push(b)
-            emit(symbols[0])
-    if row is not start or len(stack) > 1:
-        return None
-    return tuple(out)
+            push(top)
+            top = b
+            emit(call)
+    return row is start and top is None
+
+
+_DISCARD = collections.deque(maxlen=0).append  # a sink that keeps nothing
 
 
 def is_identity(spec: GroupSpec, word) -> bool:
-    return _reduce(spec, word) is not None
+    return _reduce(spec, word, _DISCARD)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +566,8 @@ def annotate_word(spec: GroupSpec, word) -> TaggedWord | None:
     the twisted letters of a product); finite-group letters stay internal.
     The one reduction pass that decides triviality writes the tags.
     """
-    return _reduce(spec, word)
+    out: list = []
+    return tuple(out) if _reduce(spec, word, out.append) else None
 
 
 def enumerate_taggings(word, bound: int = 12):

@@ -17,6 +17,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 NEG_INF = -math.inf
@@ -179,8 +180,9 @@ class MatchingRelation:
         """Skip the conversions: for an int length and a frozenset of
         pairs built by the library itself."""
         matching = object.__new__(cls)
-        object.__setattr__(matching, "length", length)
-        object.__setattr__(matching, "edges", edges)
+        fields = matching.__dict__  # filled in place: object.__setattr__ costs more
+        fields["length"] = length
+        fields["edges"] = edges
         return matching
 
 
@@ -276,8 +278,9 @@ class NestedWord:
         """Skip validation: for matchings paired by stack discipline, which
         cannot cross."""
         nw = object.__new__(cls)
-        object.__setattr__(nw, "word", word)
-        object.__setattr__(nw, "matching", matching)
+        fields = nw.__dict__  # filled in place: object.__setattr__ costs more
+        fields["word"] = word
+        fields["matching"] = matching
         return nw
 
     def __len__(self) -> int:
@@ -299,27 +302,28 @@ def encode(nw: NestedWord) -> TaggedWord:
     return tuple(TaggedSymbol(b, t) for b, t in zip(nw.word, tags))
 
 
+_first, _second = itemgetter(0), itemgetter(1)  # a symbol's base and tag
+
+
 def decode(tw: TaggedWord) -> NestedWord:
     """Pair calls and returns by stack discipline; unmatched ones pend.
 
     Tags are compared by value, so an int tag reads as the Tag it equals;
     a tag that equals no Tag raises ValueError."""
+    tw = tuple(tw)
     call, ret, internal = Tag.CALL, Tag.RETURN, Tag.INTERNAL
-    word = []
     edges = []
     open_calls: list[int] = []
-    pos = 0
-    for base, tag in tw:
-        pos += 1
-        word.append(base)
+    for pos, tag in enumerate(map(_second, tw), 1):
         if tag == call:
             open_calls.append(pos)
         elif tag == ret:
             edges.append((open_calls.pop() if open_calls else NEG_INF, pos))
         elif tag != internal:
-            check_tag(base, tag)
-    edges.extend((i, POS_INF) for i in open_calls)
-    return NestedWord._trusted(tuple(word), MatchingRelation._trusted(pos, frozenset(edges)))
+            check_tag(tw[pos - 1][0], tag)
+    if open_calls:
+        edges.extend((i, POS_INF) for i in open_calls)
+    return NestedWord._trusted(tuple(map(_first, tw)), MatchingRelation._trusted(len(tw), frozenset(edges)))
 
 
 def forget(tw: TaggedWord) -> PlainWord:

@@ -35,9 +35,12 @@ accept states, some with an accepting initial state) dump as their
 determinized epsilon-NFA references do; checks `is_identity`
 and `annotate_word` against the reference reduction on seeded words of
 a free, a finite, a direct and a semidirect product group, some trivial,
-some holding a letter outside the alphabet, and runs each tagging and a
-one-tag flip of it through the group's VPA by `vpa_run` and
-`machine_accepts` against the reference; checks that `dumps` prints
+some holding a letter outside the alphabet, some of 4,096 letters that are
+trivial or one letter from it, and runs each tagging and a one-tag flip of
+it through the group's VPA by `vpa_run` and `machine_accepts` against the
+reference; checks `decode` against the reference on seeded tagged words
+given as tuples, as lists and with int tags, and its error text on a word
+holding a tag that equals no Tag; checks that `dumps` prints
 seeded machines labelled with numbers whose texts extend one another, with
 strings holding ", ", "]", a quote or a backslash, with pairs, and with
 labels equal to a state but of another type (1.0 and True for 1), the
@@ -90,6 +93,7 @@ from oracles import (  # noqa: E402
     reader_disagreement,
     reference_annotate_word,
     reference_build_product,
+    reference_decode,
     reference_dumps,
     reference_fsa_run,
     reference_is_identity,
@@ -110,7 +114,7 @@ from nestword.closures import relabel_image, shuffle, vpl_concat, vpl_reverse, v
 from nestword.groups import annotate_word, build_recognizer, is_identity  # noqa: E402
 from nestword.machines import Vpa, canonicalize, fsa_run, machine_accepts, nvpa_run, vpa_run  # noqa: E402
 from nestword.serialize import dumps, loads  # noqa: E402
-from nestword.words import TaggedSymbol, all_tagged_words  # noqa: E402
+from nestword.words import Tag, TaggedSymbol, all_tagged_words, decode  # noqa: E402
 
 
 def outcome(f, *args):
@@ -282,6 +286,32 @@ def main() -> int:
                 print(f"{type(spec).__name__}: on {word}, {problem}")
                 return 1
             runs += 1
+        trivial = trivial_word(rng, spec, 4096)
+        pending = next(c for c in letters if not reference_is_identity(spec, (c,)))
+        for word in (trivial, trivial[:-1], trivial + (pending,), (pending,) + trivial):
+            problem = group_disagreement(spec, rec, word)
+            if problem is not None:
+                print(f"{type(spec).__name__}: on a word of {len(word)} letters, {problem}")
+                return 1
+            runs += 1
+    pool = [TaggedSymbol(base, tag) for base in ("a", "b'") for tag in Tag]
+    for seed in range(40):
+        rng = random.Random(f"decode {seed}")
+        tw = tuple(rng.choices(pool, k=rng.randrange(4096 if seed % 8 == 0 else 40)))
+        want = reference_decode(tw)
+        twin = [TaggedSymbol(base, int(tag)) for base, tag in tw]
+        for form in (tw, list(tw), twin, tuple(twin)):
+            if decode(form) != want:
+                print(f"decode of the {type(form).__name__} {form} differs from the reference's")
+                return 1
+            runs += 1
+        pos = rng.randrange(len(tw) + 1)
+        bad = tw[:pos] + (TaggedSymbol("b'", 3),) + tw[pos:]
+        got = outcome(decode, bad)
+        if got != "tag 3 on \"b'\" is not a call, internal or return tag":
+            print(f"decode of {bad} gives {got!r}")
+            return 1
+        runs += 1
     for seed in range(200):
         for m in [*tricky_label_machines(random.Random(seed)), mixed]:
             problem = serialize_disagreement(m)

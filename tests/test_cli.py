@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -521,6 +522,28 @@ def test_enum_into_a_pipe_its_reader_closes_exits_1_without_a_traceback(tmp_path
         proc.wait()
     assert proc.returncode == 1
     assert err == b"", err.decode(errors="replace")
+
+
+def test_help_into_a_closed_pipe_exits_1_without_a_traceback():
+    # stdout block-buffered, so the help text meets the closed pipe when
+    # it is flushed rather than when argparse writes it
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "nestword", "--help"],
+                                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr == b"", result.stderr.decode(errors="replace")
+    result = subprocess.run([sys.executable, "-m", "nestword", "--help"], capture_output=True, text=True, env=env)
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: nestword")
+    result = subprocess.run([sys.executable, "-m", "nestword", "frobnicate"], capture_output=True, text=True, env=env)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "invalid choice: 'frobnicate'" in result.stderr
 
 
 def test_group_spec_field_errors_name_the_field(tmp_path):

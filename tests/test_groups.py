@@ -549,9 +549,15 @@ def test_annotate_word_matches_reference_on_long_words(spec):
     letters = group_letters(spec)
     trivial = trivial_word(rng, spec, 4096)
     other = tuple(rng.choices(letters, k=4096))
-    for word in (trivial, other, trivial[:-1]):
+    # back at the bottom of the stack, or at the identity, 512 times
+    blocks = tuple(c for _ in range(512) for c in trivial_word(rng, spec, 8))
+    pending = next(c for c in letters if not reference_is_identity(spec, (c,)))
+    for word in (trivial, other, trivial[:-1], blocks, blocks + (pending,), (pending,) + blocks,
+                 trivial + (pending,), blocks[:-1]):
         assert annotate_word(spec, word) == reference_annotate_word(spec, word)
+        assert is_identity(spec, word) == reference_is_identity(spec, word)
     assert annotate_word(spec, trivial) is not None
+    assert annotate_word(spec, blocks) is not None
 
 
 @settings(max_examples=300)
@@ -588,8 +594,15 @@ BAD_LETTER_TEXT = {
 
 @pytest.mark.parametrize("spec", SPEC_KINDS, ids=lambda s: type(s).__name__)
 def test_annotate_word_rejects_unknown_letters(spec):
-    # the whole text, from both entry points, for a trivial and a non-trivial prefix
-    for word in ([group_letters(spec)[0], "y1"], ["y1"], [*trivial_word(random.Random(3), spec, 6), "y1"]):
+    # the whole text, from both entry points, for a trivial and a non-trivial
+    # prefix, right after a finite letter (the last letter of a finite group
+    # or a product) and right after a cancellation at depth 1 and at depth 0
+    letters = group_letters(spec)
+    a, last = letters[0], letters[-1]
+    a_inverse = group_inverse(spec, a)
+    for word in ([a, "y1"], ["y1"], [*trivial_word(random.Random(3), spec, 6), "y1"], [last, "y1"],
+                 [a, last, "y1"], [a, a, a_inverse, "y1"], [a, a_inverse, "y1"],
+                 [*trivial_word(random.Random(5), spec, 64), a, "y1"]):
         for decide in (is_identity, annotate_word):
             with pytest.raises(ValueError) as info:
                 decide(spec, word)

@@ -367,7 +367,10 @@ def test_words_pipeline_matches_reference_on_long_words():
         text = format_word(tw)
         assert text == reference_format_word(tw)
         assert parse_word(text) == reference_parse_word(text) == tw
-        assert decode(tw) == reference_decode(tw)
+        want = reference_decode(tw)
+        twin = [TaggedSymbol(base, int(tag)) for base, tag in tw]
+        for form in (tw, list(tw), iter(tw), twin, tuple(twin), (sym for sym in twin)):
+            assert decode(form) == want
 
 
 BAD_TOKENS = ["ε", "<", ">", "a>b", "<a>", "<<a", "a>>", "<ε", "ε>", "<a<b"]
