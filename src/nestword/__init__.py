@@ -18,12 +18,10 @@ from .words import (
 from .machines import (
     Configuration,
     Fsa,
-    Nfa,
     Nvpa,
     Pda,
     Vpa,
     canonicalize,
-    fsa_determinize,
     fsa_run,
     nvpa_run,
     pda_run,
@@ -53,9 +51,6 @@ from .groups import (
     build_free_vpa,
     build_recognizer,
     build_semidirect,
-    canonical_matching,
-    enumerate_taggings,
-    free_reduce,
     psi_action,
 )
 

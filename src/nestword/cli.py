@@ -236,8 +236,19 @@ def cmd_oracle(args) -> int:
 # parser wiring
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help and usage writes raise.  argparse drops
+    an OSError from them, so with unbuffered stdout a closed pipe would end
+    `--help` with exit 0 and nothing written; raised, it reaches `main`'s
+    broken-pipe exit.  add_subparsers makes every subparser of this class."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nestword",
         description="nested words, visibly pushdown automata, and group word problems",
     )

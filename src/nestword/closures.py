@@ -40,7 +40,7 @@ from .machines import (
     reached_fsa,
     reached_vpa,
 )
-from .words import Tag, TaggedSymbol, TaggedWord, all_plain_words
+from .words import TaggedSymbol, TaggedWord
 
 
 class AlphabetMismatch(ValueError):
@@ -601,8 +601,7 @@ class Relabeling:
     The pair FSA reads (input letter, output letter) pairs; tags are not
     consulted and are copied through, so lengths and matching relations are
     preserved by construction.  The map is required to be functional
-    (at most one output word per input word), which `is_functional` checks
-    by enumeration up to a length bound.
+    (at most one output word per input word).
     """
 
     pair_fsa: Fsa
@@ -643,14 +642,6 @@ class Relabeling:
                 if out:
                     out.pop()
         return results
-
-    def is_functional(self, max_len: int = 6) -> bool:
-        letters = self.input_letters()
-        for word in all_plain_words(letters, max_len):
-            tw = tuple(TaggedSymbol(a, Tag.INTERNAL) for a in word)
-            if len(self.apply(tw)) > 1:
-                return False
-        return True
 
 
 def relabel_image(m: Vpa, phi: Relabeling) -> Nvpa:

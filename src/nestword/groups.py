@@ -33,7 +33,6 @@ from typing import Mapping
 from .closures import NonDisjointAlphabets
 from .machines import Fsa, Vpa, machine_accepts
 from .words import (
-    MatchingRelation,
     Tag,
     TaggedSymbol,
     TaggedWord,
@@ -45,16 +44,12 @@ class InvalidTable(ValueError):
     pass
 
 
-class BoundExceeded(ValueError):
-    pass
-
-
 FREE_VPA_BLANK = "-"
 FREE_VPA_BOTTOM = "$"
 
 
 # ---------------------------------------------------------------------------
-# alphabets and free reduction
+# alphabets
 
 
 def free_letters(n: int) -> tuple:
@@ -70,37 +65,6 @@ def free_letters(n: int) -> tuple:
 
 def invert_letter(a: str) -> str:
     return a[:-1] if a.endswith("'") else a + "'"
-
-
-def free_reduce(word) -> tuple:
-    """Cancel adjacent inverse pairs until none remain (one stack pass)."""
-    stack: list = []
-    for c in word:
-        if stack and stack[-1] == invert_letter(c):
-            stack.pop()
-        else:
-            stack.append(c)
-    return tuple(stack)
-
-
-def canonical_matching(word) -> MatchingRelation | None:
-    """The matching traced by stack cancellation; None if w is not trivial.
-
-    Position j cancels the position i on top of the reduction stack, giving
-    the edge (i, j) -- the pairing that follows the word's path through the
-    Cayley graph rather than any other valid cancellation pattern.
-    """
-    word = tuple(word)
-    stack: list = []  # (position, letter) awaiting cancellation
-    edges = []
-    for pos, c in enumerate(word, start=1):
-        if stack and stack[-1][1] == invert_letter(c):
-            edges.append((stack.pop()[0], pos))
-        else:
-            stack.append((pos, c))
-    if stack:
-        return None
-    return MatchingRelation(len(word), edges)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +513,7 @@ def build_recognizer(spec: GroupSpec) -> Recognizer:
 
 
 # ---------------------------------------------------------------------------
-# canonical annotation and tagging enumeration
+# canonical annotation
 
 
 @functools.lru_cache(maxsize=4096)
@@ -569,12 +533,3 @@ def annotate_word(spec: GroupSpec, word) -> TaggedWord | None:
     out: list = []
     return tuple(out) if _reduce(spec, word, out.append) else None
 
-
-def enumerate_taggings(word, bound: int = 12):
-    """All 3^|w| taggings in token-lexicographic order."""
-    word = tuple(word)
-    if len(word) > bound:
-        raise BoundExceeded(f"word length {len(word)} exceeds bound {bound}")
-    tag_choices = [_tagged(c) for c in word]
-    for combo in itertools.product(*tag_choices):
-        yield tuple(combo)

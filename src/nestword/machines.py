@@ -134,49 +134,6 @@ class Fsa(_Machine):
         return f"Fsa(states={len(self.states)}, alphabet={self.alphabet!r})"
 
 
-@dataclass(repr=False)
-class Nfa:
-    """Nondeterministic finite automaton; symbol None marks an epsilon move."""
-
-    kind = "nfa"
-
-    alphabet: tuple
-    states: frozenset
-    initials: frozenset
-    accepts: frozenset
-    delta: dict  # (state, symbol | None) -> frozenset of states
-
-    def __post_init__(self):
-        self.alphabet = tuple(self.alphabet)
-        self.states = _freeze_states(self.states)
-        self.initials = _freeze_states(self.initials)
-        self.accepts = _freeze_states(self.accepts)
-        self.delta = {k: frozenset(v) for k, v in self.delta.items()}
-        alpha = set(self.alphabet)
-        if not self.initials <= self.states or not self.accepts <= self.states:
-            raise ValueError("initial/accept states not a subset of states")
-        for (src, sym), dsts in self.delta.items():
-            if src not in self.states or not dsts <= self.states:
-                raise ValueError(f"transition ({src!r},{sym!r}) leaves state set")
-            if sym is not None and sym not in alpha:
-                raise ValueError(f"transition symbol {sym!r} not in alphabet")
-
-    def __repr__(self):
-        return f"Nfa(states={len(self.states)}, alphabet={self.alphabet!r})"
-
-
-def _eps_closure(n: Nfa, states: frozenset) -> frozenset:
-    seen = set(states)
-    todo = list(states)
-    while todo:
-        q = todo.pop()
-        for p in n.delta.get((q, None), ()):
-            if p not in seen:
-                seen.add(p)
-                todo.append(p)
-    return frozenset(seen)
-
-
 def reached_fsa(alphabet: tuple, initial, step, accepting) -> Fsa:
     """The Fsa of the states a run from `initial` reaches, named q0, q1, ...
     in the breadth-first order that first meets them, each state's letters
@@ -198,19 +155,6 @@ def reached_fsa(alphabet: tuple, initial, step, accepting) -> Fsa:
             delta[src, a] = name
     accepts = frozenset(names[q] for q in order if accepting(q))
     return Fsa(alphabet, frozenset(names.values()), "q0", accepts, delta)
-
-
-def fsa_determinize(n: Nfa) -> Fsa:
-    """Subset construction over reachable subsets only; states become q0, q1, ..."""
-
-    def step(subset: frozenset, sym) -> frozenset | None:
-        moved = set()
-        for q in subset:
-            moved.update(n.delta.get((q, sym), ()))
-        return _eps_closure(n, moved) or None
-
-    start = _eps_closure(n, n.initials)
-    return reached_fsa(n.alphabet, start, step, lambda subset: not n.accepts.isdisjoint(subset))
 
 
 # ---------------------------------------------------------------------------

@@ -41,13 +41,13 @@ from nestword.groups import (
     FreeGroupSpec,
     Recognizer,
     SemidirectProductSpec,
+    _tagged,
     build_direct_product,
     build_finite_fsa,
     build_free_vpa,
     build_semidirect,
     cyclic_group,
     free_letters,
-    free_reduce,
     invert_letter,
     perm_by_name,
     perm_name,
@@ -58,15 +58,13 @@ from nestword.machines import (
     Configuration,
     EpsilonBudgetExceeded,
     Fsa,
-    Nfa,
     Nvpa,
     Pda,
     Vpa,
     VpaRun,
-    _eps_closure,
+    _freeze_states,
     add_move,
     canonicalize,
-    fsa_determinize,
     fsa_run,
     pda_step,
     vpa_run,
@@ -81,6 +79,7 @@ from nestword.words import (
     NestedWord,
     Tag,
     TaggedSymbol,
+    all_plain_words,
     all_tagged_words,
     encode,
     parse_token,
@@ -91,8 +90,8 @@ from nestword.words import (
 
 
 # ---------------------------------------------------------------------------
-# fixtures: the two textbook example machines, an NFA run, and the trivial
-# NVPA and relabeling embeddings
+# fixtures: the two textbook example machines, the NFA kind and its run,
+# and the trivial NVPA and relabeling embeddings
 
 
 def anbn_pda() -> Pda:
@@ -181,6 +180,49 @@ def mixed_label_vpa() -> Vpa:
     )
 
 
+@dataclasses.dataclass(repr=False)
+class Nfa:
+    """Nondeterministic finite automaton; symbol None marks an epsilon move."""
+
+    kind = "nfa"
+
+    alphabet: tuple
+    states: frozenset
+    initials: frozenset
+    accepts: frozenset
+    delta: dict  # (state, symbol | None) -> frozenset of states
+
+    def __post_init__(self):
+        self.alphabet = tuple(self.alphabet)
+        self.states = _freeze_states(self.states)
+        self.initials = _freeze_states(self.initials)
+        self.accepts = _freeze_states(self.accepts)
+        self.delta = {k: frozenset(v) for k, v in self.delta.items()}
+        alpha = set(self.alphabet)
+        if not self.initials <= self.states or not self.accepts <= self.states:
+            raise ValueError("initial/accept states not a subset of states")
+        for (src, sym), dsts in self.delta.items():
+            if src not in self.states or not dsts <= self.states:
+                raise ValueError(f"transition ({src!r},{sym!r}) leaves state set")
+            if sym is not None and sym not in alpha:
+                raise ValueError(f"transition symbol {sym!r} not in alphabet")
+
+    def __repr__(self):
+        return f"Nfa(states={len(self.states)}, alphabet={self.alphabet!r})"
+
+
+def _eps_closure(n: Nfa, states: frozenset) -> frozenset:
+    seen = set(states)
+    todo = list(states)
+    while todo:
+        q = todo.pop()
+        for p in n.delta.get((q, None), ()):
+            if p not in seen:
+                seen.add(p)
+                todo.append(p)
+    return frozenset(seen)
+
+
 def nfa_run(m: Nfa, word) -> bool:
     current = _eps_closure(m, m.initials)
     for sym in word:
@@ -243,6 +285,17 @@ def forked_relabeling() -> Relabeling:
     pairs = (("a", "a"), ("a", "b"), ("b", "b"))
     delta = {("p", ("a", "a")): "p", ("p", ("a", "b")): "r", ("p", ("b", "b")): "p", ("r", ("b", "b")): "r"}
     return Relabeling(Fsa(pairs, {"p", "r"}, "p", {"p", "r"}, delta))
+
+
+def relabeling_is_functional(phi: Relabeling, max_len: int = 6) -> bool:
+    """Whether phi maps each input word of up to max_len letters to at
+    most one output word, by enumeration."""
+    letters = phi.input_letters()
+    for word in all_plain_words(letters, max_len):
+        tw = tuple(TaggedSymbol(a, Tag.INTERNAL) for a in word)
+        if len(phi.apply(tw)) > 1:
+            return False
+    return True
 
 
 def random_vpa(rng: random.Random, n_states=4, alphabet=("a", "b"), n_stack=2, density=0.8) -> Vpa:
@@ -922,6 +975,54 @@ def reference_annotate_word(spec, word):
     if not trivial:
         return None
     return encode(NestedWord._trusted(word, MatchingRelation(len(word), edges)))
+
+
+# -- free reduction, the canonical matching and every tagging, by brute force
+
+
+class BoundExceeded(ValueError):
+    pass
+
+
+def free_reduce(word) -> tuple:
+    """Cancel adjacent inverse pairs until none remain (one stack pass)."""
+    stack: list = []
+    for c in word:
+        if stack and stack[-1] == invert_letter(c):
+            stack.pop()
+        else:
+            stack.append(c)
+    return tuple(stack)
+
+
+def canonical_matching(word) -> MatchingRelation | None:
+    """The matching traced by stack cancellation; None if w is not trivial.
+
+    Position j cancels the position i on top of the reduction stack, giving
+    the edge (i, j) -- the pairing that follows the word's path through the
+    Cayley graph rather than any other valid cancellation pattern.
+    """
+    word = tuple(word)
+    stack: list = []  # (position, letter) awaiting cancellation
+    edges = []
+    for pos, c in enumerate(word, start=1):
+        if stack and stack[-1][1] == invert_letter(c):
+            edges.append((stack.pop()[0], pos))
+        else:
+            stack.append((pos, c))
+    if stack:
+        return None
+    return MatchingRelation(len(word), edges)
+
+
+def enumerate_taggings(word, bound: int = 12):
+    """All 3^|w| taggings in token-lexicographic order."""
+    word = tuple(word)
+    if len(word) > bound:
+        raise BoundExceeded(f"word length {len(word)} exceeds bound {bound}")
+    tag_choices = [_tagged(c) for c in word]
+    for combo in itertools.product(*tag_choices):
+        yield tuple(combo)
 
 
 # -- group word problems by the definitions, with no twist table
@@ -1910,8 +2011,8 @@ def reference_finite_fsa(g: FiniteGroupSpec) -> Fsa:
 
 # ---------------------------------------------------------------------------
 # reference regular builders: the complete-then-canonicalize forms that the
-# regular closures, canonicalize on an Fsa and fsa_determinize must agree
-# with, byte for byte.  Each completes its inputs with a sink state, builds
+# regular closures and canonicalize on an Fsa must agree with, byte for
+# byte.  Each completes its inputs with a sink state, builds
 # the whole product, and canonicalizes it afterwards.
 
 
@@ -2129,8 +2230,9 @@ def golden_closure_machines():
 
 def golden_regular_machines():
     """A fixed, seeded set of Fsa outputs: every regular closure,
-    canonicalize on an Fsa and fsa_determinize, on inputs of one to five
-    states whose moves are drawn with densities from 0.3 to 1."""
+    canonicalize on an Fsa and the reference subset construction, on
+    inputs of one to five states whose moves are drawn with densities from
+    0.3 to 1."""
     rng = random.Random(20261019)
     for i in range(10):
         density = 0.3 + 0.7 * i / 9
@@ -2145,7 +2247,7 @@ def golden_regular_machines():
         yield reg_prefix(m1)
         yield reg_complement(reg_union(m1, reg_star(m2)))
         yield canonicalize(m1)
-        yield fsa_determinize(random_nfa(rng, 1 + i % 4, alphabet=("a", "b", "c"), density=0.2 + 0.05 * i))
+        yield reference_fsa_determinize(random_nfa(rng, 1 + i % 4, alphabet=("a", "b", "c"), density=0.2 + 0.05 * i))
 
 
 def dumps_digest(machines) -> tuple:

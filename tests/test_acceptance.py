@@ -11,8 +11,11 @@ from oracles import (
     ExtensionOracle,
     anbn_pda,
     astar_bstar_fsa,
+    canonical_matching,
     concat_oracle,
     direct_oracle,
+    enumerate_taggings,
+    free_reduce,
     group_letters,
     random_fsa,
     random_vpa,
@@ -34,11 +37,8 @@ from nestword.groups import (
     build_free_vpa,
     build_recognizer,
     build_semidirect,
-    canonical_matching,
     cyclic_group,
-    enumerate_taggings,
     free_letters,
-    free_reduce,
     group_spec_from_doc,
     symmetric_group,
 )

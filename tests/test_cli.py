@@ -12,14 +12,10 @@ import pytest
 
 from nestword.cli import main as cli_main
 from nestword import serialize
-from nestword.groups import (
-    build_recognizer,
-    group_spec_from_doc,
-    enumerate_taggings,
-)
+from nestword.groups import group_spec_from_doc
 from nestword.machines import Fsa, vpa_run
 from nestword.words import format_word, reverse as reverse_word
-from oracles import astar_bstar_fsa, deep_walk, group_letters, mixed_label_vpa, random_vpa
+from oracles import astar_bstar_fsa, deep_walk, enumerate_taggings, group_letters, mixed_label_vpa, random_vpa
 
 FREE1 = {"kind": "free", "n": 1}
 FREE2 = {"kind": "free", "n": 2}
@@ -525,18 +521,20 @@ def test_enum_into_a_pipe_its_reader_closes_exits_1_without_a_traceback(tmp_path
 
 
 def test_help_into_a_closed_pipe_exits_1_without_a_traceback():
-    # stdout block-buffered, so the help text meets the closed pipe when
-    # it is flushed rather than when argparse writes it
+    # stdout block-buffered, so the help text meets the closed pipe when it
+    # is flushed, and unbuffered, so it meets it when argparse writes it
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        result = subprocess.run([sys.executable, "-m", "nestword", "--help"],
-                                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
-    finally:
-        os.close(write_end)
-    assert result.returncode == 1
-    assert result.stderr == b"", result.stderr.decode(errors="replace")
+    for argv in (("--help",), ("check", "--help")):
+        for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                result = subprocess.run([sys.executable, "-m", "nestword", *argv], stdout=write_end,
+                                        stderr=subprocess.PIPE, env={**env, **unbuffered}, timeout=120)
+            finally:
+                os.close(write_end)
+            assert result.returncode == 1, (argv, unbuffered)
+            assert result.stderr == b"", result.stderr.decode(errors="replace")
     result = subprocess.run([sys.executable, "-m", "nestword", "--help"], capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert result.stdout.startswith("usage: nestword")

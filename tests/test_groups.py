@@ -10,7 +10,11 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     PRODUCT_SPECS,
     SPEC_KINDS,
+    BoundExceeded,
+    canonical_matching,
     direct_oracle,
+    enumerate_taggings,
+    free_reduce,
     group_inverse,
     group_letters,
     perm_compose,
@@ -27,7 +31,6 @@ from oracles import (
 from nestword import serialize
 from nestword.closures import NonDisjointAlphabets, relabel_image, shuffle
 from nestword.groups import (
-    BoundExceeded,
     DirectProductSpec,
     FiniteGroupSpec,
     FreeGroupSpec,
@@ -39,11 +42,8 @@ from nestword.groups import (
     build_free_vpa,
     build_recognizer,
     build_semidirect,
-    canonical_matching,
     cyclic_group,
-    enumerate_taggings,
     free_letters,
-    free_reduce,
     group_spec_from_doc,
     invert_letter,
     is_identity,

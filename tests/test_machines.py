@@ -15,6 +15,7 @@ from oracles import (
     GOLDEN_CLOSURE_DIGEST,
     GOLDEN_REGULAR_DIGEST,
     SUMMARY_LANES,
+    Nfa,
     anbn_pda,
     astar_bstar_fsa,
     configuration_set_run,
@@ -34,6 +35,7 @@ from oracles import (
     random_vpa,
     random_walk,
     reference_bfs_canonicalize,
+    reference_fsa_determinize,
     reference_fsa_run,
     reference_nvpa_run,
     reference_pda_run,
@@ -55,12 +57,10 @@ from nestword.machines import (
     Configuration,
     EpsilonBudgetExceeded,
     Fsa,
-    Nfa,
     Nvpa,
     Pda,
     Vpa,
     canonicalize,
-    fsa_determinize,
     fsa_run,
     machine_accepts,
     nvpa_run,
@@ -889,7 +889,8 @@ def test_replaced_vpa_gets_fresh_run_rows():
 
 
 # ---------------------------------------------------------------------------
-# determinization
+# determinization: the reference subset construction the regular gluing
+# references and the golden regular machines are built with
 
 
 def test_determinize_preserves_deterministic_language():
@@ -901,7 +902,7 @@ def test_determinize_preserves_deterministic_language():
         m.accepts,
         {(q, a): {dst} for (q, a), dst in m.delta.items()},
     )
-    d = fsa_determinize(n)
+    d = reference_fsa_determinize(n)
     for length in range(7):
         for w in itertools.product("ab", repeat=length):
             assert fsa_run(d, w) == fsa_run(m, w)
@@ -913,7 +914,7 @@ def test_determinize_reverse_of_ambn():
     for (q, a), dst in m.delta.items():
         delta.setdefault((dst, a), set()).add(q)
     reversed_nfa = Nfa(m.alphabet, m.states, m.accepts, {m.initial}, delta)
-    d = fsa_determinize(reversed_nfa)
+    d = reference_fsa_determinize(reversed_nfa)
     assert fsa_run(d, "bba")
     # reversal oracle on {a^m b^n}
     for length in range(7):
@@ -930,7 +931,7 @@ def test_determinize_ab_suffix_nfa():
         {2},
         {(0, "a"): {0, 1}, (0, "b"): {0}, (1, "b"): {2}},
     )
-    d = fsa_determinize(n)
+    d = reference_fsa_determinize(n)
     for length in range(9):
         for w in itertools.product("ab", repeat=length):
             expected = len(w) >= 2 and w[-2:] == ("a", "b")
@@ -1151,7 +1152,8 @@ def test_dumps_golden_digest_builders():
 
 
 def test_dumps_golden_digest_regular():
-    # every regular closure, canonicalize(Fsa) and fsa_determinize, byte for byte
+    # every regular closure, canonicalize(Fsa) and the reference subset
+    # construction, byte for byte
     digest, kinds = dumps_digest(golden_regular_machines())
     assert kinds == {"fsa"}
     assert digest == GOLDEN_REGULAR_DIGEST

@@ -1,12 +1,23 @@
-"""The public surface: the names `nestword` exports.
+"""The public surface: the names `nestword` exports, and the README that
+documents them.
 
 A change to this list is a change to the public API, and belongs in the
-CHANGES.md entry that makes it.
+CHANGES.md entry that makes it.  Every exported name has a job: the
+library uses it, or the README says what it is for.
 """
 
+import ast
+import contextlib
+import io
+import pathlib
+import re
+import tokenize
 import types
 
 import nestword
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 PUBLIC_NAMES = [
     "Configuration",
@@ -15,7 +26,6 @@ PUBLIC_NAMES = [
     "Fsa",
     "MatchingRelation",
     "NestedWord",
-    "Nfa",
     "Nvpa",
     "Pda",
     "PrefixDecider",
@@ -29,16 +39,12 @@ PUBLIC_NAMES = [
     "build_free_vpa",
     "build_recognizer",
     "build_semidirect",
-    "canonical_matching",
     "canonicalize",
     "concat",
     "decode",
     "encode",
-    "enumerate_taggings",
     "forget",
     "format_word",
-    "free_reduce",
-    "fsa_determinize",
     "fsa_run",
     "nvpa_run",
     "parse_word",
@@ -62,10 +68,69 @@ PUBLIC_NAMES = [
 ]
 
 
-def test_public_names_are_pinned():
-    exported = sorted(
+def _exported() -> list:
+    return sorted(
         name
         for name, value in vars(nestword).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
-    assert exported == PUBLIC_NAMES
+
+
+def _loaded_names(tree) -> set:
+    """The names a tree reads, as a bare name or as an attribute."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            used.add(node.attr)
+    return used
+
+
+def _library_example() -> str:
+    blocks = re.findall(r"^```python\n(.*?)^```", README, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1, "the README holds one python block, its library example"
+    return blocks[0]
+
+
+def test_public_names_are_pinned():
+    assert _exported() == PUBLIC_NAMES
+
+
+def test_every_export_has_a_job():
+    # used by a library module, or documented in the README: an inline code
+    # span that is the name, a call of it or an attribute of it, or a use in
+    # the library example
+    used = set()
+    for path in (ROOT / "src" / "nestword").glob("*.py"):
+        if path.name != "__init__.py":
+            used |= _loaded_names(ast.parse(path.read_text(encoding="utf-8")))
+    spans = re.findall(r"`([^`\n]+)`", README)
+    documented = _loaded_names(ast.parse(_library_example()))
+    documented.update(
+        name for name in PUBLIC_NAMES for span in spans
+        if span == name or span.startswith((name + "(", name + "."))
+    )
+    idle = [name for name in _exported() if name not in used | documented]
+    assert idle == []
+
+
+def test_readme_library_example_prints_its_comments():
+    # each print in the example is followed by the line it prints, as a comment
+    source = _library_example()
+    comments = {
+        token.start[0]: token.string[1:].strip()
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type == tokenize.COMMENT
+    }
+    expected = [
+        comments[node.end_lineno]
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+        and getattr(node.value.func, "id", None) == "print"
+    ]
+    assert expected, "the library example prints nothing"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(source, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == expected
