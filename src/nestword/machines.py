@@ -64,11 +64,13 @@ def _state_set(states: Iterable[State]) -> frozenset:
     return states
 
 
-def _check_symbol(m, base, tag) -> None:
+def _check_symbol(m, sym) -> None:
     """Raise ValueError if a symbol a run finds no move on is itself at
-    fault: its letter lies outside the alphabet, or its tag equals no Tag.
-    Rows hold well-formed symbols only, so a run checks a symbol only where
-    it finds no move, and a well-formed word pays nothing for the check."""
+    fault: it is not a (letter, tag) pair, its letter lies outside the
+    alphabet, or its tag equals no Tag.  Rows hold well-formed symbols
+    only, so a run checks a symbol only where it finds no move, and a
+    well-formed word pays nothing for the check."""
+    base, tag = sym
     if base not in m._alpha:
         raise ValueError(f"letter {base!r} not in alphabet") from None
     check_tag(base, tag)
@@ -461,8 +463,7 @@ def _vpa_end(m: Fsa | Vpa, tw: TaggedWord, trace: list | None = None) -> tuple:
                 trace.append(Configuration(state, tw[len(trace):], tuple(stack)))
     except KeyError:
         if sym not in symbols:
-            base, tag = sym
-            _check_symbol(m, base, tag)
+            _check_symbol(m, sym)
         return state, stack, sym
     return state, stack, None
 
@@ -718,7 +719,7 @@ def nvpa_run(m: Nvpa, tw: TaggedWord) -> bool:
                 return False
     except KeyError:
         # the rows hold every tagged letter of the alphabet: sym is at fault
-        _check_symbol(m, *sym)
+        _check_symbol(m, sym)
         raise
     accepts = rows.accepts
     if frame is None:

@@ -1,21 +1,25 @@
 """JSON serialization for machines.
 
-One document per machine: a `kind` field selects the schema, list-valued
-fields are emitted in a sorted canonical order, and transition rows are
+One document per machine: its `kind` is the machine class's `kind`, and
+its other fields are the class's fields by name (`_KINDS`), except that
+the tables (`delta`, or `delta_c`, `delta_i` and `delta_r`) are one
+`transitions` field.  The alphabet keeps its order, `initial` and
+`bottom` are single labels, every other field is a label set in a sorted
+canonical order, and transition rows are
 
     fsa   [src, symbol, dst]
     pda   [src, symbol-or-null, stack symbol, dst, [push...]]
     vpa   [src, "<a", dst, push]  /  [src, "a", dst]  /  [src, "a>", stack symbol, dst]
     nvpa  as vpa, one row per nondeterministic choice
 
-The VPA bottom symbol is serialized under "bottom" and may appear as the
-stack symbol of return rows.  Tuple-shaped labels (pair-FSA symbols) become
-JSON arrays and are read back as tuples.  A float label must be finite:
-JSON has no NaN or infinity, so `dumps` refuses such a label and
-`parse_json` (which `loads` reads through) refuses the constants NaN,
-Infinity and -Infinity.  Every list-valued field, every row and every
-push word must be a JSON array.  In an fsa, pda or vpa document a row may
-repeat, but two different rows for one key are an error.
+A VPA's bottom may be the stack symbol of a return row.  Tuple-shaped
+labels (pair-FSA symbols) become JSON arrays and are read back as tuples.
+A float label must be finite: JSON has no NaN or infinity, so `dumps`
+refuses such a label and `parse_json` (which `loads` reads through)
+refuses the constants NaN, Infinity and -Infinity.  Every list-valued
+field, every row and every push word must be a JSON array.  In an fsa,
+pda or vpa document a row may repeat, but two different rows for one key
+are an error.
 
 Byte contract: where `dumps(m)` succeeds it is exactly `json.dumps(doc,
 indent=2, sort_keys=True) + "\\n"` of the document, where label sets and
@@ -29,7 +33,9 @@ the machine's tables: one string per row, which sorts as the row's
 compact text does (`_rows`), one sort, one join.  Tuple labels, and a
 pda's push words, are printed by `_printed`.
 
-The reader (`from_doc`) reads a vpa's or an nvpa's rows in one pass, in
+The reader (`from_doc`) reads `transitions` first, then the label fields
+in the order the class lists them, and reports the first faulty or
+missing field.  It reads a vpa's or an nvpa's rows in one pass, in
 document order (`_vpa_deltas`): each token goes through the token memo
 that `parse_word` uses, and each row is unpacked once and written
 straight into its table, so of several faulty rows the first is the one
@@ -39,8 +45,9 @@ only where its tables end with fewer keys than there are rows.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 
@@ -161,55 +168,39 @@ def _vpa_rows(m, texts: _Texts, nested: bool) -> str:
     return _rows(keys)
 
 
+def _pda_rows(m: Pda, texts: _Texts, nested: bool) -> str:
+    """A Pda's rows, printed as nested ones: every push word is a tuple."""
+    return _printed_rows([(q, a, g, dst, push) for (q, a, g), (dst, push) in m.delta.items()], texts)
+
+
+def _print_alphabet(letters: tuple, texts: _Texts) -> str:
+    return _array([_printed(a, "\n    ", texts) for a in letters], "\n  ")
+
+
+def _print_label(value, texts: _Texts) -> str:
+    return _printed(value, "\n  ", texts)
+
+
+def _print_labels(values, texts: _Texts) -> str:
+    """A label set, ordered by compact text."""
+    return _array([_printed(v, "\n    ", texts) for v in sorted(values, key=texts.__getitem__)], "\n  ")
+
+
 def _fields(m, texts: _Texts) -> dict:
     """Each top-level field of m's document, printed."""
-    if not isinstance(m, (Fsa, Pda, Vpa, Nvpa)):
+    if not isinstance(m, _MACHINES):
         raise SerializationError(f"cannot serialize {type(m).__name__}")
+    _, labels, write_rows, _ = _KINDS[m.kind]
+    fields = {}
+    values = []
+    for name, single, printer, _ in labels:
+        value = getattr(m, name)
+        fields[name] = printer(value, texts)
+        values.append((value,) if single else value)
     # each row label is equal to a letter, a state, a stack symbol or the
     # bottom, and only a tuple is equal to a tuple
-    sets = (m.alphabet, m.states) if isinstance(m, Fsa) else (m.alphabet, m.states, m.stack_alphabet, (m.bottom,))
-    nested = any(isinstance(v, tuple) for v in chain.from_iterable(sets))
-
-    def label(v):
-        return _printed(v, "\n  ", texts)
-
-    def labels(vs):  # a label set, ordered by compact text
-        return _array([_printed(v, "\n    ", texts) for v in sorted(vs, key=texts.__getitem__)], "\n  ")
-
-    def alphabet():
-        return _array([_printed(a, "\n    ", texts) for a in m.alphabet], "\n  ")
-
-    if isinstance(m, Fsa):
-        return {
-            "alphabet": alphabet(),
-            "states": labels(m.states),
-            "initial": label(m.initial),
-            "accepts": labels(m.accepts),
-            "transitions": _fsa_rows(m, texts, nested),
-        }
-    if isinstance(m, Pda):
-        return {
-            "alphabet": alphabet(),
-            "states": labels(m.states),
-            "stack_alphabet": labels(m.stack_alphabet),
-            "initial": label(m.initial),
-            "bottom": label(m.bottom),
-            "accepts": labels(m.accepts),
-            "transitions": _printed_rows([(q, a, g, dst, push) for (q, a, g), (dst, push) in m.delta.items()], texts),
-        }
-    fields = {
-        "alphabet": alphabet(),
-        "states": labels(m.states),
-        "stack_alphabet": labels(m.stack_alphabet),
-        "bottom": label(m.bottom),
-        "accepts": labels(m.accepts),
-        "accept_stack": labels(m.accept_stack),
-        "transitions": _vpa_rows(m, texts, nested),
-    }
-    if isinstance(m, Vpa):
-        fields["initial"] = label(m.initial)
-    else:
-        fields["initials"] = labels(m.initials)
+    nested = any(map(isinstance, chain.from_iterable(values), repeat(tuple)))
+    fields["transitions"] = write_rows(m, texts, nested)
     return fields
 
 
@@ -366,46 +357,46 @@ def _vpa_deltas(rows, single: bool, tuples: bool, first: bool = False) -> tuple:
     return delta_c, delta_i, delta_r
 
 
+# how a label field prints and reads, as (single, printer, converter): the
+# alphabet keeps its order, `initial` and `bottom` are single labels, and
+# every other label field is a label set
+_SHAPES = {
+    "alphabet": (False, _print_alphabet, _alphabet),
+    "initial": (True, _print_label, _label),
+    "bottom": (True, _print_label, _label),
+}
+_LABEL_SET = (False, _print_labels, _labels)
+
+
+def _kind(cls: type, write_rows, read_rows) -> tuple:
+    """A document kind, read off its machine class's fields: (the class,
+    (name, single, printer, converter) per label field in class order, the
+    row writer, the row reader).  The tables (`delta...`), which every
+    class lists last, are written and read as `transitions`."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    labels = tuple((name, *_SHAPES.get(name, _LABEL_SET)) for name in names if not name.startswith("delta"))
+    assert all(name.startswith("delta") for name in names[len(labels):]), f"{cls.__name__} lists a label after a table"
+    return cls, labels, write_rows, read_rows
+
+
+_KINDS = {cls.kind: _kind(cls, write_rows, read_rows) for cls, write_rows, read_rows in (
+    (Fsa, _fsa_rows, lambda rows, tuples: (_fsa_delta(rows, tuples),)),
+    (Pda, _pda_rows, lambda rows, tuples: (_pda_delta(rows),)),
+    (Vpa, _vpa_rows, lambda rows, tuples: _vpa_deltas(rows, True, tuples)),
+    (Nvpa, _vpa_rows, lambda rows, tuples: _vpa_deltas(rows, False, tuples)),
+)}
+_MACHINES = tuple(cls for cls, *_ in _KINDS.values())
+
+
 def _machine(doc: dict, tuples: bool):
-    """The machine doc describes; with `tuples`, array labels in its rows
-    are read as tuples."""
-    kind = doc["kind"]
-    if kind == "fsa":
-        return Fsa(
-            alphabet=_field(doc, "alphabet", _alphabet),
-            states=_field(doc, "states", _labels),
-            initial=_field(doc, "initial"),
-            accepts=_field(doc, "accepts", _labels),
-            delta=_field(doc, "transitions", lambda rows: _fsa_delta(rows, tuples)),
-        )
-    if kind == "pda":
-        return Pda(
-            alphabet=_field(doc, "alphabet", _alphabet),
-            states=_field(doc, "states", _labels),
-            stack_alphabet=_field(doc, "stack_alphabet", _labels),
-            initial=_field(doc, "initial"),
-            bottom=_field(doc, "bottom"),
-            accepts=_field(doc, "accepts", _labels),
-            delta=_field(doc, "transitions", _pda_delta),
-        )
-    if kind in ("vpa", "nvpa"):
-        single = kind == "vpa"
-        delta_c, delta_i, delta_r = _field(doc, "transitions", lambda rows: _vpa_deltas(rows, single, tuples))
-        common = dict(
-            alphabet=_field(doc, "alphabet", _alphabet),
-            states=_field(doc, "states", _labels),
-            stack_alphabet=_field(doc, "stack_alphabet", _labels),
-            bottom=_field(doc, "bottom"),
-            accepts=_field(doc, "accepts", _labels),
-            accept_stack=_field(doc, "accept_stack", _labels),
-            delta_c=delta_c,
-            delta_i=delta_i,
-            delta_r=delta_r,
-        )
-        if single:
-            return Vpa(initial=_field(doc, "initial"), **common)
-        return Nvpa(initials=_field(doc, "initials", _labels), **common)
-    raise SerializationError(f"unknown machine kind {kind!r}")
+    """The machine doc describes, its rows read first; with `tuples`,
+    array labels in its rows are read as tuples."""
+    try:
+        cls, labels, _, read_rows = _KINDS[doc["kind"]]
+    except (KeyError, TypeError):  # an unknown or unhashable kind
+        raise SerializationError(f"unknown machine kind {doc['kind']!r}") from None
+    tables = _field(doc, "transitions", lambda rows: read_rows(rows, tuples))
+    return cls(*[_field(doc, name, convert) for name, _, _, convert in labels], *tables)
 
 
 def from_doc(doc: dict):

@@ -386,15 +386,6 @@ def vpa_language(m: Vpa, max_len: int) -> set:
     return {w for w in all_tagged_words(m.alphabet, max_len) if vpa_run(m, w).accepted}
 
 
-def fsa_language(m: Fsa, max_len: int) -> set:
-    out = set()
-    for n in range(max_len + 1):
-        for w in itertools.product(m.alphabet, repeat=n):
-            if fsa_run(m, w):
-                out.add(w)
-    return out
-
-
 def deep_walk(m: Vpa, rng: random.Random, depth: int):
     """A word m reads without dying: `depth` calls, then returns until the
     stack is empty, each letter drawn from m's defined moves; None when a

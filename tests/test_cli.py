@@ -11,11 +11,11 @@ import sys
 import pytest
 
 from nestword.cli import main as cli_main
-from nestword import serialize
+from nestword import closures, serialize
 from nestword.groups import group_spec_from_doc
 from nestword.machines import Fsa, vpa_run
 from nestword.words import format_word, reverse as reverse_word
-from oracles import astar_bstar_fsa, deep_walk, enumerate_taggings, group_letters, mixed_label_vpa, random_vpa
+from oracles import anbn_pda, astar_bstar_fsa, deep_walk, enumerate_taggings, group_letters, mixed_label_vpa, random_vpa
 
 FREE1 = {"kind": "free", "n": 1}
 FREE2 = {"kind": "free", "n": 2}
@@ -296,6 +296,43 @@ def test_closure_arity_and_kind_errors(tmp_path):
     assert run_cli("closure", "--op", "shuffle", "--inputs", z2_aut, aut)[0] == 2
 
 
+@pytest.mark.parametrize("op, arity", [
+    ("union", 2), ("intersection", 2), ("concat", 2),
+    ("complement", 1), ("star", 1), ("reverse", 1), ("prefix", 1),
+])
+def test_closure_of_fsas_writes_the_regular_closure(tmp_path, op, arity):
+    z2_aut, _ = build(tmp_path, Z2, "z2")
+    out = tmp_path / f"{op}.json"
+    code, stdout, _ = run_cli("closure", "--op", op, "--inputs", *[z2_aut] * arity, "--out", out)
+    assert (code, stdout) == (0, "deterministic: yes\n")
+    inputs = [serialize.load(z2_aut)] * arity
+    assert out.read_text() == serialize.dumps(getattr(closures, f"reg_{op}")(*inputs))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("check", "--automaton", "{pda}", "a"), "check runs FSA/VPA/NVPA automata, not PDAs"),
+    (("enum", "--automaton", "{pda}", "--max-len", "2"), "enum runs FSA/VPA/NVPA automata, not PDAs"),
+    (("closure", "--op", "complement", "--inputs", "{z2}", "{z2}"), "complement takes one input"),
+    (("closure", "--op", "relabel", "--inputs", "{z2}", "{free1}"), "relabel takes a VPA and a pair FSA, in that order"),
+    (("closure", "--op", "prefix", "--inputs", "{free1}"), "prefix on a VPA needs --word (membership query)"),
+])
+def test_closure_check_and_enum_refusals_exit_2(tmp_path, argv, message):
+    files = {"pda": tmp_path / "pda.json", "z2": build(tmp_path, Z2, "z2")[0]}
+    files["free1"], _ = build(tmp_path, FREE1, "free1")
+    files["pda"].write_text(serialize.dumps(anbn_pda()))
+    result = run_cli(*[a.format(**files) for a in argv])
+    assert_one_error_line(result)
+    assert result[2] == f"error: {message}\n"
+
+
+def test_check_trace_on_an_nvpa_notes_it_has_none(tmp_path):
+    aut, _ = build(tmp_path, FREE1, "free1")
+    rev = tmp_path / "rev.json"
+    assert run_cli("closure", "--op", "reverse", "--inputs", aut, "--out", rev)[0] == 0
+    result = run_cli("check", "--automaton", rev, "--trace", "<x1", "x1'>")
+    assert result == (0, "note: --trace is not available for nondeterministic machines\naccept\n", "")
+
+
 def test_closure_writes_stdout_without_out(tmp_path):
     aut, _ = build(tmp_path, FREE1, "free1")
     code, out, err = run_cli("closure", "--op", "complement", "--inputs", aut)
@@ -560,6 +597,22 @@ def test_group_spec_field_errors_name_the_field(tmp_path):
             result = run_cli(*argv)
             assert_one_error_line(result)
             assert field in result[2], result[2]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "free", "n": 0}, "free group needs n >= 1"),
+    ({**SEMI_F2_S2, "m": 0}, "need n >= 1 and m >= 1"),
+    ({**DIRECT_F1_Z2, "n": 0}, "free factor needs n >= 1"),
+    ({**Z2, "elements": ["e", "e"]}, "duplicate element names"),
+    ({**Z2, "identity": "x"}, "identity 'x' not an element"),
+    ({**Z2, "table": [["e", "t"]]}, "table shape does not match the element list"),
+    ({**Z2, "identity": 5}, "bad 'identity' field in finite group spec: expected a string"),
+])
+def test_group_spec_refusals_exit_2_with_one_line(tmp_path, doc, message):
+    spec = write_spec(tmp_path, "bad.json", doc)
+    result = run_cli("oracle", "--group", spec, "x1")
+    assert_one_error_line(result)
+    assert result[2] == f"error: cannot load group spec: {message}\n"
 
 
 def test_check_rejects_out_of_alphabet_letters_anywhere(tmp_path):

@@ -220,6 +220,18 @@ def test_invalid_tables():
         FiniteGroupSpec.from_rows(elements, "e", rows)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: free_letters(0), "need at least one generator"),
+    (lambda: cyclic_group(0), "order must be >= 1"),
+    (lambda: symmetric_group(0), "need m >= 1"),
+    (lambda: psi_action((2, 1), "p12"), "not a free-group letter: 'p12'"),
+])
+def test_builders_refuse_sizes_below_one_and_letters_that_are_not_free(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
 # ---------------------------------------------------------------------------
 # permutation action
 

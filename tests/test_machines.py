@@ -786,6 +786,19 @@ def test_a_tag_equal_to_no_tag_raises_in_every_kernel(tag):
         vpa_run(m, (TaggedSymbol("x9", tag),))
 
 
+@pytest.mark.parametrize("sym", [("x1", 0, 9), ("x1",)])
+def test_a_symbol_that_is_not_a_pair_raises_the_same_error_in_both_kernels(sym):
+    # nvpa_run used to pass the symbol's items to the symbol check and
+    # raise a TypeError about its arguments
+    m = build_free_vpa(1).automaton
+    errors = set()
+    for run in (lambda w: vpa_run(m, w), lambda w: nvpa_run(nvpa_from_vpa(m), w)):
+        with pytest.raises(ValueError) as caught:
+            run((TaggedSymbol("x1", 0), sym))
+        errors.add(str(caught.value))
+    assert len(errors) == 1 and "values to unpack" in errors.pop()
+
+
 def test_rows_of_a_loaded_machine_hold_one_object_per_label():
     m = serialize.loads(serialize.dumps(build_semidirect(3, 3).automaton))
     assert vpa_run(m, ()).accepted

@@ -422,6 +422,27 @@ def test_loads_names_the_faulty_row(doc, rows, message):
     assert str(error.value) == message
 
 
+# each kind's fields in reading order: its rows, then its label fields in
+# the order its machine class lists them
+READING_ORDER = [
+    (FSA, ("transitions", "alphabet", "states", "initial", "accepts")),
+    (PDA, ("transitions", "alphabet", "states", "stack_alphabet", "initial", "bottom", "accepts")),
+    (VPA, ("transitions", "alphabet", "states", "stack_alphabet", "bottom", "initial", "accepts", "accept_stack")),
+    (NVPA, ("transitions", "alphabet", "states", "stack_alphabet", "bottom", "initials", "accepts", "accept_stack")),
+]
+
+
+@pytest.mark.parametrize("doc, order", READING_ORDER, ids=[doc["kind"] for doc, _ in READING_ORDER])
+def test_loads_names_the_first_missing_field_in_reading_order(doc, order):
+    assert sorted(order) == sorted(set(doc) - {"kind"})
+    for k, name in enumerate(order):
+        partial = {"kind": doc["kind"], **{field: doc[field] for field in order[:k]}}
+        with pytest.raises(serialize.SerializationError) as error:
+            serialize.loads(json.dumps(partial))
+        assert str(error.value) == f"{doc['kind']} document has no {name!r} field"
+    assert serialize.loads(json.dumps(doc)) == reference_loads(json.dumps(doc))
+
+
 # (document, its rows, the whole message of the error): an array label that
 # no label set holds, reported as the tuple it reads as
 ARRAY_LABEL_ERRORS = [
@@ -464,6 +485,18 @@ def test_from_doc_reports_a_label_nested_too_deeply():
         label = [label]
     with pytest.raises(serialize.SerializationError, match="too deeply"):
         serialize.from_doc({**FSA, "initial": label})
+
+
+def test_dumps_writes_a_subclass_as_its_machine_kind_and_refuses_other_objects():
+    class Machine(Fsa):
+        pass
+
+    m = astar_bstar_fsa()
+    twin = Machine(m.alphabet, m.states, m.initial, m.accepts, m.delta)
+    assert serialize.dumps(twin) == serialize.dumps(m) == reference_dumps(m)
+    for other in (object(), {"kind": "fsa"}, 3):
+        with pytest.raises(serialize.SerializationError, match=f"^cannot serialize {type(other).__name__}$"):
+            serialize.dumps(other)
 
 
 def test_save_keeps_the_old_file_when_dumps_raises(tmp_path):

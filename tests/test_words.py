@@ -163,6 +163,21 @@ def test_encode_free_group_example():
     assert decode(encode(nw)) == nw
 
 
+@pytest.mark.parametrize("word, edges, message", [
+    (("a", "b", "c", "d"), [(1, 3), (2, 4)], "nesting violated by ((1, 3), (2, 4))"),
+    (("a", "b"), [(2, 1)], "forward violated by ((2, 1),)"),
+])
+def test_nested_word_refuses_a_matching_that_violates_a_condition(word, edges, message):
+    with pytest.raises(ValueError) as caught:
+        NestedWord(word, MatchingRelation(len(word), edges))
+    assert str(caught.value) == message
+
+
+def test_nested_word_length_is_its_word_length():
+    assert len(NestedWord(("a", "b", "c"), MatchingRelation(3, [(1, 3)]))) == 3
+    assert len(NestedWord((), MatchingRelation(0, []))) == 0
+
+
 def test_encode_pending_call():
     nw = NestedWord(("a", "b"), MatchingRelation(2, [(1, POS_INF)]))
     assert format_word(encode(nw)) == "<a b"
