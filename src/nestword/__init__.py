@@ -19,13 +19,10 @@ from .machines import (
     Configuration,
     Fsa,
     Nvpa,
-    Pda,
     Vpa,
     canonicalize,
     fsa_run,
     nvpa_run,
-    pda_run,
-    pda_step,
     vpa_run,
 )
 from .closures import (

@@ -25,7 +25,6 @@ from . import closures, groups, serialize
 from .machines import (
     Fsa,
     Nvpa,
-    Pda,
     Vpa,
     fsa_run,
     machine_accepts,
@@ -59,12 +58,10 @@ def _load(path: str, what: str, parse, io_code: int = 2):
         raise _Exit(f"cannot load {what}: {exc}", io_code if isinstance(exc, OSError) else 2) from None
 
 
-def _load_runnable(path: str, command: str):
-    """The FSA, VPA or NVPA in the file at path for `command` to read and
+def _load_runnable(path: str):
+    """The FSA, VPA or NVPA in the file at path, for a command to read and
     print words of, refused unless its letters are token letters."""
     machine = _load(path, "automaton", serialize.from_doc)
-    if isinstance(machine, Pda):
-        raise ValueError(f"{command} runs FSA/VPA/NVPA automata, not PDAs")
     for letter in machine.alphabet:
         check_letter(letter)
     return machine
@@ -100,7 +97,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_check(args) -> int:
-    machine = _load_runnable(args.automaton, "check")
+    machine = _load_runnable(args.automaton)
     word = _word(" ".join(args.tokens), machine)
     if (
         isinstance(machine, (Vpa, Nvpa))
@@ -144,7 +141,7 @@ def cmd_enum(args) -> int:
         raise ValueError(f"--max-len {args.max_len} is negative")
     if args.max_len > args.cap:
         raise ValueError(f"--max-len {args.max_len} exceeds cap {args.cap}")
-    machine = _load_runnable(args.automaton, "enum")
+    machine = _load_runnable(args.automaton)
     if isinstance(machine, Fsa):
         for word in all_plain_words(sorted(machine.alphabet), args.max_len):
             if fsa_run(machine, word):

@@ -1,4 +1,4 @@
-"""Machine definitions and run semantics: FSA, PDA, and (non)deterministic VPA.
+"""Machine definitions and run semantics: FSA and (non)deterministic VPA.
 
 All machines are plain dataclasses validated on construction and treated as
 immutable afterwards; runs keep their own private configuration state, so
@@ -13,10 +13,9 @@ VPA reading, so one deterministic loop (`_vpa_end`) serves fsa_run,
 vpa_run and membership.
 
 Stack conventions: stacks are tuples with the bottom symbol at index 0.
-For a VPA the bottom symbol is not part of the (pushable) stack alphabet
-and is never pushed or popped; a return reading the exposed bottom leaves
-the stack unchanged.  A PDA may pop its bottom symbol and run with an
-empty stack, as the instantaneous-description semantics allows.
+The bottom symbol is not part of the (pushable) stack alphabet and is
+never pushed or popped; a return reading the exposed bottom leaves
+the stack unchanged.
 """
 
 from __future__ import annotations
@@ -31,10 +30,6 @@ from .words import Tag, TaggedSymbol, TaggedWord, check_alphabet, check_tag
 
 State = Hashable
 StackSym = Hashable
-
-
-class EpsilonBudgetExceeded(RuntimeError):
-    """A PDA run used more epsilon steps than its budget (likely a loop)."""
 
 
 class ConfigurationSetOverflow(RuntimeError):
@@ -157,108 +152,6 @@ def reached_fsa(alphabet: tuple, initial, step, accepting) -> Fsa:
             delta[src, a] = name
     accepts = frozenset(names[q] for q in order if accepting(q))
     return Fsa(alphabet, frozenset(names.values()), "q0", accepts, delta)
-
-
-# ---------------------------------------------------------------------------
-# pushdown machines
-
-
-@dataclass(repr=False)
-class Pda:
-    """Deterministic pushdown automaton; symbol None marks an epsilon move.
-
-    Epsilon determinism: if (s, None, g) has a transition then no (s, a, g)
-    may have one.  A transition value (t, push) replaces the read stack
-    symbol with the word `push` (pushed left to right, so push[-1] is the
-    new top).
-    """
-
-    kind = "pda"
-
-    alphabet: tuple
-    states: frozenset
-    stack_alphabet: frozenset
-    initial: State
-    bottom: StackSym
-    accepts: frozenset
-    delta: dict  # (state, symbol | None, stack symbol) -> (state, push word)
-
-    def __post_init__(self):
-        self.alphabet = check_alphabet(self.alphabet)
-        self.states = _state_set(self.states)
-        self.stack_alphabet = frozenset(self.stack_alphabet)
-        self.accepts = _freeze_states(self.accepts)
-        self.delta = {k: (t, tuple(push)) for k, (t, push) in self.delta.items()}
-        alpha = set(self.alphabet)
-        if self.bottom not in self.stack_alphabet:
-            raise ValueError("bottom symbol must be in the stack alphabet")
-        if self.initial not in self.states or not self.accepts <= self.states:
-            raise ValueError("initial/accept states not a subset of states")
-        eps_keys = {(s, g) for (s, a, g) in self.delta if a is None}
-        for (src, sym, top), (dst, push) in self.delta.items():
-            if src not in self.states or dst not in self.states:
-                raise ValueError(f"transition on ({src!r},{sym!r},{top!r}) leaves state set")
-            if sym is not None:
-                if sym not in alpha:
-                    raise ValueError(f"transition symbol {sym!r} not in alphabet")
-                if (src, top) in eps_keys:
-                    raise ValueError(f"epsilon determinism violated at ({src!r},{top!r})")
-            if top not in self.stack_alphabet or not set(push) <= self.stack_alphabet:
-                raise ValueError(f"stack symbols of ({src!r},{sym!r},{top!r}) unknown")
-
-    def __repr__(self):
-        return f"Pda(states={len(self.states)}, alphabet={self.alphabet!r})"
-
-
-def _pda_move(m: Pda, state, stack, letter):
-    """pda_step's move at `state`, `stack` (top last) and next `letter` (None
-    at the end of the word): ((dst, push), whether it reads), or None."""
-    if stack:
-        for sym in (None, letter):  # an epsilon move first
-            move = m.delta.get((state, sym, stack[-1]))
-            if move is not None:
-                return move, sym is not None
-    return None
-
-
-def pda_step(c: Configuration, m: Pda) -> Configuration | None:
-    """Apply the unique enabled transition; None when no transition is enabled.
-
-    An epsilon transition takes priority (and excludes input moves by the
-    determinism condition).  An empty stack enables nothing.
-    """
-    found = _pda_move(m, c.state, c.stack, c.remaining[0] if c.remaining else None)
-    if found is None:
-        return None
-    (dst, push), reads = found
-    return Configuration(dst, c.remaining[1:] if reads else c.remaining, c.stack[:-1] + push)
-
-
-def pda_run(m: Pda, word: Iterable[str]) -> bool:
-    """Accept iff the run reaches an accept state with all input consumed,
-    moving as pda_step does in time linear in its steps.  A run that takes
-    more than 10·|Q|·|Γ|·(|w| + 1) epsilon moves raises EpsilonBudgetExceeded."""
-    word = tuple(word)
-    alpha = set(m.alphabet)
-    for sym in word:
-        if sym not in alpha:
-            raise ValueError(f"letter {sym!r} not in alphabet")
-    eps_budget = 10 * len(m.states) * len(m.stack_alphabet) * (len(word) + 1)
-    state, stack, read = m.initial, [m.bottom], 0
-    eps_used = 0
-    while True:
-        if read == len(word) and state in m.accepts:
-            return True
-        found = _pda_move(m, state, stack, word[read] if read < len(word) else None)
-        if found is None:
-            return False
-        (state, push), reads = found
-        stack[-1:] = push
-        read += reads
-        if not reads:
-            eps_used += 1
-            if eps_used > eps_budget:
-                raise EpsilonBudgetExceeded(f"more than {eps_budget} epsilon steps")
 
 
 # ---------------------------------------------------------------------------

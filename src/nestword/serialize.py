@@ -8,7 +8,6 @@ the tables (`delta`, or `delta_c`, `delta_i` and `delta_r`) are one
 canonical order, and transition rows are
 
     fsa   [src, symbol, dst]
-    pda   [src, symbol-or-null, stack symbol, dst, [push...]]
     vpa   [src, "<a", dst, push]  /  [src, "a", dst]  /  [src, "a>", stack symbol, dst]
     nvpa  as vpa, one row per nondeterministic choice
 
@@ -17,9 +16,8 @@ labels (pair-FSA symbols) become JSON arrays and are read back as tuples.
 A float label must be finite: JSON has no NaN or infinity, so `dumps`
 refuses such a label and `parse_json` (which `loads` reads through)
 refuses the constants NaN, Infinity and -Infinity.  Every list-valued
-field, every row and every push word must be a JSON array.  In an fsa,
-pda or vpa document a row may repeat, but two different rows for one key
-are an error.
+field and every row must be a JSON array.  In an fsa or vpa document a
+row may repeat, but two different rows for one key are an error.
 
 Byte contract: where `dumps(m)` succeeds it is exactly `json.dumps(doc,
 indent=2, sort_keys=True) + "\\n"` of the document, where label sets and
@@ -30,8 +28,8 @@ prints that layout itself.  It encodes each label once per document,
 floats (0.0 equals -0.0) and tuples excepted, and each token once per
 letter.  When every label is a scalar, it prints the rows straight from
 the machine's tables: one string per row, which sorts as the row's
-compact text does (`_rows`), one sort, one join.  Tuple labels, and a
-pda's push words, are printed by `_printed`.
+compact text does (`_rows`), one sort, one join.  Tuple labels are
+printed by `_printed`.
 
 The reader (`from_doc`) reads `transitions` first, then the label fields
 in the order the class lists them, and reports the first faulty or
@@ -51,7 +49,7 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 
-from .machines import Fsa, Nvpa, Pda, Vpa
+from .machines import Fsa, Nvpa, Vpa
 from .words import Tag, _parse_token
 
 
@@ -133,8 +131,8 @@ def _rows(keys: list) -> str:
 
 
 def _printed_rows(rows: list, texts: _Texts) -> str:
-    """Transition rows that may hold a tuple label (a pda's push words are
-    tuples), ordered by their compact text."""
+    """Transition rows that may hold a tuple label, ordered by their
+    compact text."""
     keys = [texts[row] for row in rows]
     order = sorted(range(len(rows)), key=keys.__getitem__)
     return _array([_printed(rows[i], "\n    ", texts) for i in order], "\n  ")
@@ -166,11 +164,6 @@ def _vpa_rows(m, texts: _Texts, nested: bool) -> str:
     keys += [f"[\n      {t[q]},\n      {t[a]},\n      {t[dst]}]" for (q, a), dst in internals]
     keys += [f"[\n      {t[q]},\n      {ret[a]},\n      {t[g]},\n      {t[dst]}]" for (q, a, g), dst in returns]
     return _rows(keys)
-
-
-def _pda_rows(m: Pda, texts: _Texts, nested: bool) -> str:
-    """A Pda's rows, printed as nested ones: every push word is a tuple."""
-    return _printed_rows([(q, a, g, dst, push) for (q, a, g), (dst, push) in m.delta.items()], texts)
 
 
 def _print_alphabet(letters: tuple, texts: _Texts) -> str:
@@ -275,33 +268,18 @@ def _field(doc: dict, name: str, convert=_label):
         raise SerializationError(f"bad {name!r} field in {doc['kind']} document: {exc}") from None
 
 
-def _deterministic(moves: list, kind: str) -> dict:
-    """The table of (key, target) moves, in order, for a deterministic
-    machine: a repeated move loads, a second, different target for a key
-    is an error.  The first target of a key is kept."""
-    table: dict = {}
-    for key, value in moves:
-        old = table.setdefault(key, value)
-        if old is not value and old != value:
-            raise SerializationError(f"{kind} document is nondeterministic at {key!r}")
-    return table
-
-
 def _fsa_delta(rows, tuples: bool) -> dict:
+    """An fsa's table.  A repeated row loads, and a second, different
+    target for a key is an error; the first target of a key is kept."""
     rows = _row_arrays(rows, tuples)
     delta = {(q, sym): dst for q, sym, dst in rows}
     if len(delta) < len(rows):  # a key repeats: a conflict, or rows that repeat
-        delta = _deterministic([((q, sym), dst) for q, sym, dst in rows], "fsa")
+        delta = {}
+        for q, sym, dst in rows:
+            old = delta.setdefault((q, sym), dst)
+            if old is not dst and old != dst:
+                raise SerializationError(f"fsa document is nondeterministic at {(q, sym)!r}")
     return delta
-
-
-def _pda_delta(rows) -> dict:
-    moves = []
-    for q, sym, g, dst, push in _row_arrays(rows, True):  # every push word is an array
-        if type(push) is not tuple:
-            raise TypeError(f"push word {push!r} is not an array")
-        moves.append(((q, sym, g), (_label(dst), _label(push))))
-    return _deterministic(moves, "pda")
 
 
 def _vpa_deltas(rows, single: bool, tuples: bool, first: bool = False) -> tuple:
@@ -314,7 +292,7 @@ def _vpa_deltas(rows, single: bool, tuples: bool, first: bool = False) -> tuple:
     read.  Where those tables end with fewer keys than there are rows, a
     key repeats, and the rows are read again with `first`, which keeps
     each key's first target and raises at a second, different one, as
-    `_deterministic` does."""
+    `_fsa_delta` does."""
     rows = _row_arrays(rows, tuples)
     delta_c: dict = {}
     delta_i: dict = {}
@@ -381,46 +359,51 @@ def _kind(cls: type, write_rows, read_rows) -> tuple:
 
 _KINDS = {cls.kind: _kind(cls, write_rows, read_rows) for cls, write_rows, read_rows in (
     (Fsa, _fsa_rows, lambda rows, tuples: (_fsa_delta(rows, tuples),)),
-    (Pda, _pda_rows, lambda rows, tuples: (_pda_delta(rows),)),
     (Vpa, _vpa_rows, lambda rows, tuples: _vpa_deltas(rows, True, tuples)),
     (Nvpa, _vpa_rows, lambda rows, tuples: _vpa_deltas(rows, False, tuples)),
 )}
 _MACHINES = tuple(cls for cls, *_ in _KINDS.values())
 
 
-def _machine(doc: dict, tuples: bool):
-    """The machine doc describes, its rows read first; with `tuples`,
-    array labels in its rows are read as tuples."""
-    try:
-        cls, labels, _, read_rows = _KINDS[doc["kind"]]
-    except (KeyError, TypeError):  # an unknown or unhashable kind
-        raise SerializationError(f"unknown machine kind {doc['kind']!r}") from None
-    tables = _field(doc, "transitions", lambda rows: read_rows(rows, tuples))
-    return cls(*[_field(doc, name, convert) for name, _, _, convert in labels], *tables)
-
-
 def from_doc(doc: dict):
-    """The machine a parsed document describes.  Every malformed document
-    raises SerializationError, a ValueError."""
+    """The machine a parsed document describes, its rows read first.  Every
+    malformed document raises SerializationError, a ValueError."""
     try:
-        doc["kind"]
+        kind = doc["kind"]
     except (TypeError, KeyError):
         raise SerializationError("document has no 'kind' field") from None
     try:
+        cls, labels, _, read_rows = _KINDS[kind]
+    except (KeyError, TypeError):  # an unknown or unhashable kind
+        raise SerializationError(f"unknown machine kind {kind!r}") from None
+
+    def tables(tuples: bool) -> tuple:
+        return _field(doc, "transitions", lambda rows: read_rows(rows, tuples))
+
+    try:
+        # A row label is hashed or looked up in a label set, so a row that
+        # holds an array fails to read, or fails the machine's validation.
+        # Reading the rows again with array labels as tuples loads such a
+        # document or names its fault; documents with no array in their
+        # rows skip that pass.  The label fields read alike either way, so
+        # they are read once and a fault in one costs no second pass.
         try:
-            return _machine(doc, False)
+            rows, plain = tables(False), True
+        except SerializationError:
+            rows, plain = tables(True), False
+        fields = [_field(doc, name, convert) for name, _, _, convert in labels]
+        try:
+            return cls(*fields, *rows)
         except (TypeError, ValueError):
-            # A row label is hashed or looked up in a label set, so a row
-            # that holds an array fails above.  Reading the rows again with
-            # array labels as tuples loads such a document or names its
-            # fault; documents with no array in their rows skip that pass.
-            return _machine(doc, True)
+            if not plain:
+                raise
+            return cls(*fields, *tables(True))
     except SerializationError:
         raise
     except RecursionError:  # _tuple on a label nested deeper than Python recurses
         raise SerializationError("document nests arrays too deeply") from None
     except (TypeError, ValueError) as exc:  # the machine's own validation
-        raise SerializationError(f"invalid {doc['kind']} document: {exc}") from None
+        raise SerializationError(f"invalid {kind} document: {exc}") from None
 
 
 def _refuse_constant(name: str):

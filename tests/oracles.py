@@ -56,17 +56,14 @@ from nestword.groups import (
 )
 from nestword.machines import (
     Configuration,
-    EpsilonBudgetExceeded,
     Fsa,
     Nvpa,
-    Pda,
     Vpa,
     VpaRun,
     _freeze_states,
     add_move,
     canonicalize,
     fsa_run,
-    pda_step,
     vpa_run,
 )
 from nestword.serialize import SerializationError, dumps, loads
@@ -90,68 +87,8 @@ from nestword.words import (
 
 
 # ---------------------------------------------------------------------------
-# fixtures: the two textbook example machines, the NFA kind and its run,
+# fixtures: the textbook example FSA, the NFA kind and its run,
 # and the trivial NVPA and relabeling embeddings
-
-
-def anbn_pda() -> Pda:
-    """PDA for {a^n b^n : n >= 0} with an explicit fail state.
-
-    Counts a's on the stack with 1's, pops them on b's, and drains the
-    bottom 0 with a final epsilon move into the accepting state.
-    """
-    states = {"s0", "s1", "s2", "sy", "sf"}
-    delta = {
-        ("s0", "a", "0"): ("s1", ("0", "1")),
-        ("s1", "a", "1"): ("s1", ("1", "1")),
-        ("s1", "b", "1"): ("s2", ()),
-        ("s2", "b", "1"): ("s2", ()),
-        ("s2", None, "0"): ("sy", ()),
-    }
-    eps_blocked = {("s2", "0")}
-    for s in states:
-        for sym in ("a", "b"):
-            for g in ("0", "1"):
-                if (s, g) in eps_blocked:
-                    continue
-                delta.setdefault((s, sym, g), ("sf", (g,)))
-    return Pda(("a", "b"), states, {"0", "1"}, "s0", "0", {"s0", "sy"}, delta)
-
-
-def random_pda(rng: random.Random, n_states=3, alphabet=("a", "b"), density=0.6) -> Pda:
-    """A Pda on states p0, p1, ... over stack symbols 0 (the bottom) and 1:
-    each (state, top) has an epsilon move with probability 0.2, and
-    otherwise a move on each letter drawn with probability `density`;
-    each move pushes a word of 0-2 symbols."""
-    states = [f"p{i}" for i in range(n_states)]
-    delta = {}
-    for q in states:
-        for g in ("0", "1"):
-            letters = (None,) if rng.random() < 0.2 else [a for a in alphabet if rng.random() < density]
-            for sym in letters:
-                push = tuple(rng.choice("01") for _ in range(rng.randrange(3)))
-                delta[(q, sym, g)] = (rng.choice(states), push)
-    accepts = {q for q in states if rng.random() < 0.4}
-    return Pda(alphabet, states, {"0", "1"}, states[0], "0", accepts, delta)
-
-
-def reference_pda_run(m: Pda, word) -> bool:
-    """pda_run as the composition of pda_step on whole configurations."""
-    word = tuple(word)
-    eps_budget = 10 * len(m.states) * len(m.stack_alphabet) * (len(word) + 1)
-    config = Configuration(m.initial, word, (m.bottom,))
-    eps_used = 0
-    while True:
-        if not config.remaining and config.state in m.accepts:
-            return True
-        nxt = pda_step(config, m)
-        if nxt is None:
-            return False
-        if len(nxt.remaining) == len(config.remaining):
-            eps_used += 1
-            if eps_used > eps_budget:
-                raise EpsilonBudgetExceeded(f"more than {eps_budget} epsilon steps")
-        config = nxt
 
 
 def astar_bstar_fsa() -> Fsa:
@@ -2294,23 +2231,6 @@ def reference_to_doc(m) -> dict:
                 key=json.dumps,
             ),
         }
-    if isinstance(m, Pda):
-        return {
-            "kind": "pda",
-            "alphabet": list(m.alphabet),
-            "states": _ref_sorted_json(m.states),
-            "stack_alphabet": _ref_sorted_json(m.stack_alphabet),
-            "initial": j(m.initial),
-            "bottom": j(m.bottom),
-            "accepts": _ref_sorted_json(m.accepts),
-            "transitions": sorted(
-                (
-                    [j(q), sym, j(g), j(dst), [j(p) for p in push]]
-                    for (q, sym, g), (dst, push) in m.delta.items()
-                ),
-                key=json.dumps,
-            ),
-        }
     if isinstance(m, (Vpa, Nvpa)):
         calls, internals, returns = transition_rows(m)
         rows = [[j(q), token_str(TaggedSymbol(b, Tag.CALL)), j(dst), j(g)] for q, b, dst, g in calls]
@@ -2394,19 +2314,6 @@ def reference_from_doc(doc: dict):
             initial=f(doc, "initial"),
             accepts=f(doc, "accepts", _ref_labels),
             delta=f(doc, "transitions", lambda rows: {(u(q), u(sym)): _ref_label(dst) for q, sym, dst in rows}),
-        )
-    if kind == "pda":
-        return Pda(
-            alphabet=f(doc, "alphabet", tuple),
-            states=f(doc, "states", _ref_labels),
-            stack_alphabet=f(doc, "stack_alphabet", _ref_labels),
-            initial=f(doc, "initial"),
-            bottom=f(doc, "bottom"),
-            accepts=f(doc, "accepts", _ref_labels),
-            delta=f(doc, "transitions", lambda rows: {
-                (u(q), sym, u(g)): (_ref_label(dst), tuple(_ref_label(p) for p in push))
-                for q, sym, g, dst, push in rows
-            }),
         )
     if kind in ("vpa", "nvpa"):
         delta_c, delta_i, delta_r = f(doc, "transitions", _ref_vpa_deltas)

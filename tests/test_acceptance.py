@@ -9,7 +9,6 @@ import random
 
 from oracles import (
     ExtensionOracle,
-    anbn_pda,
     astar_bstar_fsa,
     canonical_matching,
     concat_oracle,
@@ -45,7 +44,6 @@ from nestword.groups import (
 from nestword.machines import (
     fsa_run,
     nvpa_run,
-    pda_run,
     vpa_run,
 )
 from nestword.words import (
@@ -74,13 +72,6 @@ def test_c01_encoding_bijection():
 
 
 def test_c02_textbook_machines():
-    pda = anbn_pda()
-    for n in range(51):
-        assert pda_run(pda, "a" * n + "b" * n)
-    for n in range(21):
-        for m in range(21):
-            if n != m:
-                assert not pda_run(pda, "a" * n + "b" * m)
     fsa = astar_bstar_fsa()
     for length in range(9):
         for w in itertools.product("ab", repeat=length):

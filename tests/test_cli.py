@@ -15,7 +15,7 @@ from nestword import closures, serialize
 from nestword.groups import group_spec_from_doc
 from nestword.machines import Fsa, vpa_run
 from nestword.words import format_word, reverse as reverse_word
-from oracles import anbn_pda, astar_bstar_fsa, deep_walk, enumerate_taggings, group_letters, mixed_label_vpa, random_vpa
+from oracles import astar_bstar_fsa, deep_walk, enumerate_taggings, group_letters, mixed_label_vpa, random_vpa
 
 FREE1 = {"kind": "free", "n": 1}
 FREE2 = {"kind": "free", "n": 2}
@@ -74,6 +74,25 @@ def test_build_unreadable_spec_exits_1(tmp_path):
     code, _, _ = run_cli("build", "--group", tmp_path / "missing.json",
                          "--out", tmp_path / "x.json")
     assert code == 1
+
+
+def test_build_and_closure_that_cannot_write_exit_1(tmp_path):
+    # the out path's parent is a regular file, so no write can succeed
+    spec = write_spec(tmp_path, "z2.spec.json", Z2)
+    aut, _ = build(tmp_path, Z2, "z2")
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = blocker / "out.json"
+    for argv in (("build", "--group", spec, "--out", out),
+                 ("closure", "--op", "complement", "--inputs", aut, "--out", out)):
+        code, stdout, err = run_cli(*argv)
+        assert (code, stdout) == (1, ""), argv
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot write {out}: "), err
+    assert blocker.read_text() == "kept\n"
+    # a build that fails before writing leaves no file behind
+    bad = write_spec(tmp_path, "bad.spec.json", {"kind": "free", "n": 0})
+    assert run_cli("build", "--group", bad, "--out", tmp_path / "never.json")[0] == 2
+    assert not (tmp_path / "never.json").exists()
 
 
 def test_check_accepts_and_rejects(tmp_path):
@@ -309,17 +328,24 @@ def test_closure_of_fsas_writes_the_regular_closure(tmp_path, op, arity):
     assert out.read_text() == serialize.dumps(getattr(closures, f"reg_{op}")(*inputs))
 
 
+# a deterministic pushdown automaton's document: its kind is not one the
+# reader knows, so every command refuses it
+PDA_DOC = {"kind": "pda", "alphabet": ["a", "b"], "states": ["p", "q"], "stack_alphabet": ["Z"],
+           "initial": "p", "bottom": "Z", "accepts": ["q"], "transitions": [["p", "a", "Z", "q", ["Z"]]]}
+
+
 @pytest.mark.parametrize("argv, message", [
-    (("check", "--automaton", "{pda}", "a"), "check runs FSA/VPA/NVPA automata, not PDAs"),
-    (("enum", "--automaton", "{pda}", "--max-len", "2"), "enum runs FSA/VPA/NVPA automata, not PDAs"),
+    (("check", "--automaton", "{pda}", "a"), "cannot load automaton: unknown machine kind 'pda'"),
+    (("enum", "--automaton", "{pda}", "--max-len", "2"), "cannot load automaton: unknown machine kind 'pda'"),
     (("closure", "--op", "complement", "--inputs", "{z2}", "{z2}"), "complement takes one input"),
     (("closure", "--op", "relabel", "--inputs", "{z2}", "{free1}"), "relabel takes a VPA and a pair FSA, in that order"),
     (("closure", "--op", "prefix", "--inputs", "{free1}"), "prefix on a VPA needs --word (membership query)"),
+    (("closure", "--op", "complement", "--inputs", "{pda}"), "cannot load input: unknown machine kind 'pda'"),
+    (("closure", "--op", "relabel", "--inputs", "{free1}", "{z2}"), "pair FSA symbol 'e' is not a letter pair"),
 ])
 def test_closure_check_and_enum_refusals_exit_2(tmp_path, argv, message):
-    files = {"pda": tmp_path / "pda.json", "z2": build(tmp_path, Z2, "z2")[0]}
+    files = {"pda": write_spec(tmp_path, "pda.json", PDA_DOC), "z2": build(tmp_path, Z2, "z2")[0]}
     files["free1"], _ = build(tmp_path, FREE1, "free1")
-    files["pda"].write_text(serialize.dumps(anbn_pda()))
     result = run_cli(*[a.format(**files) for a in argv])
     assert_one_error_line(result)
     assert result[2] == f"error: {message}\n"

@@ -914,6 +914,15 @@ def test_relabel_swap():
     assert vpa_language_nvpa(image, 4) == {parse_word("<b b>")}
 
 
+def test_relabeling_refuses_a_symbol_that_is_not_a_pair_and_a_pair_outside_the_alphabet():
+    for sym, shown in (("a", "'a'"), (("a",), r"\('a',\)"), (("a", "b", "c"), r"\('a', 'b', 'c'\)")):
+        with pytest.raises(ValueError, match=rf"^pair FSA symbol {shown} is not a letter pair$"):
+            Relabeling(Fsa((("a", "b"), sym), {"p"}, "p", {"p"}, {}))
+    outside = Relabeling(Fsa((("a", "b"), ("a", "z")), {"p"}, "p", {"p"}, {}))
+    with pytest.raises(AlphabetMismatch, match=r"^pair \('a','z'\) outside machine alphabet$"):
+        relabel_image(singleton_vpa("<a b>"), outside)
+
+
 def test_relabel_preserves_matching_and_length():
     phi = swap_relabeling()
     for tw in all_tagged_words(("a", "b"), 4):

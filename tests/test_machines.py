@@ -1,10 +1,9 @@
-"""FSA/PDA/VPA run semantics, determinization, completion, serialization."""
+"""FSA/VPA run semantics, determinization, completion, serialization."""
 
 import copy
 import dataclasses
 import itertools
 import pickle
-import signal
 import sys
 
 import pytest
@@ -16,7 +15,6 @@ from oracles import (
     GOLDEN_REGULAR_DIGEST,
     SUMMARY_LANES,
     Nfa,
-    anbn_pda,
     astar_bstar_fsa,
     configuration_set_run,
     deep_walk,
@@ -31,14 +29,12 @@ from oracles import (
     nfa_run,
     nvpa_from_vpa,
     random_fsa,
-    random_pda,
     random_vpa,
     random_walk,
     reference_bfs_canonicalize,
     reference_fsa_determinize,
     reference_fsa_run,
     reference_nvpa_run,
-    reference_pda_run,
     reference_vpa_run,
     reference_vpa_from_fsa,
     reference_vpl_concat,
@@ -54,18 +50,13 @@ from oracles import (
 import random
 
 from nestword.machines import (
-    Configuration,
-    EpsilonBudgetExceeded,
     Fsa,
     Nvpa,
-    Pda,
     Vpa,
     canonicalize,
     fsa_run,
     machine_accepts,
     nvpa_run,
-    pda_run,
-    pda_step,
     vpa_run,
 )
 from nestword import closures, machines, serialize
@@ -123,107 +114,11 @@ def test_machine_accepts_on_fsa_runs_like_its_vpa_reading():
         machine_accepts(m, parse_word("<x9"))
 
 
-# ---------------------------------------------------------------------------
-# PDA
-
-
-def test_pda_step_example_transitions():
-    m = anbn_pda()
-    c = Configuration("s0", tuple("aabb"), ("0",))
-    assert pda_step(c, m) == Configuration("s1", tuple("abb"), ("0", "1"))
-    # the final epsilon move drains the bottom symbol
-    assert pda_step(Configuration("s2", (), ("0",)), m) == Configuration("sy", (), ())
-    # no transition enabled: empty stack
-    assert pda_step(Configuration("sy", ("a",), ()), m) is None
-
-
-def test_pda_run_letter_outside_alphabet_raises():
-    with pytest.raises(ValueError, match=r"^letter 'x' not in alphabet$"):
-        pda_run(anbn_pda(), "ax")
-
-
-def test_pda_run_examples():
-    m = anbn_pda()
-    assert pda_run(m, "aabb")
-    assert not pda_run(m, "aab")
-    assert pda_run(m, "")
-    assert pda_run(m, "ab")
-    assert not pda_run(m, "ba")
-    assert not pda_run(m, "abb")
-
-
-def test_pda_anbn_language_small():
-    m = anbn_pda()
-    for n in range(6):
-        for k in range(6):
-            assert pda_run(m, "a" * n + "b" * k) == (n == k)
-
-
-def test_pda_run_is_linear_in_the_word():
-    # a^n b^n with n = 100,000: a run that copies the rest of the word and
-    # the stack on every step takes minutes, a linear one well under a second
-    def expire(signum, frame):
-        raise TimeoutError("pda_run took more than 10 s on 200,000 letters")
-
-    m = anbn_pda()
-    word = "a" * 100_000 + "b" * 100_000
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 10.0)
-    try:
-        assert pda_run(m, word)
-        assert not pda_run(m, word + "b")
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def test_pda_run_matches_stepping_by_pda_step():
-    # epsilon priority, popping the bottom, running on an empty stack and
-    # the epsilon budget, against whole configurations stepped by pda_step
-    def outcome(run, m, w):
-        try:
-            return run(m, w)
-        except EpsilonBudgetExceeded as exc:
-            return str(exc)
-
-    rng = random.Random(31)
-    words = [w for n in range(6) for w in itertools.product("ab", repeat=n)]
-    outcomes = set()
-    for _ in range(60):
-        m = random_pda(rng, n_states=rng.randrange(1, 5))
-        for w in words:
-            got = outcome(pda_run, m, w)
-            assert got == outcome(reference_pda_run, m, w), w
-            outcomes.add(got if isinstance(got, bool) else "budget")
-    assert outcomes == {True, False, "budget"}
-
-
-def test_pda_epsilon_budget():
-    # an epsilon self-loop must trip the budget, not hang
-    m = Pda(
-        ("a",),
-        {"q"},
-        {"0"},
-        "q",
-        "0",
-        set(),
-        {("q", None, "0"): ("q", ("0",))},
-    )
-    with pytest.raises(EpsilonBudgetExceeded):
-        pda_run(m, "")
-
-
-def test_pda_epsilon_determinism_validated():
-    with pytest.raises(ValueError):
-        Pda(
-            ("a",),
-            {"q"},
-            {"0"},
-            "q",
-            "0",
-            set(),
-            {("q", None, "0"): ("q", ("0",)), ("q", "a", "0"): ("q", ("0",))},
-        )
+def test_machine_accepts_and_canonicalize_refuse_a_non_machine():
+    with pytest.raises(TypeError, match="^cannot run words on a object$"):
+        machine_accepts(object(), ())
+    with pytest.raises(TypeError, match="^cannot canonicalize object$"):
+        canonicalize(object())
 
 
 # ---------------------------------------------------------------------------
@@ -1069,7 +964,6 @@ def test_machines_refuse_a_null_state():
     # these machines would reject "a" although it accepts it
     builds = [
         lambda: Fsa(("a",), {0, None}, 0, {None}, {(0, "a"): None}),
-        lambda: Pda(("a",), {0, None}, {"Z"}, 0, "Z", {None}, {(0, "a", "Z"): (None, ("Z",))}),
         lambda: Vpa(("a",), {0, None}, set(), "$", 0, {None}, set(), {}, {(0, "a"): None}, {}),
         lambda: Nvpa(("a",), {0, None}, set(), "$", {0}, {None}, set(), {}, {(0, "a"): {None}}, {}),
     ]
@@ -1185,13 +1079,6 @@ def test_serialize_roundtrip_pair_fsa():
     m = Fsa(pairs, {"p"}, "p", {"p"}, {("p", ("a", "a")): "p", ("p", ("a", "b")): "p"})
     again = serialize.loads(serialize.dumps(m))
     assert again == m
-
-
-def test_serialize_roundtrip_pda():
-    m = anbn_pda()
-    again = serialize.loads(serialize.dumps(m))
-    assert again == m
-    assert pda_run(again, "aaabbb")
 
 
 @settings(max_examples=60, deadline=None)

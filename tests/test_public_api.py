@@ -9,12 +9,15 @@ library uses it, or the README says what it is for.
 import ast
 import contextlib
 import io
+import json
 import pathlib
 import re
 import tokenize
 import types
 
 import nestword
+from nestword import serialize
+from nestword.cli import main as cli_main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -27,7 +30,6 @@ PUBLIC_NAMES = [
     "MatchingRelation",
     "NestedWord",
     "Nvpa",
-    "Pda",
     "PrefixDecider",
     "Recognizer",
     "Relabeling",
@@ -48,8 +50,6 @@ PUBLIC_NAMES = [
     "fsa_run",
     "nvpa_run",
     "parse_word",
-    "pda_run",
-    "pda_step",
     "prefix",
     "psi_action",
     "relabel_image",
@@ -113,6 +113,36 @@ def test_every_export_has_a_job():
     )
     idle = [name for name in _exported() if name not in used | documented]
     assert idle == []
+
+
+# a minimal document of each kind, and commands that read one
+MINIMAL_DOCUMENTS = {
+    "fsa": {"kind": "fsa", "alphabet": ["a"], "states": ["q"], "initial": "q", "accepts": ["q"],
+            "transitions": []},
+    "vpa": {"kind": "vpa", "alphabet": ["a"], "states": ["q"], "stack_alphabet": [], "bottom": "$",
+            "initial": "q", "accepts": ["q"], "accept_stack": [], "transitions": []},
+    "nvpa": {"kind": "nvpa", "alphabet": ["a"], "states": ["q"], "stack_alphabet": [], "bottom": "$",
+             "initials": ["q"], "accepts": ["q"], "accept_stack": [], "transitions": []},
+}
+READERS = [
+    ("check", "--automaton", "{doc}"),
+    ("enum", "--automaton", "{doc}", "--max-len", "1"),
+    ("closure", "--op", "reverse", "--inputs", "{doc}"),
+]
+
+
+def test_every_document_kind_has_a_job(tmp_path):
+    # each kind the reader loads is read by some command, which answers
+    # (exit 0 or 1): a kind that loads only to be refused has no job
+    assert sorted(serialize._KINDS) == sorted(MINIMAL_DOCUMENTS)
+    for kind, doc in MINIMAL_DOCUMENTS.items():
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        codes = []
+        for argv in READERS:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes.append(cli_main([a.format(doc=path) for a in argv]))
+        assert {0, 1} & set(codes), (kind, codes)
 
 
 def test_readme_library_example_prints_its_comments():
